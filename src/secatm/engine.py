@@ -2,19 +2,24 @@
 classical column, produced by exact cup-length lower bounds and a narrowing
 rule system iterated to a fixpoint.
 
-Every rule only narrows intervals, so iteration terminates; a crossing pair
-of bounds raises :class:`~secatm.tables.InconsistentModel` with both
-provenance chains.  Lower bounds coming from cup-length computations carry
-their certificates in the provenance, and are applied lazily: only to the
-requested tables and to tables whose lower bounds can flow into them.
+Every rule is a record in one table built per run: a one-sided bound
+(a target table narrowed from source tables at shared index pairs) or an
+equality between two table entries.  Every rule only narrows intervals, so
+iteration terminates; a crossing pair of bounds raises
+:class:`~secatm.tables.InconsistentModel` with both provenance chains.
+Lower bounds coming from cup-length computations carry their certificates
+in the provenance, and are applied lazily: only to the requested tables and
+to tables whose lower bounds reach them through a rule record.
 """
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 from .algebra import (
     RingMorphism,
     Subspace,
-    cup_kernel,
+    UnsupportedCoefficients,
     image_difference,
     kernel,
     multiplication_morphism,
@@ -85,185 +90,218 @@ def default_max_m(bundle: Bundle) -> int | None:
 def compute_tables(bundle, max_m=None, use_literature=True, targets=None):
     """Compute all bound tables of a bundle.
 
-    ``targets`` optionally limits cup-length lower-bound evaluation to the
-    named ``(invariant, name)`` tables (plus everything whose lower bounds
-    can reach them); upper bounds are always complete, so unlisted tables
-    stay sound but may be wider than a full run would make them.
+    Derived models (product factors, squares, fibration bases, triangle
+    legs) get tables under derived names; the bundle itself is left
+    unchanged.  ``targets`` optionally limits cup-length lower-bound
+    evaluation to the named ``(invariant, name)`` tables (plus everything
+    whose lower bounds can reach them); upper bounds are always complete,
+    so unlisted tables stay sound but may be wider than a full run would
+    make them.
     """
     return _Engine(bundle, max_m, use_literature, targets).run()
 
 
 # ---------------------------------------------------------------------------
+# rule records
+# ---------------------------------------------------------------------------
+
+# Index pairs (m, n, shift) by kind: the target entry m is narrowed from the
+# source entry n, offset by shift.  They depend only on M and a dimension, so
+# every record of one (kind, dim) shares one list.
+_PAIRS = {
+    "same": lambda M, d: [(m, m, 0) for m in [*range(1, M + 1), INF]],
+    "up": lambda M, d: [(m + 1, m, 0) for m in range(1, M)],
+    "down": lambda M, d: [(m, m + 1, 0) for m in range(1, M)],
+    "to_inf": lambda M, d: [(INF, m, 0) for m in range(1, M + 1)],
+    "from_inf": lambda M, d: [(m, INF, 0) for m in range(1, M + 1)],
+    "recover_hi": lambda M, d: [(INF, m, d // (m + 1)) for m in range(1, M + 1)],
+    "recover_lo": lambda M, d: [(m, INF, -(d // (m + 1))) for m in range(1, M + 1)],
+    "skeleton": lambda M, d: [(INF, d - 1, 0)] if 1 <= d - 1 <= M else [],
+    "stable": lambda M, d: [(m, INF, 0) for m in range(max(d, 1), M + 1)],
+}
+
+
+class _Bound(NamedTuple):
+    """One side of an inequality: ``target[m]`` is raised to
+    ``source[n].lo + shift`` (side ``lo``, one source), or lowered to
+    ``max(scale * sum(source[n].hi) + shift, floor)`` (side ``hi``)."""
+
+    rule: str
+    side: str
+    target: BoundTable
+    sources: tuple
+    pairs: list
+    detail: object  # str, or (m, n) -> str
+    scale: int = 1
+    floor: int = 0
+
+    def text(self, m, n) -> str:
+        return self.detail if isinstance(self.detail, str) else self.detail(m, n)
+
+    def apply(self) -> bool:
+        return self._raise() if self.side == "lo" else self._lower()
+
+    def _raise(self) -> bool:
+        target = self.target
+        entries, source = target.entries, self.sources[0].entries
+        changed = False
+        for m, n, shift in self.pairs:
+            value = source[n].lo + shift
+            if value > entries[m].lo:
+                changed |= target.raise_lo(m, value, self.rule, self.text(m, n))
+        return changed
+
+    def _lower(self) -> bool:
+        target, scale, floor = self.target, self.scale, self.floor
+        entries = target.entries
+        first, *rest = [s.entries for s in self.sources]
+        changed = False
+        for m, n, shift in self.pairs:
+            hi = first[n].hi
+            if rest and hi is not None:  # product and triangle sums only
+                parts = [other[n].hi for other in rest]
+                hi = None if None in parts else hi + sum(parts)
+            if hi is None:
+                continue
+            value = scale * hi + shift
+            if value < floor:
+                value = floor
+            current = entries[m].hi
+            if current is None or value < current:
+                changed |= target.lower_hi(m, value, self.rule, self.text(m, n))
+        return changed
+
+
+class _Equal(NamedTuple):
+    """``a[m] = b[n]`` at each index pair: both sides raise and lower."""
+
+    rule: str
+    a: BoundTable
+    b: BoundTable
+    pairs: list
+    detail: str
+
+    def apply(self) -> bool:
+        a, b, rule, detail = self.a, self.b, self.rule, self.detail
+        a_entries, b_entries = a.entries, b.entries
+        changed = False
+        for m, n, _ in self.pairs:
+            ea, eb = a_entries[m], b_entries[n]
+            if eb.lo > ea.lo:
+                changed |= a.raise_lo(m, eb.lo, rule, detail)
+            if ea.lo > eb.lo:
+                changed |= b.raise_lo(n, ea.lo, rule, detail)
+            if eb.hi is not None and (ea.hi is None or eb.hi < ea.hi):
+                changed |= a.lower_hi(m, eb.hi, rule, detail)
+            if ea.hi is not None and (eb.hi is None or ea.hi < eb.hi):
+                changed |= b.lower_hi(n, ea.hi, rule, detail)
+        return changed
+
+
+# ---------------------------------------------------------------------------
+
+
+# the tables each kind of model gets, in table order
+_INVARIANTS = {"spaces": ("cat", "tc"), "fibrations": ("secat",),
+               "map_pairs": ("dm", "hdm")}
+_KINDS = tuple(_INVARIANTS)
+_KIND_OF = {inv: kind for kind, invs in _INVARIANTS.items() for inv in invs}
+# the model field holding each invariant's recorded classical value
+_KNOWN = {"cat": "known_cat", "tc": "known_tc", "secat": "known_secat", "dm": "known_d"}
 
 
 class _Engine:
     def __init__(self, bundle, max_m, use_literature, targets):
-        self.bundle = bundle
+        # derived models are named in a copy, never in the caller's bundle
+        self.bundle = Bundle()
+        for kind in _KINDS:
+            getattr(self.bundle, kind).update(getattr(bundle, kind))
         self.use_literature = use_literature
         self.requested = set(targets) if targets is not None else None
-        self.space_name: dict[int, str] = {}
-        self.fib_name: dict[int, str] = {}
-        self.pair_name: dict[int, str] = {}
+        self.names: dict[int, str] = {}  # id(model) -> its name
         self.tables: dict[tuple[str, str], BoundTable] = {}
         self.max_m = max_m
-        self._tensor_cache: dict[str, tuple] = {}
-        self._value_cache: dict = {}
+        self._zero_divisor_cache: dict[int, tuple] = {}
+        self._pair_cache: dict = {}
 
     # -- registration -------------------------------------------------------
     def _register(self):
+        """Name every model the bundle's models refer to, depth first, under
+        a derived name such as ``p.factor1`` (``~2`` and up on clashes)."""
         b = self.bundle
-        for name, s in list(b.spaces.items()):
-            self.space_name[id(s)] = name
-        for name, f in list(b.fibrations.items()):
-            self.fib_name[id(f)] = name
-        for name, p in list(b.map_pairs.items()):
-            self.pair_name[id(p)] = name
+        taken = {name for kind in _KINDS for name in getattr(b, kind)}
 
-        def fresh(hint):
-            name = hint
-            k = 2
-            while name in b.spaces or name in b.fibrations or name in b.map_pairs:
-                name = f"{hint}~{k}"
-                k += 1
-            return name
+        def visit(name, model):
+            for kind, suffix, child in _children(model):
+                if id(child) not in self.names:
+                    hint = child_name = f"{name}.{suffix}"
+                    k = 2
+                    while child_name in taken:
+                        child_name = f"{hint}~{k}"
+                        k += 1
+                    taken.add(child_name)
+                    getattr(b, kind)[child_name] = child
+                    self.names[id(child)] = child_name
+                    visit(child_name, child)
 
-        def ensure_space(model, hint):
-            if id(model) in self.space_name:
-                return
-            name = fresh(hint)
-            b.spaces[name] = model
-            self.space_name[id(model)] = name
-            walk_space(name, model)
-
-        def walk_space(name, model):
-            if model.factors:
-                for i, f in enumerate(model.factors):
-                    ensure_space(f, f"{name}.factor{i + 1}")
-            if model.square is not None:
-                ensure_space(model.square, f"{name}.square")
-
-        def ensure_fibration(model, hint):
-            if id(model) in self.fib_name:
-                return
-            name = fresh(hint)
-            b.fibrations[name] = model
-            self.fib_name[id(model)] = name
-            walk_fibration(name, model)
-
-        def walk_fibration(name, model):
-            ensure_space(model.base, f"{name}.base")
-            if model.factors:
-                for i, f in enumerate(model.factors):
-                    ensure_fibration(f, f"{name}.factor{i + 1}")
-
-        def ensure_pair(model, hint):
-            if id(model) in self.pair_name:
-                return
-            name = fresh(hint)
-            b.map_pairs[name] = model
-            self.pair_name[id(model)] = name
-            walk_pair(name, model)
-
-        def walk_pair(name, model):
-            ensure_space(model.domain, f"{name}.domain")
-            ensure_space(model.codomain, f"{name}.codomain")
-            if model.triangle is not None:
-                left, right = model.triangle
-                ensure_pair(left, f"{name}.left")
-                ensure_pair(right, f"{name}.right")
-
-        for name, s in list(b.spaces.items()):
-            walk_space(name, s)
-        for name, f in list(b.fibrations.items()):
-            walk_fibration(name, f)
-        for name, p in list(b.map_pairs.items()):
-            walk_pair(name, p)
+        for kind in _KINDS:
+            for name, model in getattr(b, kind).items():
+                self.names[id(model)] = name
+        for kind in _KINDS:
+            for name, model in list(getattr(b, kind).items()):
+                visit(name, model)
 
     # -- helpers -------------------------------------------------------------
     def t(self, inv, name) -> BoundTable:
         return self.tables[(inv, name)]
 
-    def sname(self, model) -> str:
-        return self.space_name[id(model)]
+    def name_of(self, model) -> str:
+        return self.names[id(model)]
 
-    def _tensor(self, space_name):
+    def model(self, inv, name):
+        return getattr(self.bundle, _KIND_OF[inv])[name]
+
+    def _zero_divisors(self, space):
         """Tensor square and zero-divisor kernel of a space, cached."""
-        if space_name not in self._tensor_cache:
-            A = self.bundle.spaces[space_name].algebra
-            T, _, _ = tensor_square(A)
-            _, mu = multiplication_morphism(A, T)
-            self._tensor_cache[space_name] = (T, kernel(mu))
-        return self._tensor_cache[space_name]
+        if id(space) not in self._zero_divisor_cache:
+            self._zero_divisor_cache[id(space)] = _zero_divisors(space)
+        return self._zero_divisor_cache[id(space)]
 
     # -- main ----------------------------------------------------------------
     def run(self):
         self._register()
         if self.max_m is None:
             self.max_m = default_max_m(self.bundle)
-            if self.max_m is None:
-                raise ValueError(
-                    "no model has a known hdim; pass max_m explicitly"
-                )
-        M = self.max_m
-        b = self.bundle
-        for name in b.spaces:
-            self.tables[("cat", name)] = BoundTable("cat", name, M)
-            self.tables[("tc", name)] = BoundTable("tc", name, M)
-        for name in b.fibrations:
-            self.tables[("secat", name)] = BoundTable("secat", name, M)
-        for name in b.map_pairs:
-            self.tables[("dm", name)] = BoundTable("dm", name, M)
-            self.tables[("hdm", name)] = BoundTable("hdm", name, M)
+        if self.max_m is None:
+            raise ValueError("no model has a known hdim; pass max_m explicitly")
+        for kind, invariants in _INVARIANTS.items():
+            for name in getattr(self.bundle, kind):
+                for inv in invariants:
+                    self.tables[(inv, name)] = BoundTable(inv, name, self.max_m)
 
+        self.rules = self._rules()
         self._apply_static()
         self._apply_lower_bounds()
 
-        rules = [
-            self._r_monotone,
-            self._r_classical,
-            self._r_secat_cat,
-            self._r_dim_recovery,
-            self._r_skeletal,
-            self._r_stabilize,
-            self._r_pi_vanish,
-            self._r_products,
-            self._r_dm_cat_tc,
-            self._r_hdm_dm,
-            self._r_triangle,
-            self._r_cat_tc,
-            self._r_tc_2cat,
-            self._r_hspace,
-            self._r_const_pair,
-        ]
-        changed = True
-        while changed:
-            changed = False
-            for rule in rules:
-                if rule():
-                    changed = True
+        # sweep every record, in order, until a whole sweep narrows nothing
+        while any([rule.apply() for rule in self.rules]):
+            pass
         return self.tables
 
     # -- static narrowing (metadata and literature axioms) --------------------
     def _apply_static(self):
-        b = self.bundle
-        for name, s in b.spaces.items():
-            cat = self.t("cat", name)
-            for m in cat.finite_ms():
-                if m <= s.conn:
-                    cat.lower_hi(m, 0, "conn_vanishing",
-                                 f"{s.conn}-connected forces 0 at m <= {s.conn}")
-            if self.use_literature:
-                if s.known_cat is not None:
-                    self._pin(cat, s.known_cat)
-                if s.known_tc is not None:
-                    self._pin(self.t("tc", name), s.known_tc)
-        for name, f in b.fibrations.items():
-            if self.use_literature and f.known_secat is not None:
-                self._pin(self.t("secat", name), f.known_secat)
-        for name, p in b.map_pairs.items():
+        for (inv, name), table in self.tables.items():
+            known = _KNOWN.get(inv)
+            value = getattr(self.model(inv, name), known) if known else None
+            if self.use_literature and value is not None:
+                for narrow in (table.raise_lo, table.lower_hi):
+                    narrow(INF, value, "literature", f"recorded classical value {value}")
+        for name, s in self.bundle.spaces.items():
+            for m in range(1, min(s.conn, self.max_m) + 1):
+                self.t("cat", name).lower_hi(
+                    m, 0, "conn_vanishing", f"{s.conn}-connected forces 0 at m <= {s.conn}")
+        for name, p in self.bundle.map_pairs.items():
             dm = self.t("dm", name)
-            if self.use_literature and p.known_d is not None:
-                self._pin(dm, p.known_d)
             if p.homotopic:
                 for m in dm.index:
                     dm.lower_hi(m, 0, "homotopic_zero",
@@ -275,74 +313,42 @@ class _Engine:
             cy = p.codomain.conn
             if d0 is not None and hx is not None:
                 bound = -(-(hx + 1) // (cy + 1)) - 1  # strict rational bound
-                for m in dm.finite_ms():
-                    if d0 <= m + 1:
-                        dm.lower_hi(m, bound, "dim_conn_cap",
-                                    f"< (hdim {hx}+1)/(conn {cy}+1)")
-
-    def _pin(self, table, value):
-        table.raise_lo(INF, value, "literature", f"recorded classical value {value}")
-        table.lower_hi(INF, value, "literature", f"recorded classical value {value}")
+                for m in range(max(d0 - 1, 1), self.max_m + 1):
+                    dm.lower_hi(m, bound, "dim_conn_cap",
+                                f"< (hdim {hx}+1)/(conn {cy}+1)")
 
     # -- cup-length lower bounds ----------------------------------------------
     def _lower_targets(self):
         """Tables that need cup-length lower bounds: the requested ones plus
-        everything whose lower bounds can flow into them."""
-        if self.requested is None:
-            return set(self.tables)
-        b = self.bundle
+        every table whose lower bounds reach them through ``lo`` records and
+        equalities."""
+        feeds: dict = {}  # table key -> keys whose lower bounds flow into it
+        for rule in self.rules:
+            if isinstance(rule, _Equal):
+                flows = [(rule.a, rule.b), (rule.b, rule.a)]
+            else:
+                flows = [(rule.target, rule.sources[0])] if rule.side == "lo" else []
+            for target, source in flows:
+                feeds.setdefault(target.key(), []).append(source.key())
         seen = set()
-        todo = [k for k in self.requested if k in self.tables]
+        todo = list(self.tables if self.requested is None else self.requested)
         while todo:
             key = todo.pop()
-            if key in seen:
-                continue
-            seen.add(key)
-            inv, name = key
-            deps = []
-            if inv == "cat":
-                space = b.spaces[name]
-                for fname, f in b.fibrations.items():
-                    if f.base is space:
-                        deps.append(("secat", fname))
-                if space.h_space_with_division:
-                    deps.append(("tc", name))
-                for pname, p in b.map_pairs.items():
-                    if self._const_identity_pattern(p) and p.domain is space:
-                        deps.append(("dm", pname))
-            elif inv == "tc":
-                deps.append(("cat", name))
-            elif inv == "secat":
-                f = b.fibrations[name]
-                if f.total_contractible:
-                    deps.append(("cat", self.sname(f.base)))
-            elif inv == "dm":
-                deps.append(("hdm", name))
-                p = b.map_pairs[name]
-                if self._const_identity_pattern(p):
-                    deps.append(("cat", self.sname(p.domain)))
-            todo.extend(d for d in deps if d not in seen)
+            if key in self.tables and key not in seen:
+                seen.add(key)
+                todo.extend(feeds.get(key, ()))
         return seen
 
-    @staticmethod
-    def _const_identity_pattern(p: MapPairModel) -> bool:
-        return (p.gstar.is_augmentation() and p.fstar.is_identity()) or (
-            p.fstar.is_augmentation() and p.gstar.is_identity()
-        )
-
     def _apply_lower_bounds(self):
-        for key in sorted(self._lower_targets()):
-            inv, name = key
-            table = self.tables[key]
-            source = self._lower_source(inv, name)
+        for inv, name in sorted(self._lower_targets()):
+            table = self.tables[(inv, name)]
+            source = _lower_source(inv, self.model(inv, name), self._zero_divisors)
             table.lower_bounds_applied = True
-            if source is None:
+            if source is None or source[1].is_zero():
                 continue
             algebra, generators, what = source
-            if generators.is_zero():
-                continue
             degmax = max(generators.degrees())
-            values = self._capped_values(key, algebra, generators)
+            values = self._capped_values(algebra, generators, degmax)
             for m in table.index:
                 eff = degmax if m == INF else min(m, degmax)
                 length, cert = values(eff)
@@ -354,333 +360,158 @@ class _Engine:
                         certificate=cert,
                     )
 
-    def _lower_source(self, inv, name):
-        """(algebra, generator subspace, description) feeding a table's
-        cup-length lower bound, or None when it does not apply."""
-        b = self.bundle
-        if inv == "cat":
-            alg = b.spaces[name].algebra
-            return alg, Subspace.positive_part(alg), "H^+"
-        if inv == "tc":
-            space = b.spaces[name]
-            if not space.algebra.coeff.is_field:
-                return None
-            T, ck = self._tensor(name)
-            return T, ck, "ker(cup)"
-        if inv == "secat":
-            f = b.fibrations[name]
-            return f.base.algebra, kernel(f.pstar), "ker(pullback)"
-        if inv == "hdm":
-            p = b.map_pairs[name]
-            return (
-                p.domain.algebra,
-                image_difference(p.fstar, p.gstar),
-                "im(f* - g*)",
-            )
-        if inv == "dm":
-            p = b.map_pairs[name]
-            if not p.codomain.algebra.coeff.is_field:
-                return None
-            cod_name = self.sname(p.codomain)
-            T, ck = self._tensor(cod_name)
-            fg = _pair_pullback(p, T)
-            return p.domain.algebra, pushforward_span(fg, ck), "pushed ker(cup)"
-        return None
-
-    def _capped_values(self, key, algebra, generators):
+    def _capped_values(self, algebra, generators, degmax):
         """Memoized cap -> (length, certificate), with a shortcut: when the
         smallest and largest caps agree the whole range is constant."""
-        cache = self._value_cache.setdefault(key, {})
-        degs = generators.degrees()
-        degmax = max(degs)
+        cache = {}
         caps = sorted({min(m, degmax) for m in range(1, self.max_m + 1)} | {degmax})
 
         def compute(eff):
             if eff not in cache:
-                cache[eff] = capped_cuplength(
-                    CupLengthQuery(algebra, generators, eff)
-                )
+                cache[eff] = capped_cuplength(CupLengthQuery(algebra, generators, eff))
             return cache[eff]
 
-        lo_val = compute(caps[0])
-        hi_val = compute(caps[-1])
+        lo_val, hi_val = compute(caps[0]), compute(caps[-1])
         if lo_val[0] == hi_val[0]:
             for c in caps:
                 cache.setdefault(c, lo_val)
+        return compute
 
-        def get(eff):
-            return compute(eff)
-
-        return get
-
-    # -- dynamic rules ---------------------------------------------------------
-    def _r_monotone(self):
-        ch = False
-        for tab in self.tables.values():
-            for m in range(1, tab.max_m):
-                ch |= tab.raise_lo(m + 1, tab.lo(m), "monotone_m",
-                                   f"at least the m={m} entry")
-                ch |= tab.lower_hi(m, tab.hi(m + 1), "monotone_m",
-                                   f"at most the m={m + 1} entry")
-        return ch
-
-    def _r_classical(self):
-        ch = False
-        for tab in self.tables.values():
-            for m in tab.finite_ms():
-                ch |= tab.raise_lo(INF, tab.lo(m), "classical_cap",
-                                   f"dominates the m={m} entry")
-                ch |= tab.lower_hi(m, tab.hi(INF), "classical_cap",
-                                   "at most the classical value")
-        return ch
-
-    def _r_secat_cat(self):
-        ch = False
-        for name, f in self.bundle.fibrations.items():
-            s = self.t("secat", name)
-            c = self.t("cat", self.sname(f.base))
-            base = self.sname(f.base)
-            for m in s.index:
-                ch |= s.lower_hi(m, c.hi(m), "secat_le_cat_base",
-                                 f"at most cat[{base}]")
-                ch |= c.raise_lo(m, s.lo(m), "secat_le_cat_base",
-                                 f"at least secat[{name}]")
-                if f.total_contractible:
-                    ch |= self._equalize(s, m, c, m, "secat_eq_cat_contractible",
-                                         "contractible total space")
-        return ch
+    # -- the rule table ----------------------------------------------------------
+    def _pairs(self, kind, dim):
+        key = (kind, dim)
+        if key not in self._pair_cache:
+            self._pair_cache[key] = _PAIRS[kind](self.max_m, dim)
+        return self._pair_cache[key]
 
     def _dim_param(self, inv, name):
-        b = self.bundle
-        if inv == "cat":
-            return b.spaces[name].hdim
-        if inv == "tc":
-            h = b.spaces[name].hdim
-            return None if h is None else 2 * h
+        """hdim of the space, fibration base or pair domain; twice it for tc."""
+        if inv == "hdm":
+            return None
+        model = self.model(inv, name)
         if inv == "secat":
-            return b.fibrations[name].base.hdim
+            return model.base.hdim
         if inv == "dm":
-            return b.map_pairs[name].domain.hdim
-        return None
+            return model.domain.hdim
+        return model.hdim if inv == "cat" or model.hdim is None else 2 * model.hdim
 
-    def _r_dim_recovery(self):
-        ch = False
-        for (inv, name), tab in self.tables.items():
-            dim = self._dim_param(inv, name)
-            if dim is None:
-                continue
-            for m in tab.finite_ms():
-                gap = dim // (m + 1)
-                hi = tab.hi(m)
-                if hi is not None:
-                    ch |= tab.lower_hi(INF, hi + gap, "dim_recovery",
-                                       f"m={m} entry + floor({dim}/{m + 1})")
-                ch |= tab.raise_lo(m, tab.lo(INF) - gap, "dim_recovery",
-                                   f"classical entry - floor({dim}/{m + 1})")
-        return ch
+    def _rules(self):
+        """Every narrowing rule of the fixpoint as a record, in sweep order."""
+        b, t, name_of = self.bundle, self.t, self.name_of
+        rules = []
 
-    def _r_skeletal(self):
-        ch = False
-        for (inv, name), tab in self.tables.items():
-            if inv == "hdm":
-                continue
-            dim = self._dim_param(inv, name)  # already doubled for tc
-            if dim is None:
-                continue
-            idx = dim - 1
-            if idx < 1 or idx > tab.max_m:
-                continue
-            hi = tab.hi(idx)
-            if hi is not None:
-                ch |= tab.lower_hi(INF, max(hi, 2), "skeletal_cap",
-                                   f"max of the m={idx} entry and 2")
-        return ch
+        def lo(rule, target, source, detail, kind="same", dim=None):
+            rules.append(_Bound(rule, "lo", target, (source,), self._pairs(kind, dim), detail))
 
-    def _r_stabilize(self):
-        ch = False
-        for (inv, name), tab in self.tables.items():
-            dim = self._dim_param(inv, name)
-            if dim is None:
-                continue
-            for m in tab.finite_ms():
-                if m >= dim:
-                    ch |= self._equalize(tab, m, tab, INF, "stabilize",
-                                         f"stable from m >= {dim}")
-        return ch
+        def hi(rule, target, sources, detail, kind="same", dim=None, scale=1, floor=0):
+            rules.append(_Bound(rule, "hi", target, tuple(sources), self._pairs(kind, dim),
+                                detail, scale, floor))
 
-    def _r_pi_vanish(self):
-        ch = False
-        b = self.bundle
-        for name, s in b.spaces.items():
-            if s.pi_vanish_from is None:
-                continue
-            d0 = s.pi_vanish_from
-            for inv in ("cat", "tc"):
-                tab = self.t(inv, name)
-                for m in tab.finite_ms():
-                    if d0 <= m + 1:
-                        ch |= self._equalize(
-                            tab, m, tab, INF, "pi_vanishing_eq",
-                            f"homotopy vanishes from degree {d0}")
+        def eq(rule, a, b_, detail, kind="same", dim=None):
+            rules.append(_Equal(rule, a, b_, self._pairs(kind, dim), detail))
+
+        for tab in self.tables.values():
+            lo("monotone_m", tab, tab, lambda m, n: f"at least the m={n} entry", "up")
+            hi("monotone_m", tab, [tab], lambda m, n: f"at most the m={n} entry", "down")
+        for tab in self.tables.values():
+            lo("classical_cap", tab, tab, lambda m, n: f"dominates the m={n} entry", "to_inf")
+            hi("classical_cap", tab, [tab], "at most the classical value", "from_inf")
+        for name, f in b.fibrations.items():
+            s, c = t("secat", name), t("cat", name_of(f.base))
+            hi("secat_le_cat_base", s, [c], f"at most cat[{c.target}]")
+            lo("secat_le_cat_base", c, s, f"at least secat[{name}]")
+            if f.total_contractible:
+                eq("secat_eq_cat_contractible", s, c, "contractible total space")
+        dims = [(tab, self._dim_param(*key)) for key, tab in self.tables.items()]
+        dims = [(tab, dim) for tab, dim in dims if dim is not None]
+        for tab, dim in dims:
+            hi("dim_recovery", tab, [tab],
+               lambda m, n, d=dim: f"m={n} entry + floor({d}/{n + 1})", "recover_hi", dim)
+            lo("dim_recovery", tab, tab,
+               lambda m, n, d=dim: f"classical entry - floor({d}/{m + 1})", "recover_lo", dim)
+        for tab, dim in dims:
+            hi("skeletal_cap", tab, [tab], lambda m, n: f"max of the m={n} entry and 2",
+               "skeleton", dim, floor=2)
+        for tab, dim in dims:
+            eq("stabilize", tab, tab, f"stable from m >= {dim}", "stable", dim)
+
+        # (table, first degree of vanishing homotopy, whose, first m = d0 - lag)
+        vanishing = [(t(inv, n), s.pi_vanish_from, "", 1)
+                     for n, s in b.spaces.items() for inv in ("cat", "tc")]
+        vanishing += [(t("dm", n), p.codomain.pi_vanish_from, "codomain ", 1)
+                      for n, p in b.map_pairs.items()]
+        vanishing += [(t("secat", n), f.fiber_pi_vanish_from, "fiber ", 0)
+                      for n, f in b.fibrations.items()]
+        for tab, d0, whose, lag in vanishing:
+            if d0 is not None:
+                eq("pi_vanishing_eq", tab, tab,
+                   f"{whose}homotopy vanishes from degree {d0}", "stable", d0 - lag)
+
+        products = [(inv, n, s.factors) for n, s in b.spaces.items() for inv in ("cat", "tc")]
+        products += [("secat", n, f.factors) for n, f in b.fibrations.items()]
+        for inv, name, factors in products:
+            if factors:
+                fnames = [name_of(x) for x in factors]
+                hi("product_subadd", t(inv, name), [t(inv, fn) for fn in fnames],
+                   f"sum over factors {fnames}")
+
         for name, p in b.map_pairs.items():
-            d0 = p.codomain.pi_vanish_from
-            if d0 is None:
-                continue
-            tab = self.t("dm", name)
-            for m in tab.finite_ms():
-                if d0 <= m + 1:
-                    ch |= self._equalize(
-                        tab, m, tab, INF, "pi_vanishing_eq",
-                        f"codomain homotopy vanishes from degree {d0}")
-        for name, f in b.fibrations.items():
-            d0 = f.fiber_pi_vanish_from
-            if d0 is None:
-                continue
-            tab = self.t("secat", name)
-            for m in tab.finite_ms():
-                if d0 <= m:
-                    ch |= self._equalize(
-                        tab, m, tab, INF, "pi_vanishing_eq",
-                        f"fiber homotopy vanishes from degree {d0}")
-        return ch
+            dm = t("dm", name)
+            cdom, tcod = t("cat", name_of(p.domain)), t("tc", name_of(p.codomain))
+            hi("dm_le_cat_domain", dm, [cdom], f"at most cat[{cdom.target}]")
+            hi("dm_le_tc_codomain", dm, [tcod], f"at most tc[{tcod.target}]")
+        for name in b.map_pairs:
+            dm, hdm = t("dm", name), t("hdm", name)
+            lo("hdm_le_dm", dm, hdm, "at least the cohomological distance")
+            hi("hdm_le_dm", hdm, [dm], "at most the homotopic distance")
+        for name, p in b.map_pairs.items():
+            if p.triangle is not None:
+                dl, dr = (t("dm", name_of(x)) for x in p.triangle)
+                hi("triangle", t("dm", name), [dl, dr],
+                   f"through {dl.target} and {dr.target}")
 
-    def _r_products(self):
-        ch = False
-        b = self.bundle
+        for name in b.spaces:
+            cat, tc = t("cat", name), t("tc", name)
+            lo("cat_le_tc", tc, cat, "at least cat")
+            hi("cat_le_tc", cat, [tc], "at most tc")
         for name, s in b.spaces.items():
-            if not s.factors:
-                continue
-            fnames = [self.sname(f) for f in s.factors]
-            for inv in ("cat", "tc"):
-                tab = self.t(inv, name)
-                for m in tab.index:
-                    parts = [self.t(inv, fn).hi(m) for fn in fnames]
-                    if any(p is None for p in parts):
-                        continue
-                    ch |= tab.lower_hi(m, sum(parts), "product_subadd",
-                                       f"sum over factors {fnames}")
-        for name, f in b.fibrations.items():
-            if not f.factors:
-                continue
-            fnames = [self.fib_name[id(x)] for x in f.factors]
-            tab = self.t("secat", name)
-            for m in tab.index:
-                parts = [self.t("secat", fn).hi(m) for fn in fnames]
-                if any(p is None for p in parts):
-                    continue
-                ch |= tab.lower_hi(m, sum(parts), "product_subadd",
-                                   f"sum over factors {fnames}")
-        return ch
-
-    def _r_dm_cat_tc(self):
-        ch = False
-        for name, p in self.bundle.map_pairs.items():
-            dm = self.t("dm", name)
-            cdom = self.t("cat", self.sname(p.domain))
-            tcod = self.t("tc", self.sname(p.codomain))
-            for m in dm.index:
-                ch |= dm.lower_hi(m, cdom.hi(m), "dm_le_cat_domain",
-                                  f"at most cat[{cdom.target}]")
-                ch |= dm.lower_hi(m, tcod.hi(m), "dm_le_tc_codomain",
-                                  f"at most tc[{tcod.target}]")
-        return ch
-
-    def _r_hdm_dm(self):
-        ch = False
-        for name in self.bundle.map_pairs:
-            dm = self.t("dm", name)
-            hdm = self.t("hdm", name)
-            for m in dm.index:
-                ch |= dm.raise_lo(m, hdm.lo(m), "hdm_le_dm",
-                                  "at least the cohomological distance")
-                ch |= hdm.lower_hi(m, dm.hi(m), "hdm_le_dm",
-                                   "at most the homotopic distance")
-        return ch
-
-    def _r_triangle(self):
-        ch = False
-        for name, p in self.bundle.map_pairs.items():
-            if p.triangle is None:
-                continue
-            left, right = p.triangle
-            dm = self.t("dm", name)
-            dl = self.t("dm", self.pair_name[id(left)])
-            dr = self.t("dm", self.pair_name[id(right)])
-            for m in dm.index:
-                hl, hr = dl.hi(m), dr.hi(m)
-                if hl is None or hr is None:
-                    continue
-                ch |= dm.lower_hi(m, hl + hr, "triangle",
-                                  f"through {dl.target} and {dr.target}")
-        return ch
-
-    def _r_cat_tc(self):
-        ch = False
-        for name in self.bundle.spaces:
-            cat = self.t("cat", name)
-            tc = self.t("tc", name)
-            for m in cat.index:
-                ch |= tc.raise_lo(m, cat.lo(m), "cat_le_tc", "at least cat")
-                ch |= cat.lower_hi(m, tc.hi(m), "cat_le_tc", "at most tc")
-        return ch
-
-    def _r_tc_2cat(self):
-        ch = False
-        for name, s in self.bundle.spaces.items():
-            cat = self.t("cat", name)
-            tc = self.t("tc", name)
-            for m in tc.index:
-                hi = cat.hi(m)
-                if hi is not None:
-                    ch |= tc.lower_hi(m, 2 * hi, "tc_le_2cat", "at most twice cat")
+            cat, tc = t("cat", name), t("tc", name)
+            hi("tc_le_2cat", tc, [cat], "at most twice cat", scale=2)
             if s.square is not None:
-                csq = self.t("cat", self.sname(s.square))
-                for m in tc.index:
-                    ch |= tc.lower_hi(m, csq.hi(m), "tc_le_cat_square",
-                                      f"at most cat[{csq.target}]")
-        return ch
+                csq = t("cat", name_of(s.square))
+                hi("tc_le_cat_square", tc, [csq], f"at most cat[{csq.target}]")
+        for name, s in b.spaces.items():
+            if s.h_space_with_division:
+                eq("h_space_eq", t("tc", name), t("cat", name), "H-space with division")
 
-    def _r_hspace(self):
-        ch = False
-        for name, s in self.bundle.spaces.items():
-            if not s.h_space_with_division:
-                continue
-            cat = self.t("cat", name)
-            tc = self.t("tc", name)
-            for m in cat.index:
-                ch |= self._equalize(tc, m, cat, m, "h_space_eq",
-                                     "H-space with division")
-        return ch
-
-    def _r_const_pair(self):
-        ch = False
-        for name, p in self.bundle.map_pairs.items():
+        for name, p in b.map_pairs.items():
             aug_g, aug_f = p.gstar.is_augmentation(), p.fstar.is_augmentation()
             if not (aug_g or aug_f):
                 continue
             other = p.fstar if aug_g else p.gstar
-            dm = self.t("dm", name)
-            cdom = self.t("cat", self.sname(p.domain))
-            ccod = self.t("cat", self.sname(p.codomain))
+            dm = t("dm", name)
+            cdom, ccod = t("cat", name_of(p.domain)), t("cat", name_of(p.codomain))
             if other.is_identity():
-                for m in dm.index:
-                    ch |= self._equalize(dm, m, cdom, m, "const_vs_identity",
-                                         "distance to a constant map equals cat")
+                eq("const_vs_identity", dm, cdom,
+                   "distance to a constant map equals cat")
             else:
-                for m in dm.index:
-                    ch |= dm.lower_hi(m, cdom.hi(m), "const_pair_cap",
-                                      f"at most cat[{cdom.target}]")
-                    ch |= dm.lower_hi(m, ccod.hi(m), "const_pair_cap",
-                                      f"at most cat[{ccod.target}]")
-        return ch
+                hi("const_pair_cap", dm, [cdom], f"at most cat[{cdom.target}]")
+                hi("const_pair_cap", dm, [ccod], f"at most cat[{ccod.target}]")
+        return rules
 
-    def _equalize(self, ta, ma, tb, mb, rule, detail):
-        ch = False
-        ch |= ta.raise_lo(ma, tb.lo(mb), rule, detail)
-        ch |= tb.raise_lo(mb, ta.lo(ma), rule, detail)
-        ch |= ta.lower_hi(ma, tb.hi(mb), rule, detail)
-        ch |= tb.lower_hi(mb, ta.hi(ma), rule, detail)
-        return ch
+
+def _children(model) -> list:
+    """(kind, name suffix, model) for each model that ``model`` refers to."""
+    if isinstance(model, SpaceModel):
+        square = [("spaces", "square", model.square)] if model.square is not None else []
+        return [("spaces", f"factor{i}", f)
+                for i, f in enumerate(model.factors or (), 1)] + square
+    if isinstance(model, FibrationModel):
+        return [("spaces", "base", model.base)] + [
+            ("fibrations", f"factor{i}", f) for i, f in enumerate(model.factors or (), 1)]
+    legs = zip(("left", "right"), model.triangle or ())
+    return [("spaces", "domain", model.domain), ("spaces", "codomain", model.codomain)] + [
+        ("map_pairs", side, leg) for side, leg in legs]
 
 
 def _pair_pullback(p: MapPairModel, T) -> RingMorphism:
@@ -700,51 +531,74 @@ def _pair_pullback(p: MapPairModel, T) -> RingMorphism:
     return RingMorphism(T, X, mats, validate=False)
 
 
+def _zero_divisors(space: SpaceModel) -> tuple:
+    """Tensor square of a space's algebra and the kernel of its cup product."""
+    A = space.algebra
+    T, _, _ = tensor_square(A)
+    _, mu = multiplication_morphism(A, T)
+    return T, kernel(mu)
+
+
+def _lower_source(inv, model, zero_divisors=_zero_divisors):
+    """(algebra, generator subspace, description) feeding the cup-length
+    lower bound of ``inv`` on ``model``, or None when it does not apply;
+    ``zero_divisors(space)`` gives a tensor square and its cup kernel."""
+    if inv == "cat":
+        return model.algebra, Subspace.positive_part(model.algebra), "H^+"
+    if inv == "tc":
+        if not model.algebra.coeff.is_field:
+            return None
+        T, ck = zero_divisors(model)
+        return T, ck, "ker(cup)"
+    if inv == "secat":
+        return model.base.algebra, kernel(model.pstar), "ker(pullback)"
+    if inv == "hdm":
+        span = image_difference(model.fstar, model.gstar)
+        return model.domain.algebra, span, "im(f* - g*)"
+    # dm: the codomain's zero divisors pushed along (f, g)
+    if not model.codomain.algebra.coeff.is_field:
+        return None
+    T, ck = zero_divisors(model.codomain)
+    pushed = pushforward_span(_pair_pullback(model, T), ck)
+    return model.domain.algebra, pushed, "pushed ker(cup)"
+
+
 # ---------------------------------------------------------------------------
 # standalone lower-bound operations
 # ---------------------------------------------------------------------------
 
+def _lower(inv, model, cap) -> int | None:
+    source = _lower_source(inv, model)
+    if source is None:
+        return None
+    algebra, generators, _ = source
+    return capped_cuplength(CupLengthQuery(algebra, generators, cap))[0]
+
+
 def cat_lower(space: SpaceModel, cap: int | None) -> int:
     """Cup-length of the positive-degree classes, capped by degree."""
-    alg = space.algebra
-    length, _ = capped_cuplength(
-        CupLengthQuery(alg, Subspace.positive_part(alg), cap)
-    )
-    return length
+    return _lower("cat", space, cap)
 
 
 def tc_lower(space: SpaceModel, cap: int | None) -> int:
     """Zero-divisor cup-length, capped; field coefficients only."""
-    ck = cup_kernel(space.algebra)
-    length, _ = capped_cuplength(CupLengthQuery(ck.algebra, ck, cap))
+    length = _lower("tc", space, cap)
+    if length is None:
+        raise UnsupportedCoefficients("zero-divisor kernels need field coefficients")
     return length
 
 
 def secat_lower(fib: FibrationModel, cap: int | None) -> int:
     """Cup-length of the pullback kernel, capped."""
-    ker = kernel(fib.pstar)
-    length, _ = capped_cuplength(CupLengthQuery(fib.base.algebra, ker, cap))
-    return length
+    return _lower("secat", fib, cap)
 
 
 def hdm_lower(pair: MapPairModel, cap: int | None) -> int:
     """Cup-length of the image of f* - g*, capped."""
-    span = image_difference(pair.fstar, pair.gstar)
-    length, _ = capped_cuplength(CupLengthQuery(pair.domain.algebra, span, cap))
-    return length
+    return _lower("hdm", pair, cap)
 
 
 def dm_lower(pair: MapPairModel, cap: int | None) -> int:
     """Best of the pushed zero-divisor bound (field coefficients) and the
     pullback-difference bound."""
-    best = hdm_lower(pair, cap)
-    if pair.codomain.algebra.coeff.is_field:
-        Y = pair.codomain.algebra
-        T, _, _ = tensor_square(Y)
-        _, mu = multiplication_morphism(Y, T)
-        pushed = pushforward_span(_pair_pullback(pair, T), kernel(mu))
-        length, _ = capped_cuplength(
-            CupLengthQuery(pair.domain.algebra, pushed, cap)
-        )
-        best = max(best, length)
-    return best
+    return max(hdm_lower(pair, cap), _lower("dm", pair, cap) or 0)

@@ -66,6 +66,8 @@ class LoadedModel:
 
 def parse_mrange(text: str, where: str = "m") -> list[int]:
     """Parse ``"3"`` or ``"1..6"`` into an explicit list of m values."""
+    if not isinstance(text, str):
+        raise ModelFileError(where, f"bad m range {text!r}, expected a string N or N..M")
     try:
         if ".." in text:
             lo_s, hi_s = text.split("..", 1)
@@ -77,6 +79,18 @@ def parse_mrange(text: str, where: str = "m") -> list[int]:
     if lo < 1 or hi < lo:
         raise ModelFileError(where, f"bad m range {text!r}: need 1 <= lo <= hi")
     return list(range(lo, hi + 1))
+
+
+def _integer(value, where: str) -> int:
+    """A JSON integer; booleans, floats and strings are rejected."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ModelFileError(where, f"expected an integer, got {value!r}")
+    return value
+
+
+def _optional_integer(spec: dict, key: str, path: str) -> int | None:
+    value = spec.get(key)
+    return None if value is None else _integer(value, f"{path}.{key}")
 
 
 def load_model_file(path: str, coeff_override: str | None = None) -> LoadedModel:
@@ -181,19 +195,20 @@ class _Loader:
     def _construct_space(self, path: str, spec) -> sp.SpaceModel:
         kind = spec["construct"]
         if kind == "sphere":
-            model = sp.sphere(int(spec["n"]), self._spec_coeff(spec))
+            model = sp.sphere(_integer(spec["n"], f"{path}.n"), self._spec_coeff(spec))
         elif kind == "point":
             model = sp.point(self._spec_coeff(spec))
         elif kind == "real_projective":
-            model = sp.real_projective(int(spec["n"]))
+            model = sp.real_projective(_integer(spec["n"], f"{path}.n"))
         elif kind == "complex_projective":
-            model = sp.complex_projective(int(spec["n"]))
+            model = sp.complex_projective(_integer(spec["n"], f"{path}.n"))
         elif kind == "moore":
-            model = sp.moore(int(spec["rank"]), int(spec["n"]), self._spec_coeff(spec))
+            model = sp.moore(_integer(spec["rank"], f"{path}.rank"),
+                             _integer(spec["n"], f"{path}.n"), self._spec_coeff(spec))
         elif kind == "orientable_surface":
-            model = sp.orientable_surface(int(spec["genus"]))
+            model = sp.orientable_surface(_integer(spec["genus"], f"{path}.genus"))
         elif kind == "nonorientable_surface":
-            model = sp.nonorientable_surface(int(spec["genus"]))
+            model = sp.nonorientable_surface(_integer(spec["genus"], f"{path}.genus"))
         elif kind == "product":
             factors = [self.space(f, path) for f in spec["factors"]]
             model = sp.product(factors)
@@ -205,7 +220,7 @@ class _Loader:
         fields = {}
         for key in ("conn", "hdim", "pi_vanish_from", "known_cat", "known_tc"):
             if key in spec:
-                fields[key] = spec[key] if spec[key] is None else int(spec[key])
+                fields[key] = _optional_integer(spec, key, path)
         if "h_space_with_division" in spec:
             fields["h_space_with_division"] = bool(spec["h_space_with_division"])
         if "square" in spec:
@@ -222,15 +237,12 @@ class _Loader:
         square = self.space(spec["square"], path) if "square" in spec else None
         return sp.SpaceModel(
             algebra,
-            conn=int(spec.get("conn", 0)),
-            hdim=None if spec.get("hdim") is None else int(spec["hdim"]),
-            pi_vanish_from=(
-                None if spec.get("pi_vanish_from") is None
-                else int(spec["pi_vanish_from"])
-            ),
+            conn=_integer(spec.get("conn", 0), f"{path}.conn"),
+            hdim=_optional_integer(spec, "hdim", path),
+            pi_vanish_from=_optional_integer(spec, "pi_vanish_from", path),
             h_space_with_division=bool(spec.get("h_space_with_division", False)),
-            known_cat=None if spec.get("known_cat") is None else int(spec["known_cat"]),
-            known_tc=None if spec.get("known_tc") is None else int(spec["known_tc"]),
+            known_cat=_optional_integer(spec, "known_cat", path),
+            known_tc=_optional_integer(spec, "known_tc", path),
             factors=factors,
             square=square,
         )
@@ -296,19 +308,17 @@ class _Loader:
                 total_algebra=total_alg,
                 pstar=pstar,
                 total_contractible=bool(spec.get("total_contractible", False)),
-                fiber_pi_vanish_from=(
-                    None if spec.get("fiber_pi_vanish_from") is None
-                    else int(spec["fiber_pi_vanish_from"])
-                ),
-                known_secat=(
-                    None if spec.get("known_secat") is None
-                    else int(spec["known_secat"])
-                ),
+                fiber_pi_vanish_from=_optional_integer(spec, "fiber_pi_vanish_from", path),
+                known_secat=_optional_integer(spec, "known_secat", path),
             )
         except AlgebraError as e:
             raise ModelFileError(path, str(e))
         except KeyError as e:
             raise ModelFileError(path, f"missing field {e.args[0]!r}")
+        except (TypeError, ValueError) as e:
+            if isinstance(e, ModelFileError):
+                raise
+            raise ModelFileError(path, str(e))
 
     # -- map pairs ----------------------------------------------------------------
     def pair(self, name: str, where: str = "map_pairs") -> sp.MapPairModel:
@@ -353,7 +363,7 @@ class _Loader:
                 fstar=fstar,
                 gstar=gstar,
                 homotopic=bool(spec.get("homotopic", False)),
-                known_d=None if spec.get("known_d") is None else int(spec["known_d"]),
+                known_d=_optional_integer(spec, "known_d", path),
                 triangle=triangle,
             )
         except AlgebraError as e:

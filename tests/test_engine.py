@@ -14,7 +14,12 @@ from secatm.engine import (
     secat_lower,
     tc_lower,
 )
-from secatm.goldens import covering_fibration, hopf_fibration, unitary_group_pair
+from secatm.goldens import (
+    all_cases,
+    covering_fibration,
+    hopf_fibration,
+    unitary_group_pair,
+)
 from secatm.spaces import (
     FibrationModel,
     MapPairModel,
@@ -26,7 +31,7 @@ from secatm.spaces import (
     real_projective,
     sphere,
 )
-from secatm.tables import INF, InconsistentModel
+from secatm.tables import INF, InconsistentModel, table_to_json
 
 
 def entry(tables, inv, name, m):
@@ -237,6 +242,25 @@ class TestComputeTables:
         assert entry(tables, "cat", "p", 2) == (1, 1)
         assert ("cat", "p.factor1") in tables
 
+    def test_bundle_is_left_unchanged(self):
+        # derived models are named inside the engine, not in the caller's
+        # bundle
+        bundle = Bundle()
+        bundle.add_space("p", product([sphere(2, Q), sphere(4, Q)]))
+        before = [dict(d) for d in (bundle.spaces, bundle.fibrations, bundle.map_pairs)]
+        compute_tables(bundle)
+        assert [bundle.spaces, bundle.fibrations, bundle.map_pairs] == before
+
+    def test_derived_models_set_the_default_range(self):
+        # the base of a lone fibration is registered as a space, whose tc
+        # table needs twice its dimension
+        _, fib = covering_fibration(3)
+        bundle = Bundle()
+        bundle.add_fibration("cover", fib)
+        tables = compute_tables(bundle)
+        assert ("tc", "cover.base") in tables
+        assert tables[("secat", "cover")].max_m == 2 * fib.base.hdim
+
     def test_requested_targets_limit_lower_bounds(self):
         bundle = Bundle()
         bundle.add_space("rp8", real_projective(8))
@@ -245,6 +269,27 @@ class TestComputeTables:
         assert not tables[("tc", "rp8")].lower_bounds_applied
         for m in tables[("cat", "rp8")].index:
             assert entry(tables, "cat", "rp8", m) == (8, 8)
+
+    def test_closure_follows_rules_between_tables(self):
+        # lower bounds reach cat[s3] from secat (secat <= cat of the base),
+        # from tc (H-space equality) and from dm (distance of the identity to
+        # a constant map equals cat), and reach dm from hdm
+        s3 = replace(sphere(3, Q), h_space_with_division=True)
+        pt = point(Q)
+        bundle = Bundle()
+        bundle.add_space("s3", s3)
+        bundle.add_fibration("path", FibrationModel(
+            base=s3, total_algebra=pt.algebra,
+            pstar=constant_map_pullback(s3, pt), total_contractible=True,
+        ))
+        bundle.add_map_pair("idconst", MapPairModel(
+            domain=s3, codomain=s3, fstar=RingMorphism.identity(s3.algebra),
+            gstar=constant_map_pullback(s3, s3),
+        ))
+        tables = compute_tables(bundle, targets=[("cat", "s3")])
+        applied = {key for key, t in tables.items() if t.lower_bounds_applied}
+        assert applied == {("cat", "s3"), ("tc", "s3"), ("secat", "path"),
+                           ("dm", "idconst"), ("hdm", "idconst")}
 
 
 # ---------------------------------------------------------------------------
@@ -441,3 +486,21 @@ class TestRules:
         for t in tables.values():
             los = [t.lo(m) for m in t.finite_ms()] + [t.lo(INF)]
             assert los == sorted(los)
+
+
+# ---------------------------------------------------------------------------
+# targeted runs
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("case", all_cases(), ids=lambda case: case.name)
+def test_targeted_tables_equal_full_run(case):
+    # the lower-bound closure of a targeted run is derived from the rule
+    # table, so requested tables come out exactly as in a full run; asking
+    # for one table at a time also exercises every edge of the closure
+    full_bundle, targets, _ = case.build()
+    full = compute_tables(full_bundle)
+    for request in [targets] + [[key] for key in full]:
+        bundle, _, _ = case.build()
+        targeted = compute_tables(bundle, targets=request)
+        for key in request:
+            assert table_to_json(targeted[key]) == table_to_json(full[key]), key

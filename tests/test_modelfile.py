@@ -1,13 +1,17 @@
 import json
+from pathlib import Path
 
 import pytest
 
+from secatm.cli import main
 from secatm.modelfile import (
     ModelFileError,
     load_model_file,
     parse_model,
     parse_mrange,
 )
+
+MODELS = Path(__file__).resolve().parent.parent / "models"
 
 
 def base_doc(**overrides):
@@ -18,6 +22,21 @@ def base_doc(**overrides):
     }
     doc.update(overrides)
     return doc
+
+
+def covers_doc():
+    with open(MODELS / "covers.json", encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def assert_rejected(doc, path, tmp_path, capsys):
+    with pytest.raises(ModelFileError) as err:
+        parse_model(doc)
+    assert err.value.path == path
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc))
+    assert main(["bounds", str(model)]) == 1
+    assert f"error: {path}:" in capsys.readouterr().err
 
 
 U2_DOC = {
@@ -186,6 +205,24 @@ class TestDiagnostics:
             parse_mrange("0..2")
         with pytest.raises(ModelFileError):
             parse_mrange("x")
+
+    # a malformed value in a model file makes the command line exit 1 with
+    # the JSON path of the value, never a traceback or a silent coercion
+
+    def test_non_integer_fiber_vanishing_degree(self, tmp_path, capsys):
+        doc = covers_doc()
+        doc["fibrations"]["cover4"]["fiber_pi_vanish_from"] = "q"
+        assert_rejected(doc, "fibrations.cover4.fiber_pi_vanish_from", tmp_path, capsys)
+
+    def test_query_m_must_be_a_string(self, tmp_path, capsys):
+        doc = covers_doc()
+        doc["queries"][0]["m"] = 5
+        assert_rejected(doc, "queries[0].m", tmp_path, capsys)
+
+    def test_boolean_is_not_an_integer(self, tmp_path, capsys):
+        doc = covers_doc()
+        doc["spaces"]["s4"]["n"] = True
+        assert_rejected(doc, "spaces.s4.n", tmp_path, capsys)
 
 
 class TestFileLoading:
