@@ -450,7 +450,7 @@ def make_algebra(coeff, basis, products) -> GradedAlgebra:
             if name not in index:
                 raise InvalidAlgebraSpec(f"unknown basis name {name!r} in product value")
             dn, j = index[name]
-            c = coeff.parse_scalar(c) if isinstance(c, (int, str)) else c
+            c = coeff.parse_scalar(c)
             if coeff.is_zero(c):
                 continue
             if d > top or dn != d:
@@ -742,7 +742,7 @@ class RingMorphism:
                             raise MorphismMismatch(
                                 f"image of {name!r} must stay in degree {d}"
                             )
-                        c = dom.parse_scalar(c) if isinstance(c, (int, str)) else c
+                        c = dom.parse_scalar(c)
                         row[j] = dom.add(row[j], c)
                 rows.append(tuple(row))
             mats[d] = tuple(rows)

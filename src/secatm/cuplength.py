@@ -3,7 +3,7 @@
 The main computation is a span dynamic program: with S the spanning set of
 the generator subspace filtered to degree <= cap, iterate
 
-    V_1 = span(S),   V_{t+1} = span{ v * s : v in basis(V_t), s in S }
+    V_1 = span(S),   V_{t+1} = span{ v * s : v in V_t, s in S }
 
 and report the largest t with V_t != 0.  Any product of linear combinations
 expands into products of spanning elements, so all spanning products vanish
@@ -12,6 +12,15 @@ Z lattices alike.  The search is restricted to homogeneous factors: a
 nonzero product of non-homogeneous classes expands into a nonzero product of
 homogeneous components of no larger degree, so the restriction never weakens
 a bound.
+
+Each layer carries its own witnesses.  Its basis is a list of monomials
+s_i1 * ... * s_it, each stored with its factor indices, and a product joins
+the next layer only when it grows the rank of its degree's echelon.  The
+kept monomials span V_t over the fraction field, so the length is the same
+as for the full span, and any monomial of the last layer is a certificate;
+no second search is needed.  Over Z rank tracking suffices as well:
+components are free, so a lattice is nonzero exactly when its rank is, and
+a product is nonzero over Z exactly when it is nonzero over Q.
 """
 
 from __future__ import annotations
@@ -90,107 +99,47 @@ def _filtered_spanning(query: CupLengthQuery) -> list[tuple[int, tuple]]:
     return out
 
 
-class _SpanLayer:
-    """Per-degree echelon spans for one DP layer."""
-
-    def __init__(self, algebra: GradedAlgebra):
-        self.algebra = algebra
-        self.ech: dict[int, object] = {}
-
-    def insert(self, d: int, v: tuple) -> None:
-        if d not in self.ech:
-            self.ech[d] = make_echelon(self.algebra.coeff, self.algebra.dim(d))
-        self.ech[d].insert(v)
-
-    def saturated(self, d: int) -> bool:
-        e = self.ech.get(d)
-        return e is not None and e.is_full()
-
-    def nonzero(self) -> bool:
-        return any(e.rank > 0 for e in self.ech.values())
-
-    def vectors(self) -> list[tuple[int, tuple]]:
-        out = []
-        for d in sorted(self.ech):
-            for v in self.ech[d].rows():
-                out.append((d, v))
-        return out
-
-
-def _next_layer(algebra: GradedAlgebra, vectors, spanning) -> "_SpanLayer":
-    layer = _SpanLayer(algebra)
-    top = algebra.top_degree
-    for dv, v in vectors:
-        for ds, s in spanning:
-            d = dv + ds
-            if d > top or layer.saturated(d):
-                continue
-            w = algebra.mul_vectors(dv, v, ds, s)
-            if w is not None and not vis_zero(w):
-                layer.insert(d, w)
-    return layer
-
-
-def _chain_survives(algebra, d0, v0, spanning, steps) -> bool:
-    """Does some length-`steps` extension of the single vector stay nonzero?"""
-    vectors = [(d0, v0)]
-    for _ in range(steps):
-        layer = _next_layer(algebra, vectors, spanning)
-        if not layer.nonzero():
-            return False
-        vectors = layer.vectors()
-    return True
-
-
-def _extract_certificate(algebra, spanning, length) -> CupLengthCertificate:
-    factors: list[Element] = []
-    cur_d, cur_v = None, None
-    for step in range(length):
-        remaining = length - step - 1
-        for ds, s in spanning:
-            if cur_v is None:
-                cand_d, cand_v = ds, s
-            else:
-                d = cur_d + ds
-                if d > algebra.top_degree:
-                    continue
-                w = algebra.mul_vectors(cur_d, cur_v, ds, s)
-                if w is None or vis_zero(w):
-                    continue
-                cand_d, cand_v = d, w
-            if _chain_survives(algebra, cand_d, cand_v, spanning, remaining):
-                factors.append(algebra.component_element(ds, s))
-                cur_d, cur_v = cand_d, cand_v
-                break
-        else:  # pragma: no cover - impossible when the DP length is correct
-            raise AssertionError("certificate extraction lost the nonzero chain")
-    return CupLengthCertificate(
-        factors=factors, product=algebra.component_element(cur_d, cur_v)
-    )
-
-
 def capped_cuplength(query: CupLengthQuery):
     """Maximum number of generator factors (degree <= cap) with nonzero product.
 
     Returns ``(length, certificate)``; the certificate is None exactly when
-    the length is 0.  The chain V_t is absorbing: once a layer vanishes every
-    later layer vanishes, and lengths never exceed the top degree since each
-    factor has positive degree.
+    the length is 0.  Layer t holds monomials ``(degree, vector, factors)``
+    whose vectors are linearly independent in each degree; layer t + 1 keeps
+    a product ``v * s`` only when it grows the rank of its degree, and a
+    degree is skipped once its rank equals its width.  The layers are
+    absorbing: once one is empty every later one is, and lengths never exceed
+    the top degree since each factor has positive degree.
     """
     algebra = query.algebra
     spanning = _filtered_spanning(query)
     if not spanning:
         return 0, None
-    length = 1  # V_1 = span(S) is nonzero
-    vectors = spanning
+    top = algebra.top_degree
+    layer = [(d, v, (i,)) for i, (d, v) in enumerate(spanning)]
     while True:
-        layer = _next_layer(algebra, vectors, spanning)
-        if not layer.nonzero():
+        ech, grown = {}, {}
+        for dv, v, factors in layer:
+            for i, (ds, s) in enumerate(spanning):
+                d = dv + ds
+                if d > top:
+                    continue
+                if d not in ech:
+                    ech[d] = make_echelon(algebra.coeff, algebra.dim(d))
+                    grown[d] = []
+                if ech[d].rank == ech[d].width:
+                    continue
+                w = algebra.mul_vectors(dv, v, ds, s)
+                if not vis_zero(w) and ech[d].insert(w):
+                    grown[d].append((d, w, factors + (i,)))
+        nxt = [entry for d in sorted(grown) for entry in grown[d]]
+        if not nxt:
             break
-        length += 1
-        vectors = layer.vectors()
-    cert = _extract_certificate(algebra, spanning, length)
-    return length, cert
+        layer = nxt
+    d, v, factors = layer[0]
+    return len(factors), CupLengthCertificate(
+        factors=[algebra.component_element(*spanning[i]) for i in factors],
+        product=algebra.component_element(d, v),
+    )
 
 
 def _f2_candidates(sub: Subspace) -> list[tuple[int, tuple]]:
@@ -232,9 +181,7 @@ def brute_force_cuplength(query: CupLengthQuery, max_len: int) -> int:
             )
         candidates = _f2_candidates(sub)
     else:
-        spanning = _filtered_spanning(
-            CupLengthQuery(algebra, query.generators, query.cap)
-        )
+        spanning = _filtered_spanning(query)
         if len(spanning) > 14:
             raise SizeGuardExceeded(
                 f"spanning set size {len(spanning)} exceeds the guard of 14"

@@ -16,6 +16,8 @@ __all__ = ["CoefficientDomain", "NonPrimeModulus", "Q", "Z", "GF"]
 RATIONALS = "rationals"
 PRIME_FIELD = "prime_field"
 INTEGERS = "integers"
+# bound on F_p moduli: keeps the trial-division primality test under 47k steps
+MAX_MODULUS = 2 ** 31
 
 
 class NonPrimeModulus(ValueError):
@@ -44,7 +46,11 @@ class CoefficientDomain:
         if self.kind not in (RATIONALS, PRIME_FIELD, INTEGERS):
             raise ValueError(f"unknown coefficient domain kind: {self.kind!r}")
         if self.kind == PRIME_FIELD:
-            if self.p is None or not _is_prime(self.p):
+            if isinstance(self.p, bool) or not isinstance(self.p, int):
+                raise ValueError(f"modulus {self.p!r} is not an integer")
+            if self.p >= MAX_MODULUS:
+                raise ValueError(f"modulus {self.p} is too large: prime fields need p < 2^31")
+            if not _is_prime(self.p):
                 raise NonPrimeModulus(f"modulus {self.p!r} is not prime")
         elif self.p is not None:
             raise ValueError("only prime fields take a modulus")
@@ -80,13 +86,21 @@ class CoefficientDomain:
         return int(n)
 
     def parse_scalar(self, value):
-        """Parse a JSON-level scalar: an int, or ``"a/b"`` over Q."""
+        """Parse a scalar: an int, or ``"a/b"`` or a ``Fraction`` over Q.
+
+        Floats and booleans are rejected, never rounded.
+        """
         if isinstance(value, bool):
             raise ValueError(f"not a scalar: {value!r}")
         if isinstance(value, int):
             return self.from_int(value)
+        if isinstance(value, Fraction) and self.kind == RATIONALS:
+            return value
         if isinstance(value, str) and self.kind == RATIONALS:
-            return Fraction(value)
+            try:
+                return Fraction(value)
+            except ZeroDivisionError:
+                raise ValueError(f"zero denominator in scalar {value!r}")
         raise ValueError(f"cannot parse scalar {value!r} over {self.label}")
 
     def scalar_to_json(self, x):

@@ -351,7 +351,7 @@ class _Engine:
             values = self._capped_values(algebra, generators, degmax)
             for m in table.index:
                 eff = degmax if m == INF else min(m, degmax)
-                length, cert = values(eff)
+                length, cert = values[eff]
                 if length > 0:
                     table.raise_lo(
                         m, length, "cup_length",
@@ -361,21 +361,28 @@ class _Engine:
                     )
 
     def _capped_values(self, algebra, generators, degmax):
-        """Memoized cap -> (length, certificate), with a shortcut: when the
-        smallest and largest caps agree the whole range is constant."""
-        cache = {}
+        """cap -> (length, certificate) for every cap a table asks for.
+
+        The length is monotone in the cap, so the sorted caps are bisected: a
+        range whose end caps agree is constant and takes the certificate of
+        its lower end, which also verifies at every larger cap."""
         caps = sorted({min(m, degmax) for m in range(1, self.max_m + 1)} | {degmax})
+        values = {}
 
-        def compute(eff):
-            if eff not in cache:
-                cache[eff] = capped_cuplength(CupLengthQuery(algebra, generators, eff))
-            return cache[eff]
+        def compute(i):
+            if caps[i] not in values:
+                values[caps[i]] = capped_cuplength(CupLengthQuery(algebra, generators, caps[i]))
+            return values[caps[i]]
 
-        lo_val, hi_val = compute(caps[0]), compute(caps[-1])
-        if lo_val[0] == hi_val[0]:
-            for c in caps:
-                cache.setdefault(c, lo_val)
-        return compute
+        def fill(i, j):
+            if compute(i)[0] == compute(j)[0]:
+                values.update((c, values[caps[i]]) for c in caps[i + 1:j])
+            elif j - i > 1:
+                fill(i, (i + j) // 2)
+                fill((i + j) // 2, j)
+
+        fill(0, len(caps) - 1)
+        return values
 
     # -- the rule table ----------------------------------------------------------
     def _pairs(self, kind, dim):

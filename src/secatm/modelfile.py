@@ -88,6 +88,13 @@ def _integer(value, where: str) -> int:
     return value
 
 
+def _name(value, where: str) -> str:
+    """A model name; lists, numbers and objects are rejected."""
+    if not isinstance(value, str):
+        raise ModelFileError(where, f"expected a name, got {value!r}")
+    return value
+
+
 def _optional_integer(spec: dict, key: str, path: str) -> int | None:
     value = spec.get(key)
     return None if value is None else _integer(value, f"{path}.{key}")
@@ -148,7 +155,7 @@ class _Loader:
 
     # -- spaces ---------------------------------------------------------------
     def space(self, name: str, where: str = "spaces") -> sp.SpaceModel:
-        if name in self._spaces:
+        if _name(name, where) in self._spaces:
             return self._spaces[name]
         if name not in self.space_specs:
             raise ModelFileError(where, f"unknown space {name!r}")
@@ -184,27 +191,27 @@ class _Loader:
             raise ModelFileError(path, str(e))
         return model
 
-    def _spec_coeff(self, spec, where: str = "coeff") -> CoefficientDomain:
+    def _spec_coeff(self, path: str, spec) -> CoefficientDomain:
         if "coeff" in spec:
             try:
                 return CoefficientDomain.from_label(spec["coeff"])
             except ValueError as e:
-                raise ModelFileError(where, str(e))
+                raise ModelFileError(f"{path}.coeff", str(e))
         return self.coeff
 
     def _construct_space(self, path: str, spec) -> sp.SpaceModel:
         kind = spec["construct"]
         if kind == "sphere":
-            model = sp.sphere(_integer(spec["n"], f"{path}.n"), self._spec_coeff(spec))
+            model = sp.sphere(_integer(spec["n"], f"{path}.n"), self._spec_coeff(path, spec))
         elif kind == "point":
-            model = sp.point(self._spec_coeff(spec))
+            model = sp.point(self._spec_coeff(path, spec))
         elif kind == "real_projective":
             model = sp.real_projective(_integer(spec["n"], f"{path}.n"))
         elif kind == "complex_projective":
             model = sp.complex_projective(_integer(spec["n"], f"{path}.n"))
         elif kind == "moore":
             model = sp.moore(_integer(spec["rank"], f"{path}.rank"),
-                             _integer(spec["n"], f"{path}.n"), self._spec_coeff(spec))
+                             _integer(spec["n"], f"{path}.n"), self._spec_coeff(path, spec))
         elif kind == "orientable_surface":
             model = sp.orientable_surface(_integer(spec["genus"], f"{path}.genus"))
         elif kind == "nonorientable_surface":
@@ -250,7 +257,7 @@ class _Loader:
     def _parse_algebra(self, path: str, spec) -> GradedAlgebra:
         if not isinstance(spec, dict) or "basis" not in spec:
             raise ModelFileError(path, "algebra spec needs a 'basis' block")
-        coeff = self._spec_coeff(spec, f"{path}.coeff")
+        coeff = self._spec_coeff(path, spec)
         try:
             basis = {int(d): list(names) for d, names in spec["basis"].items()}
         except (TypeError, ValueError):
@@ -264,12 +271,12 @@ class _Loader:
             products.append(tuple(entry))
         try:
             return make_algebra(coeff, basis, products)
-        except AlgebraError as e:
+        except (AlgebraError, TypeError, ValueError) as e:
             raise ModelFileError(path, str(e))
 
     # -- fibrations -------------------------------------------------------------
     def fibration(self, name: str, where: str = "fibrations") -> sp.FibrationModel:
-        if name in self._fibs:
+        if _name(name, where) in self._fibs:
             return self._fibs[name]
         if name not in self.fib_specs:
             raise ModelFileError(where, f"unknown fibration {name!r}")
@@ -322,7 +329,7 @@ class _Loader:
 
     # -- map pairs ----------------------------------------------------------------
     def pair(self, name: str, where: str = "map_pairs") -> sp.MapPairModel:
-        if name in self._pairs:
+        if _name(name, where) in self._pairs:
             return self._pairs[name]
         if name not in self.pair_specs:
             raise ModelFileError(where, f"unknown map pair {name!r}")
@@ -370,7 +377,7 @@ class _Loader:
             raise ModelFileError(path, str(e))
         except KeyError as e:
             raise ModelFileError(path, f"missing field {e.args[0]!r}")
-        except ValueError as e:
+        except (TypeError, ValueError) as e:
             if isinstance(e, ModelFileError):
                 raise
             raise ModelFileError(path, str(e))
@@ -379,12 +386,10 @@ class _Loader:
         if not isinstance(spec, dict) or "kind" not in spec:
             raise ModelFileError(path, "morphism spec needs a 'kind'")
         kind = spec["kind"]
+        if kind == "identity" and source is not target:
+            raise ModelFileError(path, "identity morphism needs equal source and target")
         try:
             if kind == "identity":
-                if source is not target:
-                    raise ModelFileError(
-                        path, "identity morphism needs equal source and target"
-                    )
                 return RingMorphism.identity(source)
             if kind in ("augmentation", "constant"):
                 return RingMorphism.augmentation(source, target)
@@ -392,7 +397,7 @@ class _Loader:
                 return RingMorphism.from_images(
                     source, target, dict(spec.get("images", {}))
                 )
-        except AlgebraError as e:
+        except (AlgebraError, TypeError, ValueError) as e:
             raise ModelFileError(path, str(e))
         raise ModelFileError(path, f"unknown morphism kind {kind!r}")
 
@@ -404,9 +409,9 @@ class _Loader:
             if not isinstance(q, dict) or "target" not in q or "invariant" not in q:
                 raise ModelFileError(path, "query needs 'target' and 'invariant'")
             inv = q["invariant"]
-            if inv not in INVARIANT_KINDS:
-                raise ModelFileError(path, f"unknown invariant {inv!r}")
-            target = q["target"]
+            if not isinstance(inv, str) or inv not in INVARIANT_KINDS:
+                raise ModelFileError(f"{path}.invariant", f"unknown invariant {inv!r}")
+            target = _name(q["target"], f"{path}.target")
             kind = INVARIANT_KINDS[inv]
             registry = {
                 "space": self._spaces,

@@ -1,6 +1,7 @@
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from secatm.domains import Q, Z
+from secatm.domains import GF, Q, Z
 from secatm.algebra import (
     Subspace,
     cup_kernel,
@@ -15,7 +16,14 @@ from secatm.cuplength import (
     brute_force_cuplength,
     capped_cuplength,
 )
-from secatm.spaces import moore, real_projective, sphere
+from secatm.spaces import (
+    moore,
+    nonorientable_surface,
+    orientable_surface,
+    product,
+    real_projective,
+    sphere,
+)
 
 
 def positive_query(algebra, cap):
@@ -93,6 +101,21 @@ class TestCappedCuplength:
         assert length == 2
         assert cert.product == alg.basis_element("x1x3").scale(4)
 
+    def test_dead_end_monomial_does_not_hide_a_longer_chain(self):
+        # a*a is the first product in degree 4 but dies at once; the chain
+        # through a*b (a*b*c != 0) must still be found
+        alg = make_algebra(
+            Q,
+            {0: ["1"], 2: ["a", "b", "c"], 4: ["aa", "ab", "ac", "bc"], 6: ["abc"]},
+            [("a", "a", {"aa": 1}), ("a", "b", {"ab": 1}), ("a", "c", {"ac": 1}),
+             ("b", "c", {"bc": 1}), ("a", "bc", {"abc": 1}),
+             ("b", "ac", {"abc": 1}), ("c", "ab", {"abc": 1})],
+        )
+        length, cert = capped_cuplength(positive_query(alg, None))
+        assert length == 3
+        assert cert.verify()
+        assert cert.product == alg.basis_element("abc")
+
     def test_rejects_degree_zero_generators(self):
         alg = sphere(2).algebra
         sub = Subspace.from_elements(alg, [alg.unit_element()])
@@ -153,3 +176,69 @@ class TestCertificates:
         spanning = sub.spanning_elements()
         for f in cert.factors:
             assert f in spanning
+
+
+# ---------------------------------------------------------------------------
+# differential test against the brute-force oracle
+# ---------------------------------------------------------------------------
+
+F2 = GF(2)
+FACTORS = {
+    Q: [
+        st.builds(sphere, st.integers(1, 4), st.just(Q)),
+        st.builds(orientable_surface, st.integers(1, 2)),
+        st.builds(moore, st.integers(1, 2), st.integers(2, 4), st.just(Q)),
+    ],
+    F2: [
+        st.builds(sphere, st.integers(1, 4), st.just(F2)),
+        st.builds(real_projective, st.integers(2, 5)),
+        st.builds(nonorientable_surface, st.integers(2, 3)),
+        st.builds(moore, st.integers(1, 2), st.integers(2, 4), st.just(F2)),
+    ],
+    Z: [st.builds(sphere, st.integers(1, 4), st.just(Z))],
+}
+
+
+@st.composite
+def oracle_queries(draw):
+    """A product of small spaces, generators drawn as random linear
+    combinations of its positive-degree classes, and a cap; sized to stay
+    within the oracle's guards."""
+    coeff = draw(st.sampled_from([Q, F2, Z]))
+    factors = [draw(st.one_of(FACTORS[coeff])) for _ in range(draw(st.integers(1, 3)))]
+    total = 1
+    for f in factors:
+        total *= f.algebra.total_dim
+    assume(total <= 12)
+    alg = product(factors).algebra
+    positive = [d for d in range(1, alg.top_degree + 1) if alg.dim(d)]
+    elements = []
+    for _ in range(draw(st.integers(1, 5))):
+        combo = {}
+        for d in draw(st.lists(st.sampled_from(positive), min_size=1, max_size=2)):
+            first, *rest = alg.names[d]
+            combo[first] = draw(st.sampled_from([1, -1, 3]))  # a unit mod 2 too
+            for name in rest:
+                combo[name] = draw(st.integers(-2, 2))
+        elements.append(alg.element(combo))
+    generators = Subspace.from_elements(alg, elements)
+    lowest = min(generators.degrees())
+    cap = draw(st.one_of(st.none(), st.integers(lowest, alg.top_degree)))
+    return CupLengthQuery(alg, generators, cap)
+
+
+@settings(max_examples=80, deadline=None)
+@given(oracle_queries())
+def test_dp_matches_oracle_and_certificates_check(query):
+    algebra = query.algebra
+    length, cert = capped_cuplength(query)
+    assert length == brute_force_cuplength(query, max_len=algebra.top_degree + 1)
+    if length == 0:
+        assert cert is None
+        return
+    assert len(cert) == length
+    assert cert.verify(cap=query.cap)
+    spanning = query.generators.restricted(query.cap).spanning_elements()
+    assert all(f in spanning for f in cert.factors)
+    _, again = capped_cuplength(query)
+    assert again.factor_strings() == cert.factor_strings()

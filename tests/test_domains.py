@@ -19,6 +19,24 @@ def test_prime_modulus_required():
     GF(2), GF(3), GF(13)  # fine
 
 
+def test_modulus_must_be_a_small_integer():
+    GF(2147483647)  # the largest prime below 2^31
+    with pytest.raises(ValueError, match="too large"):
+        GF(2**31 + 11)
+    with pytest.raises(ValueError, match="not an integer"):
+        GF(2.0)
+
+
+def test_floats_are_not_scalars():
+    for dom in (Q, GF(3), Z):
+        for value in (1.5, 2.0, True):
+            with pytest.raises(ValueError):
+                dom.parse_scalar(value)
+    assert Q.parse_scalar(Fraction(1, 3)) == Fraction(1, 3)
+    with pytest.raises(ValueError):
+        Q.parse_scalar("1/0")
+
+
 def test_rational_arithmetic_is_exact():
     a = Q.parse_scalar("1/3")
     b = Q.parse_scalar("1/6")

@@ -4,8 +4,11 @@ import pytest
 
 from secatm.domains import Q, Z
 from secatm.algebra import RingMorphism, UnsupportedCoefficients
+from secatm.cuplength import CupLengthQuery, capped_cuplength
 from secatm.engine import (
     Bundle,
+    _Engine,
+    _lower_source,
     cat_lower,
     compute_tables,
     default_max_m,
@@ -504,3 +507,23 @@ def test_targeted_tables_equal_full_run(case):
         targeted = compute_tables(bundle, targets=request)
         for key in request:
             assert table_to_json(targeted[key]) == table_to_json(full[key]), key
+
+
+@pytest.mark.parametrize("case", all_cases(), ids=lambda case: case.name)
+def test_bisected_cap_values_equal_direct_dp(case):
+    # _capped_values bisects over the caps and fills constant ranges from
+    # their lower end; every cap must still read what a direct DP gives
+    bundle, _, _ = case.build()
+    engine = _Engine(bundle, None, True, None)
+    engine.run()
+    for inv, name in engine.tables:
+        source = _lower_source(inv, engine.model(inv, name), engine._zero_divisors)
+        if source is None or source[1].is_zero():
+            continue
+        algebra, generators, _ = source
+        degmax = max(generators.degrees())
+        values = engine._capped_values(algebra, generators, degmax)
+        assert set(values) == {min(m, degmax) for m in range(1, engine.max_m + 1)} | {degmax}
+        for cap, (length, cert) in values.items():
+            assert length == capped_cuplength(CupLengthQuery(algebra, generators, cap))[0]
+            assert length == 0 or cert.verify(cap=cap)

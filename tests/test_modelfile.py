@@ -1,4 +1,8 @@
+import copy
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -223,6 +227,45 @@ class TestDiagnostics:
         doc = covers_doc()
         doc["spaces"]["s4"]["n"] = True
         assert_rejected(doc, "spaces.s4.n", tmp_path, capsys)
+
+    def test_pair_domain_must_be_a_name(self, tmp_path, capsys):
+        doc = copy.deepcopy(U2_DOC)
+        doc["map_pairs"]["idinv"]["domain"] = ["u2"]
+        assert_rejected(doc, "map_pairs.idinv", tmp_path, capsys)
+
+    def test_query_target_must_be_a_name(self, tmp_path, capsys):
+        doc = covers_doc()
+        doc["queries"][0]["target"] = ["cover4"]
+        assert_rejected(doc, "queries[0].target", tmp_path, capsys)
+
+    def test_float_scalars_are_rejected(self, tmp_path, capsys):
+        doc = base_doc(
+            spaces={
+                "x": {
+                    "algebra": {
+                        "basis": {"0": ["1"], "2": ["y"], "4": ["y2"]},
+                        "products": [["y", "y", {"y2": 1.5}]],
+                    }
+                }
+            }
+        )
+        assert_rejected(doc, "spaces.x.algebra", tmp_path, capsys)
+        doc = copy.deepcopy(U2_DOC)
+        doc["map_pairs"]["idinv"]["gstar"]["images"]["a(x)1"] = {"a(x)1": -1.0}
+        assert_rejected(doc, "map_pairs.idinv.gstar", tmp_path, capsys)
+
+    def test_huge_prime_modulus_exits_promptly(self, tmp_path):
+        # trial division on a 19-digit prime would run for hours
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(base_doc(coeff="F1000000000000000003")))
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-m", "secatm", "validate", str(model)],
+            capture_output=True, text=True, timeout=30, env=env,
+        )
+        assert done.returncode == 1
+        assert "error: coeff:" in done.stderr and "Traceback" not in done.stderr
 
 
 class TestFileLoading:
