@@ -521,18 +521,22 @@ def kunneth_product(A: GradedAlgebra, B: GradedAlgebra):
                     names[d].append(f"{A.names[p][i]}(x){B.names[q][j]}")
 
     table: dict = {}
-    for d1 in range(top + 1):
+    # equal product rows share one tuple, keyed on their nonzero entries
+    shared: dict = {}
+    zero = dom.zero()
+    aprod, bprod = _basis_products(A), _basis_products(B)
+    for d1 in range(1, top + 1):
         for k1, (p1, i1, q1, j1) in enumerate(pairs[d1]):
-            for d2 in range(top + 1 - d1):
-                if d1 == 0 or d2 == 0:
-                    continue
+            for d2 in range(1, top + 1 - d1):
                 for k2, (p2, i2, q2, j2) in enumerate(pairs[d2]):
-                    arow = A.mul_basis(p1, i1, p2, i2)
-                    brow = B.mul_basis(q1, j1, q2, j2)
-                    if arow is None or brow is None:
+                    arow = aprod.get((p1, i1, p2, i2))
+                    if arow is None:
+                        continue
+                    brow = bprod.get((q1, j1, q2, j2))
+                    if brow is None:
                         continue
                     d = d1 + d2
-                    out = [dom.zero()] * len(pairs[d])
+                    out = {}
                     neg = _koszul_sign_is_neg(q1, p2)
                     for ia, ca in enumerate(arow):
                         if ca == 0:
@@ -544,9 +548,17 @@ def kunneth_product(A: GradedAlgebra, B: GradedAlgebra):
                             if neg:
                                 c = dom.neg(c)
                             slot = pos[(p1 + p2, ia, q1 + q2, jb)]
-                            out[slot] = dom.add(out[slot], c)
-                    if not vis_zero(tuple(out)):
-                        table[(d1, k1, d2, k2)] = tuple(out)
+                            out[slot] = dom.add(out.get(slot, zero), c)
+                    nz = tuple(sorted((s, c) for s, c in out.items() if c != 0))
+                    if not nz:
+                        continue
+                    row = shared.get((d, nz))
+                    if row is None:
+                        row = [zero] * len(pairs[d])
+                        for s, c in nz:
+                            row[s] = c
+                        row = shared[(d, nz)] = tuple(row)
+                    table[(d1, k1, d2, k2)] = row
 
     C = GradedAlgebra(dom, names, table, validate=False)
     # factor decomposition of each tensor basis element, for morphism builders
@@ -571,6 +583,16 @@ def kunneth_product(A: GradedAlgebra, B: GradedAlgebra):
     inc_A = RingMorphism(A, C, incl_a, validate=False)
     inc_B = RingMorphism(B, C, incl_b, validate=False)
     return C, inc_A, inc_B
+
+
+def _basis_products(A: GradedAlgebra) -> dict:
+    """Every nonzero basis product of ``A``, keyed like ``A.table``, with the
+    products by the unit included."""
+    out = dict(A.table)
+    for d in range(A.top_degree + 1):
+        for i in range(A.dim(d)):
+            out[(0, 0, d, i)] = out[(d, i, 0, 0)] = A._unit_vec(d, i)
+    return out
 
 
 def tensor_square(A: GradedAlgebra):

@@ -26,8 +26,10 @@ a product is nonzero over Z exactly when it is nonzero over Q.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd, lcm
 
 from .algebra import Element, GradedAlgebra, Subspace
+from .domains import RATIONALS
 from .linalg import make_echelon, vis_zero
 
 __all__ = [
@@ -99,6 +101,50 @@ def _filtered_spanning(query: CupLengthQuery) -> list[tuple[int, tuple]]:
     return out
 
 
+def _integral(spanning, table):
+    """Spanning vectors and the structure-constant scale D as Python ints.
+
+    Over Q each spanning vector becomes its primitive integer multiple, and
+    D is the common denominator of all structure constants (1 for every
+    built-in model).  With the constants multiplied by D, a product of t
+    integral factors is the true product of the originals times a nonzero
+    rational, so it vanishes, and grows an echelon's rank, exactly when the
+    true product does.
+    """
+    rows = {id(row): row for row in table.values()}.values()
+    den = lcm(*{c.denominator for row in rows for c in row})
+    ints = []
+    for d, v in spanning:
+        k = lcm(*[a.denominator for a in v])
+        v = [a.numerator * (k // a.denominator) for a in v]
+        g = gcd(*v)
+        ints.append((d, tuple(x // g for x in v)))
+    return ints, den
+
+
+def _structure(algebra: GradedAlgebra, d1: int, d2: int, den: int, sparse: dict) -> list:
+    """Products of degree-d1 by degree-d2 basis classes: for each i1, a list
+    of ``(i2, ((j, c), ...))`` over the nonzero products, each ``c`` an int
+    (the constant times ``den``).  ``sparse`` maps ``id(row)`` of a product
+    row to its tuple, so a row the algebra shares between products (tensor
+    squares share equal rows) is converted once and stored once."""
+    table = algebra.table
+    out = []
+    for i1 in range(algebra.dim(d1)):
+        row = []
+        for i2 in range(algebra.dim(d2)):
+            prod = table.get((d1, i1, d2, i2))
+            if prod is not None:
+                nz = sparse.get(id(prod))
+                if nz is None:
+                    nz = sparse[id(prod)] = tuple(
+                        (j, c.numerator * (den // c.denominator))
+                        for j, c in enumerate(prod) if c)
+                row.append((i2, nz))
+        out.append(row)
+    return out
+
+
 def capped_cuplength(query: CupLengthQuery):
     """Maximum number of generator factors (degree <= cap) with nonzero product.
 
@@ -109,17 +155,29 @@ def capped_cuplength(query: CupLengthQuery):
     degree is skipped once its rank equals its width.  The layers are
     absorbing: once one is empty every later one is, and lengths never exceed
     the top degree since each factor has positive degree.
+
+    Products are taken in Python ints (see ``_integral``), through
+    structure tables built per degree pair for this call only; over F_p each
+    product is reduced once.  The certificate is rebuilt from the original
+    spanning vectors and multiplied out again.
     """
     algebra = query.algebra
     spanning = _filtered_spanning(query)
     if not spanning:
         return 0, None
+    p = algebra.coeff.p
+    if algebra.coeff.kind == RATIONALS:
+        ints, den = _integral(spanning, algebra.table)
+    else:
+        ints, den = spanning, 1
     top = algebra.top_degree
-    layer = [(d, v, (i,)) for i, (d, v) in enumerate(spanning)]
+    structure, sparse = {}, {}
+    layer = [(d, v, (i,)) for i, (d, v) in enumerate(ints)]
     while True:
         ech, grown = {}, {}
         for dv, v, factors in layer:
-            for i, (ds, s) in enumerate(spanning):
+            nzv = [(i1, a) for i1, a in enumerate(v) if a]
+            for i, (ds, s) in enumerate(ints):
                 d = dv + ds
                 if d > top:
                     continue
@@ -128,18 +186,30 @@ def capped_cuplength(query: CupLengthQuery):
                     grown[d] = []
                 if ech[d].rank == ech[d].width:
                     continue
-                w = algebra.mul_vectors(dv, v, ds, s)
-                if not vis_zero(w) and ech[d].insert(w):
+                tab = structure.get((dv, ds))
+                if tab is None:
+                    tab = structure[(dv, ds)] = _structure(algebra, dv, ds, den, sparse)
+                w = [0] * ech[d].width
+                for i1, a in nzv:
+                    for i2, nz in tab[i1]:
+                        b = s[i2]
+                        if b:
+                            ab = a * b
+                            for j, c in nz:
+                                w[j] += ab * c
+                if p is not None:
+                    w = [x % p for x in w]
+                if any(w) and ech[d].insert(w):
                     grown[d].append((d, w, factors + (i,)))
         nxt = [entry for d in sorted(grown) for entry in grown[d]]
         if not nxt:
             break
         layer = nxt
-    d, v, factors = layer[0]
-    return len(factors), CupLengthCertificate(
-        factors=[algebra.component_element(*spanning[i]) for i in factors],
-        product=algebra.component_element(d, v),
-    )
+    factors = [algebra.component_element(*spanning[i]) for i in layer[0][2]]
+    product = factors[0]
+    for f in factors[1:]:
+        product = product * f
+    return len(factors), CupLengthCertificate(factors=factors, product=product)
 
 
 def _f2_candidates(sub: Subspace) -> list[tuple[int, tuple]]:

@@ -1,17 +1,23 @@
 """Exact echelon forms, spans, membership and kernels.
 
-Field components are kept in reduced row echelon form; integer components
+Field components come out in reduced row echelon form; integer components
 are kept in row Hermite normal form.  Both forms are canonical for the span
 they carry, so every stored spanning set, kernel and certificate is
-reproducible bit for bit across runs.
+reproducible bit for bit across runs.  Over Q the echelon works in Python
+ints (primitive integer rows) and forms the ``Fraction`` RREF only when its
+rows are read.
 
-Vectors are tuples of domain scalars.  Kernels over Z are computed by
-unimodular row reduction of the augmented matrix ``[M | I]``: the rows whose
-``M`` part vanishes project onto a basis of the full kernel lattice, which
-is the same lattice a Smith-normal-form computation yields.
+Vectors are tuples of domain scalars; over Q ints are accepted as well.
+Kernels over Z are computed by unimodular row reduction of the augmented
+matrix ``[M | I]``: the rows whose ``M`` part vanishes project onto a basis
+of the full kernel lattice, which is the same lattice a Smith-normal-form
+computation yields.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
+from math import gcd, lcm
 
 from .domains import CoefficientDomain
 
@@ -78,14 +84,23 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 class FieldEchelon:
-    """Reduced row echelon span over a field domain (Q or F_p)."""
+    """Reduced row echelon span over a field domain (Q or F_p).
+
+    Over F_p rows are int lists in RREF, reduced with one ``% p`` per entry.
+    Over Q rows are fraction-free (Bareiss 1968): each is a primitive integer
+    vector with a positive pivot and zeros in every other pivot column, so
+    dividing it by its pivot gives the RREF row.  That division happens only
+    in ``rows()``; inputs may hold ints or ``Fraction``s and have their
+    denominators cleared once.
+    """
 
     def __init__(self, dom: CoefficientDomain, width: int):
         assert dom.is_field
         self.dom = dom
         self.width = width
-        self._rows: list[tuple] = []   # sorted by pivot column
-        self._pivots: list[int] = []   # pivot column of each row
+        self._p = dom.p  # None over Q
+        self._rows: list[list[int]] = []   # sorted by pivot column
+        self._pivots: list[int] = []       # pivot column of each row
 
     @property
     def rank(self) -> int:
@@ -94,34 +109,50 @@ class FieldEchelon:
     def is_full(self) -> bool:
         return len(self._rows) == self.width
 
-    def reduce(self, v: tuple) -> tuple:
-        dom = self.dom
-        v = list(v)
+    def reduce(self, v: tuple) -> list[int]:
+        """v minus its projection onto the span; over Q only up to a nonzero
+        integer factor.  Zero exactly when v lies in the span."""
+        p = self._p
+        if p is not None:
+            for piv, row in zip(self._pivots, self._rows):
+                c = v[piv]
+                if c:
+                    v = [(x - c * y) % p for x, y in zip(v, row)]
+            return list(v)
+        den = lcm(*[a.denominator for a in v])
+        v = [a.numerator * (den // a.denominator) for a in v]
         for piv, row in zip(self._pivots, self._rows):
             c = v[piv]
-            if c != 0:
-                for j in range(piv, self.width):
-                    v[j] = dom.sub(v[j], dom.mul(c, row[j]))
-        return tuple(v)
+            if c:
+                v = _eliminate(v, row, piv, c)
+        return v
 
     def contains(self, v: tuple) -> bool:
-        return vis_zero(self.reduce(v))
+        return not any(self.reduce(v))
 
     def insert(self, v: tuple) -> bool:
         """Add v to the span; True if the rank grew."""
-        dom = self.dom
         r = self.reduce(v)
         lead = _leading(r)
         if lead is None:
             return False
-        r = vscale(dom, dom.inv(r[lead]), r)
+        p = self._p
+        if p is not None:
+            inv = pow(r[lead], p - 2, p)
+            r = [x * inv % p for x in r]
+        else:
+            g = gcd(*r)
+            if r[lead] < 0:
+                g = -g
+            r = [x // g for x in r]
         # clear the new pivot column from the existing rows
         for i, row in enumerate(self._rows):
             c = row[lead]
-            if c != 0:
-                self._rows[i] = tuple(
-                    dom.sub(a, dom.mul(c, b)) for a, b in zip(row, r)
-                )
+            if c:
+                if p is not None:
+                    self._rows[i] = [(x - c * y) % p for x, y in zip(row, r)]
+                else:
+                    self._rows[i] = _eliminate(row, r, lead, c)
         pos = 0
         while pos < len(self._pivots) and self._pivots[pos] < lead:
             pos += 1
@@ -130,7 +161,28 @@ class FieldEchelon:
         return True
 
     def rows(self) -> tuple[tuple, ...]:
-        return tuple(self._rows)
+        if self._p is not None:
+            return tuple(tuple(r) for r in self._rows)
+        zero = Fraction(0)
+        return tuple(
+            tuple(Fraction(x, r[piv]) if x else zero for x in r)
+            for piv, r in zip(self._pivots, self._rows)
+        )
+
+
+def _eliminate(v: list[int], row: list[int], piv: int, c: int) -> list[int]:
+    """``p*v - c*row`` over gcd(p, c), divided by its content, where
+    ``c = v[piv]`` and ``p = row[piv] > 0``: zero at ``piv``, and a positive
+    multiple of v on every column where row is zero."""
+    p = row[piv]
+    g = gcd(p, c)
+    p, c = p // g, c // g
+    if p == 1:
+        v = [x - c * y for x, y in zip(v, row)]
+    else:
+        v = [p * x - c * y for x, y in zip(v, row)]
+    g = gcd(*v)
+    return [x // g for x in v] if g > 1 else v
 
 
 class IntEchelon:
@@ -266,5 +318,4 @@ def kernel_rows(dom: CoefficientDomain, rows, width: int) -> tuple[tuple, ...]:
     ech = make_echelon(dom, width + n)
     for r in aug:
         ech.insert(r)
-    raw = [r[width:] for r in ech.rows() if vis_zero(r[:width])]
-    return span_rows(dom, raw, n)
+    return tuple(r[width:] for r in ech.rows() if not any(r[:width]))

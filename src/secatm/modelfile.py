@@ -95,6 +95,15 @@ def _name(value, where: str) -> str:
     return value
 
 
+def _block(data: dict, key: str, kind: type) -> dict | list:
+    """A top-level block, which must be a JSON object (or list) when present."""
+    value = data.get(key, kind())
+    if not isinstance(value, kind):
+        expected = "an object" if kind is dict else "a list"
+        raise ModelFileError(key, f"expected {expected}, got {value!r}")
+    return value
+
+
 def _optional_integer(spec: dict, key: str, path: str) -> int | None:
     value = spec.get(key)
     return None if value is None else _integer(value, f"{path}.{key}")
@@ -128,12 +137,12 @@ def parse_model(data: dict, coeff_override: str | None = None) -> LoadedModel:
 
 class _Loader:
     def __init__(self, data: dict, coeff: CoefficientDomain):
-        self.data = data
         self.coeff = coeff
         self.bundle = Bundle()
-        self.space_specs = dict(data.get("spaces", {}))
-        self.fib_specs = dict(data.get("fibrations", {}))
-        self.pair_specs = dict(data.get("map_pairs", {}))
+        self.space_specs = _block(data, "spaces", dict)
+        self.fib_specs = _block(data, "fibrations", dict)
+        self.pair_specs = _block(data, "map_pairs", dict)
+        self.query_specs = _block(data, "queries", list)
         names = list(self.space_specs) + list(self.fib_specs) + list(self.pair_specs)
         dupes = {n for n in names if names.count(n) > 1}
         if dupes:
@@ -258,10 +267,20 @@ class _Loader:
         if not isinstance(spec, dict) or "basis" not in spec:
             raise ModelFileError(path, "algebra spec needs a 'basis' block")
         coeff = self._spec_coeff(path, spec)
-        try:
-            basis = {int(d): list(names) for d, names in spec["basis"].items()}
-        except (TypeError, ValueError):
-            raise ModelFileError(f"{path}.basis", "degrees must be integers")
+        if not isinstance(spec["basis"], dict):
+            raise ModelFileError(f"{path}.basis", "expected an object of degree: [names]")
+        basis = {}
+        for d, names in spec["basis"].items():
+            where = f"{path}.basis.{d}"
+            try:
+                degree = int(d)
+            except ValueError:
+                raise ModelFileError(where, "degrees must be integers")
+            if degree < 0 or degree in basis:
+                raise ModelFileError(where, "degrees must be distinct and >= 0")
+            if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+                raise ModelFileError(where, f"expected a list of names, got {names!r}")
+            basis[degree] = names
         products = []
         for i, entry in enumerate(spec.get("products", [])):
             if not (isinstance(entry, (list, tuple)) and len(entry) == 3):
@@ -404,7 +423,7 @@ class _Loader:
     # -- queries -----------------------------------------------------------------
     def _parse_queries(self) -> list[Query]:
         out = []
-        for i, q in enumerate(self.data.get("queries", [])):
+        for i, q in enumerate(self.query_specs):
             path = f"queries[{i}]"
             if not isinstance(q, dict) or "target" not in q or "invariant" not in q:
                 raise ModelFileError(path, "query needs 'target' and 'invariant'")

@@ -26,7 +26,7 @@ from secatm.algebra import (
     pushforward_span,
     tensor_square,
 )
-from secatm.spaces import complex_projective, point, real_projective, sphere
+from secatm.spaces import complex_projective, point, product, real_projective, sphere
 
 
 def truncated_f2(n):
@@ -231,6 +231,13 @@ class TestTensorSquare:
         x = A.basis_element("x")
         assert inc1.apply(x) == T.element({"x(x)1": 1})
         assert inc2.apply(x) == T.element({"1(x)x": 1})
+
+
+    def test_equal_product_rows_are_shared(self):
+        # T^4 over Q: 6050 nonzero products, 494 distinct rows
+        T, _, _ = tensor_square(product([sphere(1, Q)] * 4).algebra)
+        assert len(T.table) == 6050
+        assert len({id(row) for row in T.table.values()}) <= 494
 
 
 class TestKunneth:

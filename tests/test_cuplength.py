@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -242,3 +244,62 @@ def test_dp_matches_oracle_and_certificates_check(query):
     assert all(f in spanning for f in cert.factors)
     _, again = capped_cuplength(query)
     assert again.factor_strings() == cert.factor_strings()
+
+
+# -- rational structure constants -----------------------------------------------
+#
+# Over Q the DP multiplies primitive integer vectors through structure
+# constants scaled by their common denominator D.  In this algebra
+# x*x = 1/2 y and x*z = -1/3 y, so (x + 3/4 z)^2 = (1/2 - 1/2) y = 0 while
+# x^2 != 0: dropping D zeroes x^2, and keeping only numerators makes
+# (x + 3/4 z)^2 nonzero.
+
+def rational_algebra():
+    return make_algebra(
+        Q,
+        {0: ["1"], 2: ["x", "z"], 4: ["y"]},
+        [("x", "x", {"y": "1/2"}), ("x", "z", {"y": "-1/3"})],
+    )
+
+
+# generators in RREF: x, x + 3/4 z, the whole degree, x - 7/4 z
+@pytest.mark.parametrize("combos", [
+    [{"x": Fraction(1, 3)}],
+    [{"x": 1, "z": Fraction(3, 4)}],
+    [{"x": 1, "z": Fraction(3, 4)}, {"z": Fraction(2, 5)}],
+    [{"x": Fraction(-2, 7), "z": Fraction(1, 2)}],
+])
+def test_rational_structure_constants(combos):
+    alg = rational_algebra()
+    generators = Subspace.from_elements(alg, [alg.element(c) for c in combos])
+    for cap in (1, 2, 3, 4, None):
+        query = CupLengthQuery(alg, generators, cap)
+        length, cert = capped_cuplength(query)
+        assert length == brute_force_cuplength(query, max_len=alg.top_degree + 1)
+        if length == 0:
+            assert cert is None
+            continue
+        assert cert.verify(cap=cap)
+        product = cert.factors[0]
+        for f in cert.factors[1:]:
+            product = product * f
+        assert cert.product == product
+
+
+def test_rational_lengths_are_the_expected_ones():
+    alg = rational_algebra()
+
+    def length(*combos):
+        gens = Subspace.from_elements(alg, [alg.element(c) for c in combos])
+        return capped_cuplength(CupLengthQuery(alg, gens, None))[0]
+
+    assert length({"x": Fraction(1, 3)}) == 2
+    assert length({"x": 1, "z": Fraction(3, 4)}) == 1
+    assert length({"x": 1, "z": Fraction(3, 4)}, {"z": 1}) == 2
+
+
+def test_dp_leaves_no_cache_on_the_algebra():
+    alg = tensor_square(product([sphere(1, Q)] * 3).algebra)[0]
+    before = set(vars(alg))
+    capped_cuplength(positive_query(alg, None))
+    assert set(vars(alg)) == before

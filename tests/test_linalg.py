@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from secatm.domains import GF, Q, Z
@@ -183,3 +184,86 @@ def test_hermite_membership_of_generators(rows):
     for r in rows:
         doubled = tuple(2 * x for x in r)
         assert ech.contains(doubled)
+
+
+# -- field echelons against a plain Gauss-Jordan reference --------------------
+#
+# Over Q the echelon keeps primitive integer rows and forms the Fraction RREF
+# only in rows(); over F_p it reduces with one modulo per entry.  The
+# reference below does textbook elimination on domain scalars.
+
+def _ref_rref(rows, width, p=None):
+    """Nonzero rows of the RREF over Q (p None) or F_p."""
+    norm = Fraction if p is None else (lambda x: x % p)
+    m = [[norm(x) for x in r] for r in rows]
+    rank = 0
+    for col in range(width):
+        piv = next((i for i in range(rank, len(m)) if m[i][col] != 0), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        inv = 1 / m[rank][col] if p is None else pow(m[rank][col], p - 2, p)
+        m[rank] = [norm(x * inv) for x in m[rank]]
+        for i in range(len(m)):
+            c = m[i][col]
+            if i != rank and c != 0:
+                m[i] = [norm(x - c * y) for x, y in zip(m[i], m[rank])]
+        rank += 1
+    return tuple(tuple(r) for r in m[:rank])
+
+
+def _ref_kernel(rows, width, p=None):
+    """RREF basis of {c : sum_i c_i * rows[i] = 0} from the transposed RREF."""
+    n = len(rows)
+    rref = _ref_rref([[r[j] for r in rows] for j in range(width)], n, p)
+    pivots = [next(i for i, x in enumerate(r) if x != 0) for r in rref]
+    basis = []
+    for f in (i for i in range(n) if i not in pivots):
+        v = [0] * n
+        v[f] = 1
+        for k, piv in enumerate(pivots):
+            v[piv] = -rref[k][f]
+        basis.append(v)
+    return _ref_rref(basis, n, p)
+
+
+_FIELDS = {
+    "Q": (Q, None, st.one_of(
+        st.integers(-3, 3),
+        st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4)),
+    )),
+    "F3": (GF(3), 3, st.integers(0, 2)),
+    "F2": (GF(2), 2, st.integers(0, 1)),
+}
+
+
+@st.composite
+def field_matrix(draw, field):
+    w = draw(st.integers(1, 8))
+    n = draw(st.integers(1, 6))
+    entry = _FIELDS[field][2]
+    return [tuple(draw(entry) for _ in range(w)) for _ in range(n)], w
+
+
+@pytest.mark.parametrize("field", sorted(_FIELDS))
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_field_echelon_matches_reference(field, data):
+    dom, p, entry = _FIELDS[field]
+    rows, w = data.draw(field_matrix(field))
+    ech = make_echelon(dom, w)
+    for k, v in enumerate(rows):
+        before = ech.rank
+        grew = ech.insert(v)
+        want = _ref_rref(rows[:k + 1], w, p)
+        assert ech.rows() == want
+        assert ech.rank == len(want) == before + grew
+    if p is None:
+        assert all(type(x) is Fraction for r in ech.rows() for x in r)
+    assert span_rows(dom, rows, w) == _ref_rref(rows, w, p)
+    assert kernel_rows(dom, rows, w) == _ref_kernel(rows, w, p)
+    probe = data.draw(st.tuples(*[entry] * w))
+    rank = len(_ref_rref(rows, w, p))
+    assert ech.contains(probe) == (len(_ref_rref(rows + [probe], w, p)) == rank)
+    for v in rows:
+        assert ech.contains(v)

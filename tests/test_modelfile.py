@@ -254,6 +254,54 @@ class TestDiagnostics:
         doc["map_pairs"]["idinv"]["gstar"]["images"]["a(x)1"] = {"a(x)1": -1.0}
         assert_rejected(doc, "map_pairs.idinv.gstar", tmp_path, capsys)
 
+    def test_spaces_must_be_an_object(self, tmp_path, capsys):
+        assert_rejected(base_doc(spaces="ab"), "spaces", tmp_path, capsys)
+
+    def test_empty_spaces_list_is_not_an_object(self, tmp_path, capsys):
+        assert_rejected(base_doc(spaces=[]), "spaces", tmp_path, capsys)
+
+    def test_fibrations_must_be_an_object(self, tmp_path, capsys):
+        assert_rejected(base_doc(fibrations=5), "fibrations", tmp_path, capsys)
+
+    def test_map_pairs_must_be_an_object(self, tmp_path, capsys):
+        assert_rejected(base_doc(map_pairs=["x"]), "map_pairs", tmp_path, capsys)
+
+    def test_queries_must_be_a_list(self, tmp_path, capsys):
+        assert_rejected(base_doc(queries=5), "queries", tmp_path, capsys)
+
+    @staticmethod
+    def basis_doc(basis):
+        return base_doc(spaces={"x": {"algebra": {"basis": basis}}})
+
+    def test_basis_names_must_be_a_list(self, tmp_path, capsys):
+        # a string would be split into one class per character
+        doc = self.basis_doc({"0": ["1"], "2": "ab"})
+        assert_rejected(doc, "spaces.x.algebra.basis.2", tmp_path, capsys)
+
+    def test_basis_names_must_be_strings(self, tmp_path, capsys):
+        doc = self.basis_doc({"0": ["1"], "2": ["a", 3]})
+        assert_rejected(doc, "spaces.x.algebra.basis.2", tmp_path, capsys)
+
+    def test_negative_basis_degree(self, tmp_path, capsys):
+        # used to be dropped silently
+        doc = self.basis_doc({"0": ["1"], "-1": ["y"], "2": ["a"]})
+        assert_rejected(doc, "spaces.x.algebra.basis.-1", tmp_path, capsys)
+
+    def test_basis_degree_listed_twice(self, tmp_path, capsys):
+        doc = self.basis_doc({"0": ["1"], "2": ["a"], "02": ["b"]})
+        assert_rejected(doc, "spaces.x.algebra.basis.02", tmp_path, capsys)
+
+    def test_basis_degree_must_be_an_integer(self, tmp_path, capsys):
+        doc = self.basis_doc({"0": ["1"], "two": ["a"]})
+        assert_rejected(doc, "spaces.x.algebra.basis.two", tmp_path, capsys)
+
+    def test_validate_rejects_bad_blocks(self, tmp_path, capsys):
+        for doc in (base_doc(spaces="ab"), self.basis_doc({"0": ["1"], "2": "ab"})):
+            model = tmp_path / "model.json"
+            model.write_text(json.dumps(doc))
+            assert main(["validate", str(model)]) == 1
+            assert "error: " in capsys.readouterr().err
+
     def test_huge_prime_modulus_exits_promptly(self, tmp_path):
         # trial division on a 19-digit prime would run for hours
         model = tmp_path / "model.json"
