@@ -202,7 +202,8 @@ class GradedAlgebra:
 
     # -- validation ----------------------------------------------------------
     def validate(self) -> None:
-        """Exhaustively re-check unit, graded sign law and associativity."""
+        """Re-check unit, graded sign law and associativity on every pair and
+        triple of basis classes where they can fail."""
         dom = self.coeff
         one = dom.one()
         for (d1, i1, d2, i2), row in self.table.items():
@@ -224,62 +225,71 @@ class GradedAlgebra:
                     raise UnitViolation(f"1 * {name!r} != {name!r}")
                 if self.mul_basis(d, i, 0, 0) != want:
                     raise UnitViolation(f"{name!r} * 1 != {name!r}")
+        # A law can fail only where one side is nonzero, and products with
+        # the unit follow the unit law in mul_basis, so both laws are checked
+        # on the table's entries between positive degrees, each taken as its
+        # nonzero (index, coefficient) pairs.  Integral rationals become
+        # ints, which multiply much faster, and a row object the table shares
+        # between products is converted once.  Of several violations the
+        # first in basis order is reported.
+        nz, seen = {}, {}
+        for key, row in self.table.items():
+            if key[0] and key[2]:
+                terms = seen.get(id(row))
+                if terms is None:
+                    terms = seen[id(row)] = [
+                        (j, c.numerator if c.denominator == 1 else c)
+                        for j, c in enumerate(row) if c]
+                nz[key] = terms
         # graded commutativity
-        basis = [
-            (d, i) for d in range(self.top_degree + 1) for i in range(self.dim(d))
-        ]
-        for d1, i1 in basis:
-            for d2, i2 in basis:
-                if d1 + d2 > self.top_degree:
-                    continue
-                xy = self.mul_basis(d1, i1, d2, i2)
-                yx = self.mul_basis(d2, i2, d1, i1)
-                xy = xy if xy is not None else vzero(dom, self.dim(d1 + d2))
-                yx = yx if yx is not None else vzero(dom, self.dim(d1 + d2))
-                if _koszul_sign_is_neg(d1, d2):
-                    yx = tuple(dom.neg(a) for a in yx)
-                if xy != yx:
-                    raise CommutativityViolation(
-                        f"{self.names[d1][i1]!r} * {self.names[d2][i2]!r} violates "
-                        f"the graded sign law"
-                    )
-        # associativity (triples whose total degree fits)
-        for d1, i1 in basis:
-            for d2, i2 in basis:
-                if d1 + d2 > self.top_degree:
-                    continue
-                xy = self.mul_basis(d1, i1, d2, i2)
-                for d3, i3 in basis:
-                    if d1 + d2 + d3 > self.top_degree:
-                        continue
-                    yz = self.mul_basis(d2, i2, d3, i3)
-                    left = (
-                        self.mul_vectors(d1 + d2, xy, d3, self._unit_vec(d3, i3))
-                        if xy is not None
-                        else None
-                    )
-                    right = (
-                        self.mul_vectors(d1, self._unit_vec(d1, i1), d2 + d3, yz)
-                        if yz is not None
-                        else None
-                    )
-                    vleft = left if left is not None else vzero(dom, self.dim(d1 + d2 + d3))
-                    vright = right if right is not None else vzero(dom, self.dim(d1 + d2 + d3))
-                    if vleft != vright:
-                        x, y, z = (
-                            self.names[d1][i1],
-                            self.names[d2][i2],
-                            self.names[d3][i3],
-                        )
-                        raise AssociativityViolation(
-                            f"({x!r} * {y!r}) * {z!r} differs from "
-                            f"{x!r} * ({y!r} * {z!r})"
-                        )
+        bad = []
+        for (d1, i1, d2, i2), xy in nz.items():
+            yx = nz.get((d2, i2, d1, i1), [])
+            if _koszul_sign_is_neg(d1, d2):
+                yx = [(j, dom.neg(c)) for j, c in yx]
+            if xy != yx:
+                bad.append(min((d1, i1, d2, i2), (d2, i2, d1, i1)))
+        if bad:
+            d1, i1, d2, i2 = min(bad)
+            raise CommutativityViolation(
+                f"{self.names[d1][i1]!r} * {self.names[d2][i2]!r} violates "
+                f"the graded sign law"
+            )
+        # associativity, on the triples where (xy)z or x(yz) can be nonzero:
+        # xy has a class w in its support and wz is in the table, or yz has
+        # a class u in its support and xu is in the table
+        lefts, rights = {}, {}
+        for d1, i1, d2, i2 in nz:
+            lefts.setdefault((d1, i1), []).append((d2, i2))
+            rights.setdefault((d2, i2), []).append((d1, i1))
+        triples = set()
+        for (d1, i1, d2, i2), terms in nz.items():
+            for j, _ in terms:
+                w = (d1 + d2, j)
+                triples.update(((d1, i1), (d2, i2), z) for z in lefts.get(w, ()))
+                triples.update((x, (d1, i1), (d2, i2)) for x in rights.get(w, ()))
 
-    def _unit_vec(self, d: int, i: int) -> tuple:
-        v = list(vzero(self.coeff, self.dim(d)))
-        v[i] = self.coeff.one()
-        return tuple(v)
+        def combine(terms) -> dict:
+            """sum of c * (product with key k) over ``(c, k)``, nonzero entries"""
+            out = {}
+            for c, key in terms:
+                for j, e in nz.get(key, ()):
+                    ce = dom.mul(c, e)
+                    out[j] = dom.add(out[j], ce) if j in out else ce
+            return {j: c for j, c in out.items() if c != 0}
+
+        bad = []
+        for (d1, i1), (d2, i2), (d3, i3) in triples:
+            left = combine((c, (d1 + d2, j, d3, i3)) for j, c in nz.get((d1, i1, d2, i2), ()))
+            right = combine((c, (d1, i1, d2 + d3, j)) for j, c in nz.get((d2, i2, d3, i3), ()))
+            if left != right:
+                bad.append(((d1, i1), (d2, i2), (d3, i3)))
+        if bad:
+            x, y, z = (self.names[d][i] for d, i in min(bad))
+            raise AssociativityViolation(
+                f"({x!r} * {y!r}) * {z!r} differs from "
+                f"{x!r} * ({y!r} * {z!r})"
+            )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -507,58 +517,63 @@ def kunneth_product(A: GradedAlgebra, B: GradedAlgebra):
     top = A.top_degree + B.top_degree
     pairs: list[list[tuple[int, int, int, int]]] = [[] for _ in range(top + 1)]
     names: list[list[str]] = [[] for _ in range(top + 1)]
-    pos: dict[tuple[int, int, int, int], int] = {}
+    # the classes a(x)b with a of degree p and b of degree q form one block
+    # of degree p + q, listed a-major: slot start[(p, q)] + i * B.dim(q) + j
+    start: dict[tuple[int, int], int] = {}
     for d in range(top + 1):
         for p in range(d + 1):
             q = d - p
             if A.dim(p) == 0 or B.dim(q) == 0:
                 continue
+            start[(p, q)] = len(pairs[d])
             for i in range(A.dim(p)):
                 for j in range(B.dim(q)):
-                    key = (p, i, q, j)
-                    pos[key] = len(pairs[d])
-                    pairs[d].append(key)
+                    pairs[d].append((p, i, q, j))
                     names[d].append(f"{A.names[p][i]}(x){B.names[q][j]}")
 
+    # (a (x) b)(a' (x) b') = +-(a a') (x) (b b'), so for each left class only
+    # the nonzero products of its two factors are visited.  Each pair of
+    # nonzero factor coefficients lands in its own slot with a nonzero
+    # product (Q, F_p and Z have no zero divisors), so a product row's
+    # nonzero entries come out already sorted by slot.  A left class's
+    # entries are sorted by (d2, k2) before they go in, which lists the
+    # table in (d1, k1, d2, k2) order.  Equal product rows share one tuple,
+    # keyed on their nonzero entries.
     table: dict = {}
-    # equal product rows share one tuple, keyed on their nonzero entries
     shared: dict = {}
     zero = dom.zero()
-    aprod, bprod = _basis_products(A), _basis_products(B)
+    bdims = B.dims()
+    aleft, bleft = _products_by_left(A), _products_by_left(B)
     for d1 in range(1, top + 1):
         for k1, (p1, i1, q1, j1) in enumerate(pairs[d1]):
-            for d2 in range(1, top + 1 - d1):
-                for k2, (p2, i2, q2, j2) in enumerate(pairs[d2]):
-                    arow = aprod.get((p1, i1, p2, i2))
-                    if arow is None:
-                        continue
-                    brow = bprod.get((q1, j1, q2, j2))
-                    if brow is None:
-                        continue
-                    d = d1 + d2
-                    out = {}
-                    neg = _koszul_sign_is_neg(q1, p2)
-                    for ia, ca in enumerate(arow):
-                        if ca == 0:
-                            continue
-                        for jb, cb in enumerate(brow):
-                            if cb == 0:
-                                continue
-                            c = dom.mul(ca, cb)
-                            if neg:
-                                c = dom.neg(c)
-                            slot = pos[(p1 + p2, ia, q1 + q2, jb)]
-                            out[slot] = dom.add(out.get(slot, zero), c)
-                    nz = tuple(sorted((s, c) for s, c in out.items() if c != 0))
-                    if not nz:
-                        continue
+            entries = []
+            for p2, i2, anz in aleft[(p1, i1)]:
+                neg = _koszul_sign_is_neg(q1, p2)
+                for q2, j2, bnz in bleft[(q1, j1)]:
+                    if not (p2 or q2):
+                        continue  # the right class is the unit
+                    p, q = p1 + p2, q1 + q2
+                    base, wb = start[(p, q)], bdims[q]
+                    if len(anz) == 1 and len(bnz) == 1:
+                        (ia, ca), (jb, cb) = anz[0], bnz[0]
+                        c = dom.mul(ca, cb)
+                        nz = ((base + ia * wb + jb, dom.neg(c) if neg else c),)
+                    else:
+                        nz = tuple(
+                            (base + ia * wb + jb,
+                             dom.neg(dom.mul(ca, cb)) if neg else dom.mul(ca, cb))
+                            for ia, ca in anz for jb, cb in bnz)
+                    d = p + q
                     row = shared.get((d, nz))
                     if row is None:
                         row = [zero] * len(pairs[d])
-                        for s, c in nz:
-                            row[s] = c
+                        for slot, c in nz:
+                            row[slot] = c
                         row = shared[(d, nz)] = tuple(row)
-                    table[(d1, k1, d2, k2)] = row
+                    entries.append((p2 + q2, start[(p2, q2)] + i2 * bdims[q2] + j2, row))
+            entries.sort()  # the (d2, k2) are distinct, so rows are never compared
+            for d2, k2, row in entries:
+                table[(d1, k1, d2, k2)] = row
 
     C = GradedAlgebra(dom, names, table, validate=False)
     # factor decomposition of each tensor basis element, for morphism builders
@@ -569,7 +584,7 @@ def kunneth_product(A: GradedAlgebra, B: GradedAlgebra):
         rows = []
         for i in range(A.dim(p)):
             row = [dom.zero()] * C.dim(p)
-            row[pos[(p, i, 0, 0)]] = dom.one()
+            row[start[(p, 0)] + i] = dom.one()
             rows.append(tuple(row))
         incl_a[p] = tuple(rows)
     incl_b = {}
@@ -577,7 +592,7 @@ def kunneth_product(A: GradedAlgebra, B: GradedAlgebra):
         rows = []
         for j in range(B.dim(q)):
             row = [dom.zero()] * C.dim(q)
-            row[pos[(0, 0, q, j)]] = dom.one()
+            row[start[(0, q)] + j] = dom.one()
             rows.append(tuple(row))
         incl_b[q] = tuple(rows)
     inc_A = RingMorphism(A, C, incl_a, validate=False)
@@ -585,13 +600,20 @@ def kunneth_product(A: GradedAlgebra, B: GradedAlgebra):
     return C, inc_A, inc_B
 
 
-def _basis_products(A: GradedAlgebra) -> dict:
-    """Every nonzero basis product of ``A``, keyed like ``A.table``, with the
-    products by the unit included."""
-    out = dict(A.table)
+def _products_by_left(A: GradedAlgebra) -> dict:
+    """Every nonzero basis product of ``A``, products by the unit included:
+    ``(d1, i1)`` maps to a list of ``(d2, i2, nonzero (index, c) pairs)``."""
+    one = A.coeff.one()
+    out = {(d, i): [] for d in range(A.top_degree + 1) for i in range(A.dim(d))}
     for d in range(A.top_degree + 1):
         for i in range(A.dim(d)):
-            out[(0, 0, d, i)] = out[(d, i, 0, 0)] = A._unit_vec(d, i)
+            out[(0, 0)].append((d, i, ((i, one),)))
+            if d:
+                out[(d, i)].append((0, 0, ((i, one),)))
+    for (d1, i1, d2, i2), row in A.table.items():
+        nz = tuple((j, c) for j, c in enumerate(row) if c != 0)
+        if d1 and d2 and nz:
+            out[(d1, i1)].append((d2, i2, nz))
     return out
 
 

@@ -93,6 +93,9 @@ def _check_query(query: Query, loaded) -> None:
 
 
 def _cmd_bounds(args) -> int:
+    if args.max_m is not None and args.max_m < 1:
+        print("error: --max-m must be >= 1", file=sys.stderr)
+        return 1
     try:
         loaded = load_model_file(args.file, args.coeff)
         queries = _resolve_queries(args, loaded)
@@ -110,7 +113,7 @@ def _cmd_bounds(args) -> int:
             file=sys.stderr,
         )
         return 1
-    max_m = max(max_m or 1, needed)
+    max_m = needed if max_m is None else max(max_m, needed)
 
     targets = [(q.invariant, q.target) for q in queries]
     try:

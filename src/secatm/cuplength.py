@@ -30,7 +30,9 @@ from math import gcd, lcm
 
 from .algebra import Element, GradedAlgebra, Subspace
 from .domains import RATIONALS
-from .linalg import make_echelon, vis_zero
+# make_echelon is not used here any more, but perfbench/tracer.py wraps the
+# echelon factory by this module's name
+from .linalg import F2RankEchelon, RankEchelon, make_echelon, vis_zero  # noqa: F401
 
 __all__ = [
     "CupLengthQuery",
@@ -122,43 +124,82 @@ def _integral(spanning, table):
     return ints, den
 
 
-def _structure(algebra: GradedAlgebra, d1: int, d2: int, den: int, sparse: dict) -> list:
-    """Products of degree-d1 by degree-d2 basis classes: for each i1, a list
-    of ``(i2, ((j, c), ...))`` over the nonzero products, each ``c`` an int
-    (the constant times ``den``).  ``sparse`` maps ``id(row)`` of a product
-    row to its tuple, so a row the algebra shares between products (tensor
-    squares share equal rows) is converted once and stored once."""
-    table = algebra.table
-    out = []
-    for i1 in range(algebra.dim(d1)):
-        row = []
-        for i2 in range(algebra.dim(d2)):
-            prod = table.get((d1, i1, d2, i2))
-            if prod is not None:
-                nz = sparse.get(id(prod))
-                if nz is None:
-                    nz = sparse[id(prod)] = tuple(
-                        (j, c.numerator * (den // c.denominator))
-                        for j, c in enumerate(prod) if c)
-                row.append((i2, nz))
-        out.append(row)
+def _structure(algebra: GradedAlgebra, degrees: set, convert) -> dict:
+    """Nonzero basis products with a right factor of degree in ``degrees``,
+    from one pass over the table: ``(d1, d2)`` maps to a list over i1 of
+    ``(i2, convert(row))``.  A row the algebra shares between products
+    (tensor squares share equal rows) is converted once and stored once."""
+    converted, out = {}, {}
+    for (d1, i1, d2, i2), row in algebra.table.items():
+        if d2 not in degrees:
+            continue
+        tab = out.get((d1, d2))
+        if tab is None:
+            tab = out[(d1, d2)] = [[] for _ in range(algebra.dim(d1))]
+        nz = converted.get(id(row))
+        if nz is None:
+            nz = converted[id(row)] = convert(row)
+        tab[i1].append((i2, nz))
     return out
+
+
+def _right_multiplication(tab: list, s: tuple, p: int | None) -> list:
+    """Right multiplication by the spanning vector ``s``: entry i1 is the
+    product of basis class i1 by s.  Over F2 (``tab`` holding bitmasks) each
+    entry is a bitmask, otherwise a tuple of nonzero ``(j, c)``."""
+    out = []
+    for row in tab:
+        if p == 2:
+            w = 0
+            for i2, mask in row:
+                if s[i2]:
+                    w ^= mask
+            out.append(w)
+            continue
+        acc: dict[int, int] = {}
+        for i2, nz in row:
+            b = s[i2]
+            if b:
+                for j, c in nz:
+                    acc[j] = acc.get(j, 0) + b * c
+        if p is not None:
+            out.append(tuple((j, c % p) for j, c in acc.items() if c % p))
+        else:
+            out.append(tuple((j, c) for j, c in acc.items() if c))
+    return out
+
+
+def _support(w, p: int | None) -> tuple:
+    """Nonzero ``(index, coefficient)`` pairs of a product."""
+    if p == 2:
+        return tuple((j, 1) for j in range(w.bit_length()) if w >> j & 1)
+    return tuple((j, c) for j, c in enumerate(w) if c)
 
 
 def capped_cuplength(query: CupLengthQuery):
     """Maximum number of generator factors (degree <= cap) with nonzero product.
 
     Returns ``(length, certificate)``; the certificate is None exactly when
-    the length is 0.  Layer t holds monomials ``(degree, vector, factors)``
+    the length is 0.  Layer t holds monomials ``(degree, support, factors)``
     whose vectors are linearly independent in each degree; layer t + 1 keeps
     a product ``v * s`` only when it grows the rank of its degree, and a
     degree is skipped once its rank equals its width.  The layers are
     absorbing: once one is empty every later one is, and lengths never exceed
     the top degree since each factor has positive degree.
 
-    Products are taken in Python ints (see ``_integral``), through
-    structure tables built per degree pair for this call only; over F_p each
-    product is reduced once.  The certificate is rebuilt from the original
+    Products are taken in Python ints (see ``_integral``).  Right
+    multiplication by each spanning vector is built lazily, once per source
+    degree, from structure tables made in one pass over the algebra's
+    table, and all of it is dropped with the call; a product ``v * s`` is
+    then the sum over the support of v of ``v[i1]`` times entry i1 of that
+    operator.  Over F2 the operators and products are bitmasks and a
+    product is an XOR.  Spanning vectors are visited a degree at a time, so
+    a target degree that is out of range, full or without products is
+    skipped at once.  The rank of each degree is tracked by a
+    ``RankEchelon`` (``F2RankEchelon`` over F2), which only does forward
+    elimination: whether an insert grows the rank depends on the span
+    alone, so the same monomials are kept as with a canonical echelon.  The
+    certificate is rebuilt from the original
     spanning vectors and multiplied out again.
     """
     algebra = query.algebra
@@ -170,37 +211,57 @@ def capped_cuplength(query: CupLengthQuery):
         ints, den = _integral(spanning, algebra.table)
     else:
         ints, den = spanning, 1
+    if p == 2:
+        def convert(row):
+            return sum(1 << j for j, c in enumerate(row) if c)
+    else:
+        def convert(row):
+            return tuple((j, c.numerator * (den // c.denominator))
+                         for j, c in enumerate(row) if c)
     top = algebra.top_degree
-    structure, sparse = {}, {}
-    layer = [(d, v, (i,)) for i, (d, v) in enumerate(ints)]
+    groups: dict[int, list] = {}  # spanning vectors by degree, ascending
+    for i, (ds, s) in enumerate(ints):
+        groups.setdefault(ds, []).append((i, s))
+    structure = _structure(algebra, set(groups), convert)
+    right = {}  # (dv, ds) -> the operators of that degree group, built lazily
+    layer = [(d, _support(v, None), (i,)) for i, (d, v) in enumerate(ints)]
     while True:
         ech, grown = {}, {}
-        for dv, v, factors in layer:
-            nzv = [(i1, a) for i1, a in enumerate(v) if a]
-            for i, (ds, s) in enumerate(ints):
+        for dv, supp, factors in layer:
+            for ds, group in groups.items():
                 d = dv + ds
                 if d > top:
-                    continue
-                if d not in ech:
-                    ech[d] = make_echelon(algebra.coeff, algebra.dim(d))
+                    break
+                e = ech.get(d)
+                if e is None:
+                    width = algebra.dim(d)
+                    e = ech[d] = F2RankEchelon(width) if p == 2 else RankEchelon(width, p)
                     grown[d] = []
-                if ech[d].rank == ech[d].width:
-                    continue
                 tab = structure.get((dv, ds))
-                if tab is None:
-                    tab = structure[(dv, ds)] = _structure(algebra, dv, ds, den, sparse)
-                w = [0] * ech[d].width
-                for i1, a in nzv:
-                    for i2, nz in tab[i1]:
-                        b = s[i2]
-                        if b:
-                            ab = a * b
-                            for j, c in nz:
-                                w[j] += ab * c
-                if p is not None:
-                    w = [x % p for x in w]
-                if any(w) and ech[d].insert(w):
-                    grown[d].append((d, w, factors + (i,)))
+                if e.rank == e.width or tab is None:
+                    continue  # full, or every product of these degrees is zero
+                ops = right.get((dv, ds))
+                if ops is None:
+                    ops = right[(dv, ds)] = [None] * len(group)
+                for k, (i, s) in enumerate(group):
+                    op = ops[k]
+                    if op is None:
+                        op = ops[k] = _right_multiplication(tab, s, p)
+                    if p == 2:
+                        w = 0
+                        for i1, _ in supp:
+                            w ^= op[i1]
+                    else:
+                        w = [0] * e.width
+                        for i1, a in supp:
+                            for j, c in op[i1]:
+                                w[j] += a * c
+                        if p is not None:
+                            w = [x % p for x in w]
+                    if e.insert(w):
+                        grown[d].append((d, _support(w, p), factors + (i,)))
+                        if e.rank == e.width:
+                            break
         nxt = [entry for d in sorted(grown) for entry in grown[d]]
         if not nxt:
             break

@@ -274,6 +274,8 @@ class _Engine:
             self.max_m = default_max_m(self.bundle)
         if self.max_m is None:
             raise ValueError("no model has a known hdim; pass max_m explicitly")
+        if self.max_m < 1:
+            raise ValueError(f"max_m must be >= 1, got {self.max_m}")
         for kind, invariants in _INVARIANTS.items():
             for name in getattr(self.bundle, kind):
                 for inv in invariants:

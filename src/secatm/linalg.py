@@ -5,7 +5,9 @@ are kept in row Hermite normal form.  Both forms are canonical for the span
 they carry, so every stored spanning set, kernel and certificate is
 reproducible bit for bit across runs.  Over Q the echelon works in Python
 ints (primitive integer rows) and forms the ``Fraction`` RREF only when its
-rows are read.
+rows are read.  ``RankEchelon`` and ``F2RankEchelon`` keep no canonical form
+at all: they only tell whether an insert grew the rank, which is all the
+cup-length DP asks.
 
 Vectors are tuples of domain scalars; over Q ints are accepted as well.
 Kernels over Z are computed by unimodular row reduction of the augmented
@@ -25,6 +27,8 @@ __all__ = [
     "FieldEchelon",
     "IntEchelon",
     "make_echelon",
+    "RankEchelon",
+    "F2RankEchelon",
     "span_rows",
     "kernel_rows",
     "vadd",
@@ -285,6 +289,82 @@ class IntEchelon:
 
     def rows(self) -> tuple[tuple, ...]:
         return tuple(tuple(r) for r in self._rows)
+
+
+class RankEchelon:
+    """Rank of a span of int vectors, by forward elimination only.
+
+    Rows live in a pivot -> row dict and are never back-substituted, so
+    they are in no canonical form; only ``rank`` and the result of
+    ``insert`` mean anything, and both depend on the span alone.  With a
+    prime ``p`` inputs hold residues in ``[0, p)`` and rows are scaled to
+    pivot 1 and reduced ``% p``; with
+    ``p=None`` rows are fraction-free primitive integer vectors (Bareiss
+    1968), which gives the rank over Q and, since a lattice's rank is its
+    rank over Q, over Z as well.
+    """
+
+    def __init__(self, width: int, p: int | None = None):
+        self.width = width
+        self._p = p
+        self._rows: dict[int, list[int]] = {}
+
+    @property
+    def rank(self) -> int:
+        return len(self._rows)
+
+    def insert(self, v) -> bool:
+        """Add the int vector v to the span; True if the rank grew."""
+        if not any(v):
+            return False
+        rows, p = self._rows, self._p
+        for j in range(self.width):
+            c = v[j]
+            if not c:
+                continue
+            row = rows.get(j)
+            if row is not None:
+                # row is zero left of j, and so is v: only columns >= j change
+                if p is not None:
+                    v = [(x - c * y) % p for x, y in zip(v, row)]
+                else:
+                    v = _eliminate(v, row, j, c)
+                continue
+            if p is not None:
+                inv = pow(c, p - 2, p)
+                rows[j] = [x * inv % p for x in v]
+            else:
+                g = gcd(*v)
+                rows[j] = [x // g for x in v] if c > 0 else [-x // g for x in v]
+            return True
+        return False
+
+
+class F2RankEchelon:
+    """``RankEchelon`` over F2 with each vector a Python-int bitmask (bit j
+    is entry j), eliminated by XOR in the manner of M4RI (Albrecht, Bard and
+    Pernet): one word operation per row instead of one per entry.  Rows are
+    keyed by their highest set bit."""
+
+    def __init__(self, width: int):
+        self.width = width
+        self._rows: dict[int, int] = {}
+
+    @property
+    def rank(self) -> int:
+        return len(self._rows)
+
+    def insert(self, v: int) -> bool:
+        """Add the bitmask v to the span; True if the rank grew."""
+        rows = self._rows
+        while v:
+            top = v.bit_length()
+            row = rows.get(top)
+            if row is None:
+                rows[top] = v
+                return True
+            v ^= row
+        return False
 
 
 def make_echelon(dom: CoefficientDomain, width: int):

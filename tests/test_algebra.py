@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from secatm.domains import GF, Q, Z
 from secatm.algebra import (
@@ -8,6 +9,7 @@ from secatm.algebra import (
     AssociativityViolation,
     CoefficientMismatch,
     CommutativityViolation,
+    GradedAlgebra,
     InvalidAlgebraSpec,
     MorphismMismatch,
     MultiplicativityViolation,
@@ -26,7 +28,16 @@ from secatm.algebra import (
     pushforward_span,
     tensor_square,
 )
-from secatm.spaces import complex_projective, point, product, real_projective, sphere
+from secatm.spaces import (
+    complex_projective,
+    moore,
+    nonorientable_surface,
+    orientable_surface,
+    point,
+    product,
+    real_projective,
+    sphere,
+)
 
 
 def truncated_f2(n):
@@ -46,6 +57,22 @@ def exterior_z():
 # ---------------------------------------------------------------------------
 # construction and validation
 # ---------------------------------------------------------------------------
+
+def planted_violation(kind, coeff):
+    """The tensor square of S^1 x S^2 with two products doubled.  "sign"
+    doubles two products with a later class on the left, breaking the
+    graded sign law; "assoc" doubles two products together with their
+    mirrors, which keeps the sign law and breaks associativity."""
+    T, _, _ = tensor_square(product([sphere(1, coeff), sphere(2, coeff)]).algebra)
+    dom = T.coeff
+    table = dict(T.table)
+    keys = sorted(k for k in table if k[0] and k[2] and k[:2] < k[2:])
+    for d1, i1, d2, i2 in (keys[7], keys[2]) if kind == "sign" else (keys[9], keys[4]):
+        mirror = (d2, i2, d1, i1)
+        for key in (mirror,) if kind == "sign" else ((d1, i1, d2, i2), mirror):
+            table[key] = tuple(dom.add(c, c) for c in table[key])
+    return GradedAlgebra(dom, T.names, table, validate=False)
+
 
 class TestMakeAlgebra:
     def test_truncated_polynomial_f2(self):
@@ -95,6 +122,17 @@ class TestMakeAlgebra:
                 ],
             )
 
+    def test_associativity_violation_seen_only_from_the_right(self):
+        # x*y = 0 but x*(y*z) = x*u = w: the first violating triple has a
+        # zero left side, so it is reached through y*z, not through x*y
+        with pytest.raises(AssociativityViolation) as err:
+            make_algebra(
+                Q,
+                {0: ["1"], 2: ["x", "y", "z"], 4: ["u"], 6: ["w"]},
+                [("y", "z", {"u": 1}), ("x", "u", {"w": 1})],
+            )
+        assert str(err.value) == "('x' * 'y') * 'z' differs from 'x' * ('y' * 'z')"
+
     def test_odd_square_must_vanish_in_characteristic_zero(self):
         with pytest.raises(CommutativityViolation):
             make_algebra(
@@ -122,6 +160,28 @@ class TestMakeAlgebra:
     def test_duplicate_names_rejected(self):
         with pytest.raises(InvalidAlgebraSpec):
             make_algebra(Q, {0: ["1"], 1: ["a"], 2: ["a"]}, [])
+
+    def test_tensor_square_of_the_four_torus_validates(self):
+        # 256 classes; checking every triple of them densely took minutes
+        T, _, _ = tensor_square(product([sphere(1, Q)] * 4).algebra)
+        T.validate()
+
+    def test_validate_reports_the_first_sign_law_violation(self):
+        # two broken pairs, each broken through its later mirror: the first
+        # in basis order is named, as by a check over every pair
+        for coeff in (Q, GF(3), Z):
+            with pytest.raises(CommutativityViolation) as err:
+                planted_violation("sign", coeff).validate()
+            assert str(err.value) == (
+                "'1(x)1(x)a(x)1' * '1(x)a(x)1(x)1' violates the graded sign law")
+
+    def test_validate_reports_the_first_associativity_violation(self):
+        for coeff in (Q, GF(3), Z):
+            with pytest.raises(AssociativityViolation) as err:
+                planted_violation("assoc", coeff).validate()
+            assert str(err.value) == (
+                "('1(x)1(x)a(x)1' * 'a(x)1(x)1(x)1') * '1(x)a(x)1(x)1' differs from "
+                "'1(x)1(x)a(x)1' * ('a(x)1(x)1(x)1' * '1(x)a(x)1(x)1')")
 
     def test_validate_is_reassertable(self):
         alg = exterior_z()
@@ -274,6 +334,71 @@ class TestKunneth:
     def test_coefficient_mismatch(self):
         with pytest.raises(CoefficientMismatch):
             kunneth_product(sphere(2, Q).algebra, sphere(2, GF(2)).algebra)
+
+
+# -- the Kunneth product against a direct reference ----------------------------
+#
+# (a (x) b)(a' (x) b') = (-1)^{|b||a'|} (a a') (x) (b b'), with each factor
+# product taken through mul_basis, for every pair of positive-degree tensor
+# classes.  The table must list its keys in (d1, k1, d2, k2) order.
+
+F2 = GF(2)
+KUNNETH_FACTORS = {
+    Q: [st.builds(sphere, st.integers(1, 3), st.just(Q)),
+        st.builds(orientable_surface, st.integers(1, 2)),
+        st.builds(complex_projective, st.integers(1, 2)),
+        st.builds(moore, st.integers(1, 2), st.integers(2, 3), st.just(Q))],
+    F2: [st.builds(sphere, st.integers(1, 3), st.just(F2)),
+         st.builds(real_projective, st.integers(2, 4)),
+         st.builds(nonorientable_surface, st.integers(2, 3))],
+    Z: [st.builds(sphere, st.integers(1, 4), st.just(Z))],
+}
+
+
+@st.composite
+def kunneth_factors(draw):
+    coeff = draw(st.sampled_from([Q, F2, Z]))
+
+    def algebra():
+        spaces = [draw(st.one_of(KUNNETH_FACTORS[coeff])) for _ in range(draw(st.integers(1, 2)))]
+        return product(spaces).algebra
+
+    return algebra(), algebra()
+
+
+def kunneth_reference(A, B, C):
+    dom = A.coeff
+    slot = {d: {key: k for k, key in enumerate(C.kunneth_pairs[d])}
+            for d in range(C.top_degree + 1)}
+    out = {}
+    for d1 in range(1, C.top_degree + 1):
+        for k1, (p1, i1, q1, j1) in enumerate(C.kunneth_pairs[d1]):
+            for d2 in range(1, C.top_degree + 1 - d1):
+                for k2, (p2, i2, q2, j2) in enumerate(C.kunneth_pairs[d2]):
+                    arow = A.mul_basis(p1, i1, p2, i2)
+                    brow = B.mul_basis(q1, j1, q2, j2)
+                    if arow is None or brow is None:
+                        continue
+                    row = [dom.zero()] * C.dim(d1 + d2)
+                    for ia, ca in enumerate(arow):
+                        for jb, cb in enumerate(brow):
+                            c = dom.mul(ca, cb)
+                            if q1 % 2 and p2 % 2:
+                                c = dom.neg(c)
+                            s = slot[d1 + d2][(p1 + p2, ia, q1 + q2, jb)]
+                            row[s] = dom.add(row[s], c)
+                    if any(row):
+                        out[(d1, k1, d2, k2)] = tuple(row)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(kunneth_factors())
+def test_kunneth_product_matches_the_reference(factors):
+    A, B = factors
+    C, _, _ = kunneth_product(A, B)
+    assert C.table == kunneth_reference(A, B, C)
+    assert list(C.table) == sorted(C.table)
 
 
 # ---------------------------------------------------------------------------

@@ -107,6 +107,14 @@ class TestBounds:
         assert rc == 0
         assert "m=2" in out and "m=3" not in out
 
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_max_m_below_one_is_a_usage_error(self, u2_file, capsys, value):
+        rc = main(["bounds", u2_file, "idinv", "hdm", "--max-m", value])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err.strip() == "error: --max-m must be >= 1"
+        assert captured.out == ""
+
     def test_coeff_override_flag(self, tmp_path, capsys):
         doc = base_doc(spaces={"s2": {"construct": "sphere", "n": 2}})
         path = tmp_path / "s2.json"

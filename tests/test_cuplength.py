@@ -303,3 +303,44 @@ def test_dp_leaves_no_cache_on_the_algebra():
     before = set(vars(alg))
     capped_cuplength(positive_query(alg, None))
     assert set(vars(alg)) == before
+
+
+# -- witness pins ----------------------------------------------------------------
+#
+# Literal certificates of zero-divisor queries (the tc lower bound), recorded
+# before the DP moved to right-multiplication operators and rank-only
+# echelons.  The DP keeps the first monomials that grow the rank, so these
+# strings change if it keeps other monomials or keeps them in another order.
+
+RP8_ZD = ["1(x)x + x(x)1"] * 15
+T3Q_ZD = ["1(x)1(x)1(x)1(x)1(x)a - 1(x)1(x)a(x)1(x)1(x)1",
+          "1(x)1(x)1(x)1(x)a(x)1 - 1(x)a(x)1(x)1(x)1(x)1",
+          "1(x)1(x)1(x)a(x)1(x)1 - a(x)1(x)1(x)1(x)1(x)1"]
+T4F2_ZD = ["1(x)1(x)1(x)1(x)1(x)1(x)1(x)a + 1(x)1(x)1(x)a(x)1(x)1(x)1(x)1",
+           "1(x)1(x)1(x)1(x)1(x)1(x)a(x)1 + 1(x)1(x)a(x)1(x)1(x)1(x)1(x)1",
+           "1(x)1(x)1(x)1(x)1(x)a(x)1(x)1 + 1(x)a(x)1(x)1(x)1(x)1(x)1(x)1",
+           "1(x)1(x)1(x)1(x)a(x)1(x)1(x)1 + a(x)1(x)1(x)1(x)1(x)1(x)1(x)1"]
+SIGMA3_ZD = ["1(x)a1 - a1(x)1", "1(x)b1 - b1(x)1", "1(x)a2 - a2(x)1", "1(x)b2 - b2(x)1"]
+S2XS4_ZD_2 = ["1(x)1(x)a(x)1 - a(x)1(x)1(x)1"] * 2
+S2XS4_ZD_4 = S2XS4_ZD_2 + ["1(x)1(x)1(x)a - 1(x)a(x)1(x)1"] * 2
+
+WITNESS_PINS = [
+    (lambda: real_projective(8), [(1, RP8_ZD), (3, RP8_ZD), (None, RP8_ZD)]),
+    (lambda: product([sphere(1, Q)] * 3), [(1, T3Q_ZD), (2, T3Q_ZD), (None, T3Q_ZD)]),
+    (lambda: product([sphere(1, GF(2))] * 4), [(1, T4F2_ZD), (3, T4F2_ZD), (None, T4F2_ZD)]),
+    (lambda: orientable_surface(3), [(1, SIGMA3_ZD), (2, SIGMA3_ZD), (None, SIGMA3_ZD)]),
+    (lambda: product([sphere(2, Q), sphere(4, Q)]),
+     [(1, []), (2, S2XS4_ZD_2), (3, S2XS4_ZD_2), (4, S2XS4_ZD_4), (None, S2XS4_ZD_4)]),
+]
+
+
+@pytest.mark.parametrize("build, pins", WITNESS_PINS)
+def test_zero_divisor_witnesses_are_pinned(build, pins):
+    A = build().algebra
+    T, _, _ = tensor_square(A)
+    zero_divisors = cup_kernel(A, T)
+    for cap, factors in pins:
+        length, cert = capped_cuplength(CupLengthQuery(T, zero_divisors, cap))
+        assert length == len(factors)
+        assert (cert.factor_strings() if cert else []) == factors
+        assert cert is None or cert.verify(cap=cap)

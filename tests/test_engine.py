@@ -236,6 +236,13 @@ class TestComputeTables:
         with pytest.raises(ValueError):
             compute_tables(bundle2)
 
+    @pytest.mark.parametrize("max_m", [0, -3])
+    def test_max_m_below_one_is_rejected(self, max_m):
+        bundle = Bundle()
+        bundle.add_space("s3", sphere(3, Q))
+        with pytest.raises(ValueError, match="max_m must be >= 1"):
+            compute_tables(bundle, max_m=max_m)
+
     def test_factor_models_are_auto_registered(self):
         # a product space added without its factors still gets the
         # subadditivity cap: factors are registered under derived names

@@ -5,8 +5,10 @@ from hypothesis import given, settings, strategies as st
 
 from secatm.domains import GF, Q, Z
 from secatm.linalg import (
+    F2RankEchelon,
     FieldEchelon,
     IntEchelon,
+    RankEchelon,
     kernel_rows,
     make_echelon,
     span_rows,
@@ -267,3 +269,49 @@ def test_field_echelon_matches_reference(field, data):
     assert ech.contains(probe) == (len(_ref_rref(rows + [probe], w, p)) == rank)
     for v in rows:
         assert ech.contains(v)
+
+
+# -- rank-only echelons against the canonical ones ----------------------------
+#
+# The cup-length DP keeps a monomial exactly when inserting it grows the
+# rank, so a rank-only echelon must agree with FieldEchelon/IntEchelon on
+# that answer after every insert.  Over F2 it takes bitmasks (bit j is entry
+# j); over Q and Z it takes int vectors.
+
+_RANK_DOMAINS = {
+    "Q": (Q, lambda w: RankEchelon(w), st.integers(-4, 4)),
+    "Z": (Z, lambda w: RankEchelon(w), st.integers(-4, 4)),
+    "F3": (GF(3), lambda w: RankEchelon(w, 3), st.integers(0, 2)),
+    "F2": (GF(2), F2RankEchelon, st.integers(0, 1)),
+}
+
+
+def _mask(v):
+    return sum(1 << j for j, x in enumerate(v) if x)
+
+
+@pytest.mark.parametrize("label", sorted(_RANK_DOMAINS))
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_rank_echelon_agrees_with_the_canonical_echelon(label, data):
+    dom, make_rank, entry = _RANK_DOMAINS[label]
+    w = data.draw(st.integers(1, 8))
+    # few distinct rows, so that dependent inserts are common
+    pool = data.draw(st.lists(st.tuples(*[entry] * w), min_size=1, max_size=4))
+    rows = data.draw(st.lists(st.sampled_from(pool) | st.tuples(*[entry] * w),
+                              min_size=1, max_size=10))
+    canonical, ranked = make_echelon(dom, w), make_rank(w)
+    for v in rows:
+        grew = canonical.insert(v)
+        assert ranked.insert(_mask(v) if label == "F2" else list(v)) == grew
+        assert ranked.rank == canonical.rank
+
+
+def test_rank_echelon_over_q_sees_rational_dependence():
+    # (2, 4) and (3, 6) span a line over Q, though neither lattice vector is
+    # an integral multiple of the other
+    ech = RankEchelon(2)
+    assert ech.insert([2, 4])
+    assert not ech.insert([3, 6])
+    assert ech.insert([0, -5])
+    assert ech.rank == 2
