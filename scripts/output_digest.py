@@ -1,6 +1,6 @@
 """Print SHA-256 digests of the program's output, to compare two checkouts.
 
-    python scripts/output_digest.py
+    python scripts/output_digest.py [--intervals]
 
 The corpus is every table of a full and of a targeted ``compute_tables`` run
 of each golden case (``table_to_json``), ``secatm paper-suite --json``, and
@@ -9,12 +9,17 @@ of each golden case (``table_to_json``), ``secatm paper-suite --json``, and
 digest with the certificates kept and one with every ``certificate`` field
 stripped and the ``--certificates`` text left out.  Equal digests at two
 commits mean equal intervals, rule ids and provenance text (and, for the
-first line, equal witnesses).  Standard library only; the package is
-imported from this checkout's ``src``.
+first line, equal witnesses).  ``--intervals`` prints one digest over the
+intervals alone: the invariant, target and ``(m, lo, hi)`` of every row of
+every table, plus exit codes, with provenance and the ``--certificates``
+text left out; it compares two checkouts whose provenance differs.
+Standard library only; the package is imported from this checkout's
+``src``.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -71,6 +76,26 @@ def _strip(obj):
     return obj
 
 
+def _intervals(obj):
+    """``obj`` with every table reduced to its invariant, target and rows."""
+    if isinstance(obj, dict):
+        if "entries" in obj:
+            return [obj["invariant"], obj["target"],
+                    [[e["m"], e["lo"], e["hi"]] for e in obj["entries"]]]
+        return {k: _intervals(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_intervals(v) for v in obj]
+    return obj
+
+
+def interval_digest(items) -> str:
+    digest = hashlib.sha256()
+    for label, output, is_cert_text in items:
+        if not is_cert_text:
+            digest.update(json.dumps([label, _intervals(output)], sort_keys=True).encode())
+    return digest.hexdigest()
+
+
 def digests(items) -> tuple[str, str]:
     full, stripped = hashlib.sha256(), hashlib.sha256()
     for label, output, is_cert_text in items:
@@ -81,7 +106,14 @@ def digests(items) -> tuple[str, str]:
 
 
 if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--intervals", action="store_true",
+                        help="digest the intervals only, not the provenance")
+    args = parser.parse_args()
     os.chdir(ROOT)
-    with_certs, without = digests(corpus())
-    print(f"with certificates:    {with_certs}")
-    print(f"without certificates: {without}")
+    if args.intervals:
+        print(f"intervals: {interval_digest(corpus())}")
+    else:
+        with_certs, without = digests(corpus())
+        print(f"with certificates:    {with_certs}")
+        print(f"without certificates: {without}")

@@ -4,8 +4,11 @@ rule system iterated to a fixpoint.
 
 Every rule is a record in one table built per run: a one-sided bound
 (a target table narrowed from source tables at shared index pairs) or an
-equality between two table entries.  Every rule only narrows intervals, so
-iteration terminates; a crossing pair of bounds raises
+equality between two table entries.  The m-dimensional invariants equal the
+classical ones from m = hdim on (twice hdim for tc; Schwarz), so a table
+stores rows only below that m (see :mod:`secatm.tables`), and each record's
+index pairs are resolved once against the stored rows.  Every rule only
+narrows intervals, so iteration terminates; a crossing pair of bounds raises
 :class:`~secatm.tables.InconsistentModel` with both provenance chains.
 Lower bounds coming from cup-length computations carry their certificates
 in the provenance, and are applied lazily: only to the requested tables and
@@ -106,25 +109,27 @@ def compute_tables(bundle, max_m=None, use_literature=True, targets=None):
 # ---------------------------------------------------------------------------
 
 # Index pairs (m, n, shift) by kind: the target entry m is narrowed from the
-# source entry n, offset by shift.  They depend only on M and a dimension, so
-# every record of one (kind, dim) shares one list.
+# source entry n, offset by shift.  Finite m run up to ``last`` only: the
+# engine passes the last m that is not the inf entry in every table of the
+# record, and every pair beyond it reads and writes inf entries only.
 _PAIRS = {
-    "same": lambda M, d: [(m, m, 0) for m in [*range(1, M + 1), INF]],
-    "up": lambda M, d: [(m + 1, m, 0) for m in range(1, M)],
-    "down": lambda M, d: [(m, m + 1, 0) for m in range(1, M)],
-    "to_inf": lambda M, d: [(INF, m, 0) for m in range(1, M + 1)],
-    "from_inf": lambda M, d: [(m, INF, 0) for m in range(1, M + 1)],
-    "recover_hi": lambda M, d: [(INF, m, d // (m + 1)) for m in range(1, M + 1)],
-    "recover_lo": lambda M, d: [(m, INF, -(d // (m + 1))) for m in range(1, M + 1)],
-    "skeleton": lambda M, d: [(INF, d - 1, 0)] if 1 <= d - 1 <= M else [],
-    "stable": lambda M, d: [(m, INF, 0) for m in range(max(d, 1), M + 1)],
+    "same": lambda last, M, d: [(m, m, 0) for m in range(1, last + 1)] + [(INF, INF, 0)],
+    "up": lambda last, M, d: [(m + 1, m, 0) for m in range(1, min(last, M - 1) + 1)],
+    "down": lambda last, M, d: [(m, m + 1, 0) for m in range(1, min(last, M - 1) + 1)],
+    "to_inf": lambda last, M, d: [(INF, m, 0) for m in range(1, last + 1)],
+    "from_inf": lambda last, M, d: [(m, INF, 0) for m in range(1, last + 1)],
+    "recover_hi": lambda last, M, d: [(INF, m, d // (m + 1)) for m in range(1, last + 1)],
+    "recover_lo": lambda last, M, d: [(m, INF, -(d // (m + 1))) for m in range(1, last + 1)],
+    "skeleton": lambda last, M, d: [(INF, d - 1, 0)] if 1 <= d - 1 <= M else [],
+    "stable": lambda last, M, d: [(m, INF, 0) for m in range(max(d, 1), last + 1)],
 }
 
 
 class _Bound(NamedTuple):
     """One side of an inequality: ``target[m]`` is raised to
     ``source[n].lo + shift`` (side ``lo``, one source), or lowered to
-    ``max(scale * sum(source[n].hi) + shift, floor)`` (side ``hi``)."""
+    ``max(scale * sum(source[n].hi) + shift, floor)`` (side ``hi``).  Each
+    pair is (target row, one row per source, shift), over stored rows."""
 
     rule: str
     side: str
@@ -143,32 +148,32 @@ class _Bound(NamedTuple):
 
     def _raise(self) -> bool:
         target = self.target
-        entries, source = target.entries, self.sources[0].entries
+        rows, source = target.rows, self.sources[0].rows
         changed = False
-        for m, n, shift in self.pairs:
+        for m, (n,), shift in self.pairs:
             value = source[n].lo + shift
-            if value > entries[m].lo:
+            if value > rows[m].lo:
                 changed |= target.raise_lo(m, value, self.rule, self.text(m, n))
         return changed
 
     def _lower(self) -> bool:
         target, scale, floor = self.target, self.scale, self.floor
-        entries = target.entries
-        first, *rest = [s.entries for s in self.sources]
+        rows = target.rows
+        first, *rest = [s.rows for s in self.sources]
         changed = False
-        for m, n, shift in self.pairs:
-            hi = first[n].hi
+        for m, ns, shift in self.pairs:
+            hi = first[ns[0]].hi
             if rest and hi is not None:  # product and triangle sums only
-                parts = [other[n].hi for other in rest]
+                parts = [other[n].hi for other, n in zip(rest, ns[1:])]
                 hi = None if None in parts else hi + sum(parts)
             if hi is None:
                 continue
             value = scale * hi + shift
             if value < floor:
                 value = floor
-            current = entries[m].hi
+            current = rows[m].hi
             if current is None or value < current:
-                changed |= target.lower_hi(m, value, self.rule, self.text(m, n))
+                changed |= target.lower_hi(m, value, self.rule, self.text(m, ns[0]))
         return changed
 
 
@@ -183,10 +188,10 @@ class _Equal(NamedTuple):
 
     def apply(self) -> bool:
         a, b, rule, detail = self.a, self.b, self.rule, self.detail
-        a_entries, b_entries = a.entries, b.entries
+        a_rows, b_rows = a.rows, b.rows
         changed = False
-        for m, n, _ in self.pairs:
-            ea, eb = a_entries[m], b_entries[n]
+        for m, (n,), _ in self.pairs:
+            ea, eb = a_rows[m], b_rows[n]
             if eb.lo > ea.lo:
                 changed |= a.raise_lo(m, eb.lo, rule, detail)
             if ea.lo > eb.lo:
@@ -279,7 +284,8 @@ class _Engine:
         for kind, invariants in _INVARIANTS.items():
             for name in getattr(self.bundle, kind):
                 for inv in invariants:
-                    self.tables[(inv, name)] = BoundTable(inv, name, self.max_m)
+                    self.tables[(inv, name)] = BoundTable(
+                        inv, name, self.max_m, self._dim_param(inv, name))
 
         self.rules = self._rules()
         self._apply_static()
@@ -299,13 +305,14 @@ class _Engine:
                 for narrow in (table.raise_lo, table.lower_hi):
                     narrow(INF, value, "literature", f"recorded classical value {value}")
         for name, s in self.bundle.spaces.items():
-            for m in range(1, min(s.conn, self.max_m) + 1):
-                self.t("cat", name).lower_hi(
+            cat = self.t("cat", name)
+            for m in cat.rows_for(range(1, min(s.conn, self.max_m) + 1)):
+                cat.lower_hi(
                     m, 0, "conn_vanishing", f"{s.conn}-connected forces 0 at m <= {s.conn}")
         for name, p in self.bundle.map_pairs.items():
             dm = self.t("dm", name)
             if p.homotopic:
-                for m in dm.index:
+                for m in dm.stored:
                     dm.lower_hi(m, 0, "homotopic_zero",
                                 "the two maps are declared homotopic")
             # dimension-connectivity cap, active where the codomain's higher
@@ -315,7 +322,7 @@ class _Engine:
             cy = p.codomain.conn
             if d0 is not None and hx is not None:
                 bound = -(-(hx + 1) // (cy + 1)) - 1  # strict rational bound
-                for m in range(max(d0 - 1, 1), self.max_m + 1):
+                for m in dm.rows_for(range(max(d0 - 1, 1), self.max_m + 1)):
                     dm.lower_hi(m, bound, "dim_conn_cap",
                                 f"< (hdim {hx}+1)/(conn {cy}+1)")
 
@@ -350,8 +357,8 @@ class _Engine:
                 continue
             algebra, generators, what = source
             degmax = max(generators.degrees())
-            values = self._capped_values(algebra, generators, degmax)
-            for m in table.index:
+            values = self._capped_values(algebra, generators, degmax, table.stable_from - 1)
+            for m in table.stored:
                 eff = degmax if m == INF else min(m, degmax)
                 length, cert = values[eff]
                 if length > 0:
@@ -362,13 +369,14 @@ class _Engine:
                         certificate=cert,
                     )
 
-    def _capped_values(self, algebra, generators, degmax):
-        """cap -> (length, certificate) for every cap a table asks for.
+    def _capped_values(self, algebra, generators, degmax, last):
+        """cap -> (length, certificate) for the caps of m = 1..last and inf:
+        min(m, degmax) and degmax.
 
         The length is monotone in the cap, so the sorted caps are bisected: a
         range whose end caps agree is constant and takes the certificate of
         its lower end, which also verifies at every larger cap."""
-        caps = sorted({min(m, degmax) for m in range(1, self.max_m + 1)} | {degmax})
+        caps = sorted({*range(1, min(last, degmax) + 1), degmax})
         values = {}
 
         def compute(i):
@@ -387,10 +395,24 @@ class _Engine:
         return values
 
     # -- the rule table ----------------------------------------------------------
-    def _pairs(self, kind, dim):
-        key = (kind, dim)
+    def _pairs(self, kind, dim, target, sources):
+        """The index pairs of one record resolved against the stored rows of
+        its tables: (target row, source rows, shift), without duplicates and
+        without pairs that bound an entry by itself.  Records whose tables
+        stabilize alike share one list."""
+        stable = [t.stable_from for t in (target, *sources)]
+        itself = sources == (target,)
+        key = (kind, dim, *stable, itself)
         if key not in self._pair_cache:
-            self._pair_cache[key] = _PAIRS[kind](self.max_m, dim)
+            raw = _PAIRS[kind](min(self.max_m, max(stable)), self.max_m, dim)
+            # an index with no stored row of its own is the inf entry
+            columns = [[n if n in s.rows else INF for _, n, _ in raw] for s in sources]
+            pairs, rows_of = {}, target.rows
+            for (m, _, shift), rows in zip(raw, zip(*columns)):
+                row = m if m in rows_of else INF
+                if shift or not itself or rows[0] != row:
+                    pairs[row, rows, shift] = None
+            self._pair_cache[key] = list(pairs)
         return self._pair_cache[key]
 
     def _dim_param(self, inv, name):
@@ -409,15 +431,20 @@ class _Engine:
         b, t, name_of = self.bundle, self.t, self.name_of
         rules = []
 
+        def add(record):
+            if record.pairs:  # a record with no pair left can never narrow
+                rules.append(record)
+
         def lo(rule, target, source, detail, kind="same", dim=None):
-            rules.append(_Bound(rule, "lo", target, (source,), self._pairs(kind, dim), detail))
+            pairs = self._pairs(kind, dim, target, (source,))
+            add(_Bound(rule, "lo", target, (source,), pairs, detail))
 
         def hi(rule, target, sources, detail, kind="same", dim=None, scale=1, floor=0):
-            rules.append(_Bound(rule, "hi", target, tuple(sources), self._pairs(kind, dim),
-                                detail, scale, floor))
+            pairs = self._pairs(kind, dim, target, tuple(sources))
+            add(_Bound(rule, "hi", target, tuple(sources), pairs, detail, scale, floor))
 
         def eq(rule, a, b_, detail, kind="same", dim=None):
-            rules.append(_Equal(rule, a, b_, self._pairs(kind, dim), detail))
+            add(_Equal(rule, a, b_, self._pairs(kind, dim, a, (b_,)), detail))
 
         for tab in self.tables.values():
             lo("monotone_m", tab, tab, lambda m, n: f"at least the m={n} entry", "up")
@@ -431,8 +458,7 @@ class _Engine:
             lo("secat_le_cat_base", c, s, f"at least secat[{name}]")
             if f.total_contractible:
                 eq("secat_eq_cat_contractible", s, c, "contractible total space")
-        dims = [(tab, self._dim_param(*key)) for key, tab in self.tables.items()]
-        dims = [(tab, dim) for tab, dim in dims if dim is not None]
+        dims = [(tab, tab.dim) for tab in self.tables.values() if tab.dim is not None]
         for tab, dim in dims:
             hi("dim_recovery", tab, [tab],
                lambda m, n, d=dim: f"m={n} entry + floor({d}/{n + 1})", "recover_hi", dim)
@@ -441,8 +467,6 @@ class _Engine:
         for tab, dim in dims:
             hi("skeletal_cap", tab, [tab], lambda m, n: f"max of the m={n} entry and 2",
                "skeleton", dim, floor=2)
-        for tab, dim in dims:
-            eq("stabilize", tab, tab, f"stable from m >= {dim}", "stable", dim)
 
         # (table, first degree of vanishing homotopy, whose, first m = d0 - lag)
         vanishing = [(t(inv, n), s.pi_vanish_from, "", 1)

@@ -194,6 +194,8 @@ class _Loader:
             raise ModelFileError(path, str(e))
         except KeyError as e:
             raise ModelFileError(path, f"missing field {e.args[0]!r}")
+        except sp.ModelFieldError as e:
+            raise ModelFileError(f"{path}.{e.field}", str(e))
         except (TypeError, ValueError) as e:
             if isinstance(e, ModelFileError):
                 raise

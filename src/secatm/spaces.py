@@ -23,6 +23,7 @@ from .algebra import (
 )
 
 __all__ = [
+    "ModelFieldError",
     "SpaceModel",
     "FibrationModel",
     "MapPairModel",
@@ -37,6 +38,15 @@ __all__ = [
     "constant_map_pullback",
     "product_fibration",
 ]
+
+
+class ModelFieldError(ValueError):
+    """A metadata field contradicts the rest of its model; ``field`` names
+    it."""
+
+    def __init__(self, field: str, message: str):
+        self.field = field
+        super().__init__(message)
 
 
 @dataclass
@@ -63,7 +73,12 @@ class SpaceModel:
 
     def __post_init__(self) -> None:
         if self.conn < 0:
-            raise ValueError("conn must be >= 0")
+            raise ModelFieldError("conn", "conn must be >= 0")
+        for i in range(1, min(self.conn, self.algebra.top_degree) + 1):
+            if self.algebra.dim(i):
+                raise ModelFieldError(
+                    "conn", f"a {self.conn}-connected space has no cohomology in "
+                    f"degree {i}, but the algebra has rank {self.algebra.dim(i)} there")
         if self.hdim is not None and self.hdim < self.algebra.top_degree:
             raise ValueError(
                 f"hdim {self.hdim} is below the algebra top degree "

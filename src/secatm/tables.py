@@ -5,10 +5,28 @@ unbounded).  Intervals only ever narrow; every narrowing records which rule
 fired, a human-readable detail string and, for cup-length lower bounds, the
 witnessing certificate.  A narrowing that would cross over raises
 ``InconsistentModel`` carrying both provenance chains.
+
+A table with dimension parameter d (the m from which the m-dimensional
+invariant equals the classical one: the homotopy dimension of the space,
+fibration base or pair domain, twice it for tc) stores rows only for m < d
+and for inf: every entry m >= d *is* the inf entry.  The contract for such a
+tail row m:
+
+* its interval is the inf interval, so intervals read the same on every row
+  of ``index``, and a narrowing at m narrows the inf row;
+* its provenance is one ``stabilize`` event per narrowed side of the inf
+  interval (a lower bound above 0, a finite upper bound), carrying the inf
+  value and the detail ``equals the m=inf entry (stable from m >= d)``; the
+  events behind that value are listed on the inf row.
+
+``events``, ``lo``, ``hi`` and ``interval`` answer for every m in
+``index``, and ``render_text`` and ``table_to_json`` list every row asked
+for.  Tables without a dimension parameter store every row.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 __all__ = [
@@ -91,63 +109,124 @@ class Interval:
 
 
 class BoundTable:
-    """Per-m intervals for one invariant of one model, with provenance."""
+    """Per-m intervals for one invariant of one model, with provenance.
 
-    def __init__(self, invariant: str, target: str, max_m: int):
+    ``dim`` is the dimension parameter: entries m >= dim are the inf entry
+    (see the module docstring).  ``rows`` and ``log`` hold the intervals and
+    events of the stored rows ``stored``; ``interval`` and ``events`` look
+    them up at any m of ``index``.
+    """
+
+    def __init__(self, invariant: str, target: str, max_m: int, dim: int | None = None):
         self.invariant = invariant
         self.target = target
         self.max_m = max_m
-        self.index: list = list(range(1, max_m + 1)) + [INF]
-        self.entries: dict = {m: Interval() for m in self.index}
-        self.events: dict = {m: [] for m in self.index}
+        self.dim = dim
+        # first m whose entry is the inf entry; max_m + 1 when none is
+        self.stable_from = max_m + 1 if dim is None else min(max(dim, 1), max_m + 1)
+        self.stored: list = [*range(1, self.stable_from), INF]
+        self.rows: dict = {m: Interval() for m in self.stored}
+        self.log: dict = {m: [] for m in self.stored}
         self.lower_bounds_applied = False
+
+    @property
+    def events(self) -> Mapping:
+        # made on each access: a table that held its view would be a
+        # reference cycle, freed only by the cyclic garbage collector
+        return _Events(self)
+
+    @property
+    def index(self) -> list:
+        return [*range(1, self.max_m + 1), INF]
+
+    def row(self, m):
+        """The stored row holding entry m."""
+        if m in self.rows:
+            return m
+        if isinstance(m, int) and self.stable_from <= m <= self.max_m:
+            return INF
+        raise KeyError(m)
+
+    def rows_for(self, ms: range) -> list:
+        """The stored rows holding the entries m in ``ms`` (within 1..max_m),
+        each once."""
+        below = list(range(ms.start, min(ms.stop, self.stable_from)))
+        return below + [INF] if ms and ms[-1] >= self.stable_from else below
+
+    def _tail_events(self) -> list:
+        inf = self.rows[INF]
+        detail = f"equals the m=inf entry (stable from m >= {self.dim})"
+        events = []
+        if inf.lo > 0:
+            events.append(ProvenanceEvent("stabilize", "lo", inf.lo, detail))
+        if inf.hi is not None:
+            events.append(ProvenanceEvent("stabilize", "hi", inf.hi, detail))
+        return events
 
     # -- narrowing -------------------------------------------------------
     def raise_lo(self, m, value, rule, detail, certificate=None) -> bool:
-        entry = self.entries[m]
+        m = self.row(m)
+        entry = self.rows[m]
         if value <= entry.lo:
             return False
-        ev = ProvenanceEvent(rule, "lo", value, detail, certificate)
-        self.events[m].append(ev)
+        self.log[m].append(ProvenanceEvent(rule, "lo", value, detail, certificate))
         entry.lo = value
         if entry.hi is not None and entry.lo > entry.hi:
-            raise InconsistentModel(
-                self.invariant, self.target, m,
-                [e for e in self.events[m] if e.side == "lo"],
-                [e for e in self.events[m] if e.side == "hi"],
-            )
+            self._crossed(m)
         return True
 
     def lower_hi(self, m, value, rule, detail) -> bool:
-        entry = self.entries[m]
+        m = self.row(m)
+        entry = self.rows[m]
         if value is None or (entry.hi is not None and value >= entry.hi):
             return False
-        ev = ProvenanceEvent(rule, "hi", value, detail)
-        self.events[m].append(ev)
+        self.log[m].append(ProvenanceEvent(rule, "hi", value, detail))
         entry.hi = value
         if entry.lo > entry.hi:
-            raise InconsistentModel(
-                self.invariant, self.target, m,
-                [e for e in self.events[m] if e.side == "lo"],
-                [e for e in self.events[m] if e.side == "hi"],
-            )
+            self._crossed(m)
         return True
+
+    def _crossed(self, m):
+        raise InconsistentModel(
+            self.invariant, self.target, m,
+            [e for e in self.log[m] if e.side == "lo"],
+            [e for e in self.log[m] if e.side == "hi"],
+        )
 
     # -- queries -----------------------------------------------------------
     def lo(self, m) -> int:
-        return self.entries[m].lo
+        return self.rows[self.row(m)].lo
 
     def hi(self, m) -> int | None:
-        return self.entries[m].hi
+        return self.rows[self.row(m)].hi
 
     def interval(self, m) -> Interval:
-        return self.entries[m]
+        return self.rows[self.row(m)]
 
-    def finite_ms(self) -> list[int]:
-        return list(range(1, self.max_m + 1))
+    def finite_ms(self) -> range:
+        return range(1, self.max_m + 1)
 
     def key(self) -> tuple[str, str]:
         return (self.invariant, self.target)
+
+
+class _Events(Mapping):
+    """A table's provenance events at any m of its index; a tail row lists
+    its ``stabilize`` events.  Iteration covers the stored rows only, so
+    ``events.values()`` lists each narrowing that took place once."""
+
+    def __init__(self, table: BoundTable):
+        self._table = table
+
+    def __getitem__(self, m):
+        row = self._table.row(m)
+        return self._table.log[row] if row == m else self._table._tail_events()
+
+    def __iter__(self):
+        return iter(self._table.log)
+
+    def __len__(self) -> int:
+        return len(self._table.log)
 
 
 def _m_label(m) -> str:
@@ -157,17 +236,18 @@ def _m_label(m) -> str:
 def render_text(table: BoundTable, ms=None, certificates=False) -> str:
     """Deterministic fixed-width text rendering of selected rows."""
     rows = ms if ms is not None else table.index
+    events = table.events
     lines = [f"{table.invariant}[{table.target}]"]
     for m in rows:
-        entry = table.entries[m]
+        entry, row_events = table.interval(m), events[m]
         rules = []
-        for ev in table.events[m]:
+        for ev in row_events:
             if ev.rule not in rules:
                 rules.append(ev.rule)
         tag = ", ".join(rules) if rules else "-"
         lines.append(f"  m={_m_label(m):<4} {entry.format():<12} {tag}")
         if certificates:
-            for ev in table.events[m]:
+            for ev in row_events:
                 if ev.certificate is not None:
                     factors = " * ".join(
                         f"({s})" for s in ev.certificate.factor_strings()
@@ -181,16 +261,17 @@ def render_text(table: BoundTable, ms=None, certificates=False) -> str:
 
 def table_to_json(table: BoundTable, ms=None) -> dict:
     rows = ms if ms is not None else table.index
+    events = table.events
     entries = []
     for m in rows:
-        entry = table.entries[m]
+        entry = table.interval(m)
         entries.append(
             {
                 "m": _m_label(m),
                 "lo": entry.lo,
                 "hi": entry.hi,
                 "exact": entry.is_exact(),
-                "provenance": [ev.to_json() for ev in table.events[m]],
+                "provenance": [ev.to_json() for ev in events[m]],
             }
         )
     return {
@@ -206,8 +287,8 @@ def table_from_json(data: dict) -> BoundTable:
     table = BoundTable(data["invariant"], data["target"], data["max_m"])
     for row in data["entries"]:
         m = INF if row["m"] == "inf" else int(row["m"])
-        table.entries[m] = Interval(row["lo"], row["hi"])
-        table.events[m] = [
+        table.rows[m] = Interval(row["lo"], row["hi"])
+        table.log[m] = [
             ProvenanceEvent(
                 ev["rule"], ev["side"], ev["value"], ev["detail"],
                 _OpaqueCertificate(ev["certificate"]) if "certificate" in ev else None,

@@ -99,6 +99,17 @@ class TestMakeAlgebra:
             )
         assert "'x'" in str(err.value) and "'y'" in str(err.value)
 
+    @pytest.mark.parametrize("key, row", [
+        ((0, 0, 1, 0), (Fraction(2),)),  # says 1 * x = 2x
+        ((1, 0, 0, 0), (Fraction(2),)),  # says x * 1 = 2x
+        ((0, 0, 1, 0), (Fraction(1),)),  # agrees with the unit law, still dead data
+    ])
+    def test_table_entries_with_a_degree_0_factor_are_rejected(self, key, row):
+        with pytest.raises(UnitViolation, match="degree-0 factor"):
+            GradedAlgebra(Q, [["1"], ["x"]], {key: row})
+        with pytest.raises(UnitViolation, match="degree-0 factor"):
+            GradedAlgebra(Q, [["1"], ["x"]], {key: row}, validate=False)
+
     def test_unit_violation(self):
         with pytest.raises(UnitViolation):
             make_algebra(

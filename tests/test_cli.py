@@ -135,6 +135,30 @@ class TestShippedModels:
             assert rc == 0 and "m=1" in out
 
 
+class TestLargeMaxM:
+    def test_memory_does_not_grow_with_max_m(self, capsys):
+        # every table of covers.json stabilizes by m = 8, so a million rows
+        # cost what 64 do
+        import pathlib
+        import tracemalloc
+
+        covers = str(pathlib.Path(__file__).resolve().parent.parent / "models" / "covers.json")
+        argv = ["bounds", covers, "rp4", "tc", "1..4", "--max-m"]
+        assert main(argv + ["64"]) == 0  # warm caches and imports untraced
+        capsys.readouterr()
+        peaks, outs = [], []
+        for max_m in ("64", "1000000"):
+            tracemalloc.start()
+            try:
+                assert main(argv + [max_m]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            outs.append(capsys.readouterr().out)
+        assert peaks[1] <= 2 * peaks[0], peaks
+        assert outs[0] == outs[1] and outs[0].count("= 7") == 4
+
+
 class TestValidate:
     def test_valid_file(self, u2_file, capsys):
         rc = main(["validate", u2_file])

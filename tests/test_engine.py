@@ -1,4 +1,8 @@
+import importlib.util
+import json
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -529,8 +533,92 @@ def test_bisected_cap_values_equal_direct_dp(case):
             continue
         algebra, generators, _ = source
         degmax = max(generators.degrees())
-        values = engine._capped_values(algebra, generators, degmax)
+        values = engine._capped_values(algebra, generators, degmax, engine.max_m)
         assert set(values) == {min(m, degmax) for m in range(1, engine.max_m + 1)} | {degmax}
         for cap, (length, cert) in values.items():
             assert length == capped_cuplength(CupLengthQuery(algebra, generators, cap))[0]
             assert length == 0 or cert.verify(cap=cap)
+
+
+# ---------------------------------------------------------------------------
+# tables stored only below the m where they stabilize
+# ---------------------------------------------------------------------------
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _perfbench_cases():
+    spec = importlib.util.spec_from_file_location("perfbench_cases", PERFBENCH / "cases.py")
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _decode_runs(runs) -> list:
+    """The reference's run-length rows [[m_from, m_to, lo, hi], ...] as
+    [[m, lo, hi], ...]."""
+    rows = []
+    for a, b, lo, hi in runs:
+        rows.extend([["inf", lo, hi]] if a == "inf" else
+                    [[m, lo, hi] for m in range(a, b + 1)])
+    return rows
+
+
+def test_rules_wide_catalogue_matches_the_full_row_reference():
+    # every catalogue item, with and without literature, at M=256, row for
+    # row against the reference written by the engine that stored all rows
+    with open(PERFBENCH / "reference" / "rules-wide.json", encoding="utf-8") as fh:
+        ref = json.load(fh)
+    cases = _perfbench_cases()
+    rows = 0
+    for category in cases.rules_wide_catalogue().values():
+        for item, build in sorted(category.items()):
+            for lit, label in ((True, "literature"), (False, "no-literature")):
+                bundle = Bundle()
+                cases.add_items(bundle, {item: build}, [item])
+                tables = compute_tables(bundle, max_m=ref["max_m"], use_literature=lit)
+                assert sorted(f"{inv}|{name}" for inv, name in tables) == ref["items"][item]
+                for (inv, name), t in tables.items():
+                    got = [[m, t.lo(m), t.hi(m)] for m in t.index]
+                    assert got == _decode_runs(ref["tables"][label][f"{inv}|{name}"]), \
+                        (item, label, inv, name)
+                    rows += len(got)
+    assert rows > 200000
+
+
+def test_tail_rows_read_the_classical_entry():
+    bundle = Bundle()
+    bundle.add_space("rp4", real_projective(4))
+    bundle.add_space("s3", sphere(3, Q))
+    tables = compute_tables(bundle, max_m=12)
+    cat, tc = tables[("cat", "rp4")], tables[("tc", "rp4")]
+    assert cat.stored == [1, 2, 3, INF] and tc.stored == [*range(1, 8), INF]
+    for t in tables.values():
+        for m in range(t.stable_from, 13):
+            assert t.interval(m) is t.interval(INF)
+            events = t.events[m]
+            assert {e.rule for e in events} <= {"stabilize"}
+            assert [e.value for e in events if e.side == "lo"] == (
+                [t.lo(INF)] if t.lo(INF) else [])
+            assert [e.value for e in events if e.side == "hi"] == (
+                [t.hi(INF)] if t.hi(INF) is not None else [])
+
+
+def test_rule_records_visit_stored_rows_only():
+    bundle = Bundle()
+    for name, space in [("rp6", real_projective(6)), ("cp2", complex_projective(2))]:
+        bundle.add_space(name, space)
+    _, fib = covering_fibration(3)
+    bundle.add_fibration("cover3", fib)
+    engine = _Engine(bundle, 200, True, None)
+    engine.run()
+    assert engine.rules and "stabilize" not in {r.rule for r in engine.rules}
+    for rule in engine.rules:
+        target, sources = (rule.a, (rule.b,)) if hasattr(rule, "a") else (
+            rule.target, rule.sources)
+        assert len(set(rule.pairs)) == len(rule.pairs) <= 2 * max(
+            len(t.stored) for t in (target, *sources))
+        for m, ns, shift in rule.pairs:
+            assert m in target.rows
+            assert all(n in s.rows for n, s in zip(ns, sources))
+            assert shift or sources != (target,) or ns != (m,)

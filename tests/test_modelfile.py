@@ -295,6 +295,17 @@ class TestDiagnostics:
         doc = self.basis_doc({"0": ["1"], "two": ["a"]})
         assert_rejected(doc, "spaces.x.algebra.basis.two", tmp_path, capsys)
 
+    def test_conn_above_a_nonzero_degree_of_a_constructor(self, tmp_path, capsys):
+        doc = base_doc(spaces={"s2": {"construct": "sphere", "n": 2, "conn": 2}})
+        assert_rejected(doc, "spaces.s2.conn", tmp_path, capsys)
+
+    def test_conn_above_a_nonzero_degree_of_an_explicit_algebra(self, tmp_path, capsys):
+        doc = base_doc(spaces={"e": {
+            "algebra": {"basis": {"0": ["1"], "1": ["x"], "2": ["y"]}},
+            "conn": 1, "hdim": 2,
+        }})
+        assert_rejected(doc, "spaces.e.conn", tmp_path, capsys)
+
     def test_validate_rejects_bad_blocks(self, tmp_path, capsys):
         for doc in (base_doc(spaces="ab"), self.basis_doc({"0": ["1"], "2": "ab"})):
             model = tmp_path / "model.json"

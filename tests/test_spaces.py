@@ -167,6 +167,20 @@ class TestPoint:
         assert p.algebra.dims() == (1,)
 
 
+class TestConnectivity:
+    def test_conn_is_checked_against_the_algebra(self):
+        s2 = sphere(2, Q).algebra
+        assert SpaceModel(s2, conn=1, hdim=2).conn == 1
+        with pytest.raises(ValueError, match="degree 2") as err:
+            SpaceModel(s2, conn=2, hdim=2)
+        assert err.value.field == "conn"
+        with pytest.raises(ValueError, match="degree 1"):
+            SpaceModel(real_projective(3).algebra, conn=5, hdim=3)
+
+    def test_conn_may_exceed_the_top_degree_of_a_point(self):
+        assert SpaceModel(point(Q).algebra, conn=10**9, hdim=0).conn == 10**9
+
+
 class TestFibrationModel:
     def test_endpoint_validation(self):
         base = real_projective(3)

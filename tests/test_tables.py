@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -46,6 +49,93 @@ class TestBoundTable:
         msg = str(err.value)
         assert "lower_rule" in msg and "upper_rule" in msg
         assert err.value.m == 1 and err.value.invariant == "cat"
+
+
+class TestStabilizedTable:
+    """A table with dimension parameter d stores m < d and inf; every entry
+    m >= d is the inf entry."""
+
+    def test_only_rows_below_the_dimension_are_stored(self):
+        t = BoundTable("cat", "x", 6, dim=3)
+        assert t.stored == [1, 2, INF] and list(t.events) == [1, 2, INF]
+        assert t.index == [1, 2, 3, 4, 5, 6, INF]
+        assert all(t.interval(m) is t.interval(INF) for m in (3, 4, 5, 6))
+        assert t.interval(2) is not t.interval(INF)
+
+    @pytest.mark.parametrize("dim, stored", [
+        (None, [1, 2, 3, INF]), (5, [1, 2, 3, INF]), (4, [1, 2, 3, INF]),
+        (3, [1, 2, INF]), (1, [INF]), (0, [INF]),
+    ])
+    def test_stored_rows_by_dimension(self, dim, stored):
+        assert BoundTable("cat", "x", 3, dim=dim).stored == stored
+
+    def test_narrowing_a_tail_row_narrows_inf(self):
+        t = BoundTable("cat", "x", 6, dim=3)
+        assert t.raise_lo(5, 2, "r", "d")
+        assert t.lower_hi(4, 3, "s", "e")
+        assert not t.raise_lo(6, 2, "r", "d")
+        assert [(e.rule, e.value) for e in t.events[INF]] == [("r", 2), ("s", 3)]
+        for m in (3, 4, 5, 6, INF):
+            assert t.interval(m).as_pair() == (2, 3)
+        assert t.interval(2).as_pair() == (0, None) and t.events[2] == []
+
+    def test_tail_rows_list_one_stabilize_event_per_narrowed_side(self):
+        t = BoundTable("cat", "x", 6, dim=3)
+        assert t.events[4] == []  # inf is still [0, inf)
+        t.raise_lo(INF, 2, "r", "d")
+        assert [(e.rule, e.side, e.value) for e in t.events[4]] == [("stabilize", "lo", 2)]
+        t.lower_hi(INF, 5, "s", "e")
+        events = t.events[6]
+        assert [(e.rule, e.side, e.value) for e in events] == [
+            ("stabilize", "lo", 2), ("stabilize", "hi", 5)]
+        assert all("m=inf" in e.detail and e.certificate is None for e in events)
+
+    def test_rows_outside_the_index_are_missing(self):
+        t = BoundTable("cat", "x", 6, dim=3)
+        for m in (0, 7, "7"):
+            with pytest.raises(KeyError):
+                t.interval(m)
+            assert m not in t.events
+        assert 6 in t.events and INF in t.events
+
+    def test_a_dropped_table_is_freed_without_the_cycle_collector(self):
+        # the tables of one run hold the certificates, so a reference cycle
+        # would keep a pass's algebras alive until a collection
+        gc.disable()
+        try:
+            t = BoundTable("cat", "x", 6, dim=3)
+            t.raise_lo(5, 1, "r", "d")
+            assert t.events[5] and list(t.events.values())
+            render_text(t)
+            ref = weakref.ref(t)
+            del t
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_rows_for_a_range(self):
+        t = BoundTable("cat", "x", 6, dim=3)
+        assert t.rows_for(range(1, 3)) == [1, 2]
+        assert t.rows_for(range(2, 7)) == [2, INF]
+        assert t.rows_for(range(4, 6)) == [INF]
+        assert t.rows_for(range(1, 1)) == []
+
+    def test_rendering_lists_every_row(self):
+        t = BoundTable("cat", "x", 5, dim=2)
+        t.raise_lo(1, 1, "r", "d")
+        t.raise_lo(INF, 2, "r", "d")
+        t.lower_hi(INF, 2, "s", "e")
+        text = render_text(t)
+        for m in (1, 2, 3, 4, 5, "inf"):
+            assert f"m={m} " in text
+        assert text.count("= 2          stabilize\n") == 4
+        data = table_to_json(t)
+        assert [e["m"] for e in data["entries"]] == ["1", "2", "3", "4", "5", "inf"]
+        assert [(e["lo"], e["hi"]) for e in data["entries"][1:]] == [(2, 2)] * 5
+        assert {ev["rule"] for e in data["entries"][1:5] for ev in e["provenance"]} == {
+            "stabilize"}
+        assert table_to_json(table_from_json(data)) == data
+        assert table_to_json(t, [4])["entries"] == [data["entries"][3]]
 
 
 class TestRendering:
