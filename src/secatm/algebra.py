@@ -36,6 +36,7 @@ __all__ = [
     "tensor_morphism",
     "kernel",
     "cup_kernel",
+    "pair_zero_divisors",
     "multiplication_morphism",
     "image_difference",
     "pushforward_span",
@@ -650,36 +651,67 @@ class RingMorphism:
             self.validate()
 
     def validate(self) -> None:
+        """Check that the unit goes to the unit and that ``f(xy) = f(x)f(y)``
+        for every pair of basis classes whose degrees sum to at most the
+        target's top degree; of several violations the first in basis order
+        is reported."""
         dom = self.source.coeff
         unit_img = self.mats[0][0]
         want = list(vzero(dom, self.target.dim(0)))
         want[0] = dom.one()
         if unit_img != tuple(want):
             raise UnitViolation("morphism does not send unit to unit")
-        src = self.source
-        basis = [
-            (d, i) for d in range(src.top_degree + 1) for i in range(src.dim(d))
-        ]
-        for d1, i1 in basis:
-            for d2, i2 in basis:
-                if d1 + d2 > src.top_degree:
-                    continue
-                prod = src.mul_basis(d1, i1, d2, i2)
-                lhs = (
-                    self.apply_component(d1 + d2, prod)
-                    if prod is not None
-                    else None
-                )
-                rhs = self.target.mul_vectors(
-                    d1, self.mats[d1][i1], d2, self.mats[d2][i2]
-                )
-                vl = lhs if lhs is not None else vzero(dom, self.target.dim(d1 + d2))
-                vr = rhs if rhs is not None else vzero(dom, self.target.dim(d1 + d2))
-                if vl != vr:
-                    raise MultiplicativityViolation(
-                        f"morphism is not multiplicative on "
-                        f"({src.names[d1][i1]!r}, {src.names[d2][i2]!r})"
-                    )
+        src, tgt = self.source, self.target
+        top = tgt.top_degree
+        # With the unit sent to the unit, pairs with a degree-0 class hold by
+        # the unit law.  Between positive degrees f(xy) can be nonzero only
+        # where xy is in the source table, and f(x)f(y) only where classes u
+        # of f(x) and v of f(y) have uv in the target table, so only those
+        # pairs are checked, on nonzero (index, coefficient) pairs.
+        image = {}  # positive-degree source class -> nonzero terms of f(x)
+        for d in range(1, min(src.top_degree, top) + 1):
+            for i, row in enumerate(self.mats[d]):
+                terms = [(k, c) for k, c in enumerate(row) if c != 0]
+                if terms:
+                    image[(d, i)] = terms
+        hits = {}  # target class -> source classes whose image involves it
+        for (d, i), terms in image.items():
+            for k, _ in terms:
+                hits.setdefault((d, k), []).append(i)
+        partners = {}  # target class -> (degree, index) of its table partners
+        for d1, k1, d2, k2 in tgt.table:
+            partners.setdefault((d1, k1), []).append((d2, k2))
+        pairs = {key for key in src.table if key[0] + key[2] <= top}
+        for (d1, i1), terms in image.items():
+            for k1, _ in terms:
+                for d2, k2 in partners.get((d1, k1), ()):
+                    pairs.update((d1, i1, d2, i2) for i2 in hits.get((d2, k2), ()))
+
+        zero = dom.zero()
+
+        def add_into(out: dict, c, terms) -> None:
+            for k, e in terms:
+                out[k] = dom.add(out.get(k, zero), dom.mul(c, e))
+
+        bad = []
+        for d1, i1, d2, i2 in pairs:
+            lhs, rhs = {}, {}
+            for j, c in enumerate(src.table.get((d1, i1, d2, i2), ())):
+                if c != 0:
+                    add_into(lhs, c, image.get((d1 + d2, j), ()))
+            for k1, c1 in image.get((d1, i1), ()):
+                for k2, c2 in image.get((d2, i2), ()):
+                    row = tgt.table.get((d1, k1, d2, k2), ())
+                    add_into(rhs, dom.mul(c1, c2), [(k, e) for k, e in enumerate(row) if e != 0])
+            if {k: c for k, c in lhs.items() if c != 0} != {
+                    k: c for k, c in rhs.items() if c != 0}:
+                bad.append((d1, i1, d2, i2))
+        if bad:
+            d1, i1, d2, i2 = min(bad)
+            raise MultiplicativityViolation(
+                f"morphism is not multiplicative on "
+                f"({src.names[d1][i1]!r}, {src.names[d2][i2]!r})"
+            )
 
     def apply_component(self, d: int, v: tuple) -> tuple:
         dom = self.source.coeff
@@ -960,8 +992,48 @@ def kernel(phi: RingMorphism) -> Subspace:
     return Subspace(alg, rows)
 
 
+def _cup_kernel_basis(A: GradedAlgebra, top: int):
+    """The basis ``a (x) b - 1 (x) ab`` of the kernel of the cup product
+    ``A (x) A -> A``, in degrees up to ``top``: one ``((p, i), (q, j), ab)``
+    per basis class ``a = names[p][i]`` of positive degree and basis class
+    ``b = names[q][j]``, with ``ab`` the product's coefficient row (None
+    when it is zero).
+
+    The cup product is split by ``c -> 1 (x) c``, so these elements span its
+    kernel, and their ``a (x) b`` terms with ``|a| > 0`` make them
+    independent; over Z they are a basis of the kernel lattice.
+    """
+    for p in range(1, min(top, A.top_degree) + 1):
+        for q in range(min(top - p, A.top_degree) + 1):
+            for i in range(A.dim(p)):
+                for j in range(A.dim(q)):
+                    yield (p, i), (q, j), A.mul_basis(p, i, q, j)
+
+
+def _cup_kernel_rows(A: GradedAlgebra, T: GradedAlgebra) -> dict:
+    """The basis of ``_cup_kernel_basis`` as coefficient rows over the basis
+    of the tensor square ``T``, by degree.  Rows hold ints where they can,
+    which the echelon reduces faster than ``Fraction`` zeros over Q."""
+    dom = A.coeff
+    slot = {pair: k for d in range(T.top_degree + 1)
+            for k, pair in enumerate(T.kunneth_pairs[d])}
+    rows: dict[int, list] = {}
+    for (p, i), (q, j), ab in _cup_kernel_basis(A, T.top_degree):
+        d = p + q
+        row = [0] * T.dim(d)
+        row[slot[(p, i, q, j)]] = 1
+        for k, c in enumerate(ab or ()):
+            if c != 0:
+                row[slot[(0, 0, d, k)]] = dom.neg(c)
+        rows.setdefault(d, []).append(row)
+    return rows
+
+
 def cup_kernel(A: GradedAlgebra, tensor=None) -> Subspace:
-    """Kernel of the cup-product map inside the tensor square of ``A``.
+    """Kernel of the cup-product map inside the tensor square of ``A``
+    (built here unless passed in), the span of the explicit basis
+    ``a (x) b - 1 (x) ab`` with ``|a| > 0``; no elimination of the
+    multiplication map is needed.
 
     Only available over a field; over Z raise ``UnsupportedCoefficients``.
     """
@@ -969,8 +1041,31 @@ def cup_kernel(A: GradedAlgebra, tensor=None) -> Subspace:
         raise UnsupportedCoefficients(
             "zero-divisor kernels need field coefficients"
         )
-    _, mu = multiplication_morphism(A, tensor)
-    return kernel(mu)
+    if tensor is None:
+        tensor, _, _ = tensor_square(A)
+    return Subspace(tensor, _cup_kernel_rows(A, tensor))
+
+
+def pair_zero_divisors(f: RingMorphism, g: RingMorphism) -> Subspace:
+    """Image of the cup kernel of the common source under
+    ``a (x) b -> f(a) * g(b)``, in the common target: the span of
+    ``f(a) * g(b) - g(ab)`` over the basis of :func:`cup_kernel`, with no
+    tensor square built.  Every degree that reaches the target counts, also
+    those beyond the top degree of the source.
+    """
+    if f.source is not g.source or f.target is not g.target:
+        raise MorphismMismatch("morphisms do not share source and target")
+    X = f.target
+    dom = X.coeff
+    rows: dict[int, list] = {}
+    for (p, i), (q, j), ab in _cup_kernel_basis(f.source, X.top_degree):
+        d = p + q
+        v = X.mul_vectors(p, f.mats[p][i], q, g.mats[q][j])
+        if ab is not None:
+            v = linalg.vsub(dom, v, g.apply_component(d, ab))
+        if not vis_zero(v):
+            rows.setdefault(d, []).append(v)
+    return Subspace(X, rows)
 
 
 def image_difference(f: RingMorphism, g: RingMorphism) -> Subspace:

@@ -20,17 +20,15 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .algebra import (
-    RingMorphism,
     Subspace,
     UnsupportedCoefficients,
+    cup_kernel,
     image_difference,
     kernel,
-    multiplication_morphism,
-    pushforward_span,
+    pair_zero_divisors,
     tensor_square,
 )
 from .cuplength import CupLengthQuery, capped_cuplength
-from .linalg import vzero
 from .spaces import FibrationModel, MapPairModel, SpaceModel
 from .tables import INF, BoundTable
 
@@ -226,7 +224,6 @@ class _Engine:
         self.names: dict[int, str] = {}  # id(model) -> its name
         self.tables: dict[tuple[str, str], BoundTable] = {}
         self.max_m = max_m
-        self._zero_divisor_cache: dict[int, tuple] = {}
         self._pair_cache: dict = {}
 
     # -- registration -------------------------------------------------------
@@ -235,26 +232,31 @@ class _Engine:
         a derived name such as ``p.factor1`` (``~2`` and up on clashes)."""
         b = self.bundle
         taken = {name for kind in _KINDS for name in getattr(b, kind)}
-
-        def visit(name, model):
-            for kind, suffix, child in _children(model):
-                if id(child) not in self.names:
-                    hint = child_name = f"{name}.{suffix}"
-                    k = 2
-                    while child_name in taken:
-                        child_name = f"{hint}~{k}"
-                        k += 1
-                    taken.add(child_name)
-                    getattr(b, kind)[child_name] = child
-                    self.names[id(child)] = child_name
-                    visit(child_name, child)
-
         for kind in _KINDS:
             for name, model in getattr(b, kind).items():
                 self.names[id(model)] = name
         for kind in _KINDS:
             for name, model in list(getattr(b, kind).items()):
-                visit(name, model)
+                # one (name, remaining children) frame per model on the path
+                stack = [(name, iter(_children(model)))]
+                while stack:
+                    parent, children = stack[-1]
+                    step = next(children, None)
+                    if step is None:
+                        stack.pop()
+                        continue
+                    child_kind, suffix, child = step
+                    if id(child) in self.names:
+                        continue
+                    hint = child_name = f"{parent}.{suffix}"
+                    k = 2
+                    while child_name in taken:
+                        child_name = f"{hint}~{k}"
+                        k += 1
+                    taken.add(child_name)
+                    getattr(b, child_kind)[child_name] = child
+                    self.names[id(child)] = child_name
+                    stack.append((child_name, iter(_children(child))))
 
     # -- helpers -------------------------------------------------------------
     def t(self, inv, name) -> BoundTable:
@@ -265,12 +267,6 @@ class _Engine:
 
     def model(self, inv, name):
         return getattr(self.bundle, _KIND_OF[inv])[name]
-
-    def _zero_divisors(self, space):
-        """Tensor square and zero-divisor kernel of a space, cached."""
-        if id(space) not in self._zero_divisor_cache:
-            self._zero_divisor_cache[id(space)] = _zero_divisors(space)
-        return self._zero_divisor_cache[id(space)]
 
     # -- main ----------------------------------------------------------------
     def run(self):
@@ -351,7 +347,7 @@ class _Engine:
     def _apply_lower_bounds(self):
         for inv, name in sorted(self._lower_targets()):
             table = self.tables[(inv, name)]
-            source = _lower_source(inv, self.model(inv, name), self._zero_divisors)
+            source = _lower_source(inv, self.model(inv, name))
             table.lower_bounds_applied = True
             if source is None or source[1].is_zero():
                 continue
@@ -384,14 +380,13 @@ class _Engine:
                 values[caps[i]] = capped_cuplength(CupLengthQuery(algebra, generators, caps[i]))
             return values[caps[i]]
 
-        def fill(i, j):
+        todo = [(0, len(caps) - 1)]  # index ranges of caps, lower half first
+        while todo:
+            i, j = todo.pop()
             if compute(i)[0] == compute(j)[0]:
                 values.update((c, values[caps[i]]) for c in caps[i + 1:j])
             elif j - i > 1:
-                fill(i, (i + j) // 2)
-                fill((i + j) // 2, j)
-
-        fill(0, len(caps) - 1)
+                todo += [((i + j) // 2, j), (i, (i + j) // 2)]
         return values
 
     # -- the rule table ----------------------------------------------------------
@@ -547,42 +542,20 @@ def _children(model) -> list:
         ("map_pairs", side, leg) for side, leg in legs]
 
 
-def _pair_pullback(p: MapPairModel, T) -> RingMorphism:
-    """The induced map of (f, g) on the codomain tensor square:
-    a (x) b  ->  f*(a) * g*(b)."""
-    X = p.domain.algebra
-    dom = X.coeff
-    mats = {}
-    for d in range(T.top_degree + 1):
-        rows = []
-        for (dl, il, dr, ir) in T.kunneth_pairs[d]:
-            fv = p.fstar.mats[dl][il]
-            gv = p.gstar.mats[dr][ir]
-            prod = X.mul_vectors(dl, fv, dr, gv)
-            rows.append(prod if prod is not None else vzero(dom, X.dim(d)))
-        mats[d] = tuple(rows)
-    return RingMorphism(T, X, mats, validate=False)
-
-
-def _zero_divisors(space: SpaceModel) -> tuple:
-    """Tensor square of a space's algebra and the kernel of its cup product."""
-    A = space.algebra
-    T, _, _ = tensor_square(A)
-    _, mu = multiplication_morphism(A, T)
-    return T, kernel(mu)
-
-
-def _lower_source(inv, model, zero_divisors=_zero_divisors):
+def _lower_source(inv, model):
     """(algebra, generator subspace, description) feeding the cup-length
-    lower bound of ``inv`` on ``model``, or None when it does not apply;
-    ``zero_divisors(space)`` gives a tensor square and its cup kernel."""
+    lower bound of ``inv`` on ``model``, or None when it does not apply.
+
+    Zero divisors come from the explicit basis ``a (x) b - 1 (x) ab`` of the
+    cup kernel: tc builds the tensor square it multiplies in, dm takes the
+    basis's image ``f*(a) g*(b) - g*(ab)`` straight in the domain."""
     if inv == "cat":
         return model.algebra, Subspace.positive_part(model.algebra), "H^+"
     if inv == "tc":
         if not model.algebra.coeff.is_field:
             return None
-        T, ck = zero_divisors(model)
-        return T, ck, "ker(cup)"
+        T, _, _ = tensor_square(model.algebra)
+        return T, cup_kernel(model.algebra, T), "ker(cup)"
     if inv == "secat":
         return model.base.algebra, kernel(model.pstar), "ker(pullback)"
     if inv == "hdm":
@@ -591,9 +564,8 @@ def _lower_source(inv, model, zero_divisors=_zero_divisors):
     # dm: the codomain's zero divisors pushed along (f, g)
     if not model.codomain.algebra.coeff.is_field:
         return None
-    T, ck = zero_divisors(model.codomain)
-    pushed = pushforward_span(_pair_pullback(model, T), ck)
-    return model.domain.algebra, pushed, "pushed ker(cup)"
+    span = pair_zero_divisors(model.fstar, model.gstar)
+    return model.domain.algebra, span, "pushed ker(cup)"
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from secatm.algebra import (
     SubspaceMismatch,
     UnitViolation,
     UnsupportedCoefficients,
+    _cup_kernel_rows,
     cup_kernel,
     image_difference,
     kernel,
@@ -25,9 +26,12 @@ from secatm.algebra import (
     make_algebra,
     multiplication_morphism,
     multiply,
+    pair_zero_divisors,
     pushforward_span,
+    tensor_morphism,
     tensor_square,
 )
+from secatm.linalg import vzero
 from secatm.spaces import (
     complex_projective,
     moore,
@@ -447,6 +451,77 @@ class TestRingMorphism:
         with pytest.raises(MorphismMismatch):
             RingMorphism.from_images(A, A, {"x": {"x^2": 1}})
 
+    def test_products_beyond_the_source_top_degree_are_checked(self):
+        # a*a = 0 on S^2, but a -> x1 + x2 into S^2 x S^2 squares to 2 x1x2:
+        # over Q that is no ring map, over F2 it is one
+        for coeff, valid in [(Q, False), (GF(2), True)]:
+            S = sphere(2, coeff).algebra
+            C, _, _ = kunneth_product(S, S)
+            images = {"a": {"a(x)1": 1, "1(x)a": 1}}
+            if valid:
+                RingMorphism.from_images(S, C, images)
+                continue
+            with pytest.raises(MultiplicativityViolation, match="\\('a', 'a'\\)"):
+                RingMorphism.from_images(S, C, images)
+
+
+# -- the sparse multiplicativity check against the dense one --------------------
+#
+# ``RingMorphism.validate`` visits only the pairs where f(xy) or f(x)f(y) can
+# be nonzero.  The reference visits every pair of basis classes whose degrees
+# fit in the target, in basis order, and reports the first that fails.
+
+def dense_violation(phi) -> str | None:
+    src, tgt = phi.source, phi.target
+    dom = src.coeff
+    basis = [(d, i) for d in range(src.top_degree + 1) for i in range(src.dim(d))]
+    for d1, i1 in basis:
+        for d2, i2 in basis:
+            d = d1 + d2
+            if d > tgt.top_degree:
+                continue
+            prod = src.mul_basis(d1, i1, d2, i2)
+            lhs = phi.apply_component(d, prod) if prod is not None else vzero(dom, tgt.dim(d))
+            rhs = tgt.mul_vectors(d1, phi.mats[d1][i1], d2, phi.mats[d2][i2])
+            if lhs != rhs:
+                return (f"morphism is not multiplicative on "
+                        f"({src.names[d1][i1]!r}, {src.names[d2][i2]!r})")
+    return None
+
+
+@st.composite
+def mutated_morphisms(draw):
+    """A ring map (identity, a Kunneth inclusion or a cup product map) with
+    one to three positive-degree matrix entries changed."""
+    A = draw(cup_algebras())
+    kind = draw(st.sampled_from(["identity", "left", "right", "cup"]))
+    if kind == "identity":
+        phi = RingMorphism.identity(A)
+    elif kind == "cup":
+        _, phi = multiplication_morphism(A)
+    else:
+        B = draw(cup_algebras(A.coeff))
+        _, left, right = kunneth_product(A, B)
+        phi = left if kind == "left" else right
+    mats = {d: [list(row) for row in rows] for d, rows in phi.mats.items()}
+    cells = [(d, i, j) for d, rows in mats.items() if d
+             for i, row in enumerate(rows) for j in range(len(row))]
+    for d, i, j in draw(st.lists(st.sampled_from(cells), min_size=1, max_size=3)):
+        mats[d][i][j] = A.coeff.parse_scalar(draw(st.integers(-2, 2)))
+    return RingMorphism(phi.source, phi.target, mats, validate=False)
+
+
+@settings(max_examples=80, deadline=None)
+@given(mutated_morphisms())
+def test_validate_reports_the_dense_checks_first_violation(phi):
+    expected = dense_violation(phi)
+    if expected is None:
+        phi.validate()
+        return
+    with pytest.raises(MultiplicativityViolation) as err:
+        phi.validate()
+    assert str(err.value) == expected
+
 
 # ---------------------------------------------------------------------------
 # kernels, images, pushforwards
@@ -612,3 +687,135 @@ class TestSubspace:
         A = truncated_f2(3)
         for el in Subspace.positive_part(A).spanning_elements():
             assert el.is_homogeneous() and not el.is_zero()
+
+
+# -- the explicit cup-kernel basis against elimination ---------------------------
+#
+# ``cup_kernel`` spans ker(cup) by a (x) b - 1 (x) ab; ``kernel`` eliminates the
+# multiplication map over [M | I].  Both are canonical, so equal subspaces
+# have equal rows.  Over Z the explicit basis must give the same lattice.
+
+def structured_algebra(coeff, g, n_low, n_high, rows) -> GradedAlgebra:
+    """Classes in degrees g and 2g with random products between them: the
+    top degree is 2g, so associativity holds whatever the products."""
+    low = [f"x{k}" for k in range(n_low)]
+    high = [f"y{k}" for k in range(n_high)]
+    products = []
+    for k1, left in enumerate(low):
+        for k2 in range(k1, n_low):
+            if k1 == k2 and g % 2 and coeff.p != 2:
+                continue  # an odd class squares to zero outside F2
+            row = rows[(k1 * n_low + k2) % len(rows)]
+            products.append((left, low[k2], dict(zip(high, row))))
+    return make_algebra(coeff, {g: low, 2 * g: high}, products)
+
+
+@st.composite
+def cup_algebras(draw, coeff=None, small=False):
+    """A structured algebra over Q, F2, F3 or Z, or a small built-in over
+    the same coefficients, or the Kunneth product of two of them; with
+    ``small``, one of them with at most five classes."""
+    coeff = coeff or draw(st.sampled_from([Q, GF(2), GF(3), Z]))
+
+    def one():
+        if draw(st.booleans()):
+            n_high = draw(st.integers(1, 2))
+            rows = draw(st.lists(st.lists(st.integers(-2, 2), min_size=n_high,
+                                          max_size=n_high), min_size=1, max_size=4))
+            return structured_algebra(coeff, draw(st.integers(1, 2)),
+                                      draw(st.integers(1, 2 if small else 3)), n_high, rows)
+        builtins = [sphere(draw(st.integers(1, 3)), coeff)]
+        if coeff == Q:
+            builtins += [complex_projective(2)] + ([] if small else [orientable_surface(2)])
+        if coeff == GF(2):
+            builtins += [real_projective(3)] + ([] if small else [nonorientable_surface(3)])
+        return draw(st.sampled_from(builtins)).algebra
+
+    A = one()
+    if not small and draw(st.booleans()):
+        A, _, _ = kunneth_product(A, one())
+    return A
+
+
+def assert_cup_kernel_is_the_kernel(A):
+    T, mu = multiplication_morphism(A)
+    if A.coeff.is_field:
+        assert cup_kernel(A, T) == kernel(mu)
+    else:
+        assert Subspace(T, _cup_kernel_rows(A, T)) == kernel(mu)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cup_algebras())
+def test_cup_kernel_equals_the_eliminated_kernel(A):
+    assert_cup_kernel_is_the_kernel(A)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: sphere(2).algebra,
+    lambda: real_projective(4).algebra,
+    lambda: complex_projective(3).algebra,
+    lambda: orientable_surface(2).algebra,
+    lambda: nonorientable_surface(3).algebra,
+    lambda: product([sphere(1, GF(3)), sphere(2, GF(3)), sphere(3, GF(3))]).algebra,
+    lambda: product([sphere(1, Q)] * 3).algebra,
+    lambda: product([sphere(2, Z), sphere(3, Z)]).algebra,
+    exterior_z,
+])
+def test_cup_kernel_equals_the_eliminated_kernel_on_builtins(build):
+    assert_cup_kernel_is_the_kernel(build())
+
+
+# -- zero divisors of a pair of maps ----------------------------------------------
+#
+# ``pair_zero_divisors(f, g)`` is the image of ker(cup) of the source under
+# a (x) b -> f(a) g(b); the reference builds both tensor squares, eliminates
+# the cup kernel and pushes it through f (x) g and the target's cup product.
+
+def pushed_zero_divisors(f, g) -> Subspace:
+    Y, X = f.source, f.target
+    TY, TX = tensor_square(Y)[0], tensor_square(X)[0]
+    cup_kernel_y = kernel(multiplication_morphism(Y, TY)[1])
+    pair = tensor_morphism(f, g, source_tensor=TY, target_tensor=TX)
+    return pushforward_span(multiplication_morphism(X, TX)[1],
+                            pushforward_span(pair, cup_kernel_y))
+
+
+def test_pair_zero_divisors_of_the_two_projections_reach_degree_four():
+    # pr1 and pr2 from S^2 x S^2 to S^2: a (x) a has degree 4, beyond the top
+    # of S^2, and goes to x1 x2, which is no difference of pullbacks
+    for coeff in (Q, GF(2), GF(3), Z):
+        S = sphere(2, coeff).algebra
+        C, pr1, pr2 = kunneth_product(S, S)
+        span = pair_zero_divisors(pr1, pr2)
+        assert span == pushed_zero_divisors(pr1, pr2)
+        assert span.dim(2) == 1 and span.dim(4) == 1
+        assert span.contains(C.element({"a(x)a": 1}))
+
+
+def test_pair_zero_divisors_need_a_common_source_and_target():
+    A, B = truncated_f2(2), truncated_f2(3)
+    with pytest.raises(MorphismMismatch):
+        pair_zero_divisors(RingMorphism.identity(A), RingMorphism.identity(B))
+
+
+@st.composite
+def map_pairs(draw):
+    """Two ring maps A -> X: the inclusions of both factors of A (x) A, or
+    the identity of A against itself or against the augmentation."""
+    kind = draw(st.sampled_from(["factors", "identity", "constant"]))
+    A = draw(cup_algebras(small=kind == "factors"))
+    if kind == "factors":
+        _, left, right = tensor_square(A)
+        return draw(st.permutations([left, right]))
+    identity = RingMorphism.identity(A)
+    if kind == "identity":
+        return identity, identity
+    return draw(st.permutations([identity, RingMorphism.augmentation(A, A)]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(map_pairs())
+def test_pair_zero_divisors_equal_the_pushed_kernel(pair):
+    f, g = pair
+    assert pair_zero_divisors(f, g) == pushed_zero_divisors(f, g)

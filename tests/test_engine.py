@@ -1,5 +1,7 @@
+import gc
 import importlib.util
 import json
+import weakref
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -7,7 +9,18 @@ from pathlib import Path
 import pytest
 
 from secatm.domains import Q, Z
-from secatm.algebra import RingMorphism, UnsupportedCoefficients
+from secatm.algebra import (
+    RingMorphism,
+    UnsupportedCoefficients,
+    cup_kernel,
+    kernel,
+    kunneth_product,
+    multiplication_morphism,
+    pair_zero_divisors,
+    pushforward_span,
+    tensor_morphism,
+    tensor_square,
+)
 from secatm.cuplength import CupLengthQuery, capped_cuplength
 from secatm.engine import (
     Bundle,
@@ -21,6 +34,7 @@ from secatm.engine import (
     secat_lower,
     tc_lower,
 )
+from secatm.modelfile import load_model_file
 from secatm.goldens import (
     all_cases,
     covering_fibration,
@@ -528,7 +542,7 @@ def test_bisected_cap_values_equal_direct_dp(case):
     engine = _Engine(bundle, None, True, None)
     engine.run()
     for inv, name in engine.tables:
-        source = _lower_source(inv, engine.model(inv, name), engine._zero_divisors)
+        source = _lower_source(inv, engine.model(inv, name))
         if source is None or source[1].is_zero():
             continue
         algebra, generators, _ = source
@@ -622,3 +636,94 @@ def test_rule_records_visit_stored_rows_only():
             assert m in target.rows
             assert all(n in s.rows for n, s in zip(ns, sources))
             assert shift or sources != (target,) or ns != (m,)
+
+
+# ---------------------------------------------------------------------------
+# dm zero divisors without a tensor square
+# ---------------------------------------------------------------------------
+
+def _corpus_map_pairs(workdir):
+    """(label, pair) for every map pair of the golden cases, of ``models/``
+    and of the cli-models pool, derived pairs included."""
+    bundles = [(case.name, case.build()[0]) for case in all_cases()]
+    paths = {p.name: str(p) for p in sorted((PERFBENCH.parent / "models").glob("*.json"))}
+    paths.update(sorted(_perfbench_cases().write_cli_models(4242, str(workdir)).items()))
+    bundles += [(label, load_model_file(path).bundle) for label, path in paths.items()]
+    for label, bundle in bundles:
+        engine = _Engine(bundle, None, True, None)
+        engine._register()
+        for name, pair in engine.bundle.map_pairs.items():
+            yield f"{label}:{name}", pair
+
+
+def test_dm_zero_divisors_equal_the_pushed_cup_kernel(tmp_path):
+    # the old path, rebuilt from the public API: the codomain's cup kernel
+    # in its tensor square, pushed through f* (x) g* into the domain's
+    # square and through the domain's cup product
+    labels = []
+    for label, pair in _corpus_map_pairs(tmp_path):
+        f, g = pair.fstar, pair.gstar
+        Y, X = pair.codomain.algebra, pair.domain.algebra
+        TY, TX = tensor_square(Y)[0], tensor_square(X)[0]
+        cup_kernel_y = (cup_kernel(Y, TY) if Y.coeff.is_field
+                        else kernel(multiplication_morphism(Y, TY)[1]))
+        pushed = pushforward_span(
+            multiplication_morphism(X, TX)[1],
+            pushforward_span(tensor_morphism(f, g, source_tensor=TY, target_tensor=TX),
+                             cup_kernel_y))
+        assert pair_zero_divisors(f, g) == pushed, label
+        source = _lower_source("dm", pair)
+        assert source is None if not Y.coeff.is_field else source[1] == pushed, label
+        labels.append(label)
+    assert len(labels) >= 6 and any(label.startswith("m24:") for label in labels)
+
+
+def test_dm_of_the_two_projections_counts_degrees_beyond_the_codomain():
+    # pr1, pr2: S^2 x S^2 -> S^2.  a (x) a sits in degree 4, above the top of
+    # S^2, and goes to x1 x2; the zero divisors reach it
+    s2 = sphere(2, Q)
+    C, pr1, pr2 = kunneth_product(s2.algebra, s2.algebra)
+    domain = replace(product([s2, s2]), algebra=C)
+    pair = MapPairModel(domain=domain, codomain=s2, fstar=pr1, gstar=pr2)
+    _, generators, _ = _lower_source("dm", pair)
+    assert generators.dim(2) == 1 and generators.dim(4) == 1
+    assert generators.contains(C.element({"a(x)a": 1}))
+
+
+# ---------------------------------------------------------------------------
+# a run's objects are freed without the cycle collector
+# ---------------------------------------------------------------------------
+
+def test_tables_are_freed_by_reference_counting():
+    bundle = Bundle()
+    bundle.add_space("rp4", real_projective(4))
+    bundle.add_space("p", product([sphere(1, Q), sphere(2, Q)]))
+    gc.disable()
+    try:
+        tables = compute_tables(bundle)
+        cat = weakref.ref(tables[("cat", "rp4")])
+        # the tc certificates live in the tensor square of rp4
+        events = [e for es in tables[("tc", "rp4")].events.values() for e in es]
+        square = weakref.ref(next(e.certificate for e in events if e.certificate)
+                             .product.algebra)
+        del tables, events
+        assert cat() is None and square() is None
+    finally:
+        gc.enable()
+
+
+def test_derived_names_are_given_depth_first():
+    # a model met again keeps its first name; a clash takes the next ~k
+    s2, s4, s1 = sphere(2, Q), sphere(4, Q), sphere(1, Q)
+    domain = product([s4, s1])
+    bundle = Bundle()
+    bundle.add_space("p", product([s2, product([s2, s4])]))
+    bundle.add_space("q.domain", sphere(3, Q))
+    bundle.add_map_pair("q", MapPairModel(
+        domain=domain, codomain=s2, fstar=constant_map_pullback(s2, domain),
+        gstar=constant_map_pullback(s2, domain)))
+    engine = _Engine(bundle, None, True, None)
+    engine._register()
+    assert list(engine.bundle.spaces) == [
+        "p", "q.domain", "p.factor1", "p.factor2", "p.factor2.factor2",
+        "q.domain~2", "q.domain~2.factor2"]
