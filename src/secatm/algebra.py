@@ -141,9 +141,6 @@ class GradedAlgebra:
     def unit_name(self) -> str:
         return self.names[0][0]
 
-    def degree_of(self, name: str) -> int:
-        return self._index[name][0]
-
     # -- products on basis indices ----------------------------------------
     def mul_basis(self, d1: int, i1: int, d2: int, i2: int) -> tuple | None:
         """Coefficient tuple of the product in degree d1+d2, None if zero."""
@@ -1012,8 +1009,9 @@ def _cup_kernel_basis(A: GradedAlgebra, top: int):
 
 def _cup_kernel_rows(A: GradedAlgebra, T: GradedAlgebra) -> dict:
     """The basis of ``_cup_kernel_basis`` as coefficient rows over the basis
-    of the tensor square ``T``, by degree.  Rows hold ints where they can,
-    which the echelon reduces faster than ``Fraction`` zeros over Q."""
+    of the tensor square ``T``, by degree.  Rows are int vectors, over Q
+    scaled by their common denominator, which changes no span; the echelon
+    takes them without a ``Fraction`` pass."""
     dom = A.coeff
     slot = {pair: k for d in range(T.top_degree + 1)
             for k, pair in enumerate(T.kunneth_pairs[d])}
@@ -1025,7 +1023,7 @@ def _cup_kernel_rows(A: GradedAlgebra, T: GradedAlgebra) -> dict:
         for k, c in enumerate(ab or ()):
             if c != 0:
                 row[slot[(0, 0, d, k)]] = dom.neg(c)
-        rows.setdefault(d, []).append(row)
+        rows.setdefault(d, []).append(linalg.clear_denominators(row))
     return rows
 
 

@@ -14,12 +14,12 @@ import argparse
 import json
 import sys
 
-from .engine import compute_tables, default_max_m
+from .engine import KIND_OF, compute_tables, default_max_m
 from .goldens import run_suite
 from .modelfile import (
-    INVARIANT_KINDS,
     ModelFileError,
     Query,
+    check_query,
     load_model_file,
     parse_mrange,
 )
@@ -40,7 +40,7 @@ def _build_parser() -> argparse.ArgumentParser:
     b.add_argument("file", help="model JSON file")
     b.add_argument("target", nargs="?", help="model name (omit to run the file's queries)")
     b.add_argument(
-        "invariant", nargs="?", choices=sorted(INVARIANT_KINDS),
+        "invariant", nargs="?", choices=sorted(KIND_OF),
         help="which invariant to bound",
     )
     b.add_argument("mrange", nargs="?", help="m range, e.g. 3 or 1..6")
@@ -76,20 +76,9 @@ def _resolve_queries(args, loaded) -> list[Query]:
     if args.invariant is None:
         raise ModelFileError("invariant", "an invariant is required with a target")
     ms = parse_mrange(args.mrange, "mrange") if args.mrange else None
-    return [Query(args.target, args.invariant, ms)]
-
-
-def _check_query(query: Query, loaded) -> None:
-    kind = INVARIANT_KINDS[query.invariant]
-    registry = {
-        "space": loaded.bundle.spaces,
-        "fibration": loaded.bundle.fibrations,
-        "map_pair": loaded.bundle.map_pairs,
-    }[kind]
-    if query.target not in registry:
-        raise ModelFileError(
-            "target", f"no {kind} named {query.target!r} in the model file"
-        )
+    query = Query(args.target, args.invariant, ms)
+    check_query(loaded.bundle, query, "target")
+    return [query]
 
 
 def _cmd_bounds(args) -> int:
@@ -99,8 +88,6 @@ def _cmd_bounds(args) -> int:
     try:
         loaded = load_model_file(args.file, args.coeff)
         queries = _resolve_queries(args, loaded)
-        for q in queries:
-            _check_query(q, loaded)
     except ModelFileError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

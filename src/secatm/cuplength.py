@@ -32,7 +32,9 @@ from .algebra import Element, GradedAlgebra, Subspace
 from .domains import RATIONALS
 # make_echelon is not used here any more, but perfbench/tracer.py wraps the
 # echelon factory by this module's name
-from .linalg import F2RankEchelon, RankEchelon, make_echelon, vis_zero  # noqa: F401
+from .linalg import (  # noqa: F401
+    F2RankEchelon, FieldEchelon, clear_denominators, make_echelon, vis_zero,
+)
 
 __all__ = [
     "CupLengthQuery",
@@ -117,8 +119,7 @@ def _integral(spanning, table):
     den = lcm(*{c.denominator for row in rows for c in row})
     ints = []
     for d, v in spanning:
-        k = lcm(*[a.denominator for a in v])
-        v = [a.numerator * (k // a.denominator) for a in v]
+        v = clear_denominators(v)
         g = gcd(*v)
         ints.append((d, tuple(x // g for x in v)))
     return ints, den
@@ -196,11 +197,11 @@ def capped_cuplength(query: CupLengthQuery):
     product is an XOR.  Spanning vectors are visited a degree at a time, so
     a target degree that is out of range, full or without products is
     skipped at once.  The rank of each degree is tracked by a
-    ``RankEchelon`` (``F2RankEchelon`` over F2), which only does forward
-    elimination: whether an insert grows the rank depends on the span
-    alone, so the same monomials are kept as with a canonical echelon.  The
-    certificate is rebuilt from the original
-    spanning vectors and multiplied out again.
+    ``FieldEchelon`` (``F2RankEchelon`` over F2), whose inserts only
+    eliminate forward and never read its rows out in canonical form:
+    whether an insert grows the rank depends on the span alone.  The
+    certificate is rebuilt from the original spanning vectors and
+    multiplied out again.
     """
     algebra = query.algebra
     spanning = _filtered_spanning(query)
@@ -235,7 +236,7 @@ def capped_cuplength(query: CupLengthQuery):
                 e = ech.get(d)
                 if e is None:
                     width = algebra.dim(d)
-                    e = ech[d] = F2RankEchelon(width) if p == 2 else RankEchelon(width, p)
+                    e = ech[d] = F2RankEchelon(width) if p == 2 else FieldEchelon(width, p)
                     grown[d] = []
                 tab = structure.get((dv, ds))
                 if e.rank == e.width or tab is None:

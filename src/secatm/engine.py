@@ -34,6 +34,7 @@ from .tables import INF, BoundTable
 
 __all__ = [
     "Bundle",
+    "KIND_OF",
     "compute_tables",
     "default_max_m",
     "cat_lower",
@@ -208,7 +209,8 @@ class _Equal(NamedTuple):
 _INVARIANTS = {"spaces": ("cat", "tc"), "fibrations": ("secat",),
                "map_pairs": ("dm", "hdm")}
 _KINDS = tuple(_INVARIANTS)
-_KIND_OF = {inv: kind for kind, invs in _INVARIANTS.items() for inv in invs}
+# the Bundle registry holding the models of each invariant
+KIND_OF = {inv: kind for kind, invs in _INVARIANTS.items() for inv in invs}
 # the model field holding each invariant's recorded classical value
 _KNOWN = {"cat": "known_cat", "tc": "known_tc", "secat": "known_secat", "dm": "known_d"}
 
@@ -266,7 +268,7 @@ class _Engine:
         return self.names[id(model)]
 
     def model(self, inv, name):
-        return getattr(self.bundle, _KIND_OF[inv])[name]
+        return getattr(self.bundle, KIND_OF[inv])[name]
 
     # -- main ----------------------------------------------------------------
     def run(self):

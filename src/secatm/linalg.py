@@ -1,13 +1,14 @@
 """Exact echelon forms, spans, membership and kernels.
 
-Field components come out in reduced row echelon form; integer components
-are kept in row Hermite normal form.  Both forms are canonical for the span
-they carry, so every stored spanning set, kernel and certificate is
-reproducible bit for bit across runs.  Over Q the echelon works in Python
-ints (primitive integer rows) and forms the ``Fraction`` RREF only when its
-rows are read.  ``RankEchelon`` and ``F2RankEchelon`` keep no canonical form
-at all: they only tell whether an insert grew the rank, which is all the
-cup-length DP asks.
+One echelon serves every field: ``FieldEchelon`` eliminates forward only,
+which is all that membership tests and the cup-length DP's rank checks
+need, and back-substitutes once, when its rows are read, into the reduced
+row echelon form.  Over Q it works in Python ints (primitive integer rows) and
+forms the ``Fraction`` RREF only then.  Integer components are kept in row
+Hermite normal form by ``IntEchelon``.  Both read-out forms are canonical
+for the span they carry, so every stored spanning set, kernel and
+certificate is reproducible bit for bit across runs.  ``F2RankEchelon``
+tracks only the rank, of bitmask rows over F2.
 
 Vectors are tuples of domain scalars; over Q ints are accepted as well.
 Kernels over Z are computed by unimodular row reduction of the augmented
@@ -27,7 +28,6 @@ __all__ = [
     "FieldEchelon",
     "IntEchelon",
     "make_echelon",
-    "RankEchelon",
     "F2RankEchelon",
     "span_rows",
     "kernel_rows",
@@ -37,6 +37,7 @@ __all__ = [
     "vneg",
     "vzero",
     "vis_zero",
+    "clear_denominators",
 ]
 
 
@@ -65,6 +66,13 @@ def vis_zero(u: tuple) -> bool:
     return all(a == 0 for a in u)
 
 
+def clear_denominators(v) -> list[int]:
+    """The int vector k*v, for k the least common denominator of the
+    entries of v (ints or ``Fraction``s)."""
+    k = lcm(*[a.denominator for a in v])
+    return [a.numerator * (k // a.denominator) for a in v]
+
+
 def _leading(u: tuple) -> int | None:
     for i, a in enumerate(u):
         if a != 0:
@@ -88,89 +96,99 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 class FieldEchelon:
-    """Reduced row echelon span over a field domain (Q or F_p).
+    """Span of vectors over Q (``p=None``) or F_p, by forward elimination.
 
-    Over F_p rows are int lists in RREF, reduced with one ``% p`` per entry.
-    Over Q rows are fraction-free (Bareiss 1968): each is a primitive integer
-    vector with a positive pivot and zeros in every other pivot column, so
-    dividing it by its pivot gives the RREF row.  That division happens only
-    in ``rows()``; inputs may hold ints or ``Fraction``s and have their
-    denominators cleared once.
+    Rows live in a pivot -> row dict and are reduced only against the rows
+    of smaller pivot, so ``insert`` and ``contains`` never back-substitute.
+    Over F_p inputs hold residues in ``[0, p)`` and rows are scaled to pivot
+    1 and reduced ``% p``.  Over Q rows are fraction-free (Bareiss 1968):
+    primitive integer vectors with a positive pivot; inputs may hold ints or
+    ``Fraction``s, and a ``Fraction`` input has its denominators cleared
+    once.  Whether an insert grows the rank depends on the span alone, and
+    the rank over Q of int vectors is their rank over Z as well, which is
+    all the cup-length DP asks.  ``rows()`` back-substitutes once into the
+    reduced row echelon form, which is canonical for the span.
     """
 
-    def __init__(self, dom: CoefficientDomain, width: int):
-        assert dom.is_field
-        self.dom = dom
+    def __init__(self, width: int, p: int | None = None):
         self.width = width
-        self._p = dom.p  # None over Q
-        self._rows: list[list[int]] = []   # sorted by pivot column
-        self._pivots: list[int] = []       # pivot column of each row
+        self._p = p
+        self._rows: dict[int, list[int]] = {}
 
     @property
     def rank(self) -> int:
         return len(self._rows)
 
-    def is_full(self) -> bool:
-        return len(self._rows) == self.width
+    def _reduce(self, v):
+        """Eliminate v forward, left to right, up to the first column where
+        it is nonzero and no row has its pivot: that column and the reduced
+        vector, or None when v lies in the span."""
+        rows, p = self._rows, self._p
+        for j in range(self.width):
+            c = v[j]
+            if not c:
+                continue
+            row = rows.get(j)
+            if row is None:
+                return j, v
+            # row is zero left of j, and so is v: only columns >= j change
+            if p is not None:
+                v = [(x - c * y) % p for x, y in zip(v, row)]
+            else:
+                v = _eliminate(v, row, j, c)
+        return None
 
-    def reduce(self, v: tuple) -> list[int]:
-        """v minus its projection onto the span; over Q only up to a nonzero
-        integer factor.  Zero exactly when v lies in the span."""
-        p = self._p
-        if p is not None:
-            for piv, row in zip(self._pivots, self._rows):
-                c = v[piv]
-                if c:
-                    v = [(x - c * y) % p for x, y in zip(v, row)]
-            return list(v)
-        den = lcm(*[a.denominator for a in v])
-        v = [a.numerator * (den // a.denominator) for a in v]
-        for piv, row in zip(self._pivots, self._rows):
-            c = v[piv]
-            if c:
-                v = _eliminate(v, row, piv, c)
-        return v
-
-    def contains(self, v: tuple) -> bool:
-        return not any(self.reduce(v))
-
-    def insert(self, v: tuple) -> bool:
+    def insert(self, v) -> bool:
         """Add v to the span; True if the rank grew."""
-        r = self.reduce(v)
-        lead = _leading(r)
-        if lead is None:
+        if not any(v):
             return False
         p = self._p
+        # domain scalars over Q are Fractions, so their first entry tells;
+        # else the sum is a Fraction exactly when an entry is, one C-level
+        # pass over the DP's ints (slow past a Fraction: int rows are kept int)
+        if p is None and (type(v[0]) is Fraction or type(sum(v)) is Fraction):
+            v = clear_denominators(v)
+        found = self._reduce(v)
+        if found is None:
+            return False
+        j, v = found
+        c = v[j]
         if p is not None:
-            inv = pow(r[lead], p - 2, p)
-            r = [x * inv % p for x in r]
+            inv = pow(c, p - 2, p)
+            self._rows[j] = [x * inv % p for x in v]
         else:
-            g = gcd(*r)
-            if r[lead] < 0:
-                g = -g
-            r = [x // g for x in r]
-        # clear the new pivot column from the existing rows
-        for i, row in enumerate(self._rows):
-            c = row[lead]
-            if c:
-                if p is not None:
-                    self._rows[i] = [(x - c * y) % p for x, y in zip(row, r)]
-                else:
-                    self._rows[i] = _eliminate(row, r, lead, c)
-        pos = 0
-        while pos < len(self._pivots) and self._pivots[pos] < lead:
-            pos += 1
-        self._rows.insert(pos, r)
-        self._pivots.insert(pos, lead)
+            g = gcd(*v)
+            self._rows[j] = [x // g for x in v] if c > 0 else [-x // g for x in v]
         return True
 
+    def contains(self, v) -> bool:
+        """True if v lies in the span."""
+        if self._p is None:
+            v = clear_denominators(v)
+        return self._reduce(v) is None
+
     def rows(self) -> tuple[tuple, ...]:
-        if self._p is not None:
-            return tuple(tuple(r) for r in self._rows)
+        """The reduced row echelon basis, ``Fraction``s over Q and residues
+        over F_p.  Each row, last pivot first, is cleared in the pivot
+        columns right of its own, whose rows are already reduced."""
+        rows, p = self._rows, self._p
+        pivots = sorted(rows)
+        for k in range(len(pivots) - 1, -1, -1):
+            r = rows[pivots[k]]
+            for j in pivots[k + 1:]:
+                c = r[j]
+                if c:
+                    if p is not None:
+                        r = [(x - c * y) % p for x, y in zip(r, rows[j])]
+                    else:
+                        r = _eliminate(r, rows[j], j, c)
+            rows[pivots[k]] = r
+        if p is not None:
+            return tuple(tuple(rows[j]) for j in pivots)
         zero = Fraction(0)
         return tuple(
-            tuple(Fraction(x, r[piv]) if x else zero for x in r)
-            for piv, r in zip(self._pivots, self._rows)
+            tuple(Fraction(x, rows[j][j]) if x else zero for x in rows[j])
+            for j in pivots
         )
 
 
@@ -206,12 +224,6 @@ class IntEchelon:
     @property
     def rank(self) -> int:
         return len(self._rows)
-
-    def is_full(self) -> bool:
-        # full means the whole component Z^width, not merely full rank
-        return len(self._rows) == self.width and all(
-            row[piv] == 1 for piv, row in zip(self._pivots, self._rows)
-        )
 
     def _row_at_pivot(self, col: int) -> int | None:
         for i, piv in enumerate(self._pivots):
@@ -291,60 +303,11 @@ class IntEchelon:
         return tuple(tuple(r) for r in self._rows)
 
 
-class RankEchelon:
-    """Rank of a span of int vectors, by forward elimination only.
-
-    Rows live in a pivot -> row dict and are never back-substituted, so
-    they are in no canonical form; only ``rank`` and the result of
-    ``insert`` mean anything, and both depend on the span alone.  With a
-    prime ``p`` inputs hold residues in ``[0, p)`` and rows are scaled to
-    pivot 1 and reduced ``% p``; with
-    ``p=None`` rows are fraction-free primitive integer vectors (Bareiss
-    1968), which gives the rank over Q and, since a lattice's rank is its
-    rank over Q, over Z as well.
-    """
-
-    def __init__(self, width: int, p: int | None = None):
-        self.width = width
-        self._p = p
-        self._rows: dict[int, list[int]] = {}
-
-    @property
-    def rank(self) -> int:
-        return len(self._rows)
-
-    def insert(self, v) -> bool:
-        """Add the int vector v to the span; True if the rank grew."""
-        if not any(v):
-            return False
-        rows, p = self._rows, self._p
-        for j in range(self.width):
-            c = v[j]
-            if not c:
-                continue
-            row = rows.get(j)
-            if row is not None:
-                # row is zero left of j, and so is v: only columns >= j change
-                if p is not None:
-                    v = [(x - c * y) % p for x, y in zip(v, row)]
-                else:
-                    v = _eliminate(v, row, j, c)
-                continue
-            if p is not None:
-                inv = pow(c, p - 2, p)
-                rows[j] = [x * inv % p for x in v]
-            else:
-                g = gcd(*v)
-                rows[j] = [x // g for x in v] if c > 0 else [-x // g for x in v]
-            return True
-        return False
-
-
 class F2RankEchelon:
-    """``RankEchelon`` over F2 with each vector a Python-int bitmask (bit j
-    is entry j), eliminated by XOR in the manner of M4RI (Albrecht, Bard and
-    Pernet): one word operation per row instead of one per entry.  Rows are
-    keyed by their highest set bit."""
+    """The rank of a ``FieldEchelon`` over F2, with each vector a Python-int
+    bitmask (bit j is entry j), eliminated by XOR in the manner of M4RI
+    (Albrecht, Bard and Pernet): one word operation per row instead of one
+    per entry.  Rows are keyed by their highest set bit."""
 
     def __init__(self, width: int):
         self.width = width
@@ -368,7 +331,7 @@ class F2RankEchelon:
 
 
 def make_echelon(dom: CoefficientDomain, width: int):
-    return FieldEchelon(dom, width) if dom.is_field else IntEchelon(dom, width)
+    return FieldEchelon(width, dom.p) if dom.is_field else IntEchelon(dom, width)
 
 
 def span_rows(dom: CoefficientDomain, rows, width: int) -> tuple[tuple, ...]:

@@ -25,20 +25,13 @@ from dataclasses import dataclass, replace
 
 from .domains import CoefficientDomain
 from .algebra import AlgebraError, GradedAlgebra, RingMorphism, make_algebra
-from .engine import Bundle
+from .engine import KIND_OF, Bundle
 from . import spaces as sp
 
-__all__ = ["ModelFileError", "Query", "LoadedModel", "load_model_file", "parse_model", "parse_mrange"]
+__all__ = ["ModelFileError", "Query", "LoadedModel", "check_query", "load_model_file",
+           "parse_model", "parse_mrange"]
 
 SCHEMA = "secatm-model/1"
-
-INVARIANT_KINDS = {
-    "cat": "space",
-    "tc": "space",
-    "secat": "fibration",
-    "dm": "map_pair",
-    "hdm": "map_pair",
-}
 
 
 class ModelFileError(ValueError):
@@ -81,10 +74,26 @@ def parse_mrange(text: str, where: str = "m") -> list[int]:
     return list(range(lo, hi + 1))
 
 
+def check_query(bundle: Bundle, query: Query, where: str) -> None:
+    """Raise unless ``bundle`` holds a model of the query invariant's kind
+    under the query's target name."""
+    kind = KIND_OF[query.invariant]
+    if query.target not in getattr(bundle, kind):
+        # kind names a Bundle registry: "spaces", "fibrations", "map_pairs"
+        raise ModelFileError(where, f"no {kind[:-1]} named {query.target!r}")
+
+
 def _integer(value, where: str) -> int:
     """A JSON integer; booleans, floats and strings are rejected."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ModelFileError(where, f"expected an integer, got {value!r}")
+    return value
+
+
+def _flag(value, where: str) -> bool:
+    """A JSON boolean; strings, numbers and null are rejected."""
+    if not isinstance(value, bool):
+        raise ModelFileError(where, f"expected true or false, got {value!r}")
     return value
 
 
@@ -240,7 +249,8 @@ class _Loader:
             if key in spec:
                 fields[key] = _optional_integer(spec, key, path)
         if "h_space_with_division" in spec:
-            fields["h_space_with_division"] = bool(spec["h_space_with_division"])
+            fields["h_space_with_division"] = _flag(
+                spec["h_space_with_division"], f"{path}.h_space_with_division")
         if "square" in spec:
             fields["square"] = self.space(spec["square"], path)
         if fields:
@@ -258,7 +268,8 @@ class _Loader:
             conn=_integer(spec.get("conn", 0), f"{path}.conn"),
             hdim=_optional_integer(spec, "hdim", path),
             pi_vanish_from=_optional_integer(spec, "pi_vanish_from", path),
-            h_space_with_division=bool(spec.get("h_space_with_division", False)),
+            h_space_with_division=_flag(spec.get("h_space_with_division", False),
+                                        f"{path}.h_space_with_division"),
             known_cat=_optional_integer(spec, "known_cat", path),
             known_tc=_optional_integer(spec, "known_tc", path),
             factors=factors,
@@ -335,7 +346,8 @@ class _Loader:
                 base=base,
                 total_algebra=total_alg,
                 pstar=pstar,
-                total_contractible=bool(spec.get("total_contractible", False)),
+                total_contractible=_flag(spec.get("total_contractible", False),
+                                         f"{path}.total_contractible"),
                 fiber_pi_vanish_from=_optional_integer(spec, "fiber_pi_vanish_from", path),
                 known_secat=_optional_integer(spec, "known_secat", path),
             )
@@ -390,7 +402,7 @@ class _Loader:
                 codomain=codomain,
                 fstar=fstar,
                 gstar=gstar,
-                homotopic=bool(spec.get("homotopic", False)),
+                homotopic=_flag(spec.get("homotopic", False), f"{path}.homotopic"),
                 known_d=_optional_integer(spec, "known_d", path),
                 triangle=triangle,
             )
@@ -430,17 +442,11 @@ class _Loader:
             if not isinstance(q, dict) or "target" not in q or "invariant" not in q:
                 raise ModelFileError(path, "query needs 'target' and 'invariant'")
             inv = q["invariant"]
-            if not isinstance(inv, str) or inv not in INVARIANT_KINDS:
+            if not isinstance(inv, str) or inv not in KIND_OF:
                 raise ModelFileError(f"{path}.invariant", f"unknown invariant {inv!r}")
-            target = _name(q["target"], f"{path}.target")
-            kind = INVARIANT_KINDS[inv]
-            registry = {
-                "space": self._spaces,
-                "fibration": self._fibs,
-                "map_pair": self._pairs,
-            }[kind]
-            if target not in registry:
-                raise ModelFileError(path, f"no {kind} named {target!r}")
-            ms = parse_mrange(q["m"], f"{path}.m") if "m" in q else None
-            out.append(Query(target, inv, ms))
+            query = Query(_name(q["target"], f"{path}.target"), inv)
+            check_query(self.bundle, query, path)
+            if "m" in q:
+                query.ms = parse_mrange(q["m"], f"{path}.m")
+            out.append(query)
         return out

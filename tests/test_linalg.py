@@ -8,7 +8,6 @@ from secatm.linalg import (
     F2RankEchelon,
     FieldEchelon,
     IntEchelon,
-    RankEchelon,
     kernel_rows,
     make_echelon,
     span_rows,
@@ -21,7 +20,7 @@ def frac(rows):
 
 class TestFieldEchelon:
     def test_insert_and_contains(self):
-        ech = FieldEchelon(Q, 3)
+        ech = FieldEchelon(3)
         assert ech.insert(frac([[1, 2, 0]])[0])
         assert ech.insert(frac([[0, 1, 1]])[0])
         assert not ech.insert(frac([[1, 3, 1]])[0])  # dependent
@@ -39,13 +38,6 @@ class TestFieldEchelon:
         fwd = span_rows(Q, rows, 3)
         rev = span_rows(Q, list(reversed(rows)), 3)
         assert fwd == rev
-
-    def test_is_full(self):
-        ech = FieldEchelon(GF(2), 2)
-        ech.insert((1, 1))
-        assert not ech.is_full()
-        ech.insert((0, 1))
-        assert ech.is_full()
 
 
 class TestIntEchelon:
@@ -69,13 +61,6 @@ class TestIntEchelon:
         assert ech.rows() == ((2,),)
         ech.insert((3,))
         assert ech.rows() == ((1,),)
-        assert ech.is_full()
-
-    def test_full_means_standard_lattice(self):
-        ech = IntEchelon(Z, 2)
-        ech.insert((2, 0))
-        ech.insert((0, 1))
-        assert ech.rank == 2 and not ech.is_full()
 
 
 class TestKernels:
@@ -271,18 +256,21 @@ def test_field_echelon_matches_reference(field, data):
         assert ech.contains(v)
 
 
-# -- rank-only echelons against the canonical ones ----------------------------
+# -- ranks after every insert ------------------------------------------------
 #
 # The cup-length DP keeps a monomial exactly when inserting it grows the
-# rank, so a rank-only echelon must agree with FieldEchelon/IntEchelon on
-# that answer after every insert.  Over F2 it takes bitmasks (bit j is entry
-# j); over Q and Z it takes int vectors.
+# rank, so the rank after every insert is checked against a reference: the
+# reference RREF over Q and F3, the Hermite-form lattice over Z (whose rank
+# is the rank over Q), and the canonical echelon for the bitmask echelon over
+# F2 (bit j is entry j).  Inputs are the DP's int vectors.
 
 _RANK_DOMAINS = {
-    "Q": (Q, lambda w: RankEchelon(w), st.integers(-4, 4)),
-    "Z": (Z, lambda w: RankEchelon(w), st.integers(-4, 4)),
-    "F3": (GF(3), lambda w: RankEchelon(w, 3), st.integers(0, 2)),
-    "F2": (GF(2), F2RankEchelon, st.integers(0, 1)),
+    "Q": (FieldEchelon, st.integers(-4, 4), lambda rows, w: len(_ref_rref(rows, w))),
+    "Z": (FieldEchelon, st.integers(-4, 4), lambda rows, w: len(span_rows(Z, rows, w))),
+    "F3": (lambda w: FieldEchelon(w, 3), st.integers(0, 2),
+           lambda rows, w: len(_ref_rref(rows, w, 3))),
+    "F2": (F2RankEchelon, st.integers(0, 1),
+           lambda rows, w: len(span_rows(GF(2), rows, w))),
 }
 
 
@@ -294,23 +282,23 @@ def _mask(v):
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())
 def test_rank_echelon_agrees_with_the_canonical_echelon(label, data):
-    dom, make_rank, entry = _RANK_DOMAINS[label]
+    make_rank, entry, reference_rank = _RANK_DOMAINS[label]
     w = data.draw(st.integers(1, 8))
     # few distinct rows, so that dependent inserts are common
     pool = data.draw(st.lists(st.tuples(*[entry] * w), min_size=1, max_size=4))
     rows = data.draw(st.lists(st.sampled_from(pool) | st.tuples(*[entry] * w),
                               min_size=1, max_size=10))
-    canonical, ranked = make_echelon(dom, w), make_rank(w)
-    for v in rows:
-        grew = canonical.insert(v)
-        assert ranked.insert(_mask(v) if label == "F2" else list(v)) == grew
-        assert ranked.rank == canonical.rank
+    ranked = make_rank(w)
+    for k, v in enumerate(rows):
+        before, rank = ranked.rank, reference_rank(rows[:k + 1], w)
+        assert ranked.insert(_mask(v) if label == "F2" else list(v)) == (rank > before)
+        assert ranked.rank == rank
 
 
 def test_rank_echelon_over_q_sees_rational_dependence():
     # (2, 4) and (3, 6) span a line over Q, though neither lattice vector is
     # an integral multiple of the other
-    ech = RankEchelon(2)
+    ech = FieldEchelon(2)
     assert ech.insert([2, 4])
     assert not ech.insert([3, 6])
     assert ech.insert([0, -5])

@@ -228,6 +228,38 @@ class TestDiagnostics:
         doc["spaces"]["s4"]["n"] = True
         assert_rejected(doc, "spaces.s4.n", tmp_path, capsys)
 
+    # flags must be JSON booleans: bool("false") is True, so the string used
+    # to switch a flag on
+
+    def test_constructor_h_space_flag_must_be_a_boolean(self, tmp_path, capsys):
+        doc = copy.deepcopy(U2_DOC)
+        doc["spaces"]["u2"]["h_space_with_division"] = "false"
+        assert_rejected(doc, "spaces.u2.h_space_with_division", tmp_path, capsys)
+
+    def test_explicit_h_space_flag_must_be_a_boolean(self, tmp_path, capsys):
+        doc = base_doc(spaces={"e": {
+            "algebra": {"basis": {"0": ["1"], "1": ["x"]}},
+            "h_space_with_division": 0,
+        }})
+        assert_rejected(doc, "spaces.e.h_space_with_division", tmp_path, capsys)
+
+    def test_total_contractible_must_be_a_boolean(self, tmp_path, capsys):
+        # secat of the identity fibration of S^2 is 0; read as contractible,
+        # the total space used to give it cat(S^2) = 1
+        doc = base_doc(fibrations={"idfib": {
+            "base": "s2", "total": "s2", "pstar": {"kind": "identity"},
+            "total_contractible": "false",
+        }})
+        assert_rejected(doc, "fibrations.idfib.total_contractible", tmp_path, capsys)
+        model = tmp_path / "model.json"
+        assert main(["bounds", str(model), "idfib", "secat"]) == 1
+        assert "fibrations.idfib.total_contractible" in capsys.readouterr().err
+
+    def test_homotopic_must_be_a_boolean(self, tmp_path, capsys):
+        doc = copy.deepcopy(U2_DOC)
+        doc["map_pairs"]["idinv"]["homotopic"] = "false"
+        assert_rejected(doc, "map_pairs.idinv.homotopic", tmp_path, capsys)
+
     def test_pair_domain_must_be_a_name(self, tmp_path, capsys):
         doc = copy.deepcopy(U2_DOC)
         doc["map_pairs"]["idinv"]["domain"] = ["u2"]
