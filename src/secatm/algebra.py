@@ -898,6 +898,14 @@ class Subspace:
         self.rows: dict[int, tuple] = clean
 
     @staticmethod
+    def _of_canonical(algebra: GradedAlgebra, rows: dict) -> "Subspace":
+        """The subspace whose nonempty degrees hold ``rows``, taken as they
+        are: each must already be the canonical echelon basis."""
+        out = Subspace(algebra, {})
+        out.rows = {d: rs for d, rs in sorted(rows.items()) if rs}
+        return out
+
+    @staticmethod
     def from_elements(algebra: GradedAlgebra, elements) -> "Subspace":
         rows: dict[int, list] = {}
         for el in elements:
@@ -941,7 +949,7 @@ class Subspace:
         """Sub-span of the components of degree <= cap (all when cap is None)."""
         if cap is None:
             return self
-        return Subspace(
+        return Subspace._of_canonical(
             self.algebra, {d: rs for d, rs in self.rows.items() if d <= cap}
         )
 
@@ -983,10 +991,8 @@ def kernel(phi: RingMorphism) -> Subspace:
         n = alg.dim(d)
         if n == 0:
             continue
-        ker = kernel_rows(alg.coeff, list(phi.mats[d]), phi.target.dim(d))
-        if ker:
-            rows[d] = ker
-    return Subspace(alg, rows)
+        rows[d] = kernel_rows(alg.coeff, list(phi.mats[d]), phi.target.dim(d))
+    return Subspace._of_canonical(alg, rows)
 
 
 def _cup_kernel_basis(A: GradedAlgebra, top: int):

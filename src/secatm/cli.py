@@ -85,12 +85,8 @@ def _cmd_bounds(args) -> int:
     if args.max_m is not None and args.max_m < 1:
         print("error: --max-m must be >= 1", file=sys.stderr)
         return 1
-    try:
-        loaded = load_model_file(args.file, args.coeff)
-        queries = _resolve_queries(args, loaded)
-    except ModelFileError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+    loaded = load_model_file(args.file, args.coeff)
+    queries = _resolve_queries(args, loaded)
 
     needed = max((max(q.ms) for q in queries if q.ms), default=0)
     max_m = default_max_m(loaded.bundle) if args.max_m is None else args.max_m
@@ -147,12 +143,7 @@ def _cmd_paper_suite(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    try:
-        loaded = load_model_file(args.file)
-    except ModelFileError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    b = loaded.bundle
+    b = load_model_file(args.file).bundle
     for name in b.spaces:
         print(f"space {name}: ok")
     for name in b.fibrations:
@@ -165,11 +156,13 @@ def _cmd_validate(args) -> int:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.command == "bounds":
-        return _cmd_bounds(args)
-    if args.command == "paper-suite":
-        return _cmd_paper_suite(args)
-    return _cmd_validate(args)
+    command = {"bounds": _cmd_bounds, "paper-suite": _cmd_paper_suite,
+               "validate": _cmd_validate}[args.command]
+    try:
+        return command(args)
+    except ModelFileError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 1
 
 
 def entry_point() -> None:  # pragma: no cover - console script shim

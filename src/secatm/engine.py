@@ -74,19 +74,13 @@ class Bundle:
 
 
 def default_max_m(bundle: Bundle) -> int | None:
-    """Largest m before every table stabilizes: hdim for cat-like tables,
-    twice that for tc tables."""
-    cands = []
-    for s in bundle.spaces.values():
-        if s.hdim is not None:
-            cands.append(2 * s.hdim)
-    for f in bundle.fibrations.values():
-        if f.base.hdim is not None:
-            cands.append(f.base.hdim)
-    for p in bundle.map_pairs.values():
-        if p.domain.hdim is not None:
-            cands.append(p.domain.hdim)
-    return max(max(cands), 1) if cands else None
+    """Largest m before every table stabilizes: the largest dimension
+    parameter of the bundle's tables, at least 1; None when no table has
+    one."""
+    params = [_dim_param(inv, model) for kind, invariants in _INVARIANTS.items()
+              for model in getattr(bundle, kind).values() for inv in invariants]
+    params = [d for d in params if d is not None]
+    return max(max(params), 1) if params else None
 
 
 def compute_tables(bundle, max_m=None, use_literature=True, targets=None):
@@ -215,6 +209,19 @@ KIND_OF = {inv: kind for kind, invs in _INVARIANTS.items() for inv in invs}
 _KNOWN = {"cat": "known_cat", "tc": "known_tc", "secat": "known_secat", "dm": "known_d"}
 
 
+def _dim_param(inv, model):
+    """The m from which ``inv`` of ``model`` stabilizes: hdim of the space,
+    fibration base or pair domain, twice it for tc; None for hdm or an
+    unknown hdim."""
+    if inv == "hdm":
+        return None
+    if inv == "secat":
+        return model.base.hdim
+    if inv == "dm":
+        return model.domain.hdim
+    return model.hdim if inv == "cat" or model.hdim is None else 2 * model.hdim
+
+
 class _Engine:
     def __init__(self, bundle, max_m, use_literature, targets):
         # derived models are named in a copy, never in the caller's bundle
@@ -280,10 +287,10 @@ class _Engine:
         if self.max_m < 1:
             raise ValueError(f"max_m must be >= 1, got {self.max_m}")
         for kind, invariants in _INVARIANTS.items():
-            for name in getattr(self.bundle, kind):
+            for name, model in getattr(self.bundle, kind).items():
                 for inv in invariants:
                     self.tables[(inv, name)] = BoundTable(
-                        inv, name, self.max_m, self._dim_param(inv, name))
+                        inv, name, self.max_m, _dim_param(inv, model))
 
         self.rules = self._rules()
         self._apply_static()
@@ -411,17 +418,6 @@ class _Engine:
                     pairs[row, rows, shift] = None
             self._pair_cache[key] = list(pairs)
         return self._pair_cache[key]
-
-    def _dim_param(self, inv, name):
-        """hdim of the space, fibration base or pair domain; twice it for tc."""
-        if inv == "hdm":
-            return None
-        model = self.model(inv, name)
-        if inv == "secat":
-            return model.base.hdim
-        if inv == "dm":
-            return model.domain.hdim
-        return model.hdim if inv == "cat" or model.hdim is None else 2 * model.hdim
 
     def _rules(self):
         """Every narrowing rule of the fixpoint as a record, in sweep order."""

@@ -13,14 +13,25 @@ Top level::
     }
 
 A space is either a constructor call (``{"construct": "sphere", "n": 2}``)
-optionally overriding metadata, or an explicit algebra with metadata.
-Products in an explicit algebra are sparse: omitted products are zero and
-an omitted mirror is filled in with the graded sign.
+or an explicit algebra (``{"algebra": {"basis": ..., "products": ...}}``).
+Both take the same metadata fields (``conn``, ``hdim``, ``pi_vanish_from``,
+``known_cat``, ``known_tc``, ``h_space_with_division``, ``factors``,
+``square``), which override what a constructor sets.  Products in an
+explicit algebra are sparse: omitted products are zero and an omitted
+mirror is filled in with the graded sign.  Every algebra a file declares has
+top degree and rank at most ``MAX_ALGEBRA_SIZE``; an explicit basis or a
+product is checked before it is built, a constructor's integer fields
+before and its algebra after.
+
+A model is built on its first reference, once, by one resolver that also
+catches circular references and turns every error into a
+:class:`ModelFileError` naming the JSON path of the offending value.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 
 from .domains import CoefficientDomain
@@ -32,6 +43,13 @@ __all__ = ["ModelFileError", "Query", "LoadedModel", "check_query", "load_model_
            "parse_model", "parse_mrange"]
 
 SCHEMA = "secatm-model/1"
+# bound on the top degree and the number of basis classes of every algebra
+# a model file declares, and on a declared hdim and number of factors,
+# checked before the algebra is built.  Building one costs about the cube of its size (RP^200 took
+# 12.6 s, a product of 12 circles 23 s; a degree of 2^40 never finishes),
+# and a tc table builds a tensor square with size^2 classes: at 32 classes
+# tc took under 10 s and 50 MB, on RP^64 it ran past 120 s and 1 GB.
+MAX_ALGEBRA_SIZE = 32
 
 
 class ModelFileError(ValueError):
@@ -118,6 +136,33 @@ def _optional_integer(spec: dict, key: str, path: str) -> int | None:
     return None if value is None else _integer(value, f"{path}.{key}")
 
 
+def _bounded(value: int, where: str, what: str) -> int:
+    """``value``, unless it is above MAX_ALGEBRA_SIZE."""
+    if value > MAX_ALGEBRA_SIZE:
+        raise ModelFileError(
+            where, f"{what} is {value}, above the size bound {MAX_ALGEBRA_SIZE}")
+    return value
+
+
+def _check_size(path: str, algebras: list[GradedAlgebra]) -> None:
+    """Reject the Kunneth product of ``algebras`` before it is built unless
+    its top degree and number of basis classes are within the bound."""
+    _bounded(sum(a.top_degree for a in algebras), path, "the top degree")
+    _bounded(math.prod(a.total_dim for a in algebras), path, "the number of basis classes")
+
+
+# constructor -> (function, integer fields in argument order, takes "coeff")
+_CONSTRUCTORS = {
+    "sphere": (sp.sphere, ("n",), True),
+    "point": (sp.point, (), True),
+    "real_projective": (sp.real_projective, ("n",), False),
+    "complex_projective": (sp.complex_projective, ("n",), False),
+    "moore": (sp.moore, ("rank", "n"), True),
+    "orientable_surface": (sp.orientable_surface, ("genus",), False),
+    "nonorientable_surface": (sp.nonorientable_surface, ("genus",), False),
+}
+
+
 def load_model_file(path: str, coeff_override: str | None = None) -> LoadedModel:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -148,67 +193,52 @@ class _Loader:
     def __init__(self, data: dict, coeff: CoefficientDomain):
         self.coeff = coeff
         self.bundle = Bundle()
-        self.space_specs = _block(data, "spaces", dict)
-        self.fib_specs = _block(data, "fibrations", dict)
-        self.pair_specs = _block(data, "map_pairs", dict)
+        # kind (a Bundle registry) -> name -> spec, in resolution order
+        self.specs = {kind: _block(data, kind, dict) for kind in _BUILDERS}
         self.query_specs = _block(data, "queries", list)
-        names = list(self.space_specs) + list(self.fib_specs) + list(self.pair_specs)
+        names = [name for specs in self.specs.values() for name in specs]
         dupes = {n for n in names if names.count(n) > 1}
         if dupes:
             raise ModelFileError("$", f"duplicate model names: {sorted(dupes)}")
-        self._spaces: dict[str, sp.SpaceModel] = {}
-        self._fibs: dict[str, sp.FibrationModel] = {}
-        self._pairs: dict[str, sp.MapPairModel] = {}
         self._building: set[str] = set()
 
     def load(self) -> LoadedModel:
-        for name in self.space_specs:
-            self.space(name)
-        for name in self.fib_specs:
-            self.fibration(name)
-        for name in self.pair_specs:
-            self.pair(name)
+        for kind, specs in self.specs.items():
+            for name in specs:
+                self.model(kind, name, kind)
         queries = self._parse_queries()
         return LoadedModel(self.bundle, queries, self.coeff)
 
-    # -- spaces ---------------------------------------------------------------
-    def space(self, name: str, where: str = "spaces") -> sp.SpaceModel:
-        if _name(name, where) in self._spaces:
-            return self._spaces[name]
-        if name not in self.space_specs:
-            raise ModelFileError(where, f"unknown space {name!r}")
+    def model(self, kind: str, name, where: str):
+        """The model of ``kind`` (a Bundle registry) named ``name``, built on
+        first reference and then served from the bundle; ``where`` is the
+        path of the reference."""
+        registry = getattr(self.bundle, kind)
+        if _name(name, where) in registry:
+            return registry[name]
+        noun = kind[:-1].replace("_", " ")
+        if name not in self.specs[kind]:
+            raise ModelFileError(where, f"unknown {noun} {name!r}")
+        path = f"{kind}.{name}"
         if name in self._building:
-            raise ModelFileError(f"spaces.{name}", "circular reference")
+            raise ModelFileError(path, "circular reference")
+        spec = self.specs[kind][name]
+        if not isinstance(spec, dict):
+            raise ModelFileError(path, f"{noun} spec must be an object")
         self._building.add(name)
         try:
-            model = self._build_space(name, self.space_specs[name])
-        finally:
-            self._building.discard(name)
-        self._spaces[name] = model
-        self.bundle.add_space(name, model)
-        return model
-
-    def _build_space(self, name: str, spec) -> sp.SpaceModel:
-        path = f"spaces.{name}"
-        if not isinstance(spec, dict):
-            raise ModelFileError(path, "space spec must be an object")
-        try:
-            if "construct" in spec:
-                model = self._construct_space(path, spec)
-            elif "algebra" in spec:
-                model = self._explicit_space(path, spec)
-            else:
-                raise ModelFileError(path, "need either 'construct' or 'algebra'")
-        except AlgebraError as e:
-            raise ModelFileError(path, str(e))
-        except KeyError as e:
-            raise ModelFileError(path, f"missing field {e.args[0]!r}")
+            model = _BUILDERS[kind](self, path, spec)
+        except ModelFileError:
+            raise
         except sp.ModelFieldError as e:
             raise ModelFileError(f"{path}.{e.field}", str(e))
-        except (TypeError, ValueError) as e:
-            if isinstance(e, ModelFileError):
-                raise
+        except KeyError as e:
+            raise ModelFileError(path, f"missing field {e.args[0]!r}")
+        except (TypeError, ValueError) as e:  # AlgebraError is a ValueError
             raise ModelFileError(path, str(e))
+        finally:
+            self._building.discard(name)
+        registry[name] = model
         return model
 
     def _spec_coeff(self, path: str, spec) -> CoefficientDomain:
@@ -219,62 +249,54 @@ class _Loader:
                 raise ModelFileError(f"{path}.coeff", str(e))
         return self.coeff
 
-    def _construct_space(self, path: str, spec) -> sp.SpaceModel:
+    # -- spaces ---------------------------------------------------------------
+    def _space(self, path: str, spec) -> sp.SpaceModel:
+        if "construct" not in spec:
+            if "algebra" not in spec:
+                raise ModelFileError(path, "need either 'construct' or 'algebra'")
+            algebra = self._parse_algebra(f"{path}.algebra", spec["algebra"])
+            return sp.SpaceModel(algebra, **self._space_fields(path, spec))
         kind = spec["construct"]
-        if kind == "sphere":
-            model = sp.sphere(_integer(spec["n"], f"{path}.n"), self._spec_coeff(path, spec))
-        elif kind == "point":
-            model = sp.point(self._spec_coeff(path, spec))
-        elif kind == "real_projective":
-            model = sp.real_projective(_integer(spec["n"], f"{path}.n"))
-        elif kind == "complex_projective":
-            model = sp.complex_projective(_integer(spec["n"], f"{path}.n"))
-        elif kind == "moore":
-            model = sp.moore(_integer(spec["rank"], f"{path}.rank"),
-                             _integer(spec["n"], f"{path}.n"), self._spec_coeff(path, spec))
-        elif kind == "orientable_surface":
-            model = sp.orientable_surface(_integer(spec["genus"], f"{path}.genus"))
-        elif kind == "nonorientable_surface":
-            model = sp.nonorientable_surface(_integer(spec["genus"], f"{path}.genus"))
-        elif kind == "product":
-            factors = [self.space(f, path) for f in spec["factors"]]
+        fields = self._space_fields(path, spec)
+        if kind == "product":
+            factors = fields.pop("factors")
+            _check_size(path, [f.algebra for f in factors])
             model = sp.product(factors)
+        elif isinstance(kind, str) and kind in _CONSTRUCTORS:
+            build, keys, takes_coeff = _CONSTRUCTORS[kind]
+            # a field above the bound puts the top degree or the rank above it
+            args = [_bounded(_integer(spec[key], f"{path}.{key}"), f"{path}.{key}", key)
+                    for key in keys]
+            if takes_coeff:
+                args.append(self._spec_coeff(path, spec))
+            model = build(*args)
+            _check_size(path, [model.algebra])
         else:
             raise ModelFileError(path, f"unknown constructor {kind!r}")
-        return self._apply_overrides(path, model, spec)
+        return replace(model, **fields) if fields else model
 
-    def _apply_overrides(self, path: str, model: sp.SpaceModel, spec) -> sp.SpaceModel:
+    def _space_fields(self, path: str, spec) -> dict:
+        """The metadata fields ``spec`` sets, the same for a constructed and
+        an explicit space; factors are resolved before the square."""
         fields = {}
-        for key in ("conn", "hdim", "pi_vanish_from", "known_cat", "known_tc"):
+        if "conn" in spec:
+            fields["conn"] = _integer(spec["conn"], f"{path}.conn")
+        for key in ("hdim", "pi_vanish_from", "known_cat", "known_tc"):
             if key in spec:
                 fields[key] = _optional_integer(spec, key, path)
+        if fields.get("hdim") is not None:
+            # tables keep a row for each m below twice hdim
+            _bounded(fields["hdim"], f"{path}.hdim", "hdim")
         if "h_space_with_division" in spec:
             fields["h_space_with_division"] = _flag(
                 spec["h_space_with_division"], f"{path}.h_space_with_division")
-        if "square" in spec:
-            fields["square"] = self.space(spec["square"], path)
-        if fields:
-            model = replace(model, **fields)
-        return model
-
-    def _explicit_space(self, path: str, spec) -> sp.SpaceModel:
-        algebra = self._parse_algebra(f"{path}.algebra", spec["algebra"])
-        factors = None
         if "factors" in spec:
-            factors = [self.space(f, path) for f in spec["factors"]]
-        square = self.space(spec["square"], path) if "square" in spec else None
-        return sp.SpaceModel(
-            algebra,
-            conn=_integer(spec.get("conn", 0), f"{path}.conn"),
-            hdim=_optional_integer(spec, "hdim", path),
-            pi_vanish_from=_optional_integer(spec, "pi_vanish_from", path),
-            h_space_with_division=_flag(spec.get("h_space_with_division", False),
-                                        f"{path}.h_space_with_division"),
-            known_cat=_optional_integer(spec, "known_cat", path),
-            known_tc=_optional_integer(spec, "known_tc", path),
-            factors=factors,
-            square=square,
-        )
+            fields["factors"] = [self.model("spaces", f, path) for f in spec["factors"]]
+            # each factor costs one Kunneth product, also a point
+            _bounded(len(fields["factors"]), f"{path}.factors", "the number of factors")
+        if "square" in spec:
+            fields["square"] = self.model("spaces", spec["square"], path)
+        return fields
 
     def _parse_algebra(self, path: str, spec) -> GradedAlgebra:
         if not isinstance(spec, dict) or "basis" not in spec:
@@ -291,9 +313,11 @@ class _Loader:
                 raise ModelFileError(where, "degrees must be integers")
             if degree < 0 or degree in basis:
                 raise ModelFileError(where, "degrees must be distinct and >= 0")
+            _bounded(degree, where, "the degree")
             if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
                 raise ModelFileError(where, f"expected a list of names, got {names!r}")
             basis[degree] = names
+        _bounded(sum(map(len, basis.values())), f"{path}.basis", "the number of basis classes")
         products = []
         for i, entry in enumerate(spec.get("products", [])):
             if not (isinstance(entry, (list, tuple)) and len(entry) == 3):
@@ -306,114 +330,59 @@ class _Loader:
         except (AlgebraError, TypeError, ValueError) as e:
             raise ModelFileError(path, str(e))
 
-    # -- fibrations -------------------------------------------------------------
-    def fibration(self, name: str, where: str = "fibrations") -> sp.FibrationModel:
-        if _name(name, where) in self._fibs:
-            return self._fibs[name]
-        if name not in self.fib_specs:
-            raise ModelFileError(where, f"unknown fibration {name!r}")
-        if name in self._building:
-            raise ModelFileError(f"fibrations.{name}", "circular reference")
-        self._building.add(name)
-        try:
-            model = self._build_fibration(name, self.fib_specs[name])
-        finally:
-            self._building.discard(name)
-        self._fibs[name] = model
-        self.bundle.add_fibration(name, model)
-        return model
+    # -- fibrations and map pairs ----------------------------------------------
+    def _fibration(self, path: str, spec) -> sp.FibrationModel:
+        if spec.get("construct") == "product_fibration":
+            factors = [self.model("fibrations", f, path) for f in spec["factors"]]
+            if len(factors) != 2:
+                raise ModelFileError(path, "product_fibration takes two factors")
+            _check_size(path, [f.base.algebra for f in factors])
+            _check_size(path, [f.total_algebra for f in factors])
+            return sp.product_fibration(factors[0], factors[1])
+        base = self.model("spaces", spec["base"], path)
+        total = spec["total"]
+        if isinstance(total, str):
+            total_alg = self.model("spaces", total, path).algebra
+        else:
+            total_alg = self._parse_algebra(f"{path}.total", total["algebra"])
+        pstar = self._parse_morphism(
+            f"{path}.pstar", spec["pstar"], base.algebra, total_alg
+        )
+        return sp.FibrationModel(
+            base=base,
+            total_algebra=total_alg,
+            pstar=pstar,
+            total_contractible=_flag(spec.get("total_contractible", False),
+                                     f"{path}.total_contractible"),
+            fiber_pi_vanish_from=_optional_integer(spec, "fiber_pi_vanish_from", path),
+            known_secat=_optional_integer(spec, "known_secat", path),
+        )
 
-    def _build_fibration(self, name: str, spec) -> sp.FibrationModel:
-        path = f"fibrations.{name}"
-        if not isinstance(spec, dict):
-            raise ModelFileError(path, "fibration spec must be an object")
-        try:
-            if spec.get("construct") == "product_fibration":
-                factors = [self.fibration(f, path) for f in spec["factors"]]
-                if len(factors) != 2:
-                    raise ModelFileError(path, "product_fibration takes two factors")
-                return sp.product_fibration(factors[0], factors[1])
-            base = self.space(spec["base"], path)
-            total = spec["total"]
-            if isinstance(total, str):
-                total_alg = self.space(total, path).algebra
-            else:
-                total_alg = self._parse_algebra(f"{path}.total", total["algebra"])
-            pstar = self._parse_morphism(
-                f"{path}.pstar", spec["pstar"], base.algebra, total_alg
+    def _map_pair(self, path: str, spec) -> sp.MapPairModel:
+        domain = self.model("spaces", spec["domain"], path)
+        codomain = self.model("spaces", spec["codomain"], path)
+        fstar = self._parse_morphism(
+            f"{path}.fstar", spec["fstar"], codomain.algebra, domain.algebra
+        )
+        gstar = self._parse_morphism(
+            f"{path}.gstar", spec["gstar"], codomain.algebra, domain.algebra
+        )
+        triangle = None
+        if "triangle" in spec:
+            tri = spec["triangle"]
+            triangle = (
+                self.model("map_pairs", tri["left"], path),
+                self.model("map_pairs", tri["right"], path),
             )
-            return sp.FibrationModel(
-                base=base,
-                total_algebra=total_alg,
-                pstar=pstar,
-                total_contractible=_flag(spec.get("total_contractible", False),
-                                         f"{path}.total_contractible"),
-                fiber_pi_vanish_from=_optional_integer(spec, "fiber_pi_vanish_from", path),
-                known_secat=_optional_integer(spec, "known_secat", path),
-            )
-        except AlgebraError as e:
-            raise ModelFileError(path, str(e))
-        except KeyError as e:
-            raise ModelFileError(path, f"missing field {e.args[0]!r}")
-        except (TypeError, ValueError) as e:
-            if isinstance(e, ModelFileError):
-                raise
-            raise ModelFileError(path, str(e))
-
-    # -- map pairs ----------------------------------------------------------------
-    def pair(self, name: str, where: str = "map_pairs") -> sp.MapPairModel:
-        if _name(name, where) in self._pairs:
-            return self._pairs[name]
-        if name not in self.pair_specs:
-            raise ModelFileError(where, f"unknown map pair {name!r}")
-        if name in self._building:
-            raise ModelFileError(f"map_pairs.{name}", "circular reference")
-        self._building.add(name)
-        try:
-            model = self._build_pair(name, self.pair_specs[name])
-        finally:
-            self._building.discard(name)
-        self._pairs[name] = model
-        self.bundle.add_map_pair(name, model)
-        return model
-
-    def _build_pair(self, name: str, spec) -> sp.MapPairModel:
-        path = f"map_pairs.{name}"
-        if not isinstance(spec, dict):
-            raise ModelFileError(path, "map pair spec must be an object")
-        try:
-            domain = self.space(spec["domain"], path)
-            codomain = self.space(spec["codomain"], path)
-            fstar = self._parse_morphism(
-                f"{path}.fstar", spec["fstar"], codomain.algebra, domain.algebra
-            )
-            gstar = self._parse_morphism(
-                f"{path}.gstar", spec["gstar"], codomain.algebra, domain.algebra
-            )
-            triangle = None
-            if "triangle" in spec:
-                tri = spec["triangle"]
-                triangle = (
-                    self.pair(tri["left"], path),
-                    self.pair(tri["right"], path),
-                )
-            return sp.MapPairModel(
-                domain=domain,
-                codomain=codomain,
-                fstar=fstar,
-                gstar=gstar,
-                homotopic=_flag(spec.get("homotopic", False), f"{path}.homotopic"),
-                known_d=_optional_integer(spec, "known_d", path),
-                triangle=triangle,
-            )
-        except AlgebraError as e:
-            raise ModelFileError(path, str(e))
-        except KeyError as e:
-            raise ModelFileError(path, f"missing field {e.args[0]!r}")
-        except (TypeError, ValueError) as e:
-            if isinstance(e, ModelFileError):
-                raise
-            raise ModelFileError(path, str(e))
+        return sp.MapPairModel(
+            domain=domain,
+            codomain=codomain,
+            fstar=fstar,
+            gstar=gstar,
+            homotopic=_flag(spec.get("homotopic", False), f"{path}.homotopic"),
+            known_d=_optional_integer(spec, "known_d", path),
+            triangle=triangle,
+        )
 
     def _parse_morphism(self, path, spec, source, target) -> RingMorphism:
         if not isinstance(spec, dict) or "kind" not in spec:
@@ -450,3 +419,8 @@ class _Loader:
                 query.ms = parse_mrange(q["m"], f"{path}.m")
             out.append(query)
         return out
+
+
+# Bundle registry -> builder of its models, in the order a file is loaded
+_BUILDERS = {"spaces": _Loader._space, "fibrations": _Loader._fibration,
+             "map_pairs": _Loader._map_pair}

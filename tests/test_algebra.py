@@ -689,6 +689,19 @@ class TestSubspace:
             assert el.is_homogeneous() and not el.is_zero()
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_kernel_and_restriction_keep_canonical_rows(data):
+    # both take their rows as they are, with no new echelon: those rows must
+    # be what a fresh echelon of them gives
+    phi = data.draw(mutated_morphisms())
+    ker = kernel(phi)
+    assert Subspace(ker.algebra, ker.rows) == ker
+    cap = data.draw(st.integers(0, phi.source.top_degree))
+    assert ker.restricted(cap) == Subspace(
+        ker.algebra, {d: rs for d, rs in ker.rows.items() if d <= cap})
+
+
 # -- the explicit cup-kernel basis against elimination ---------------------------
 #
 # ``cup_kernel`` spans ker(cup) by a (x) b - 1 (x) ab; ``kernel`` eliminates the

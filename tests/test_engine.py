@@ -254,6 +254,23 @@ class TestComputeTables:
         with pytest.raises(ValueError):
             compute_tables(bundle2)
 
+    def test_default_max_m_reads_every_kind_of_table(self):
+        # the largest dimension parameter: a fibration's base hdim, a pair's
+        # domain hdim (hdm has none), and at least 1
+        pt = point(Q)
+        bundle = Bundle()
+        bundle.add_space("pt", pt)
+        assert default_max_m(bundle) == 1
+        s5 = sphere(5, Q)
+        bundle.add_fibration("f", FibrationModel(
+            base=s5, total_algebra=pt.algebra, pstar=constant_map_pullback(s5, pt)))
+        assert default_max_m(bundle) == 5
+        s1, s7 = sphere(1, Q), sphere(7, Q)
+        const = constant_map_pullback(s1, s7)
+        bundle.add_map_pair("c", MapPairModel(domain=s7, codomain=s1, fstar=const,
+                                              gstar=const))
+        assert default_max_m(bundle) == 7
+
     @pytest.mark.parametrize("max_m", [0, -3])
     def test_max_m_below_one_is_rejected(self, max_m):
         bundle = Bundle()

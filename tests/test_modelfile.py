@@ -3,12 +3,14 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from secatm.cli import main
 from secatm.modelfile import (
+    MAX_ALGEBRA_SIZE,
     ModelFileError,
     load_model_file,
     parse_model,
@@ -31,6 +33,18 @@ def base_doc(**overrides):
 def covers_doc():
     with open(MODELS / "covers.json", encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def run_validate(doc, tmp_path, timeout):
+    """``secatm validate`` on ``doc`` in a fresh interpreter."""
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run(
+        [sys.executable, "-m", "secatm", "validate", str(model)],
+        capture_output=True, text=True, timeout=timeout, env=env,
+    )
 
 
 def assert_rejected(doc, path, tmp_path, capsys):
@@ -347,16 +361,87 @@ class TestDiagnostics:
 
     def test_huge_prime_modulus_exits_promptly(self, tmp_path):
         # trial division on a 19-digit prime would run for hours
-        model = tmp_path / "model.json"
-        model.write_text(json.dumps(base_doc(coeff="F1000000000000000003")))
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env = dict(os.environ, PYTHONPATH=src)
-        done = subprocess.run(
-            [sys.executable, "-m", "secatm", "validate", str(model)],
-            capture_output=True, text=True, timeout=30, env=env,
-        )
+        done = run_validate(base_doc(coeff="F1000000000000000003"), tmp_path, timeout=30)
         assert done.returncode == 1
         assert "error: coeff:" in done.stderr and "Traceback" not in done.stderr
+
+    def test_conn_null_on_a_constructor(self, tmp_path, capsys):
+        # used to end in a comparison of None with an int
+        doc = base_doc(spaces={"s2": {"construct": "sphere", "n": 2, "conn": None}})
+        assert_rejected(doc, "spaces.s2.conn", tmp_path, capsys)
+
+    # algebras above the size bound are rejected before they are built;
+    # without the bound each of these hung, ran out of memory or took
+    # seconds to tens of seconds
+
+    SIZE_BOMBS = {
+        "sphere_of_dimension_2_40": (
+            {"s": {"construct": "sphere", "n": 2 ** 40}}, "spaces.s.n"),
+        "real_projective_800": (
+            {"r": {"construct": "real_projective", "n": 800}}, "spaces.r.n"),
+        "real_projective_200": (
+            {"r": {"construct": "real_projective", "n": 200}}, "spaces.r.n"),
+        "explicit_basis_in_degree_10_8": (
+            {"e": {"algebra": {"basis": {"0": ["1"], "100000000": ["x"]}}}},
+            "spaces.e.algebra.basis.100000000"),
+        "product_of_12_circles": (
+            {"s1": {"construct": "sphere", "n": 1},
+             "t": {"construct": "product", "factors": ["s1"] * 12}}, "spaces.t"),
+    }
+
+    @pytest.mark.parametrize("spaces, path", SIZE_BOMBS.values(), ids=SIZE_BOMBS)
+    def test_size_bomb_exits_promptly(self, spaces, path, tmp_path):
+        done = run_validate(base_doc(spaces=spaces), tmp_path, timeout=5)
+        assert done.returncode == 1
+        assert f"error: {path}: " in done.stderr and "Traceback" not in done.stderr
+
+    def test_size_bound_admits_its_own_value(self):
+        top = {"construct": "sphere", "n": MAX_ALGEBRA_SIZE}
+        basis = {str(d): [f"x{d}"] for d in range(MAX_ALGEBRA_SIZE)}
+        wide = {"algebra": {"basis": basis}, "hdim": MAX_ALGEBRA_SIZE}
+        spaces = parse_model(base_doc(spaces={"top": top, "wide": wide})).bundle.spaces
+        assert spaces["top"].algebra.top_degree == MAX_ALGEBRA_SIZE
+        assert spaces["wide"].algebra.total_dim == MAX_ALGEBRA_SIZE
+
+    @pytest.mark.parametrize("spaces, path", [
+        # CP^17 and the genus-16 surface are checked once built
+        ({"c": {"construct": "complex_projective", "n": 17}}, "spaces.c"),
+        ({"g": {"construct": "orientable_surface", "genus": 16}}, "spaces.g"),
+        ({"s": {"construct": "sphere", "n": 2, "hdim": MAX_ALGEBRA_SIZE + 1}},
+         "spaces.s.hdim"),
+        ({"e": {"algebra": {"basis": {"0": ["1"], "1": [f"x{k}" for k in range(32)]}}}},
+         "spaces.e.algebra.basis"),
+        ({"s1": {"construct": "sphere", "n": 1},
+          "t": {"construct": "product", "factors": ["s1"] * 6}}, "spaces.t"),
+        ({"pt": {"construct": "point"},
+          "p": {"construct": "product", "factors": ["pt"] * (MAX_ALGEBRA_SIZE + 1)}},
+         "spaces.p.factors"),
+    ])
+    def test_size_bound_names_the_path(self, spaces, path, tmp_path, capsys):
+        assert_rejected(base_doc(spaces=spaces), path, tmp_path, capsys)
+
+    def test_product_fibration_above_the_size_bound(self, tmp_path, capsys):
+        # each factor's base is T^3 (8 classes): the product's base has 64
+        circles = {"s1": {"construct": "sphere", "n": 1},
+                   "t3": {"construct": "product", "factors": ["s1"] * 3},
+                   "pt": {"construct": "point"}}
+        trivial = {"base": "t3", "total": "pt", "pstar": {"kind": "augmentation"}}
+        doc = base_doc(spaces=circles, fibrations={
+            "a": trivial, "b": trivial,
+            "ab": {"construct": "product_fibration", "factors": ["a", "b"]}})
+        assert_rejected(doc, "fibrations.ab", tmp_path, capsys)
+
+    def test_constructed_and_explicit_spaces_take_the_same_metadata(self):
+        meta = {"conn": 1, "hdim": 5, "pi_vanish_from": 4, "known_cat": None,
+                "known_tc": 2, "h_space_with_division": True}
+        doc = base_doc(spaces={
+            "made": {"construct": "sphere", "n": 3, **meta},
+            "listed": {"algebra": {"basis": {"0": ["1"], "3": ["a"]}}, **meta},
+        })
+        spaces = parse_model(doc).bundle.spaces
+        made, listed = spaces["made"], spaces["listed"]
+        assert replace(made, algebra=listed.algebra) == listed
+        assert (listed.conn, listed.hdim, listed.known_cat) == (1, 5, None)
 
 
 class TestFileLoading:
