@@ -9,6 +9,8 @@ re-checked with :meth:`GradedAlgebra.validate`.
 
 from __future__ import annotations
 
+import functools
+
 from .domains import CoefficientDomain
 from . import linalg
 from .linalg import make_echelon, span_rows, kernel_rows, vis_zero, vzero
@@ -26,6 +28,7 @@ __all__ = [
     "SubspaceMismatch",
     "UnsupportedCoefficients",
     "GradedAlgebra",
+    "TensorProduct",
     "Element",
     "RingMorphism",
     "Subspace",
@@ -103,10 +106,20 @@ class GradedAlgebra:
     """
 
     def __init__(self, coeff, names, table, validate=True):
+        self._set_basis(coeff, names)
+        self.table: dict = dict(table)
+        for key in self.table:
+            if key[0] == 0 or key[2] == 0:
+                raise UnitViolation(
+                    f"table entry {key} has a degree-0 factor: products with the "
+                    f"unit follow the unit law and are not listed")
+        if validate:
+            self.validate()
+
+    def _set_basis(self, coeff, names) -> None:
         self.coeff: CoefficientDomain = coeff
         self.names: tuple[tuple[str, ...], ...] = tuple(tuple(ns) for ns in names)
         self.top_degree: int = len(self.names) - 1
-        self.table: dict = dict(table)
         index = {}
         for d, ns in enumerate(self.names):
             for i, n in enumerate(ns):
@@ -116,13 +129,6 @@ class GradedAlgebra:
         self._index = index
         if len(self.names[0]) != 1:
             raise InvalidAlgebraSpec("degree-0 component must have rank 1 (the unit)")
-        for key in self.table:
-            if key[0] == 0 or key[2] == 0:
-                raise UnitViolation(
-                    f"table entry {key} has a degree-0 factor: products with the "
-                    f"unit follow the unit law and are not listed")
-        if validate:
-            self.validate()
 
     # -- basic queries ---------------------------------------------------
     def dim(self, d: int) -> int:
@@ -178,6 +184,22 @@ class GradedAlgebra:
                     if c != 0:
                         out[j] = dom.add(out[j], dom.mul(ab, c))
         return tuple(out)
+
+    def nonzero_products(self) -> dict:
+        """Every nonzero basis product, products by the unit included:
+        ``(d1, i1)`` maps to a list of ``(d2, i2, nonzero (index, c) pairs)``."""
+        one = self.coeff.one()
+        out = {(d, i): [] for d in range(self.top_degree + 1) for i in range(self.dim(d))}
+        for d in range(self.top_degree + 1):
+            for i in range(self.dim(d)):
+                out[(0, 0)].append((d, i, ((i, one),)))
+                if d:
+                    out[(d, i)].append((0, 0, ((i, one),)))
+        for (d1, i1, d2, i2), row in self.table.items():
+            nz = tuple((j, c) for j, c in enumerate(row) if c != 0)
+            if d1 and d2 and nz:
+                out[(d1, i1)].append((d2, i2, nz))
+        return out
 
     # -- elements ----------------------------------------------------------
     def zero_element(self) -> "Element":
@@ -494,124 +516,166 @@ def make_algebra(coeff, basis, products) -> GradedAlgebra:
 # tensor constructions
 # ---------------------------------------------------------------------------
 
+class TensorProduct(GradedAlgebra):
+    """Graded tensor product ``left (x) right`` with Koszul signs, whose
+    products are computed from the factors' on demand:
+    ``(a (x) b)(a' (x) b') = (-1)^(|b| |a'|) (a a') (x) (b b')``.
+
+    The classes ``a (x) b`` with ``a`` of degree p and ``b`` of degree q form
+    one block of degree p + q, listed a-major: ``kunneth_pairs[p + q]`` holds
+    their factor classes ``(p, i, q, j)`` from slot ``block_start[(p, q)]``
+    on, at ``block_start[(p, q)] + i * right.dim(q) + j``.  ``mul_basis``
+    multiplies in the factors, so elements and certificates never need the
+    4-index ``table``; it is built on first read (``validate``,
+    ``kunneth_product``) and kept.  Valid over a field, and over Z because
+    all components are free.
+    """
+
+    def __init__(self, left: GradedAlgebra, right: GradedAlgebra):
+        if left.coeff != right.coeff:
+            raise CoefficientMismatch(
+                f"cannot tensor algebras over {left.coeff.label} and {right.coeff.label}"
+            )
+        self.left, self.right = left, right
+        top = left.top_degree + right.top_degree
+        pairs: list[list[tuple[int, int, int, int]]] = [[] for _ in range(top + 1)]
+        names: list[list[str]] = [[] for _ in range(top + 1)]
+        start: dict[tuple[int, int], int] = {}
+        for d in range(top + 1):
+            for p in range(d + 1):
+                q = d - p
+                if left.dim(p) == 0 or right.dim(q) == 0:
+                    continue
+                start[(p, q)] = len(pairs[d])
+                for i in range(left.dim(p)):
+                    for j in range(right.dim(q)):
+                        pairs[d].append((p, i, q, j))
+                        names[d].append(f"{left.names[p][i]}(x){right.names[q][j]}")
+        self._set_basis(left.coeff, names)
+        self.kunneth_pairs = {d: tuple(pairs[d]) for d in range(top + 1)}
+        self.block_start = start
+
+    def mul_basis(self, d1: int, k1: int, d2: int, k2: int) -> tuple | None:
+        if d1 + d2 > self.top_degree or not (d1 and d2):
+            return super().mul_basis(d1, k1, d2, k2)  # zero or the unit law
+        p1, i1, q1, j1 = self.kunneth_pairs[d1][k1]
+        p2, i2, q2, j2 = self.kunneth_pairs[d2][k2]
+        a = self.left.mul_basis(p1, i1, p2, i2)
+        b = self.right.mul_basis(q1, j1, q2, j2)
+        if a is None or b is None:
+            return None
+        dom = self.coeff
+        base, wb = self.block_start[(p1 + p2, q1 + q2)], len(b)
+        neg = _koszul_sign_is_neg(q1, p2)
+        row = [dom.zero()] * self.dim(d1 + d2)
+        for ia, ca in enumerate(a):
+            for jb, cb in enumerate(b):
+                if ca and cb:
+                    c = dom.mul(ca, cb)
+                    row[base + ia * wb + jb] = dom.neg(c) if neg else c
+        return None if vis_zero(row) else tuple(row)
+
+    def products(self, left_products: dict, right_products: dict):
+        """Every nonzero product of two basis classes of positive degree,
+        from the nonzero products of the factors (``nonzero_products`` of
+        each, or the same with other coefficients), left class by left
+        class: one ``(d1, k1, d2, k2, d, nz)`` per product, with ``nz`` its
+        nonzero ``(slot, c)`` pairs in slot order.  Each c is ``ca * cb``,
+        negated by the Koszul sign, in Python arithmetic: exact over Q and
+        Z, not yet reduced over F_p.
+
+        For each left class only the pairs of nonzero factor products are
+        visited, not every right class.  Each pair of nonzero factor
+        coefficients lands in its own slot with a nonzero product (Q, F_p
+        and Z have no zero divisors).
+        """
+        bdims = self.right.dims()
+        starts = [[self.block_start.get((p, q)) for q in range(len(bdims))]
+                  for p in range(self.left.top_degree + 1)]
+        for d1 in range(1, self.top_degree + 1):
+            for k1, (p1, i1, q1, j1) in enumerate(self.kunneth_pairs[d1]):
+                rights = right_products[(q1, j1)]
+                for p2, i2, anz in left_products[(p1, i1)]:
+                    neg = _koszul_sign_is_neg(q1, p2)
+                    p = p1 + p2
+                    at, at2 = starts[p], starts[p2]
+                    for q2, j2, bnz in rights:
+                        if not (p2 or q2):
+                            continue  # the right class is the unit
+                        q = q1 + q2
+                        base, wb = at[q], bdims[q]
+                        if len(anz) == 1 and len(bnz) == 1:
+                            (ia, ca), (jb, cb) = anz[0], bnz[0]
+                            c = ca * cb
+                            nz = ((base + ia * wb + jb, -c if neg else c),)
+                        else:
+                            nz = tuple((base + ia * wb + jb, -(ca * cb) if neg else ca * cb)
+                                       for ia, ca in anz for jb, cb in bnz)
+                        yield d1, k1, p2 + q2, at2[q2] + i2 * bdims[q2] + j2, p + q, nz
+
+    @functools.cached_property
+    def table(self) -> dict:
+        """The 4-index table of :class:`GradedAlgebra`, keys in
+        ``(d1, k1, d2, k2)`` order; equal product rows share one tuple,
+        keyed on their nonzero entries."""
+        dom = self.coeff
+        left = self.left.nonzero_products()
+        right = left if self.right is self.left else self.right.nonzero_products()
+        table, shared, zero, p = {}, {}, dom.zero(), dom.p
+        for d1, k1, d2, k2, d, nz in self.products(left, right):
+            if p is not None:
+                nz = tuple((slot, c % p) for slot, c in nz) if len(nz) > 1 else (
+                    (nz[0][0], nz[0][1] % p),)
+            row = shared.get((d, nz))
+            if row is None:
+                row = [zero] * self.dim(d)
+                for slot, c in nz:
+                    row[slot] = c
+                row = shared[(d, nz)] = tuple(row)
+            table[(d1, k1, d2, k2)] = row
+        return dict(sorted(table.items()))
+
+    def inclusions(self, target: GradedAlgebra) -> tuple:
+        """The morphisms ``a -> a (x) 1`` and ``b -> 1 (x) b`` into
+        ``target``, which has this product's basis."""
+        dom, start = self.coeff, self.block_start
+
+        def inclusion(factor, block):
+            mats = {}
+            for d in range(factor.top_degree + 1):
+                rows = []
+                for i in range(factor.dim(d)):
+                    row = [dom.zero()] * target.dim(d)
+                    row[start[block(d)] + i] = dom.one()
+                    rows.append(tuple(row))
+                mats[d] = tuple(rows)
+            return RingMorphism(factor, target, mats, validate=False)
+
+        return (inclusion(self.left, lambda d: (d, 0)),
+                inclusion(self.right, lambda d: (0, d)))
+
+
 def kunneth_product(A: GradedAlgebra, B: GradedAlgebra):
-    """Graded tensor product with Koszul signs.
+    """Graded tensor product with Koszul signs, its table built here.
 
     Returns ``(C, incl_A, incl_B)`` where the inclusions send ``a`` to
-    ``a (x) 1`` and ``b`` to ``1 (x) b``.  Valid over a field, and over Z
-    because all components are free.
+    ``a (x) 1`` and ``b`` to ``1 (x) b``; ``C`` has the basis and
+    ``kunneth_pairs`` of :class:`TensorProduct`.  Explicit products of
+    spaces keep their table; a tensor square that only the zero-divisor
+    bound multiplies in is :func:`tensor_square`.
     """
-    if A.coeff != B.coeff:
-        raise CoefficientMismatch(
-            f"cannot tensor algebras over {A.coeff.label} and {B.coeff.label}"
-        )
-    dom = A.coeff
-    top = A.top_degree + B.top_degree
-    pairs: list[list[tuple[int, int, int, int]]] = [[] for _ in range(top + 1)]
-    names: list[list[str]] = [[] for _ in range(top + 1)]
-    # the classes a(x)b with a of degree p and b of degree q form one block
-    # of degree p + q, listed a-major: slot start[(p, q)] + i * B.dim(q) + j
-    start: dict[tuple[int, int], int] = {}
-    for d in range(top + 1):
-        for p in range(d + 1):
-            q = d - p
-            if A.dim(p) == 0 or B.dim(q) == 0:
-                continue
-            start[(p, q)] = len(pairs[d])
-            for i in range(A.dim(p)):
-                for j in range(B.dim(q)):
-                    pairs[d].append((p, i, q, j))
-                    names[d].append(f"{A.names[p][i]}(x){B.names[q][j]}")
-
-    # (a (x) b)(a' (x) b') = +-(a a') (x) (b b'), so for each left class only
-    # the nonzero products of its two factors are visited.  Each pair of
-    # nonzero factor coefficients lands in its own slot with a nonzero
-    # product (Q, F_p and Z have no zero divisors), so a product row's
-    # nonzero entries come out already sorted by slot.  A left class's
-    # entries are sorted by (d2, k2) before they go in, which lists the
-    # table in (d1, k1, d2, k2) order.  Equal product rows share one tuple,
-    # keyed on their nonzero entries.
-    table: dict = {}
-    shared: dict = {}
-    zero = dom.zero()
-    bdims = B.dims()
-    aleft, bleft = _products_by_left(A), _products_by_left(B)
-    for d1 in range(1, top + 1):
-        for k1, (p1, i1, q1, j1) in enumerate(pairs[d1]):
-            entries = []
-            for p2, i2, anz in aleft[(p1, i1)]:
-                neg = _koszul_sign_is_neg(q1, p2)
-                for q2, j2, bnz in bleft[(q1, j1)]:
-                    if not (p2 or q2):
-                        continue  # the right class is the unit
-                    p, q = p1 + p2, q1 + q2
-                    base, wb = start[(p, q)], bdims[q]
-                    if len(anz) == 1 and len(bnz) == 1:
-                        (ia, ca), (jb, cb) = anz[0], bnz[0]
-                        c = dom.mul(ca, cb)
-                        nz = ((base + ia * wb + jb, dom.neg(c) if neg else c),)
-                    else:
-                        nz = tuple(
-                            (base + ia * wb + jb,
-                             dom.neg(dom.mul(ca, cb)) if neg else dom.mul(ca, cb))
-                            for ia, ca in anz for jb, cb in bnz)
-                    d = p + q
-                    row = shared.get((d, nz))
-                    if row is None:
-                        row = [zero] * len(pairs[d])
-                        for slot, c in nz:
-                            row[slot] = c
-                        row = shared[(d, nz)] = tuple(row)
-                    entries.append((p2 + q2, start[(p2, q2)] + i2 * bdims[q2] + j2, row))
-            entries.sort()  # the (d2, k2) are distinct, so rows are never compared
-            for d2, k2, row in entries:
-                table[(d1, k1, d2, k2)] = row
-
-    C = GradedAlgebra(dom, names, table, validate=False)
-    # factor decomposition of each tensor basis element, for morphism builders
-    C.kunneth_pairs = {d: tuple(pairs[d]) for d in range(top + 1)}
-
-    incl_a = {}
-    for p in range(A.top_degree + 1):
-        rows = []
-        for i in range(A.dim(p)):
-            row = [dom.zero()] * C.dim(p)
-            row[start[(p, 0)] + i] = dom.one()
-            rows.append(tuple(row))
-        incl_a[p] = tuple(rows)
-    incl_b = {}
-    for q in range(B.top_degree + 1):
-        rows = []
-        for j in range(B.dim(q)):
-            row = [dom.zero()] * C.dim(q)
-            row[start[(0, q)] + j] = dom.one()
-            rows.append(tuple(row))
-        incl_b[q] = tuple(rows)
-    inc_A = RingMorphism(A, C, incl_a, validate=False)
-    inc_B = RingMorphism(B, C, incl_b, validate=False)
-    return C, inc_A, inc_B
-
-
-def _products_by_left(A: GradedAlgebra) -> dict:
-    """Every nonzero basis product of ``A``, products by the unit included:
-    ``(d1, i1)`` maps to a list of ``(d2, i2, nonzero (index, c) pairs)``."""
-    one = A.coeff.one()
-    out = {(d, i): [] for d in range(A.top_degree + 1) for i in range(A.dim(d))}
-    for d in range(A.top_degree + 1):
-        for i in range(A.dim(d)):
-            out[(0, 0)].append((d, i, ((i, one),)))
-            if d:
-                out[(d, i)].append((0, 0, ((i, one),)))
-    for (d1, i1, d2, i2), row in A.table.items():
-        nz = tuple((j, c) for j, c in enumerate(row) if c != 0)
-        if d1 and d2 and nz:
-            out[(d1, i1)].append((d2, i2, nz))
-    return out
+    T = TensorProduct(A, B)
+    C = GradedAlgebra(T.coeff, T.names, T.table, validate=False)
+    C.kunneth_pairs = T.kunneth_pairs
+    return (C, *T.inclusions(C))
 
 
 def tensor_square(A: GradedAlgebra):
-    """Tensor square of ``A``, with the two factor inclusions."""
-    return kunneth_product(A, A)
+    """Tensor square of ``A`` as a :class:`TensorProduct`, whose products
+    are computed from A's and whose table is built only when read, with
+    the two factor inclusions."""
+    T = TensorProduct(A, A)
+    return (T, *T.inclusions(T))
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ import sys
 from .engine import KIND_OF, compute_tables, default_max_m
 from .goldens import run_suite
 from .modelfile import (
+    MAX_M,
     ModelFileError,
     Query,
     check_query,
@@ -84,6 +85,9 @@ def _resolve_queries(args, loaded) -> list[Query]:
 def _cmd_bounds(args) -> int:
     if args.max_m is not None and args.max_m < 1:
         print("error: --max-m must be >= 1", file=sys.stderr)
+        return 1
+    if args.max_m is not None and args.max_m > MAX_M:
+        print(f"error: --max-m must be <= {MAX_M}", file=sys.stderr)
         return 1
     loaded = load_model_file(args.file, args.coeff)
     queries = _resolve_queries(args, loaded)

@@ -21,6 +21,13 @@ as for the full span, and any monomial of the last layer is a certificate;
 no second search is needed.  Over Z rank tracking suffices as well:
 components are free, so a lattice is nonzero exactly when its rank is, and
 a product is nonzero over Z exactly when it is nonzero over Q.
+
+Products are taken in Python ints through one :class:`IntegerStructure`
+per algebra, built from the algebra's table or, for a tensor square, from
+its factor's integer products, so no ``Fraction`` table of the square is
+ever built.  A caller that passes one structure map to every query (as
+``compute_tables`` does, once per run) builds each structure and each
+right-multiplication operator once.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, lcm
 
-from .algebra import Element, GradedAlgebra, Subspace
+from .algebra import Element, GradedAlgebra, Subspace, TensorProduct
 from .domains import RATIONALS
 # make_echelon is not used here any more, but perfbench/tracer.py wraps the
 # echelon factory by this module's name
@@ -105,69 +112,127 @@ def _filtered_spanning(query: CupLengthQuery) -> list[tuple[int, tuple]]:
     return out
 
 
-def _integral(spanning, table):
-    """Spanning vectors and the structure-constant scale D as Python ints.
-
-    Over Q each spanning vector becomes its primitive integer multiple, and
-    D is the common denominator of all structure constants (1 for every
-    built-in model).  With the constants multiplied by D, a product of t
-    integral factors is the true product of the originals times a nonzero
-    rational, so it vanishes, and grows an echelon's rank, exactly when the
-    true product does.
-    """
-    rows = {id(row): row for row in table.values()}.values()
-    den = lcm(*{c.denominator for row in rows for c in row})
+def _integral(spanning) -> list:
+    """Each spanning vector over Q as its primitive integer multiple."""
     ints = []
     for d, v in spanning:
         v = clear_denominators(v)
         g = gcd(*v)
         ints.append((d, tuple(x // g for x in v)))
-    return ints, den
+    return ints
 
 
-def _structure(algebra: GradedAlgebra, degrees: set, convert) -> dict:
-    """Nonzero basis products with a right factor of degree in ``degrees``,
-    from one pass over the table: ``(d1, d2)`` maps to a list over i1 of
-    ``(i2, convert(row))``.  A row the algebra shares between products
-    (tensor squares share equal rows) is converted once and stored once."""
-    converted, out = {}, {}
-    for (d1, i1, d2, i2), row in algebra.table.items():
-        if d2 not in degrees:
-            continue
-        tab = out.get((d1, d2))
-        if tab is None:
-            tab = out[(d1, d2)] = [[] for _ in range(algebra.dim(d1))]
-        nz = converted.get(id(row))
-        if nz is None:
-            nz = converted[id(row)] = convert(row)
-        tab[i1].append((i2, nz))
-    return out
+def _scaled(pairs, den: int) -> tuple:
+    """Nonzero ``(j, c)`` pairs with each c an int or ``Fraction`` made the
+    int ``den * c``."""
+    return tuple((j, c.numerator * (den // c.denominator)) for j, c in pairs)
 
 
-def _right_multiplication(tab: list, s: tuple, p: int | None) -> list:
-    """Right multiplication by the spanning vector ``s``: entry i1 is the
-    product of basis class i1 by s.  Over F2 (``tab`` holding bitmasks) each
-    entry is a bitmask, otherwise a tuple of nonzero ``(j, c)``."""
-    out = []
-    for row in tab:
-        if p == 2:
-            w = 0
-            for i2, mask in row:
-                if s[i2]:
-                    w ^= mask
-            out.append(w)
-            continue
-        acc: dict[int, int] = {}
-        for i2, nz in row:
-            b = s[i2]
-            if b:
-                for j, c in nz:
-                    acc[j] = acc.get(j, 0) + b * c
-        if p is not None:
-            out.append(tuple((j, c % p) for j, c in acc.items() if c % p))
+def _denominator(algebra: GradedAlgebra) -> int:
+    """The common denominator of the structure constants (1 off Q)."""
+    rows = {id(row): row for row in algebra.table.values()}.values()
+    return lcm(*{c.denominator for row in rows for c in row})
+
+
+class IntegerStructure:
+    """One algebra's nonzero products of basis classes of positive degree,
+    in Python ints, for the DP.
+
+    ``blocks[(d1, d2)]`` maps a right class i2 of degree d2 to the list of
+    ``(i1, row)`` with ``row`` the product of class i1 of degree d1 by it:
+    the nonzero ``(j, c)`` pairs, or over F2 a bitmask (bit j is entry j).
+    Over Q every row, unit products included, is scaled by one nonzero
+    integer, so a product of t integral factors is the true product times a
+    nonzero rational, and it vanishes, and grows an echelon's rank, exactly
+    when the true product does.  A plain algebra's rows come from its table
+    (scaled by the common denominator D of its constants); a
+    :class:`TensorProduct`'s from its factors' integer products (scaled by
+    D_left * D_right), so its ``Fraction`` table is never built.  The right
+    multiplication operators are memoised with the structure.
+    """
+
+    def __init__(self, algebra: GradedAlgebra):
+        self.p = algebra.coeff.p
+        self.dims = algebra.dims()
+        self.blocks: dict = {}
+        self._operators: dict = {}
+        if isinstance(algebra, TensorProduct):
+            products = self._factor_products(algebra)
         else:
-            out.append(tuple((j, c) for j, c in acc.items() if c))
-    return out
+            products = self._table_products(algebra)
+        blocks = self.blocks
+        for d1, i1, d2, i2, row in products:
+            block = blocks.get((d1, d2))
+            if block is None:
+                block = blocks[(d1, d2)] = {}
+            entries = block.get(i2)
+            if entries is None:
+                block[i2] = [(i1, row)]
+            else:
+                entries.append((i1, row))
+
+    def _table_products(self, algebra):
+        """``(d1, i1, d2, i2, row)`` per table entry; a row the algebra
+        shares between products is converted once and stored once."""
+        den, converted = _denominator(algebra), {}
+        for (d1, i1, d2, i2), row in algebra.table.items():
+            nz = converted.get(id(row))
+            if nz is None:
+                nz = _scaled(((j, c) for j, c in enumerate(row) if c), den)
+                if self.p == 2:
+                    nz = sum(1 << j for j, _ in nz)
+                converted[id(row)] = nz
+            yield d1, i1, d2, i2, nz
+
+    def _factor_products(self, T: TensorProduct):
+        """``(d1, k1, d2, k2, row)`` per nonzero product of ``T``, from
+        ``T.products`` over the factors' nonzero products made ints."""
+        def integral(factor):
+            den = _denominator(factor)
+            return {key: [(d2, i2, _scaled(nz, den)) for d2, i2, nz in entries]
+                    for key, entries in factor.nonzero_products().items()}
+
+        left = integral(T.left)
+        right = left if T.right is T.left else integral(T.right)
+        f2 = self.p == 2
+        for d1, k1, d2, k2, _, nz in T.products(left, right):
+            if f2:
+                nz = 1 << nz[0][0] if len(nz) == 1 else sum(1 << slot for slot, _ in nz)
+            yield d1, k1, d2, k2, nz
+
+    def right_multiplication(self, dv: int, ds: int, s: tuple) -> list:
+        """Right multiplication by the degree-``ds`` vector with nonzero
+        ``(i2, b)`` pairs ``s``, on degree ``dv``: entry i1 is the product of
+        basis class i1 by it, a bitmask over F2, otherwise a tuple of nonzero
+        ``(j, c)``.  It costs the rows of the support of s only; the block
+        ``(dv, ds)`` must be nonempty."""
+        key = (dv, ds, s)
+        op = self._operators.get(key)
+        if op is not None:
+            return op
+        block, p = self.blocks[(dv, ds)], self.p
+        if p == 2:
+            op = [0] * self.dims[dv]
+            for i2, _ in s:
+                for i1, mask in block.get(i2, ()):
+                    op[i1] ^= mask
+        else:
+            acc: dict[int, dict] = {}
+            for i2, b in s:
+                for i1, row in block.get(i2, ()):
+                    a = acc.get(i1)
+                    if a is None:
+                        a = acc[i1] = {}
+                    for j, c in row:
+                        a[j] = a.get(j, 0) + b * c
+            op = [()] * self.dims[dv]
+            for i1, a in acc.items():
+                if p is not None:
+                    op[i1] = tuple((j, c % p) for j, c in a.items() if c % p)
+                else:
+                    op[i1] = tuple((j, c) for j, c in a.items() if c)
+        self._operators[key] = op
+        return op
 
 
 def _support(w, p: int | None) -> tuple:
@@ -177,7 +242,7 @@ def _support(w, p: int | None) -> tuple:
     return tuple((j, c) for j, c in enumerate(w) if c)
 
 
-def capped_cuplength(query: CupLengthQuery):
+def capped_cuplength(query: CupLengthQuery, structures: dict | None = None):
     """Maximum number of generator factors (degree <= cap) with nonzero product.
 
     Returns ``(length, certificate)``; the certificate is None exactly when
@@ -188,43 +253,41 @@ def capped_cuplength(query: CupLengthQuery):
     absorbing: once one is empty every later one is, and lengths never exceed
     the top degree since each factor has positive degree.
 
-    Products are taken in Python ints (see ``_integral``).  Right
-    multiplication by each spanning vector is built lazily, once per source
-    degree, from structure tables made in one pass over the algebra's
-    table, and all of it is dropped with the call; a product ``v * s`` is
-    then the sum over the support of v of ``v[i1]`` times entry i1 of that
-    operator.  Over F2 the operators and products are bitmasks and a
-    product is an XOR.  Spanning vectors are visited a degree at a time, so
-    a target degree that is out of range, full or without products is
-    skipped at once.  The rank of each degree is tracked by a
-    ``FieldEchelon`` (``F2RankEchelon`` over F2), whose inserts only
-    eliminate forward and never read its rows out in canonical form:
-    whether an insert grows the rank depends on the span alone.  The
-    certificate is rebuilt from the original spanning vectors and
-    multiplied out again.
+    Products are taken in Python ints: the algebra's
+    :class:`IntegerStructure`, and over Q each spanning vector made its
+    primitive integer multiple.  ``structures`` maps algebras to their
+    structures: one is built on the algebra's first query and reused, with
+    its memoised right-multiplication operators, by every later query on
+    that algebra (``compute_tables`` keeps one such map per run).  Without
+    it the structure is built for this call and dropped with it; nothing is
+    ever stored on the algebra.  A product ``v * s`` is the sum over the
+    support of v of ``v[i1]`` times entry i1 of the operator of s.  Over F2
+    the operators and products are bitmasks and a product is an XOR.
+    Spanning vectors are visited a degree at a time, so a target degree that
+    is out of range, full or without products is skipped at once.  The rank
+    of each degree is tracked by a ``FieldEchelon`` (``F2RankEchelon`` over
+    F2), whose inserts only eliminate forward and never read its rows out in
+    canonical form: whether an insert grows the rank depends on the span
+    alone.  The certificate is rebuilt from the original spanning vectors
+    and multiplied out again.
     """
     algebra = query.algebra
     spanning = _filtered_spanning(query)
     if not spanning:
         return 0, None
-    p = algebra.coeff.p
-    if algebra.coeff.kind == RATIONALS:
-        ints, den = _integral(spanning, algebra.table)
-    else:
-        ints, den = spanning, 1
-    if p == 2:
-        def convert(row):
-            return sum(1 << j for j, c in enumerate(row) if c)
-    else:
-        def convert(row):
-            return tuple((j, c.numerator * (den // c.denominator))
-                         for j, c in enumerate(row) if c)
+    structure = None if structures is None else structures.get(algebra)
+    if structure is None:
+        structure = IntegerStructure(algebra)
+        if structures is not None:
+            structures[algebra] = structure
+    p = structure.p
+    ints = _integral(spanning) if algebra.coeff.kind == RATIONALS else spanning
     top = algebra.top_degree
-    groups: dict[int, list] = {}  # spanning vectors by degree, ascending
+    groups: dict[int, list] = {}  # spanning supports by degree, ascending
     for i, (ds, s) in enumerate(ints):
-        groups.setdefault(ds, []).append((i, s))
-    structure = _structure(algebra, set(groups), convert)
-    right = {}  # (dv, ds) -> the operators of that degree group, built lazily
+        groups.setdefault(ds, []).append((i, _support(s, None)))
+    blocks = structure.blocks
+    right = {}  # (dv, ds) -> the operators of that degree group, fetched lazily
     layer = [(d, _support(v, None), (i,)) for i, (d, v) in enumerate(ints)]
     while True:
         ech, grown = {}, {}
@@ -238,8 +301,7 @@ def capped_cuplength(query: CupLengthQuery):
                     width = algebra.dim(d)
                     e = ech[d] = F2RankEchelon(width) if p == 2 else FieldEchelon(width, p)
                     grown[d] = []
-                tab = structure.get((dv, ds))
-                if e.rank == e.width or tab is None:
+                if e.rank == e.width or (dv, ds) not in blocks:
                     continue  # full, or every product of these degrees is zero
                 ops = right.get((dv, ds))
                 if ops is None:
@@ -247,7 +309,7 @@ def capped_cuplength(query: CupLengthQuery):
                 for k, (i, s) in enumerate(group):
                     op = ops[k]
                     if op is None:
-                        op = ops[k] = _right_multiplication(tab, s, p)
+                        op = ops[k] = structure.right_multiplication(dv, ds, s)
                     if p == 2:
                         w = 0
                         for i1, _ in supp:

@@ -234,6 +234,10 @@ class _Engine:
         self.tables: dict[tuple[str, str], BoundTable] = {}
         self.max_m = max_m
         self._pair_cache: dict = {}
+        # algebra -> its cup-length IntegerStructure, shared by every DP of
+        # the run; keyed by the algebra itself, which the map keeps alive,
+        # so a dropped algebra's id is never taken for a new one's
+        self._structures: dict = {}
 
     # -- registration -------------------------------------------------------
     def _register(self):
@@ -363,6 +367,8 @@ class _Engine:
             algebra, generators, what = source
             degmax = max(generators.degrees())
             values = self._capped_values(algebra, generators, degmax, table.stable_from - 1)
+            if inv == "tc":  # the square was built for this table alone
+                self._structures.pop(algebra, None)
             for m in table.stored:
                 eff = degmax if m == INF else min(m, degmax)
                 length, cert = values[eff]
@@ -386,7 +392,8 @@ class _Engine:
 
         def compute(i):
             if caps[i] not in values:
-                values[caps[i]] = capped_cuplength(CupLengthQuery(algebra, generators, caps[i]))
+                values[caps[i]] = capped_cuplength(
+                    CupLengthQuery(algebra, generators, caps[i]), self._structures)
             return values[caps[i]]
 
         todo = [(0, len(caps) - 1)]  # index ranges of caps, lower half first

@@ -39,8 +39,8 @@ from .algebra import AlgebraError, GradedAlgebra, RingMorphism, make_algebra
 from .engine import KIND_OF, Bundle
 from . import spaces as sp
 
-__all__ = ["ModelFileError", "Query", "LoadedModel", "check_query", "load_model_file",
-           "parse_model", "parse_mrange"]
+__all__ = ["MAX_M", "ModelFileError", "Query", "LoadedModel", "check_query",
+           "load_model_file", "parse_model", "parse_mrange"]
 
 SCHEMA = "secatm-model/1"
 # bound on the top degree and the number of basis classes of every algebra
@@ -50,6 +50,10 @@ SCHEMA = "secatm-model/1"
 # and a tc table builds a tensor square with size^2 classes: at 32 classes
 # tc took under 10 s and 50 MB, on RP^64 it ran past 120 s and 1 GB.
 MAX_ALGEBRA_SIZE = 32
+# bound on m, in an m range and for ``--max-m``: the largest m a test asks
+# for.  A table with no dimension parameter (hdm) stores a row per m, and
+# an m range is listed m by m, so an m of 2^40 ran out of memory.
+MAX_M = 10**6
 
 
 class ModelFileError(ValueError):
@@ -89,6 +93,8 @@ def parse_mrange(text: str, where: str = "m") -> list[int]:
         raise ModelFileError(where, f"bad m range {text!r}, expected N or N..M")
     if lo < 1 or hi < lo:
         raise ModelFileError(where, f"bad m range {text!r}: need 1 <= lo <= hi")
+    if hi > MAX_M:
+        raise ModelFileError(where, f"bad m range {text!r}: m is at most {MAX_M}")
     return list(range(lo, hi + 1))
 
 

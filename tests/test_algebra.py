@@ -416,6 +416,50 @@ def test_kunneth_product_matches_the_reference(factors):
     assert list(C.table) == sorted(C.table)
 
 
+# The tensor square is thin: mul_basis multiplies in the factor, and the
+# table is built only when read.  Differential check against the eager
+# Kunneth product on every pair of basis classes, units included.
+
+def odd_rational():
+    """Odd classes and the constants 1/2 and -1/3 over Q."""
+    return make_algebra(
+        Q,
+        {0: ["1"], 1: ["a", "b"], 2: ["c", "x"], 3: ["e"]},
+        [("a", "b", {"c": "1/2"}), ("a", "x", {"e": "-1/3"})],
+    )
+
+
+# factors of tensor squares: Q with the constants 1/2 and -1/3 in even and
+# in odd degrees, Q, F2 and F3 with odd classes (Koszul signs), F3 with
+# mixed parities
+SQUARE_FACTORS = [
+    lambda: make_algebra(Q, {0: ["1"], 2: ["x", "z"], 4: ["y"]},
+                         [("x", "x", {"y": "1/2"}), ("x", "z", {"y": "-1/3"})]),
+    odd_rational,
+    lambda: orientable_surface(2).algebra,
+    lambda: product([sphere(1, Q)] * 3).algebra,
+    lambda: real_projective(5).algebra,
+    lambda: nonorientable_surface(2).algebra,
+    lambda: product([sphere(1, GF(3)), sphere(3, GF(3))]).algebra,
+    lambda: product([sphere(1, GF(3)), sphere(2, GF(3))]).algebra,
+]
+
+
+@pytest.mark.parametrize("build", SQUARE_FACTORS)
+def test_thin_square_products_equal_the_eager_table(build):
+    A = build()
+    T, _, _ = tensor_square(A)
+    E, _, _ = kunneth_product(A, A)
+    assert T.names == E.names and T.kunneth_pairs == E.kunneth_pairs
+    for d1 in range(T.top_degree + 1):
+        for k1 in range(T.dim(d1)):
+            for d2 in range(T.top_degree + 1):
+                for k2 in range(T.dim(d2)):
+                    assert T.mul_basis(d1, k1, d2, k2) == E.mul_basis(d1, k1, d2, k2)
+    assert "table" not in vars(T)  # products never built the table
+    assert T.table == E.table
+
+
 # ---------------------------------------------------------------------------
 # morphisms
 # ---------------------------------------------------------------------------

@@ -210,3 +210,28 @@ class TestPaperSuite:
 
         mismatches, _ = evaluate_case(GoldenCase(case.name, tampered))
         assert mismatches and "cp2" in mismatches[0]
+
+    # m is bounded by MAX_M: a larger m used to end in a MemoryError
+    # traceback, from listing an m range or storing a row per m of hdm
+
+    def test_query_m_range_above_the_bound_is_rejected(self, tmp_path, capsys):
+        import pathlib
+
+        covers = pathlib.Path(__file__).resolve().parent.parent / "models" / "covers.json"
+        doc = json.loads(covers.read_text())
+        doc["queries"][1]["m"] = "1..1099511627776"
+        path = tmp_path / "covers.json"
+        path.write_text(json.dumps(doc))
+        assert main(["bounds", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: queries[1].m: ")
+        assert "1000000" in captured.err and captured.out == ""
+
+    def test_max_m_above_the_bound_is_a_usage_error(self, capsys):
+        import pathlib
+
+        u2 = str(pathlib.Path(__file__).resolve().parent.parent / "models" / "u2.json")
+        assert main(["bounds", u2, "--max-m", "1099511627776"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.strip() == "error: --max-m must be <= 1000000"
+        assert captured.out == ""

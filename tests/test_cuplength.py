@@ -27,6 +27,8 @@ from secatm.spaces import (
     sphere,
 )
 
+from test_algebra import SQUARE_FACTORS
+
 
 def positive_query(algebra, cap):
     return CupLengthQuery(algebra, Subspace.positive_part(algebra), cap)
@@ -344,3 +346,52 @@ def test_zero_divisor_witnesses_are_pinned(build, pins):
         assert length == len(factors)
         assert (cert.factor_strings() if cert else []) == factors
         assert cert is None or cert.verify(cap=cap)
+
+
+# -- one integer structure per algebra ----------------------------------------
+#
+# A tensor square's structure comes from its factor's integer products, a
+# plain algebra's from its table; a structure map shared across queries must
+# give what a fresh structure per query gives.
+
+def zero_divisor_runs(T, zero_divisors, structures=None):
+    """(length, factor strings) of the zero-divisor DP at every cap."""
+    out = []
+    for cap in [*range(1, T.top_degree + 1), None]:
+        length, cert = capped_cuplength(CupLengthQuery(T, zero_divisors, cap), structures)
+        out.append((length, cert.factor_strings() if cert else []))
+    return out
+
+
+@pytest.mark.parametrize("build", SQUARE_FACTORS)
+def test_cached_dp_on_the_thin_square_equals_the_dp_on_an_eager_copy(build):
+    A = build()
+    T, _, _ = tensor_square(A)
+    E, _, _ = kunneth_product(A, A)  # the same basis, with its table
+    structures = {}
+    thin = zero_divisor_runs(T, cup_kernel(A, T), structures)
+    eager = zero_divisor_runs(E, cup_kernel(A, E))
+    assert thin == eager
+    assert list(structures) == [T] and "table" not in vars(T)
+
+
+def test_one_structure_map_serves_squares_built_and_dropped_in_turn():
+    # two factors of the same shape with different products (RP^3 and
+    # S^1 v S^2 v S^3 over F2): a structure of one square served to the
+    # other would change its lengths
+    factors = [
+        real_projective(3).algebra,
+        make_algebra(GF(2), {0: ["1"], 1: ["x"], 2: ["y"], 3: ["z"]}, []),
+    ]
+    structures, runs = {}, []
+    for A in factors * 4:
+        T = tensor_square(A)[0]  # no inclusion keeps T alive
+        zero_divisors = cup_kernel(A, T)
+        fresh = zero_divisor_runs(T, zero_divisors)
+        assert zero_divisor_runs(T, zero_divisors, structures) == fresh
+        runs.append(fresh)
+        # T is freed here unless the map holds it, and a later square is
+        # then often allocated at its address, so an id() key would serve
+        # it T's structure
+        del T, zero_divisors
+    assert [length for length, _ in runs[0]] != [length for length, _ in runs[1]]
