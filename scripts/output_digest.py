@@ -5,14 +5,16 @@
 The corpus is every table of a full and of a targeted ``compute_tables`` run
 of each golden case (``table_to_json``), ``secatm paper-suite --json``, and
 ``secatm bounds --json`` and ``--certificates`` on every file in
-``models/``, with each command's exit code.  Two lines are printed: one
-digest with the certificates kept and one with every ``certificate`` field
-stripped and the ``--certificates`` text left out.  Equal digests at two
-commits mean equal intervals, rule ids and provenance text (and, for the
-first line, equal witnesses).  ``--intervals`` prints one digest over the
-intervals alone: the invariant, target and ``(m, lo, hi)`` of every row of
-every table, plus exit codes, with provenance and the ``--certificates``
-text left out; it compares two checkouts whose provenance differs.
+``models/``, with each command's exit code.  Three lines are printed: one
+digest with the certificates kept, one with every ``certificate`` field
+stripped and the ``--certificates`` text left out, and one with every
+``detail`` field stripped as well.  Equal digests at two commits mean
+equal intervals and rule ids (third line), also equal provenance text
+(second line), and also equal witnesses (first line).  ``--intervals``
+prints one digest over the intervals alone: the invariant, target and
+``(m, lo, hi)`` of every row of every table, plus exit codes, with
+provenance and the ``--certificates`` text left out; it compares two
+checkouts whose provenance differs.
 Standard library only; the package is imported from this checkout's
 ``src``.
 """
@@ -68,11 +70,11 @@ def corpus() -> list[tuple[str, object, bool]]:
     return items
 
 
-def _strip(obj):
+def _strip(obj, keys=("certificate",)):
     if isinstance(obj, dict):
-        return {k: _strip(v) for k, v in obj.items() if k != "certificate"}
+        return {k: _strip(v, keys) for k, v in obj.items() if k not in keys}
     if isinstance(obj, list):
-        return [_strip(v) for v in obj]
+        return [_strip(v, keys) for v in obj]
     return obj
 
 
@@ -96,13 +98,15 @@ def interval_digest(items) -> str:
     return digest.hexdigest()
 
 
-def digests(items) -> tuple[str, str]:
-    full, stripped = hashlib.sha256(), hashlib.sha256()
+def digests(items) -> tuple[str, str, str]:
+    full, stripped, rules = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
     for label, output, is_cert_text in items:
         full.update(json.dumps([label, output], sort_keys=True).encode())
         if not is_cert_text:
             stripped.update(json.dumps([label, _strip(output)], sort_keys=True).encode())
-    return full.hexdigest(), stripped.hexdigest()
+            rules.update(json.dumps([label, _strip(output, ("certificate", "detail"))],
+                                    sort_keys=True).encode())
+    return full.hexdigest(), stripped.hexdigest(), rules.hexdigest()
 
 
 if __name__ == "__main__":
@@ -114,6 +118,7 @@ if __name__ == "__main__":
     if args.intervals:
         print(f"intervals: {interval_digest(corpus())}")
     else:
-        with_certs, without = digests(corpus())
+        with_certs, without, rule_ids = digests(corpus())
         print(f"with certificates:    {with_certs}")
         print(f"without certificates: {without}")
+        print(f"intervals, rule ids:  {rule_ids}")

@@ -39,7 +39,6 @@ __all__ = [
     "tensor_morphism",
     "kernel",
     "cup_kernel",
-    "pair_zero_divisors",
     "multiplication_morphism",
     "image_difference",
     "pushforward_span",
@@ -1059,41 +1058,32 @@ def kernel(phi: RingMorphism) -> Subspace:
     return Subspace._of_canonical(alg, rows)
 
 
-def _cup_kernel_basis(A: GradedAlgebra, top: int):
+def _cup_kernel_rows(A: GradedAlgebra, T: GradedAlgebra) -> dict:
     """The basis ``a (x) b - 1 (x) ab`` of the kernel of the cup product
-    ``A (x) A -> A``, in degrees up to ``top``: one ``((p, i), (q, j), ab)``
-    per basis class ``a = names[p][i]`` of positive degree and basis class
-    ``b = names[q][j]``, with ``ab`` the product's coefficient row (None
-    when it is zero).
+    ``A (x) A -> A``, one element per basis class ``a`` of positive degree
+    and basis class ``b``, as coefficient rows over the basis of the tensor
+    square ``T``, by degree.
 
     The cup product is split by ``c -> 1 (x) c``, so these elements span its
     kernel, and their ``a (x) b`` terms with ``|a| > 0`` make them
-    independent; over Z they are a basis of the kernel lattice.
-    """
-    for p in range(1, min(top, A.top_degree) + 1):
-        for q in range(min(top - p, A.top_degree) + 1):
-            for i in range(A.dim(p)):
-                for j in range(A.dim(q)):
-                    yield (p, i), (q, j), A.mul_basis(p, i, q, j)
-
-
-def _cup_kernel_rows(A: GradedAlgebra, T: GradedAlgebra) -> dict:
-    """The basis of ``_cup_kernel_basis`` as coefficient rows over the basis
-    of the tensor square ``T``, by degree.  Rows are int vectors, over Q
-    scaled by their common denominator, which changes no span; the echelon
-    takes them without a ``Fraction`` pass."""
-    dom = A.coeff
-    slot = {pair: k for d in range(T.top_degree + 1)
+    independent; over Z they are a basis of the kernel lattice.  Rows are
+    int vectors, over Q scaled by their common denominator, which changes
+    no span; the echelon takes them without a ``Fraction`` pass."""
+    dom, top = A.coeff, T.top_degree
+    slot = {pair: k for d in range(top + 1)
             for k, pair in enumerate(T.kunneth_pairs[d])}
     rows: dict[int, list] = {}
-    for (p, i), (q, j), ab in _cup_kernel_basis(A, T.top_degree):
-        d = p + q
-        row = [0] * T.dim(d)
-        row[slot[(p, i, q, j)]] = 1
-        for k, c in enumerate(ab or ()):
-            if c != 0:
-                row[slot[(0, 0, d, k)]] = dom.neg(c)
-        rows.setdefault(d, []).append(linalg.clear_denominators(row))
+    for p in range(1, min(top, A.top_degree) + 1):
+        for q in range(min(top - p, A.top_degree) + 1):
+            d = p + q
+            for i in range(A.dim(p)):
+                for j in range(A.dim(q)):
+                    row = [0] * T.dim(d)
+                    row[slot[(p, i, q, j)]] = 1
+                    for k, c in enumerate(A.mul_basis(p, i, q, j) or ()):
+                        if c != 0:
+                            row[slot[(0, 0, d, k)]] = dom.neg(c)
+                    rows.setdefault(d, []).append(linalg.clear_denominators(row))
     return rows
 
 
@@ -1112,28 +1102,6 @@ def cup_kernel(A: GradedAlgebra, tensor=None) -> Subspace:
     if tensor is None:
         tensor, _, _ = tensor_square(A)
     return Subspace(tensor, _cup_kernel_rows(A, tensor))
-
-
-def pair_zero_divisors(f: RingMorphism, g: RingMorphism) -> Subspace:
-    """Image of the cup kernel of the common source under
-    ``a (x) b -> f(a) * g(b)``, in the common target: the span of
-    ``f(a) * g(b) - g(ab)`` over the basis of :func:`cup_kernel`, with no
-    tensor square built.  Every degree that reaches the target counts, also
-    those beyond the top degree of the source.
-    """
-    if f.source is not g.source or f.target is not g.target:
-        raise MorphismMismatch("morphisms do not share source and target")
-    X = f.target
-    dom = X.coeff
-    rows: dict[int, list] = {}
-    for (p, i), (q, j), ab in _cup_kernel_basis(f.source, X.top_degree):
-        d = p + q
-        v = X.mul_vectors(p, f.mats[p][i], q, g.mats[q][j])
-        if ab is not None:
-            v = linalg.vsub(dom, v, g.apply_component(d, ab))
-        if not vis_zero(v):
-            rows.setdefault(d, []).append(v)
-    return Subspace(X, rows)
 
 
 def image_difference(f: RingMorphism, g: RingMorphism) -> Subspace:

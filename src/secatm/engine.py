@@ -10,9 +10,12 @@ stores rows only below that m (see :mod:`secatm.tables`), and each record's
 index pairs are resolved once against the stored rows.  Every rule only
 narrows intervals, so iteration terminates; a crossing pair of bounds raises
 :class:`~secatm.tables.InconsistentModel` with both provenance chains.
-Lower bounds coming from cup-length computations carry their certificates
-in the provenance, and are applied lazily: only to the requested tables and
-to tables whose lower bounds reach them through a rule record.
+Lower bounds come from capped cup-lengths: of H^+ for cat, of the zero
+divisors in the tensor square for tc (field coefficients only), of the
+pullback kernel for secat, and of im(f* - g*) in the domain for both dm and
+hdm.  They carry their certificates in the provenance, and are applied
+lazily: only to the requested tables and to tables whose lower bounds reach
+them through a rule record.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ from .algebra import (
     cup_kernel,
     image_difference,
     kernel,
-    pair_zero_divisors,
     tensor_square,
 )
 from .cuplength import CupLengthQuery, capped_cuplength
@@ -527,8 +529,7 @@ class _Engine:
             if other.is_identity():
                 eq("const_vs_identity", dm, cdom,
                    "distance to a constant map equals cat")
-            else:
-                hi("const_pair_cap", dm, [cdom], f"at most cat[{cdom.target}]")
+            else:  # dm <= cat[domain] is dm_le_cat_domain
                 hi("const_pair_cap", dm, [ccod], f"at most cat[{ccod.target}]")
         return rules
 
@@ -551,9 +552,12 @@ def _lower_source(inv, model):
     """(algebra, generator subspace, description) feeding the cup-length
     lower bound of ``inv`` on ``model``, or None when it does not apply.
 
-    Zero divisors come from the explicit basis ``a (x) b - 1 (x) ab`` of the
-    cup kernel: tc builds the tensor square it multiplies in, dm takes the
-    basis's image ``f*(a) g*(b) - g*(ab)`` straight in the domain."""
+    tc reads the zero divisors in the tensor square: the explicit basis
+    ``a (x) b - 1 (x) ab`` of the cup kernel, over a field only.  dm and
+    hdm read one source, im(f* - g*) in the domain.  The dm bound pushes
+    the codomain's zero divisors along (f, g) to ``f*(a) g*(b) - g*(ab) =
+    (f*a - g*a) g*b``, and each f*a - g*a is one of these (b = 1), so at
+    every cap both spans have the same cup-length."""
     if inv == "cat":
         return model.algebra, Subspace.positive_part(model.algebra), "H^+"
     if inv == "tc":
@@ -563,14 +567,8 @@ def _lower_source(inv, model):
         return T, cup_kernel(model.algebra, T), "ker(cup)"
     if inv == "secat":
         return model.base.algebra, kernel(model.pstar), "ker(pullback)"
-    if inv == "hdm":
-        span = image_difference(model.fstar, model.gstar)
-        return model.domain.algebra, span, "im(f* - g*)"
-    # dm: the codomain's zero divisors pushed along (f, g)
-    if not model.codomain.algebra.coeff.is_field:
-        return None
-    span = pair_zero_divisors(model.fstar, model.gstar)
-    return model.domain.algebra, span, "pushed ker(cup)"
+    span = image_difference(model.fstar, model.gstar)
+    return model.domain.algebra, span, "im(f* - g*)"
 
 
 # ---------------------------------------------------------------------------
@@ -609,6 +607,7 @@ def hdm_lower(pair: MapPairModel, cap: int | None) -> int:
 
 
 def dm_lower(pair: MapPairModel, cap: int | None) -> int:
-    """Best of the pushed zero-divisor bound (field coefficients) and the
-    pullback-difference bound."""
-    return max(hdm_lower(pair, cap), _lower("dm", pair, cap) or 0)
+    """Cup-length of the image of f* - g*, capped, as for hdm: the
+    codomain's zero divisors pushed along (f, g) have the same cup-length
+    (see ``_lower_source``), over any coefficients."""
+    return _lower("dm", pair, cap)

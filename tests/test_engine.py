@@ -14,9 +14,7 @@ from secatm.algebra import (
     UnsupportedCoefficients,
     cup_kernel,
     kernel,
-    kunneth_product,
     multiplication_morphism,
-    pair_zero_divisors,
     pushforward_span,
     tensor_morphism,
     tensor_square,
@@ -57,6 +55,11 @@ from secatm.tables import INF, InconsistentModel, table_to_json
 
 def entry(tables, inv, name, m):
     return tables[(inv, name)].interval(m).as_pair()
+
+
+def fired(tables, inv, name, m, rule):
+    """(side, value) of each provenance event of ``rule`` at entry m."""
+    return [(e.side, e.value) for e in tables[(inv, name)].events[m] if e.rule == rule]
 
 
 # ---------------------------------------------------------------------------
@@ -163,10 +166,9 @@ class TestLowerBounds:
         assert lo >= 5 and hi == 10
         assert lo <= hi
 
-    def test_dm_lower_uses_pushed_zero_divisors(self):
-        # identity against the constant map on the 2-sphere: the pushed
-        # zero-divisor bound certifies 1 where the pullback difference also
-        # gives 1
+    def test_dm_lower_of_identity_against_constant(self):
+        # identity against the constant map on the 2-sphere: the difference
+        # of pullbacks is the fundamental class, one factor
         s = sphere(2, Q)
         pair = MapPairModel(
             domain=s,
@@ -505,6 +507,79 @@ class TestRules:
         assert entry(tables, "dm", "dc", 2) == (1, 1)
         assert entry(tables, "dm", "dc", 1) == (0, 0)
 
+    # one test per dm rule: the rule's id shows in the provenance of an entry
+    # with the value its inequality gives
+
+    def test_homotopic_zero(self):
+        # maps declared homotopic are at distance 0 at every m
+        s2 = sphere(2, Q)
+        ident = RingMorphism.identity(s2.algebra)
+        bundle = Bundle()
+        bundle.add_space("s2", s2)
+        bundle.add_map_pair("h", MapPairModel(domain=s2, codomain=s2, fstar=ident,
+                                              gstar=ident, homotopic=True))
+        tables = compute_tables(bundle)
+        for m in tables[("dm", "h")].stored:
+            assert entry(tables, "dm", "h", m) == (0, 0)
+            assert ("hi", 0) in fired(tables, "dm", "h", m, "homotopic_zero")
+
+    def test_dm_le_tc_codomain(self):
+        # the projections T^3 -> S^1 onto two factors: dm <= tc(S^1) = 1,
+        # below cat(T^3) = 3 (Macias-Virgos and Mosquera-Lois 2022)
+        s1 = sphere(1, Q)
+        t3 = product([s1, s1, s1])
+        pr1, pr2 = (RingMorphism.from_images(s1.algebra, t3.algebra, {"a": {name: 1}})
+                    for name in ("a(x)1(x)1", "1(x)a(x)1"))
+        bundle = Bundle()
+        bundle.add_space("s1", s1)
+        bundle.add_space("t3", t3)
+        bundle.add_map_pair("pr", MapPairModel(domain=t3, codomain=s1, fstar=pr1,
+                                               gstar=pr2))
+        tables = compute_tables(bundle)
+        assert entry(tables, "cat", "t3", INF) == (3, 3)
+        for m in tables[("dm", "pr")].stored:
+            assert entry(tables, "dm", "pr", m) == (1, 1)
+            tc = tables[("tc", "s1")].interval(m).hi
+            assert ("hi", tc) in fired(tables, "dm", "pr", m, "dm_le_tc_codomain")
+
+    def test_const_vs_identity(self):
+        # identity against a constant map on Sp(2), whose rational cohomology
+        # is exterior on classes of degree 3 and 7: the cup-length gives 2,
+        # and the distance equals cat(Sp(2)) = 3 (Schweitzer 1965)
+        from secatm.algebra import make_algebra
+        from secatm.spaces import SpaceModel
+
+        alg = make_algebra(Q, {0: ["1"], 3: ["x3"], 7: ["x7"], 10: ["x3x7"]},
+                           [("x3", "x7", {"x3x7": 1})])
+        sp2 = SpaceModel(alg, conn=2, hdim=10, known_cat=3)
+        bundle = Bundle()
+        bundle.add_space("sp2", sp2)
+        bundle.add_map_pair("cid", MapPairModel(
+            domain=sp2, codomain=sp2, fstar=RingMorphism.identity(alg),
+            gstar=constant_map_pullback(sp2, sp2)))
+        tables = compute_tables(bundle)
+        assert dm_lower(bundle.map_pairs["cid"], None) == 2
+        assert entry(tables, "dm", "cid", INF) == (3, 3)
+        assert ("lo", 3) in fired(tables, "dm", "cid", INF, "const_vs_identity")
+
+    def test_const_pair_cap(self):
+        # a constant map against the first projection S^2 x S^2 -> S^2:
+        # dm <= cat(S^2) = 1, below tc(S^2) = 2 and cat(S^2 x S^2) = 2
+        s2 = sphere(2, Q)
+        square = product([s2, s2])
+        pr1 = RingMorphism.from_images(s2.algebra, square.algebra, {"a": {"a(x)1": 1}})
+        bundle = Bundle()
+        bundle.add_space("s2", s2)
+        bundle.add_space("s2xs2", square)
+        bundle.add_map_pair("cp", MapPairModel(
+            domain=square, codomain=s2, fstar=constant_map_pullback(s2, square),
+            gstar=pr1))
+        tables = compute_tables(bundle)
+        for m in (2, INF):
+            assert entry(tables, "dm", "cp", m) == (1, 1)
+            assert entry(tables, "cat", "s2xs2", m)[1] == 2
+            assert ("hi", 1) in fired(tables, "dm", "cp", m, "const_pair_cap")
+
     def test_torsion_moore_space_via_explicit_algebra(self):
         # a Moore space with torsion has no constructor: model it by its
         # mod-2 cohomology (one class each in degrees n and n+1, trivial
@@ -656,7 +731,7 @@ def test_rule_records_visit_stored_rows_only():
 
 
 # ---------------------------------------------------------------------------
-# dm zero divisors without a tensor square
+# dm zero divisors: the cup-length of im(f* - g*)
 # ---------------------------------------------------------------------------
 
 def _corpus_map_pairs(workdir):
@@ -673,10 +748,11 @@ def _corpus_map_pairs(workdir):
             yield f"{label}:{name}", pair
 
 
-def test_dm_zero_divisors_equal_the_pushed_cup_kernel(tmp_path):
-    # the old path, rebuilt from the public API: the codomain's cup kernel
-    # in its tensor square, pushed through f* (x) g* into the domain's
-    # square and through the domain's cup product
+def test_dm_source_has_the_cup_length_of_the_pushed_cup_kernel(tmp_path):
+    # the pushed zero divisors, rebuilt from the public API: the codomain's
+    # cup kernel in its tensor square, pushed through f* (x) g* into the
+    # domain's square and through the domain's cup product; dm reads
+    # im(f* - g*) instead, which has the same cup-length at every cap
     labels = []
     for label, pair in _corpus_map_pairs(tmp_path):
         f, g = pair.fstar, pair.gstar
@@ -688,23 +764,14 @@ def test_dm_zero_divisors_equal_the_pushed_cup_kernel(tmp_path):
             multiplication_morphism(X, TX)[1],
             pushforward_span(tensor_morphism(f, g, source_tensor=TY, target_tensor=TX),
                              cup_kernel_y))
-        assert pair_zero_divisors(f, g) == pushed, label
-        source = _lower_source("dm", pair)
-        assert source is None if not Y.coeff.is_field else source[1] == pushed, label
+        algebra, source, _ = _lower_source("dm", pair)
+        assert algebra is X and _lower_source("hdm", pair)[1] == source, label
+        for cap in [*range(1, X.top_degree + 1), None]:
+            assert (capped_cuplength(CupLengthQuery(X, pushed, cap))[0]
+                    == capped_cuplength(CupLengthQuery(X, source, cap))[0]), (label, cap)
         labels.append(label)
     assert len(labels) >= 6 and any(label.startswith("m24:") for label in labels)
-
-
-def test_dm_of_the_two_projections_counts_degrees_beyond_the_codomain():
-    # pr1, pr2: S^2 x S^2 -> S^2.  a (x) a sits in degree 4, above the top of
-    # S^2, and goes to x1 x2; the zero divisors reach it
-    s2 = sphere(2, Q)
-    C, pr1, pr2 = kunneth_product(s2.algebra, s2.algebra)
-    domain = replace(product([s2, s2]), algebra=C)
-    pair = MapPairModel(domain=domain, codomain=s2, fstar=pr1, gstar=pr2)
-    _, generators, _ = _lower_source("dm", pair)
-    assert generators.dim(2) == 1 and generators.dim(4) == 1
-    assert generators.contains(C.element({"a(x)a": 1}))
+    assert any(label.startswith("u2.json:") for label in labels)  # Z pairs
 
 
 # ---------------------------------------------------------------------------
