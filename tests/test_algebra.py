@@ -852,7 +852,7 @@ def assert_pushed_length_is_the_difference_length(f, g):
         image_difference(f, g))
 
 
-def test_pushed_zero_divisors_of_the_two_projections_have_the_difference_length():
+def test_pair_zero_divisors_of_the_two_projections_reach_degree_four():
     # pr1 and pr2 from S^2 x S^2 to S^2: a (x) a has degree 4, beyond the top
     # of S^2, and goes to x1 x2, which is no difference of pullbacks; it is
     # the product of the two differences, so the lengths still agree

@@ -166,9 +166,10 @@ class TestLowerBounds:
         assert lo >= 5 and hi == 10
         assert lo <= hi
 
-    def test_dm_lower_of_identity_against_constant(self):
-        # identity against the constant map on the 2-sphere: the difference
-        # of pullbacks is the fundamental class, one factor
+    def test_dm_lower_uses_pushed_zero_divisors(self):
+        # identity against the constant map on the 2-sphere: the pushed zero
+        # divisors have the cup-length of the difference of pullbacks, the
+        # fundamental class, one factor
         s = sphere(2, Q)
         pair = MapPairModel(
             domain=s,
@@ -748,11 +749,11 @@ def _corpus_map_pairs(workdir):
             yield f"{label}:{name}", pair
 
 
-def test_dm_source_has_the_cup_length_of_the_pushed_cup_kernel(tmp_path):
+def test_dm_zero_divisors_equal_the_pushed_cup_kernel(tmp_path):
     # the pushed zero divisors, rebuilt from the public API: the codomain's
     # cup kernel in its tensor square, pushed through f* (x) g* into the
     # domain's square and through the domain's cup product; dm reads
-    # im(f* - g*) instead, which has the same cup-length at every cap
+    # im(f* - g*) instead, which equals it in cup-length at every cap
     labels = []
     for label, pair in _corpus_map_pairs(tmp_path):
         f, g = pair.fstar, pair.gstar
