@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .engine import KIND_OF, compute_tables, default_max_m
@@ -169,9 +170,19 @@ def main(argv=None) -> int:
         return 1
 
 
-def entry_point() -> None:  # pragma: no cover - console script shim
-    sys.exit(main())
+def entry_point() -> None:
+    """Console script shim.  A reader that closes stdout early (``| head``)
+    ends the run quietly with exit code 1: stdout is pointed at the null
+    device so the flush at exit cannot fail again."""
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)
 
 
 if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+    entry_point()

@@ -10,27 +10,25 @@ stores rows only below that m (see :mod:`secatm.tables`), and each record's
 index pairs are resolved once against the stored rows.  Every rule only
 narrows intervals, so iteration terminates; a crossing pair of bounds raises
 :class:`~secatm.tables.InconsistentModel` with both provenance chains.
-Lower bounds come from capped cup-lengths: of H^+ for cat, of the zero
-divisors in the tensor square for tc (field coefficients only), of the
-pullback kernel for secat, and of im(f* - g*) in the domain for both dm and
-hdm.  They carry their certificates in the provenance, and are applied
-lazily: only to the requested tables and to tables whose lower bounds reach
-them through a rule record.
+Lower bounds come from capped cup-lengths over spans of ideal generators:
+for cat, the algebra generators of H^+ (the basis classes that complement
+the decomposables); for tc, a (x) 1 - 1 (x) a over those generators, which
+generate the ideal of zero divisors in the tensor square (field
+coefficients only); for secat, the pullback kernel; for dm and hdm,
+(f* - g*) of the codomain's generators in the domain.  At every cap an
+ideal and a generating set of it have the same capped cup-length, so the
+bounds are those of the whole ideals.  They carry their certificates in the
+provenance, and are applied lazily: only to the requested tables and to
+tables whose lower bounds reach them through a rule record.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .algebra import (
-    Subspace,
-    UnsupportedCoefficients,
-    cup_kernel,
-    image_difference,
-    kernel,
-    tensor_square,
-)
+from .algebra import GradedAlgebra, Subspace, UnsupportedCoefficients, kernel, tensor_square
 from .cuplength import CupLengthQuery, capped_cuplength
+from .linalg import FieldEchelon, vis_zero, vsub
 from .spaces import FibrationModel, MapPairModel, SpaceModel
 from .tables import INF, BoundTable
 
@@ -548,27 +546,72 @@ def _children(model) -> list:
         ("map_pairs", side, leg) for side, leg in legs]
 
 
+def _generators(A: GradedAlgebra) -> list[tuple[int, int]]:
+    """``(degree, index)`` of the basis classes of positive degree that
+    generate ``A`` as an algebra: degree by degree, in basis order, each
+    class that grows the rank of the decomposables and the classes kept
+    before it.  Ranks are taken over F_p for a prime field and over Q
+    otherwise; the cup-length DP decides vanishing by rank over Q, so over
+    Z these generate for it as well."""
+    echelons = [FieldEchelon(n, A.coeff.p) for n in A.dims()]
+    for (d1, _, d2, _), row in A.table.items():
+        e = echelons[d1 + d2]
+        if e.rank < e.width:
+            e.insert(row)
+    generators = []
+    for d in range(1, A.top_degree + 1):
+        e = echelons[d]
+        for i in range(e.width):
+            if e.rank == e.width:
+                break
+            unit = [0] * e.width
+            unit[i] = 1
+            if e.insert(unit):
+                generators.append((d, i))
+    return generators
+
+
 def _lower_source(inv, model):
     """(algebra, generator subspace, description) feeding the cup-length
     lower bound of ``inv`` on ``model``, or None when it does not apply.
 
-    tc reads the zero divisors in the tensor square: the explicit basis
-    ``a (x) b - 1 (x) ab`` of the cup kernel, over a field only.  dm and
-    hdm read one source, im(f* - g*) in the domain.  The dm bound pushes
-    the codomain's zero divisors along (f, g) to ``f*(a) g*(b) - g*(ab) =
-    (f*a - g*a) g*b``, and each f*a - g*a is one of these (b = 1), so at
-    every cap both spans have the same cup-length."""
-    if inv == "cat":
-        return model.algebra, Subspace.positive_part(model.algebra), "H^+"
-    if inv == "tc":
-        if not model.algebra.coeff.is_field:
-            return None
-        T, _, _ = tensor_square(model.algebra)
-        return T, cup_kernel(model.algebra, T), "ker(cup)"
+    Each source spans a set of generators of an ideal, from the algebra
+    generators g of ``_generators``.  cat reads the g themselves, which
+    generate H^+.  tc reads ``g (x) 1 - 1 (x) g`` in the tensor square,
+    which generate the kernel of the cup product (Farber 2003), over a
+    field only.  dm and hdm read ``(f* - g*)(g)`` for g in the codomain,
+    which generate the ideal of im(f* - g*), as
+    ``(f* - g*)(ab) = (f*a - g*a) f*b + g*a (f*b - g*b)``; dm's pushed zero
+    divisors ``(f*a - g*a) g*b`` lie in that ideal too.  A product of k
+    ideal elements of degree <= cap expands into terms that each hold a
+    product of k generators of degree <= cap, so at every cap the spans
+    have the cup-length of their ideals."""
     if inv == "secat":
         return model.base.algebra, kernel(model.pstar), "ker(pullback)"
-    span = image_difference(model.fstar, model.gstar)
-    return model.domain.algebra, span, "im(f* - g*)"
+    rows = {}
+    if inv in ("dm", "hdm"):
+        f, g, X = model.fstar, model.gstar, model.domain.algebra
+        for d, i in _generators(f.source):
+            diff = vsub(X.coeff, f.mats[d][i], g.mats[d][i])
+            if not vis_zero(diff):
+                rows.setdefault(d, []).append(diff)
+        return X, Subspace(X, rows), "im(f* - g*)"
+    A, dom = model.algebra, model.algebra.coeff
+    if inv == "cat":
+        for d, i in _generators(A):
+            row = [dom.zero()] * A.dim(d)
+            row[i] = dom.one()
+            rows.setdefault(d, []).append(row)
+        return A, Subspace(A, rows), "H^+"
+    if not dom.is_field:
+        return None
+    T, _, _ = tensor_square(A)
+    for d, i in _generators(A):
+        row = [dom.zero()] * T.dim(d)
+        row[T.block_start[(d, 0)] + i] = dom.one()
+        row[T.block_start[(0, d)] + i] = dom.neg(dom.one())
+        rows.setdefault(d, []).append(row)
+    return T, Subspace(T, rows), "ker(cup)"
 
 
 # ---------------------------------------------------------------------------
@@ -584,12 +627,14 @@ def _lower(inv, model, cap) -> int | None:
 
 
 def cat_lower(space: SpaceModel, cap: int | None) -> int:
-    """Cup-length of the positive-degree classes, capped by degree."""
+    """Capped cup-length of H^+, read from its algebra generators of
+    degree <= cap."""
     return _lower("cat", space, cap)
 
 
 def tc_lower(space: SpaceModel, cap: int | None) -> int:
-    """Zero-divisor cup-length, capped; field coefficients only."""
+    """Capped zero-divisor cup-length, read from ``g (x) 1 - 1 (x) g`` for
+    the algebra generators g of degree <= cap; field coefficients only."""
     length = _lower("tc", space, cap)
     if length is None:
         raise UnsupportedCoefficients("zero-divisor kernels need field coefficients")
@@ -602,12 +647,14 @@ def secat_lower(fib: FibrationModel, cap: int | None) -> int:
 
 
 def hdm_lower(pair: MapPairModel, cap: int | None) -> int:
-    """Cup-length of the image of f* - g*, capped."""
+    """Capped cup-length of the ideal of im(f* - g*), read from
+    ``(f* - g*)(g)`` for the codomain's algebra generators g of degree
+    <= cap."""
     return _lower("hdm", pair, cap)
 
 
 def dm_lower(pair: MapPairModel, cap: int | None) -> int:
-    """Cup-length of the image of f* - g*, capped, as for hdm: the
-    codomain's zero divisors pushed along (f, g) have the same cup-length
-    (see ``_lower_source``), over any coefficients."""
+    """The capped cup-length of hdm's source, over any coefficients: the
+    codomain's zero divisors pushed along (f, g) lie in the same ideal and
+    hold its generators (see ``_lower_source``)."""
     return _lower("dm", pair, cap)

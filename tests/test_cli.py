@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -133,6 +137,26 @@ class TestShippedModels:
             rc = main(["bounds", str(root / name)])
             out = capsys.readouterr().out
             assert rc == 0 and "m=1" in out
+
+
+class TestClosedStdout:
+    def test_reader_closing_the_pipe_early_leaves_no_traceback(self):
+        # about 1.2 MB of JSON, far past a pipe buffer, so the writes after
+        # the reader has gone fail with a broken pipe
+        root = Path(__file__).resolve().parent.parent
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "secatm", "bounds", str(root / "models" / "u2.json"),
+             "idinv", "hdm", "--json", "--max-m", "2000"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=str(root / "src")))
+        try:
+            assert proc.stdout.read(100).startswith(b"{")
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+        assert proc.returncode == 1
+        assert err == b""
 
 
 class TestLargeMaxM:

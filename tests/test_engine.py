@@ -7,13 +7,20 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
-from secatm.domains import Q, Z
+from secatm.domains import GF, Q, Z
 from secatm.algebra import (
+    AlgebraError,
+    GradedAlgebra,
     RingMorphism,
+    Subspace,
     UnsupportedCoefficients,
     cup_kernel,
+    image_difference,
     kernel,
+    kunneth_product,
+    make_algebra,
     multiplication_morphism,
     pushforward_span,
     tensor_morphism,
@@ -23,6 +30,7 @@ from secatm.cuplength import CupLengthQuery, capped_cuplength
 from secatm.engine import (
     Bundle,
     _Engine,
+    _generators,
     _lower_source,
     cat_lower,
     compute_tables,
@@ -42,6 +50,7 @@ from secatm.goldens import (
 from secatm.spaces import (
     FibrationModel,
     MapPairModel,
+    SpaceModel,
     complex_projective,
     constant_map_pullback,
     orientable_surface,
@@ -51,6 +60,8 @@ from secatm.spaces import (
     sphere,
 )
 from secatm.tables import INF, InconsistentModel, table_to_json
+
+from test_algebra import cup_algebras
 
 
 def entry(tables, inv, name, m):
@@ -178,6 +189,45 @@ class TestLowerBounds:
             gstar=constant_map_pullback(s, s),
         )
         assert dm_lower(pair, 2) == 1
+
+
+def generator_names(A):
+    return [A.names[d][i] for d, i in _generators(A)]
+
+
+class TestGenerators:
+    def test_real_projective_is_generated_by_x(self):
+        assert generator_names(real_projective(6).algebra) == ["x"]
+
+    def test_torus_is_generated_by_its_degree_one_classes(self):
+        A = product([sphere(1, Q)] * 3).algebra
+        assert _generators(A) == [(1, 0), (1, 1), (1, 2)]
+
+    def test_complex_projective_is_generated_by_u(self):
+        assert generator_names(complex_projective(3).algebra) == ["u"]
+
+    def test_decomposable_class_is_left_out(self):
+        # x y = u: u is decomposable, and v complements it in degree 2
+        A = make_algebra(Q, {1: ["x", "y"], 2: ["u", "v"]}, [("x", "y", {"u": 1})])
+        assert generator_names(A) == ["x", "y", "v"]
+
+    def test_partly_decomposable_degree_keeps_one_class_in_basis_order(self):
+        # x y = u + v: one class of degree 2 complements the decomposables,
+        # the first in basis order that does
+        A = make_algebra(Q, {1: ["x", "y"], 2: ["u", "v"]}, [("x", "y", {"u": 1, "v": 1})])
+        assert generator_names(A) == ["x", "y", "u"]
+
+    def test_integer_ranks_are_taken_over_the_rationals(self):
+        # x^2 = 2y: over Z, y is no product, but over Q it is x^2 / 2, and the
+        # cup-length DP decides vanishing over Q
+        A = make_algebra(Z, {2: ["x"], 4: ["y"]}, [("x", "x", {"y": 2})])
+        assert generator_names(A) == ["x"]
+        assert cat_lower(SpaceModel(A, conn=1), None) == 2
+
+    def test_prime_field_ranks_are_taken_mod_p(self):
+        # x^2 = 2y vanishes over F2, where y is a generator
+        A = make_algebra(GF(2), {2: ["x"], 4: ["y"]}, [("x", "x", {"y": 2})])
+        assert generator_names(A) == ["x", "y"]
 
 
 # ---------------------------------------------------------------------------
@@ -581,6 +631,36 @@ class TestRules:
             assert entry(tables, "cat", "s2xs2", m)[1] == 2
             assert ("hi", 1) in fired(tables, "dm", "cp", m, "const_pair_cap")
 
+    def test_tc_le_cat_square(self):
+        # a 2-sphere whose only recorded value is cat(S^2 x S^2) = 2, on its
+        # declared square: tc <= 2, met by the zero-divisor cup-length 2
+        square = product([sphere(2, Q), sphere(2, Q)])
+        square.known_cat = 2
+        s2 = SpaceModel(sphere(2, Q).algebra, conn=1, square=square)
+        bundle = Bundle()
+        bundle.add_space("s2", s2)
+        tables = compute_tables(bundle, max_m=3)
+        assert entry(tables, "tc", "s2", INF) == (2, 2)
+        assert ("hi", 2) in fired(tables, "tc", "s2", INF, "tc_le_cat_square")
+
+    def test_secat_eq_cat_contractible(self):
+        # the path fibration over Sp(2), whose total space is contractible:
+        # secat = cat(Sp(2)) = 3 (Schweitzer 1965), above the cup-length 2
+        alg = make_algebra(Q, {0: ["1"], 3: ["x3"], 7: ["x7"], 10: ["x3x7"]},
+                           [("x3", "x7", {"x3x7": 1})])
+        sp2 = SpaceModel(alg, conn=2, hdim=10, known_cat=3)
+        total = point(Q).algebra
+        bundle = Bundle()
+        bundle.add_space("sp2", sp2)
+        bundle.add_fibration("path", FibrationModel(
+            base=sp2, total_algebra=total,
+            pstar=RingMorphism.augmentation(alg, total), total_contractible=True))
+        tables = compute_tables(bundle)
+        assert secat_lower(bundle.fibrations["path"], None) == 2
+        assert entry(tables, "secat", "path", INF) == (3, 3)
+        assert ("lo", 3) in fired(tables, "secat", "path", INF,
+                                  "secat_eq_cat_contractible")
+
     def test_torsion_moore_space_via_explicit_algebra(self):
         # a Moore space with torsion has no constructor: model it by its
         # mod-2 cohomology (one class each in degrees n and n+1, trivial
@@ -773,6 +853,126 @@ def test_dm_zero_divisors_equal_the_pushed_cup_kernel(tmp_path):
         labels.append(label)
     assert len(labels) >= 6 and any(label.startswith("m24:") for label in labels)
     assert any(label.startswith("u2.json:") for label in labels)  # Z pairs
+
+
+# ---------------------------------------------------------------------------
+# generator sources: the capped cup-length of the whole ideal at every cap
+# ---------------------------------------------------------------------------
+
+def _whole_ideal_source(inv, model):
+    """(algebra, span) that ``inv`` read before it read generators: all of
+    H^+, the cup kernel, or all of im(f* - g*)."""
+    if inv == "cat":
+        return model.algebra, Subspace.positive_part(model.algebra)
+    if inv == "tc":
+        T, _, _ = tensor_square(model.algebra)
+        return T, cup_kernel(model.algebra, T)
+    return model.domain.algebra, image_difference(model.fstar, model.gstar)
+
+
+def assert_generator_source_matches(inv, model, label=""):
+    """Equal capped cup-lengths of the generator source and the whole ideal
+    at every cap up to the ideal's top degree."""
+    old_algebra, old = _whole_ideal_source(inv, model)
+    algebra, span, _ = _lower_source(inv, model)
+    if old.is_zero():
+        assert span.is_zero(), (label, inv)
+        return
+    structures = {}
+    for cap in range(1, max(old.degrees()) + 1):
+        new_length = capped_cuplength(CupLengthQuery(algebra, span, cap), structures)[0]
+        old_length = capped_cuplength(CupLengthQuery(old_algebra, old, cap), structures)[0]
+        assert new_length == old_length, (label, inv, cap)
+
+
+def _integral(rows) -> bool:
+    return all(c.denominator == 1 for row in rows for c in row)
+
+
+def _over(A, coeff):
+    """``A`` with its structure constants read in ``coeff``, or None when
+    they are not all integers or the result is no algebra."""
+    if not _integral(A.table.values()):
+        return None
+    table = {key: tuple(coeff.from_int(int(c)) for c in row) for key, row in A.table.items()}
+    try:
+        return GradedAlgebra(coeff, A.names, {k: row for k, row in table.items() if any(row)})
+    except AlgebraError:
+        return None
+
+
+def _pair_over(pair, coeff, over):
+    """``pair`` with its algebras (``over``, by the id of the original) and
+    maps read in ``coeff``, or None."""
+    X, Y = (over.get(id(s.algebra)) for s in (pair.domain, pair.codomain))
+    mats = [phi.mats for phi in (pair.fstar, pair.gstar)]
+    if X is None or Y is None or not all(_integral(rows) for m in mats for rows in m.values()):
+        return None
+    try:
+        f, g = (RingMorphism(Y, X, {d: [[coeff.from_int(int(c)) for c in row] for row in rows]
+                                    for d, rows in m.items()}) for m in mats)
+    except AlgebraError:
+        return None
+    return MapPairModel(domain=SpaceModel(X), codomain=SpaceModel(Y), fstar=f, gstar=g)
+
+
+def _generator_corpus():
+    """(label, space models, map pairs) of the golden cases, of ``models/``
+    and of the tc-ladder rungs, derived models included, each read over Q,
+    F2, F3 and Z wherever its constants allow."""
+    bundles = [(case.name, case.build()[0]) for case in all_cases()]
+    bundles += [(path.name, load_model_file(str(path)).bundle)
+                for path in sorted((PERFBENCH.parent / "models").glob("*.json"))]
+    for cid, _, build in _perfbench_cases()._tc_ladder_specs():
+        bundle = Bundle()
+        bundle.add_space(cid, build())
+        bundles.append((cid, bundle))
+    for label, bundle in bundles:
+        engine = _Engine(bundle, None, True, None)
+        engine._register()
+        spaces = list(engine.bundle.spaces.values())
+        pairs = list(engine.bundle.map_pairs.values())
+        for coeff in (Q, GF(2), GF(3), Z):
+            over = {}
+            for s in spaces:
+                if id(s.algebra) not in over:
+                    over[id(s.algebra)] = _over(s.algebra, coeff)
+            yield (f"{label}/{coeff.label}",
+                   [SpaceModel(A) for A in over.values() if A is not None],
+                   [p for p in (_pair_over(p, coeff, over) for p in pairs) if p is not None])
+
+
+def test_generator_sources_match_the_whole_ideals_on_the_corpus():
+    seen = {"cat": set(), "tc": set(), "hdm": set()}
+    for label, spaces, pairs in _generator_corpus():
+        coeff = label.rsplit("/", 1)[1]
+        for s in spaces:
+            for inv in ("cat", "tc") if s.algebra.coeff.is_field else ("cat",):
+                assert_generator_source_matches(inv, s, label)
+                seen[inv].add(coeff)
+        for p in pairs:
+            assert_generator_source_matches("hdm", p, label)
+            seen["hdm"].add(coeff)
+    assert seen["tc"] == {"Q", "F2", "F3"}
+    assert seen["cat"] == seen["hdm"] == {"Q", "F2", "F3", "Z"}
+
+
+@settings(max_examples=60, deadline=None)
+@given(cup_algebras())
+def test_generator_sources_match_the_whole_ideals(A):
+    # cat and tc of the algebra, and hdm of the two projections of its
+    # square, whose im(f* - g*) spans a (x) 1 - 1 (x) a over every class;
+    # the DP on the whole cup kernel takes seconds past 16 classes, so the
+    # square is read up to there (the corpus test holds larger rungs)
+    space = SpaceModel(A)
+    assert_generator_source_matches("cat", space)
+    if A.total_dim > 16:
+        return
+    if A.coeff.is_field:
+        assert_generator_source_matches("tc", space)
+    C, left, right = kunneth_product(A, A)
+    assert_generator_source_matches("hdm", MapPairModel(
+        domain=SpaceModel(C), codomain=space, fstar=left, gstar=right))
 
 
 # ---------------------------------------------------------------------------
