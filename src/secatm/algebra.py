@@ -553,6 +553,9 @@ class TensorProduct(GradedAlgebra):
         self._set_basis(left.coeff, names)
         self.kunneth_pairs = {d: tuple(pairs[d]) for d in range(top + 1)}
         self.block_start = start
+        self._right_dims = right.dims()
+        self._starts = [[start.get((p, q)) for q in range(right.top_degree + 1)]
+                        for p in range(left.top_degree + 1)]
 
     def mul_basis(self, d1: int, k1: int, d2: int, k2: int) -> tuple | None:
         if d1 + d2 > self.top_degree or not (d1 and d2):
@@ -574,43 +577,38 @@ class TensorProduct(GradedAlgebra):
                     row[base + ia * wb + jb] = dom.neg(c) if neg else c
         return None if vis_zero(row) else tuple(row)
 
-    def products(self, left_products: dict, right_products: dict):
-        """Every nonzero product of two basis classes of positive degree,
-        from the nonzero products of the factors (``nonzero_products`` of
-        each, or the same with other coefficients), left class by left
-        class: one ``(d1, k1, d2, k2, d, nz)`` per product, with ``nz`` its
-        nonzero ``(slot, c)`` pairs in slot order.  Each c is ``ca * cb``,
-        negated by the Koszul sign, in Python arithmetic: exact over Q and
-        Z, not yet reduced over F_p.
-
-        For each left class only the pairs of nonzero factor products are
-        visited, not every right class.  Each pair of nonzero factor
-        coefficients lands in its own slot with a nonzero product (Q, F_p
-        and Z have no zero divisors).
-        """
-        bdims = self.right.dims()
-        starts = [[self.block_start.get((p, q)) for q in range(len(bdims))]
-                  for p in range(self.left.top_degree + 1)]
-        for d1 in range(1, self.top_degree + 1):
-            for k1, (p1, i1, q1, j1) in enumerate(self.kunneth_pairs[d1]):
-                rights = right_products[(q1, j1)]
-                for p2, i2, anz in left_products[(p1, i1)]:
-                    neg = _koszul_sign_is_neg(q1, p2)
-                    p = p1 + p2
-                    at, at2 = starts[p], starts[p2]
-                    for q2, j2, bnz in rights:
-                        if not (p2 or q2):
-                            continue  # the right class is the unit
-                        q = q1 + q2
-                        base, wb = at[q], bdims[q]
-                        if len(anz) == 1 and len(bnz) == 1:
-                            (ia, ca), (jb, cb) = anz[0], bnz[0]
-                            c = ca * cb
-                            nz = ((base + ia * wb + jb, -c if neg else c),)
-                        else:
-                            nz = tuple((base + ia * wb + jb, -(ca * cb) if neg else ca * cb)
-                                       for ia, ca in anz for jb, cb in bnz)
-                        yield d1, k1, p2 + q2, at2[q2] + i2 * bdims[q2] + j2, p + q, nz
+    def row(self, d: int, k: int, left: dict, right: dict) -> list:
+        """The nonzero products of class k of degree d by every class of
+        positive degree, as ``(d2, k2, nz)`` with ``nz`` the nonzero
+        ``(slot, c)`` pairs in slot order, from the factors' nonzero products
+        (``left`` and ``right``: ``nonzero_products`` of each, or the same
+        with other coefficients).  Each c is ``ca * cb``, negated by the
+        Koszul sign, in Python arithmetic: exact over Q and Z, not yet
+        reduced over F_p.  Only pairs of nonzero factor products are
+        visited; each pair of nonzero factor coefficients lands in its own
+        slot with a nonzero product (Q, F_p and Z have no zero divisors)."""
+        bdims, starts = self._right_dims, self._starts
+        p1, i1, q1, j1 = self.kunneth_pairs[d][k]
+        rights = right[(q1, j1)]
+        out = []
+        append = out.append
+        for p2, i2, anz in left[(p1, i1)]:
+            neg = q1 & p2 & 1  # the Koszul sign: |b| and |a'| both odd
+            at, at2, single = starts[p1 + p2], starts[p2], len(anz) == 1
+            for q2, j2, bnz in rights:
+                if not (p2 or q2):
+                    continue  # the right class is the unit
+                q = q1 + q2
+                base, wb = at[q], bdims[q]
+                if single and len(bnz) == 1:
+                    (ia, ca), (jb, cb) = anz[0], bnz[0]
+                    c = ca * cb
+                    nz = ((base + ia * wb + jb, -c if neg else c),)
+                else:
+                    nz = tuple((base + ia * wb + jb, -(ca * cb) if neg else ca * cb)
+                               for ia, ca in anz for jb, cb in bnz)
+                append((p2 + q2, at2[q2] + i2 * bdims[q2] + j2, nz))
+        return out
 
     @functools.cached_property
     def table(self) -> dict:
@@ -620,18 +618,21 @@ class TensorProduct(GradedAlgebra):
         dom = self.coeff
         left = self.left.nonzero_products()
         right = left if self.right is self.left else self.right.nonzero_products()
-        table, shared, zero, p = {}, {}, dom.zero(), dom.p
-        for d1, k1, d2, k2, d, nz in self.products(left, right):
-            if p is not None:
-                nz = tuple((slot, c % p) for slot, c in nz) if len(nz) > 1 else (
-                    (nz[0][0], nz[0][1] % p),)
-            row = shared.get((d, nz))
-            if row is None:
-                row = [zero] * self.dim(d)
-                for slot, c in nz:
-                    row[slot] = c
-                row = shared[(d, nz)] = tuple(row)
-            table[(d1, k1, d2, k2)] = row
+        table, shared, zero, p, dims = {}, {}, dom.zero(), dom.p, self.dims()
+        for d1 in range(1, self.top_degree + 1):
+            for k1 in range(dims[d1]):
+                for d2, k2, nz in self.row(d1, k1, left, right):
+                    d = d1 + d2
+                    if p is not None:
+                        nz = tuple((slot, c % p) for slot, c in nz) if len(nz) > 1 else (
+                            (nz[0][0], nz[0][1] % p),)
+                    row = shared.get((d, nz))
+                    if row is None:
+                        row = [zero] * dims[d]
+                        for slot, c in nz:
+                            row[slot] = c
+                        row = shared[(d, nz)] = tuple(row)
+                    table[(d1, k1, d2, k2)] = row
         return dict(sorted(table.items()))
 
     def inclusions(self, target: GradedAlgebra) -> tuple:

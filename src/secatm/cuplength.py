@@ -24,9 +24,10 @@ a product is nonzero over Z exactly when it is nonzero over Q.
 
 Products are taken in Python ints through one :class:`IntegerStructure`
 per algebra, built from the algebra's table or, for a tensor square, from
-its factor's integer products, so no ``Fraction`` table of the square is
-ever built.  A caller that passes one structure map to every query (as
-``compute_tables`` does, once per run) builds each structure and each
+its factor's integer products, a column per class that a spanning vector
+holds.
+A caller that passes one structure map to every query (as
+``compute_tables`` does, once per run) builds each structure, column and
 right-multiplication operator once.
 """
 
@@ -134,92 +135,85 @@ def _denominator(algebra: GradedAlgebra) -> int:
     return lcm(*{c.denominator for row in rows for c in row})
 
 
+def _integral_products(algebra: GradedAlgebra) -> dict:
+    """``nonzero_products`` with every coefficient made an int, scaled by
+    the common denominator of the structure constants."""
+    den = _denominator(algebra)
+    return {key: [(d2, i2, _scaled(nz, den)) for d2, i2, nz in entries]
+            for key, entries in algebra.nonzero_products().items()}
+
+
 class IntegerStructure:
     """One algebra's nonzero products of basis classes of positive degree,
-    in Python ints, for the DP.
+    in Python ints, read by the DP through ``right_multiplication``.
 
-    ``blocks[(d1, d2)]`` maps a right class i2 of degree d2 to the list of
-    ``(i1, row)`` with ``row`` the product of class i1 of degree d1 by it:
+    Column ``(ds, i)`` maps a degree dv to the list of ``(i1, row)`` with
+    ``row`` the product of class i1 of degree dv by class i of degree ds:
     the nonzero ``(j, c)`` pairs, or over F2 a bitmask (bit j is entry j).
     Over Q every row, unit products included, is scaled by one nonzero
     integer, so a product of t integral factors is the true product times a
     nonzero rational, and it vanishes, and grows an echelon's rank, exactly
-    when the true product does.  A plain algebra's rows come from its table
-    (scaled by the common denominator D of its constants); a
-    :class:`TensorProduct`'s from its factors' integer products (scaled by
-    D_left * D_right), so its ``Fraction`` table is never built.  The right
-    multiplication operators are memoised with the structure.
+    when the true product does.  A plain algebra fills its columns from its
+    table (scaled by the common denominator D of its constants).  A
+    :class:`TensorProduct` builds column i on first use, from ``row(ds, i)``
+    over its factors' integer products (scaled by D_left * D_right), so it
+    never builds its table nor a column the DP does not multiply by.
     """
 
     def __init__(self, algebra: GradedAlgebra):
         self.p = algebra.coeff.p
         self.dims = algebra.dims()
-        self.blocks: dict = {}
+        self._columns: dict = {}
         self._operators: dict = {}
+        self._square = None
         if isinstance(algebra, TensorProduct):
-            products = self._factor_products(algebra)
-        else:
-            products = self._table_products(algebra)
-        blocks = self.blocks
-        for d1, i1, d2, i2, row in products:
-            block = blocks.get((d1, d2))
-            if block is None:
-                block = blocks[(d1, d2)] = {}
-            entries = block.get(i2)
-            if entries is None:
-                block[i2] = [(i1, row)]
-            else:
-                entries.append((i1, row))
-
-    def _table_products(self, algebra):
-        """``(d1, i1, d2, i2, row)`` per table entry; a row the algebra
-        shares between products is converted once and stored once."""
+            left = _integral_products(algebra.left)
+            right = left if algebra.right is algebra.left else _integral_products(algebra.right)
+            self._square = algebra, left, right
+            return
         den, converted = _denominator(algebra), {}
         for (d1, i1, d2, i2), row in algebra.table.items():
-            nz = converted.get(id(row))
+            nz = converted.get(id(row))  # a shared row is converted once
             if nz is None:
                 nz = _scaled(((j, c) for j, c in enumerate(row) if c), den)
                 if self.p == 2:
                     nz = sum(1 << j for j, _ in nz)
                 converted[id(row)] = nz
-            yield d1, i1, d2, i2, nz
+            self._columns.setdefault((d2, i2), {}).setdefault(d1, []).append((i1, nz))
 
-    def _factor_products(self, T: TensorProduct):
-        """``(d1, k1, d2, k2, row)`` per nonzero product of ``T``, from
-        ``T.products`` over the factors' nonzero products made ints."""
-        def integral(factor):
-            den = _denominator(factor)
-            return {key: [(d2, i2, _scaled(nz, den)) for d2, i2, nz in entries]
-                    for key, entries in factor.nonzero_products().items()}
+    def _column(self, ds: int, i: int) -> dict:
+        column = self._columns.get((ds, i))
+        if column is None:
+            column = self._columns[(ds, i)] = {}
+            if self._square is not None:
+                T, left, right = self._square
+                for dx, kx, nz in T.row(ds, i, left, right):
+                    if self.p == 2:
+                        nz = sum(1 << j for j, _ in nz)
+                    elif dx & ds & 1:  # x * s = (-1)^(|x| |s|) s * x
+                        nz = tuple((j, -c) for j, c in nz)
+                    column.setdefault(dx, []).append((kx, nz))
+        return column
 
-        left = integral(T.left)
-        right = left if T.right is T.left else integral(T.right)
-        f2 = self.p == 2
-        for d1, k1, d2, k2, _, nz in T.products(left, right):
-            if f2:
-                nz = 1 << nz[0][0] if len(nz) == 1 else sum(1 << slot for slot, _ in nz)
-            yield d1, k1, d2, k2, nz
-
-    def right_multiplication(self, dv: int, ds: int, s: tuple) -> list:
+    def right_multiplication(self, dv: int, ds: int, s: tuple):
         """Right multiplication by the degree-``ds`` vector with nonzero
         ``(i2, b)`` pairs ``s``, on degree ``dv``: entry i1 is the product of
         basis class i1 by it, a bitmask over F2, otherwise a tuple of nonzero
-        ``(j, c)``.  It costs the rows of the support of s only; the block
-        ``(dv, ds)`` must be nonempty."""
+        ``(j, c)``; None when every such product is zero.  It costs the
+        columns of the support of s only."""
         key = (dv, ds, s)
-        op = self._operators.get(key)
-        if op is not None:
-            return op
-        block, p = self.blocks[(dv, ds)], self.p
+        if key in self._operators:
+            return self._operators[key]
+        p = self.p
         if p == 2:
             op = [0] * self.dims[dv]
             for i2, _ in s:
-                for i1, mask in block.get(i2, ()):
+                for i1, mask in self._column(ds, i2).get(dv, ()):
                     op[i1] ^= mask
         else:
             acc: dict[int, dict] = {}
             for i2, b in s:
-                for i1, row in block.get(i2, ()):
+                for i1, row in self._column(ds, i2).get(dv, ()):
                     a = acc.get(i1)
                     if a is None:
                         a = acc[i1] = {}
@@ -231,8 +225,7 @@ class IntegerStructure:
                     op[i1] = tuple((j, c % p) for j, c in a.items() if c % p)
                 else:
                     op[i1] = tuple((j, c) for j, c in a.items() if c)
-        self._operators[key] = op
-        return op
+        return self._operators.setdefault(key, op if any(op) else None)
 
 
 def _support(w, p: int | None) -> tuple:
@@ -257,19 +250,19 @@ def capped_cuplength(query: CupLengthQuery, structures: dict | None = None):
     :class:`IntegerStructure`, and over Q each spanning vector made its
     primitive integer multiple.  ``structures`` maps algebras to their
     structures: one is built on the algebra's first query and reused, with
-    its memoised right-multiplication operators, by every later query on
-    that algebra (``compute_tables`` keeps one such map per run).  Without
-    it the structure is built for this call and dropped with it; nothing is
+    its memoised columns and operators, by every later query on that
+    algebra (``compute_tables`` keeps one such map per run).  Without it
+    the structure is built for this call and dropped with it; nothing is
     ever stored on the algebra.  A product ``v * s`` is the sum over the
-    support of v of ``v[i1]`` times entry i1 of the operator of s.  Over F2
-    the operators and products are bitmasks and a product is an XOR.
-    Spanning vectors are visited a degree at a time, so a target degree that
-    is out of range, full or without products is skipped at once.  The rank
-    of each degree is tracked by a ``FieldEchelon`` (``F2RankEchelon`` over
-    F2), whose inserts only eliminate forward and never read its rows out in
-    canonical form: whether an insert grows the rank depends on the span
-    alone.  The certificate is rebuilt from the original spanning vectors
-    and multiplied out again.
+    support of v of ``v[i1]`` times entry i1 of the operator of s, and is
+    skipped when that operator is None.  Over F2 the operators and products
+    are bitmasks and a product is an XOR.  A target degree out of range or
+    full is skipped at once.  The rank of each degree is tracked by a
+    ``FieldEchelon`` (``F2RankEchelon`` over F2), whose inserts only
+    eliminate forward and never read its rows out in canonical form:
+    whether an insert grows the rank depends on the span alone.  The
+    certificate is rebuilt from the original spanning vectors and multiplied
+    out again.
     """
     algebra = query.algebra
     spanning = _filtered_spanning(query)
@@ -280,13 +273,12 @@ def capped_cuplength(query: CupLengthQuery, structures: dict | None = None):
         structure = IntegerStructure(algebra)
         if structures is not None:
             structures[algebra] = structure
-    p = structure.p
+    p = algebra.coeff.p
     ints = _integral(spanning) if algebra.coeff.kind == RATIONALS else spanning
     top = algebra.top_degree
     groups: dict[int, list] = {}  # spanning supports by degree, ascending
     for i, (ds, s) in enumerate(ints):
         groups.setdefault(ds, []).append((i, _support(s, None)))
-    blocks = structure.blocks
     right = {}  # (dv, ds) -> the operators of that degree group, fetched lazily
     layer = [(d, _support(v, None), (i,)) for i, (d, v) in enumerate(ints)]
     while True:
@@ -301,15 +293,17 @@ def capped_cuplength(query: CupLengthQuery, structures: dict | None = None):
                     width = algebra.dim(d)
                     e = ech[d] = F2RankEchelon(width) if p == 2 else FieldEchelon(width, p)
                     grown[d] = []
-                if e.rank == e.width or (dv, ds) not in blocks:
-                    continue  # full, or every product of these degrees is zero
+                if e.rank == e.width:
+                    continue
                 ops = right.get((dv, ds))
                 if ops is None:
-                    ops = right[(dv, ds)] = [None] * len(group)
+                    ops = right[(dv, ds)] = [False] * len(group)
                 for k, (i, s) in enumerate(group):
                     op = ops[k]
-                    if op is None:
+                    if op is False:
                         op = ops[k] = structure.right_multiplication(dv, ds, s)
+                    if op is None:
+                        continue  # every product of degree dv by s is zero
                     if p == 2:
                         w = 0
                         for i1, _ in supp:

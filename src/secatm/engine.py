@@ -577,10 +577,12 @@ def _lower_source(inv, model):
 
     Each source spans a set of generators of an ideal, from the algebra
     generators g of ``_generators``.  cat reads the g themselves, which
-    generate H^+.  tc reads ``g (x) 1 - 1 (x) g`` in the tensor square,
-    which generate the kernel of the cup product (Farber 2003), over a
-    field only.  dm and hdm read ``(f* - g*)(g)`` for g in the codomain,
-    which generate the ideal of im(f* - g*), as
+    generate H^+.  tc, dm and hdm read ``(f* - g*)(g)``: for tc, f* and g*
+    are the inclusions of A into its tensor square, so the vectors are
+    ``g (x) 1 - 1 (x) g``, which generate the kernel of the cup product
+    (Farber 2003), over a field only; for dm and hdm, f* and g* are the
+    pair's and g runs over the codomain's generators, which generate the
+    ideal of im(f* - g*), as
     ``(f* - g*)(ab) = (f*a - g*a) f*b + g*a (f*b - g*b)``; dm's pushed zero
     divisors ``(f*a - g*a) g*b`` lie in that ideal too.  A product of k
     ideal elements of degree <= cap expands into terms that each hold a
@@ -589,29 +591,26 @@ def _lower_source(inv, model):
     if inv == "secat":
         return model.base.algebra, kernel(model.pstar), "ker(pullback)"
     rows = {}
-    if inv in ("dm", "hdm"):
-        f, g, X = model.fstar, model.gstar, model.domain.algebra
-        for d, i in _generators(f.source):
-            diff = vsub(X.coeff, f.mats[d][i], g.mats[d][i])
-            if not vis_zero(diff):
-                rows.setdefault(d, []).append(diff)
-        return X, Subspace(X, rows), "im(f* - g*)"
-    A, dom = model.algebra, model.algebra.coeff
     if inv == "cat":
+        A, dom = model.algebra, model.algebra.coeff
         for d, i in _generators(A):
             row = [dom.zero()] * A.dim(d)
             row[i] = dom.one()
             rows.setdefault(d, []).append(row)
         return A, Subspace(A, rows), "H^+"
-    if not dom.is_field:
-        return None
-    T, _, _ = tensor_square(A)
-    for d, i in _generators(A):
-        row = [dom.zero()] * T.dim(d)
-        row[T.block_start[(d, 0)] + i] = dom.one()
-        row[T.block_start[(0, d)] + i] = dom.neg(dom.one())
-        rows.setdefault(d, []).append(row)
-    return T, Subspace(T, rows), "ker(cup)"
+    if inv == "tc":
+        if not model.algebra.coeff.is_field:
+            return None
+        X, f, g = tensor_square(model.algebra)
+        what = "ker(cup)"
+    else:
+        f, g, X = model.fstar, model.gstar, model.domain.algebra
+        what = "im(f* - g*)"
+    for d, i in _generators(f.source):
+        diff = vsub(X.coeff, f.mats[d][i], g.mats[d][i])
+        if not vis_zero(diff):
+            rows.setdefault(d, []).append(diff)
+    return X, Subspace(X, rows), what
 
 
 # ---------------------------------------------------------------------------

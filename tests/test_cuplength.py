@@ -14,10 +14,13 @@ from secatm.algebra import (
 from secatm.cuplength import (
     CupLengthCertificate,
     CupLengthQuery,
+    IntegerStructure,
     SizeGuardExceeded,
     brute_force_cuplength,
     capped_cuplength,
 )
+from secatm.engine import _generators, _lower_source
+from secatm.linalg import vis_zero, vsub
 from secatm.spaces import (
     moore,
     nonorientable_surface,
@@ -25,9 +28,11 @@ from secatm.spaces import (
     product,
     real_projective,
     sphere,
+    SpaceModel,
 )
 
-from test_algebra import SQUARE_FACTORS
+from test_algebra import SQUARE_FACTORS, cup_algebras
+from test_engine import _over, _perfbench_cases
 
 
 def positive_query(algebra, cap):
@@ -395,3 +400,106 @@ def test_one_structure_map_serves_squares_built_and_dropped_in_turn():
         # it T's structure
         del T, zero_divisors
     assert [length for length, _ in runs[0]] != [length for length, _ in runs[1]]
+
+
+# ---------------------------------------------------------------------------
+# the square's lazy columns against its table
+# ---------------------------------------------------------------------------
+
+def _operator_vector(op_entry, width, p):
+    """An operator entry (a bitmask over F2, else ``(j, c)`` pairs) as a
+    coefficient list."""
+    if p == 2:
+        return [op_entry >> j & 1 for j in range(width)]
+    out = [0] * width
+    for j, c in op_entry:
+        out[j] = c
+    return out
+
+
+def assert_columns_match_the_table(A, every_class):
+    """Every right multiplication of ``IntegerStructure`` of the square of
+    ``A`` by the zero divisors ``g (x) 1 - 1 (x) g`` and the classes of their
+    support (by every class of positive degree with ``every_class``) against
+    the same products read from the square's table by ``mul_vectors``: one
+    nonzero rational scale for all of them (1 off Q), and an operator that
+    is None exactly when every product vanishes."""
+    T, left, right = tensor_square(A)
+    E, _, _ = kunneth_product(A, A)  # the same basis, multiplying by T's table
+    vectors = [(d, vsub(T.coeff, left.mats[d][i], right.mats[d][i]))
+               for d, i in _generators(A)]
+    classes = {(ds, i) for ds, v in vectors for i, c in enumerate(v) if c}
+    if every_class:
+        classes = {(d, i) for d in range(1, T.top_degree + 1) for i in range(T.dim(d))}
+    for ds, i in sorted(classes):
+        unit = [0] * T.dim(ds)
+        unit[i] = 1
+        vectors.append((ds, tuple(unit)))
+    structure, p, scale = IntegerStructure(T), T.coeff.p, None
+    for ds, s in vectors:
+        pairs = tuple((i, c) for i, c in enumerate(s) if c)
+        for dv in range(1, T.top_degree - ds + 1):
+            op = structure.right_multiplication(dv, ds, pairs)
+            products = []
+            for i1 in range(T.dim(dv)):
+                v = [0] * T.dim(dv)
+                v[i1] = 1
+                products.append(E.mul_vectors(dv, tuple(v), ds, s))
+            if all(vis_zero(w) for w in products):
+                assert op is None, (dv, ds, s)
+                continue
+            assert op is not None and len(op) == T.dim(dv), (dv, ds, s)
+            for entry, w in zip(op, products):
+                got = _operator_vector(entry, len(w), p)
+                if scale is None and not vis_zero(w):  # the first nonzero product
+                    j = next(j for j, c in enumerate(w) if c)
+                    scale = Fraction(got[j]) / Fraction(w[j])
+                    assert scale != 0 and (T.coeff == Q or scale == 1)
+                assert got == [(scale or 0) * c for c in w], (dv, ds, s)
+
+
+@settings(max_examples=40, deadline=None)
+@given(cup_algebras())
+def test_square_columns_match_the_square_table(A):
+    # the table's products take seconds past 16 classes of A; the ladder
+    # test holds larger squares
+    if A.total_dim <= 16:
+        assert_columns_match_the_table(A, every_class=A.total_dim <= 6)
+
+
+@pytest.mark.parametrize("build", SQUARE_FACTORS)
+def test_square_columns_match_the_square_table_with_fractions(build):
+    assert_columns_match_the_table(build(), every_class=True)
+
+
+def test_square_columns_match_the_square_table_on_the_ladder():
+    # every tc-ladder rung, re-read over Q, F2, F3 and Z where its
+    # constants allow
+    checked = set()
+    for cid, _, build in _perfbench_cases()._tc_ladder_specs():
+        A = build().algebra
+        if cid == "rp16cat":
+            continue  # a cat rung: its square is never multiplied in
+        for coeff in (Q, GF(2), GF(3), Z):
+            B = _over(A, coeff)
+            if B is not None:
+                assert_columns_match_the_table(B, every_class=False)
+                checked.add(coeff.label)
+    assert checked == {"Q", "F2", "F3", "Z"}
+
+
+@pytest.mark.parametrize("build, zcl", [
+    (lambda: real_projective(8), 15),
+    (lambda: product([sphere(1, Q)] * 4), 4),
+], ids=["rp8", "t4q"])
+def test_tc_builds_square_columns_for_the_generator_support_only(build, zcl):
+    # a tc DP multiplies by g (x) 1 - 1 (x) g alone, so the square's
+    # structure holds the columns of those classes and no other
+    T, zero_divisors, _ = _lower_source("tc", build())
+    structures = {}
+    assert capped_cuplength(CupLengthQuery(T, zero_divisors), structures)[0] == zcl
+    support = {(d, i) for d, rows in zero_divisors.rows.items()
+               for v in rows for i, c in enumerate(v) if c}
+    built = set(structures[T]._columns)
+    assert built == support
+    assert len(built) == 2 * len(zero_divisors.rows[1]) < T.total_dim

@@ -73,6 +73,12 @@ def fired(tables, inv, name, m, rule):
     return [(e.side, e.value) for e in tables[(inv, name)].events[m] if e.rule == rule]
 
 
+def golden_tables(name, use_literature=True):
+    """A full run on the bundle of the golden case ``name``."""
+    case = next(case for case in all_cases() if case.name == name)
+    return compute_tables(case.build()[0], use_literature=use_literature)
+
+
 # ---------------------------------------------------------------------------
 # standalone lower-bound operations
 # ---------------------------------------------------------------------------
@@ -660,6 +666,63 @@ class TestRules:
         assert entry(tables, "secat", "path", INF) == (3, 3)
         assert ("lo", 3) in fired(tables, "secat", "path", INF,
                                   "secat_eq_cat_contractible")
+
+    # the golden bundles as fixtures: one test per rule the goldens fire,
+    # each checking the rule's id and value in an entry's provenance
+
+    def test_monotone_m(self):
+        # cat(RP^2) at m = 1 is capped by its value at m = 2
+        tables = golden_tables("projective_cat")
+        assert entry(tables, "cat", "rp2", 1) == (2, 2)
+        assert ("hi", 2) in fired(tables, "cat", "rp2", 1, "monotone_m")
+
+    def test_dim_recovery(self):
+        # without literature, classical cat(S^2) is capped by cat at
+        # m = hdim = 2
+        tables = golden_tables("sphere_product_cat", use_literature=False)
+        assert entry(tables, "cat", "s2", 2) == entry(tables, "cat", "s2", INF) == (1, 1)
+        assert ("hi", 1) in fired(tables, "cat", "s2", INF, "dim_recovery")
+
+    def test_product_subadd(self):
+        # cat(S^2 x S^4) at m = 4 <= cat(S^2) + cat(S^4) = 1 + 1
+        tables = golden_tables("sphere_product_cat")
+        assert entry(tables, "cat", "s2", 4) == entry(tables, "cat", "s4", 4) == (1, 1)
+        assert entry(tables, "cat", "s24", 4) == (2, 2)
+        assert ("hi", 2) in fired(tables, "cat", "s24", 4, "product_subadd")
+
+    def test_dm_le_cat_domain(self):
+        # the identity against inversion on U(2): dm <= cat(U(2))
+        tables = golden_tables("unitary_distance")
+        for m, value in ((1, 1), (3, 2), (INF, 2)):
+            assert entry(tables, "cat", "u2", m) == entry(tables, "dm", "idinv", m) == (value, value)
+            assert ("hi", value) in fired(tables, "dm", "idinv", m, "dm_le_cat_domain")
+
+    def test_hdm_le_dm(self):
+        tables = golden_tables("unitary_distance")
+        for m, value in ((1, 1), (3, 2), (INF, 2)):
+            assert entry(tables, "hdm", "idinv", m) == entry(tables, "dm", "idinv", m) == (value, value)
+            assert ("hi", value) in fired(tables, "hdm", "idinv", m, "hdm_le_dm")
+
+    def test_cat_le_tc(self):
+        # without literature, tc(U(2)) has no upper bound, and its lower
+        # bound at m = 3 is that of cat(U(2)), 2
+        tables = golden_tables("unitary_distance", use_literature=False)
+        assert entry(tables, "cat", "u2", 3)[0] == 2
+        assert entry(tables, "tc", "u2", 3) == (2, None)
+        assert ("lo", 2) in fired(tables, "tc", "u2", 3, "cat_le_tc")
+
+    def test_h_space_eq(self):
+        # U(2) is an H-space with division: tc = cat, here at m = 1
+        tables = golden_tables("unitary_distance")
+        assert entry(tables, "tc", "u2", 1) == entry(tables, "cat", "u2", 1) == (1, 1)
+        assert ("hi", 1) in fired(tables, "tc", "u2", 1, "h_space_eq")
+
+    def test_conn_vanishing(self):
+        # S^4 is 3-connected: cat vanishes at m <= 3
+        tables = golden_tables("sphere_product_cat")
+        for m in (1, 2, 3):
+            assert entry(tables, "cat", "s4", m) == (0, 0)
+            assert ("hi", 0) in fired(tables, "cat", "s4", m, "conn_vanishing")
 
     def test_torsion_moore_space_via_explicit_algebra(self):
         # a Moore space with torsion has no constructor: model it by its
