@@ -14,7 +14,8 @@ equal intervals and rule ids (third line), also equal provenance text
 prints one digest over the intervals alone: the invariant, target and
 ``(m, lo, hi)`` of every row of every table, plus exit codes, with
 provenance and the ``--certificates`` text left out; it compares two
-checkouts whose provenance differs.
+checkouts whose provenance differs.  ``scripts/expected_digests.txt``
+holds the three lines of the current output, which CI diffs against.
 Standard library only; the package is imported from this checkout's
 ``src``.
 """

@@ -93,6 +93,43 @@ def _koszul_sign_is_neg(d1: int, d2: int) -> bool:
     return (d1 % 2 == 1) and (d2 % 2 == 1)
 
 
+def _terms(row) -> list:
+    """The nonzero ``(index, c)`` pairs of a row, integral rationals made
+    ints, which multiply much faster."""
+    return [(j, c.numerator if c.denominator == 1 else c) for j, c in enumerate(row) if c]
+
+
+def _table_terms(table: dict) -> dict:
+    """``_terms`` of every row of a structure table; a row object the table
+    shares between products is converted once."""
+    out, seen = {}, {}
+    for key, row in table.items():
+        terms = seen.get(id(row))
+        if terms is None:
+            terms = seen[id(row)] = _terms(row)
+        out[key] = terms
+    return out
+
+
+def _reduced(sums: dict, p: int | None) -> dict:
+    """The nonzero entries of sums taken in Python arithmetic, mod p over
+    F_p."""
+    if p is None:
+        return {j: c for j, c in sums.items() if c}
+    return {j: c % p for j, c in sums.items() if c % p}
+
+
+def _index_of(names) -> dict:
+    """Basis name -> ``(degree, index)``; a name used twice is an error."""
+    index = {}
+    for d, ns in enumerate(names):
+        for i, n in enumerate(ns):
+            if n in index:
+                raise InvalidAlgebraSpec(f"duplicate basis name {n!r}")
+            index[n] = (d, i)
+    return index
+
+
 class GradedAlgebra:
     """Finite graded-commutative algebra over Q, F_p or Z.
 
@@ -119,24 +156,19 @@ class GradedAlgebra:
         self.coeff: CoefficientDomain = coeff
         self.names: tuple[tuple[str, ...], ...] = tuple(tuple(ns) for ns in names)
         self.top_degree: int = len(self.names) - 1
-        index = {}
-        for d, ns in enumerate(self.names):
-            for i, n in enumerate(ns):
-                if n in index:
-                    raise InvalidAlgebraSpec(f"duplicate basis name {n!r}")
-                index[n] = (d, i)
-        self._index = index
-        if len(self.names[0]) != 1:
+        self._dims: tuple[int, ...] = tuple(len(ns) for ns in self.names)
+        self._index = _index_of(self.names)
+        if self._dims[0] != 1:
             raise InvalidAlgebraSpec("degree-0 component must have rank 1 (the unit)")
 
     # -- basic queries ---------------------------------------------------
     def dim(self, d: int) -> int:
         if 0 <= d <= self.top_degree:
-            return len(self.names[d])
+            return self._dims[d]
         return 0
 
     def dims(self) -> tuple[int, ...]:
-        return tuple(len(ns) for ns in self.names)
+        return self._dims
 
     @property
     def total_dim(self) -> int:
@@ -242,18 +274,10 @@ class GradedAlgebra:
         # A law can fail only where one side is nonzero, and products with
         # the unit follow the unit law in mul_basis, so both laws are checked
         # on the table's entries between positive degrees, each taken as its
-        # nonzero (index, coefficient) pairs.  Integral rationals become
-        # ints, which multiply much faster, and a row object the table shares
-        # between products is converted once.  Of several violations the
-        # first in basis order is reported.
-        nz, seen = {}, {}
-        for key, row in self.table.items():
-            terms = seen.get(id(row))
-            if terms is None:
-                terms = seen[id(row)] = [
-                    (j, c.numerator if c.denominator == 1 else c)
-                    for j, c in enumerate(row) if c]
-            nz[key] = terms
+        # nonzero (index, coefficient) pairs in Python arithmetic
+        # (``_table_terms``).  Of several violations the first in basis
+        # order is reported.
+        nz = _table_terms(self.table)
         # graded commutativity
         bad = []
         for (d1, i1, d2, i2), xy in nz.items():
@@ -287,9 +311,8 @@ class GradedAlgebra:
             out = {}
             for c, key in terms:
                 for j, e in nz.get(key, ()):
-                    ce = dom.mul(c, e)
-                    out[j] = dom.add(out[j], ce) if j in out else ce
-            return {j: c for j, c in out.items() if c != 0}
+                    out[j] = out.get(j, 0) + c * e
+            return _reduced(out, dom.p)
 
         bad = []
         for (d1, i1), (d2, i2), (d3, i3) in triples:
@@ -448,12 +471,7 @@ def make_algebra(coeff, basis, products) -> GradedAlgebra:
         names.pop()
     top = len(names) - 1
 
-    index = {}
-    for d, ns in enumerate(names):
-        for i, n in enumerate(ns):
-            if n in index:
-                raise InvalidAlgebraSpec(f"duplicate basis name {n!r}")
-            index[n] = (d, i)
+    index = _index_of(names)
     if len(names[0]) != 1:
         raise InvalidAlgebraSpec("degree-0 component must have rank 1 (the unit)")
     unit = names[0][0]
@@ -523,11 +541,13 @@ class TensorProduct(GradedAlgebra):
     The classes ``a (x) b`` with ``a`` of degree p and ``b`` of degree q form
     one block of degree p + q, listed a-major: ``kunneth_pairs[p + q]`` holds
     their factor classes ``(p, i, q, j)`` from slot ``block_start[(p, q)]``
-    on, at ``block_start[(p, q)] + i * right.dim(q) + j``.  ``mul_basis``
-    multiplies in the factors, so elements and certificates never need the
-    4-index ``table``; it is built on first read (``validate``,
-    ``kunneth_product``) and kept.  Valid over a field, and over Z because
-    all components are free.
+    on, at ``block_start[(p, q)] + i * right.dim(q) + j``.  The constructor
+    builds only these slots and the dimensions, in one pass over the blocks;
+    the names ``a(x)b`` and the name index are built on first read
+    (formatting, parsing).  ``mul_basis`` multiplies in the factors, so
+    elements and certificates never need the 4-index ``table``; it is built
+    on first read (``validate``, ``kunneth_product``) and kept.  Valid over a
+    field, and over Z because all components are free.
     """
 
     def __init__(self, left: GradedAlgebra, right: GradedAlgebra):
@@ -535,27 +555,45 @@ class TensorProduct(GradedAlgebra):
             raise CoefficientMismatch(
                 f"cannot tensor algebras over {left.coeff.label} and {right.coeff.label}"
             )
-        self.left, self.right = left, right
-        top = left.top_degree + right.top_degree
-        pairs: list[list[tuple[int, int, int, int]]] = [[] for _ in range(top + 1)]
-        names: list[list[str]] = [[] for _ in range(top + 1)]
+        self.left, self.right, self.coeff = left, right, left.coeff
+        self.top_degree = left.top_degree + right.top_degree
+        self._right_dims = rdims = right.dims()
+        pairs: list[list[tuple[int, int, int, int]]] = [[] for _ in range(self.top_degree + 1)]
         start: dict[tuple[int, int], int] = {}
-        for d in range(top + 1):
-            for p in range(d + 1):
-                q = d - p
-                if left.dim(p) == 0 or right.dim(q) == 0:
-                    continue
-                start[(p, q)] = len(pairs[d])
-                for i in range(left.dim(p)):
-                    for j in range(right.dim(q)):
-                        pairs[d].append((p, i, q, j))
-                        names[d].append(f"{left.names[p][i]}(x){right.names[q][j]}")
-        self._set_basis(left.coeff, names)
-        self.kunneth_pairs = {d: tuple(pairs[d]) for d in range(top + 1)}
+        self._starts = []
+        for p, m in enumerate(left.dims()):
+            at = []
+            for q, n in enumerate(rdims):
+                block = pairs[p + q]
+                if m and n:  # blocks of one degree come in order of p
+                    start[(p, q)] = len(block)
+                    block.extend((p, i, q, j) for i in range(m) for j in range(n))
+                at.append(start.get((p, q)))
+            self._starts.append(at)
+        self._dims = tuple(map(len, pairs))
+        self.kunneth_pairs = dict(enumerate(map(tuple, pairs)))
         self.block_start = start
-        self._right_dims = right.dims()
-        self._starts = [[start.get((p, q)) for q in range(right.top_degree + 1)]
-                        for p in range(left.top_degree + 1)]
+
+    @functools.cached_property
+    def names(self) -> tuple[tuple[str, ...], ...]:
+        lnames, rnames = self.left.names, self.right.names
+        return tuple(tuple(f"{lnames[p][i]}(x){rnames[q][j]}" for p, i, q, j in block)
+                     for block in self.kunneth_pairs.values())
+
+    @functools.cached_property
+    def _index(self) -> dict:
+        return _index_of(self.names)
+
+    def zero_divisor(self, d: int, i: int) -> tuple:
+        """The coefficients of ``a (x) 1 - 1 (x) a`` over the degree-d basis,
+        for ``a`` class i of degree d > 0 of the factor of a tensor square."""
+        if self.left is not self.right:
+            raise AlgebraMismatch("a (x) 1 - 1 (x) a needs a tensor square")
+        dom = self.coeff
+        row = [dom.zero()] * self._dims[d]
+        row[self.block_start[(d, 0)] + i] = dom.one()
+        row[self.block_start[(0, d)] + i] = dom.neg(dom.one())
+        return tuple(row)
 
     def mul_basis(self, d1: int, k1: int, d2: int, k2: int) -> tuple | None:
         if d1 + d2 > self.top_degree or not (d1 and d2):
@@ -637,22 +675,9 @@ class TensorProduct(GradedAlgebra):
 
     def inclusions(self, target: GradedAlgebra) -> tuple:
         """The morphisms ``a -> a (x) 1`` and ``b -> 1 (x) b`` into
-        ``target``, which has this product's basis."""
-        dom, start = self.coeff, self.block_start
-
-        def inclusion(factor, block):
-            mats = {}
-            for d in range(factor.top_degree + 1):
-                rows = []
-                for i in range(factor.dim(d)):
-                    row = [dom.zero()] * target.dim(d)
-                    row[start[block(d)] + i] = dom.one()
-                    rows.append(tuple(row))
-                mats[d] = tuple(rows)
-            return RingMorphism(factor, target, mats, validate=False)
-
-        return (inclusion(self.left, lambda d: (d, 0)),
-                inclusion(self.right, lambda d: (0, d)))
+        ``target``, which has this product's basis; their matrices are
+        built on first read."""
+        return _Inclusion(self, target, True), _Inclusion(self, target, False)
 
 
 def kunneth_product(A: GradedAlgebra, B: GradedAlgebra):
@@ -673,7 +698,9 @@ def kunneth_product(A: GradedAlgebra, B: GradedAlgebra):
 def tensor_square(A: GradedAlgebra):
     """Tensor square of ``A`` as a :class:`TensorProduct`, whose products
     are computed from A's and whose table is built only when read, with
-    the two factor inclusions."""
+    the two factor inclusions, whose matrices are built only when read.
+    The zero divisors ``a (x) 1 - 1 (x) a`` come from
+    :meth:`TensorProduct.zero_divisor`, without the inclusions."""
     T = TensorProduct(A, A)
     return (T, *T.inclusions(T))
 
@@ -728,11 +755,13 @@ class RingMorphism:
         # the unit law.  Between positive degrees f(xy) can be nonzero only
         # where xy is in the source table, and f(x)f(y) only where classes u
         # of f(x) and v of f(y) have uv in the target table, so only those
-        # pairs are checked, on nonzero (index, coefficient) pairs.
+        # pairs are checked, on nonzero (index, coefficient) pairs, in
+        # Python arithmetic: integral rationals become ints, sums are
+        # reduced mod p only when compared.
         image = {}  # positive-degree source class -> nonzero terms of f(x)
         for d in range(1, min(src.top_degree, top) + 1):
             for i, row in enumerate(self.mats[d]):
-                terms = [(k, c) for k, c in enumerate(row) if c != 0]
+                terms = _terms(row)
                 if terms:
                     image[(d, i)] = terms
         hits = {}  # target class -> source classes whose image involves it
@@ -748,24 +777,21 @@ class RingMorphism:
                 for d2, k2 in partners.get((d1, k1), ()):
                     pairs.update((d1, i1, d2, i2) for i2 in hits.get((d2, k2), ()))
 
-        zero = dom.zero()
+        src_terms, tgt_terms = _table_terms(src.table), _table_terms(tgt.table)
 
         def add_into(out: dict, c, terms) -> None:
             for k, e in terms:
-                out[k] = dom.add(out.get(k, zero), dom.mul(c, e))
+                out[k] = out.get(k, 0) + c * e
 
         bad = []
         for d1, i1, d2, i2 in pairs:
             lhs, rhs = {}, {}
-            for j, c in enumerate(src.table.get((d1, i1, d2, i2), ())):
-                if c != 0:
-                    add_into(lhs, c, image.get((d1 + d2, j), ()))
+            for j, c in src_terms.get((d1, i1, d2, i2), ()):
+                add_into(lhs, c, image.get((d1 + d2, j), ()))
             for k1, c1 in image.get((d1, i1), ()):
                 for k2, c2 in image.get((d2, i2), ()):
-                    row = tgt.table.get((d1, k1, d2, k2), ())
-                    add_into(rhs, dom.mul(c1, c2), [(k, e) for k, e in enumerate(row) if e != 0])
-            if {k: c for k, c in lhs.items() if c != 0} != {
-                    k: c for k, c in rhs.items() if c != 0}:
+                    add_into(rhs, c1 * c2, tgt_terms.get((d1, k1, d2, k2), ()))
+            if _reduced(lhs, dom.p) != _reduced(rhs, dom.p):
                 bad.append((d1, i1, d2, i2))
         if bad:
             d1, i1, d2, i2 = min(bad)
@@ -881,6 +907,33 @@ class RingMorphism:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"RingMorphism({self.source!r} -> {self.target!r})"
+
+
+class _Inclusion(RingMorphism):
+    """``a -> a (x) 1`` (``left``) or ``b -> 1 (x) b`` of a factor of a
+    :class:`TensorProduct` into ``target``, an algebra with the product's
+    basis; its matrices are built on first read."""
+
+    def __init__(self, product: TensorProduct, target: GradedAlgebra, left: bool):
+        if target.dims() != product.dims():
+            raise MorphismMismatch("the target does not have the product's basis")
+        self.source = product.left if left else product.right
+        self.target = target
+        self._start, self._left = product.block_start, left
+
+    @functools.cached_property
+    def mats(self) -> dict:
+        dom, start, dims = self.source.coeff, self._start, self.target.dims()
+        mats = {}
+        for d in range(self.source.top_degree + 1):
+            slot = start.get((d, 0) if self._left else (0, d))
+            rows = []
+            for i in range(self.source.dim(d)):
+                row = [dom.zero()] * dims[d]
+                row[slot + i] = dom.one()
+                rows.append(tuple(row))
+            mats[d] = tuple(rows)
+        return mats
 
 
 def multiplication_morphism(A: GradedAlgebra, T: GradedAlgebra | None = None):

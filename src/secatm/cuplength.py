@@ -25,15 +25,21 @@ a product is nonzero over Z exactly when it is nonzero over Q.
 Products are taken in Python ints through one :class:`IntegerStructure`
 per algebra, built from the algebra's table or, for a tensor square, from
 its factor's integer products, a column per class that a spanning vector
-holds.
-A caller that passes one structure map to every query (as
+holds.  A caller that passes one structure map to every query (as
 ``compute_tables`` does, once per run) builds each structure, column and
 right-multiplication operator once.
+
+The certificate's product is the DP's own vector for its last monomial,
+read as it is over F_p and Z and with the integer scalings undone over Q;
+nothing is multiplied out again.  :meth:`CupLengthCertificate.verify`
+multiplies the factors through the algebra's own ``mul_vectors`` and
+compares, so it cross-checks the DP.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from math import gcd, lcm
 
 from .algebra import Element, GradedAlgebra, Subspace, TensorProduct
@@ -85,7 +91,9 @@ class CupLengthCertificate:
         return len(self.factors)
 
     def verify(self, cap: int | None = None) -> bool:
-        """Re-multiply the factors and check the stored nonzero product."""
+        """Multiply the factors out through the algebra's ``mul_vectors``
+        and check the stored nonzero product, which ``capped_cuplength``
+        reads off its own integer vector, so the two are independent."""
         if not self.factors:
             return False
         prod = self.factors[0]
@@ -113,14 +121,17 @@ def _filtered_spanning(query: CupLengthQuery) -> list[tuple[int, tuple]]:
     return out
 
 
-def _integral(spanning) -> list:
-    """Each spanning vector over Q as its primitive integer multiple."""
-    ints = []
+def _integral(spanning) -> tuple[list, list]:
+    """Each spanning vector v over Q as its primitive integer multiple
+    k * v, and each k."""
+    ints, ks = [], []
     for d, v in spanning:
-        v = clear_denominators(v)
-        g = gcd(*v)
-        ints.append((d, tuple(x // g for x in v)))
-    return ints
+        u = clear_denominators(v)
+        g = gcd(*u)
+        j = next(j for j, x in enumerate(u) if x)
+        ints.append((d, tuple(x // g for x in u)))
+        ks.append(Fraction(u[j] // g) / v[j])
+    return ints, ks
 
 
 def _scaled(pairs, den: int) -> tuple:
@@ -135,12 +146,12 @@ def _denominator(algebra: GradedAlgebra) -> int:
     return lcm(*{c.denominator for row in rows for c in row})
 
 
-def _integral_products(algebra: GradedAlgebra) -> dict:
-    """``nonzero_products`` with every coefficient made an int, scaled by
-    the common denominator of the structure constants."""
+def _integral_products(algebra: GradedAlgebra) -> tuple[int, dict]:
+    """The common denominator of the structure constants, and
+    ``nonzero_products`` with every coefficient made an int, scaled by it."""
     den = _denominator(algebra)
-    return {key: [(d2, i2, _scaled(nz, den)) for d2, i2, nz in entries]
-            for key, entries in algebra.nonzero_products().items()}
+    return den, {key: [(d2, i2, _scaled(nz, den)) for d2, i2, nz in entries]
+                 for key, entries in algebra.nonzero_products().items()}
 
 
 class IntegerStructure:
@@ -151,13 +162,14 @@ class IntegerStructure:
     ``row`` the product of class i1 of degree dv by class i of degree ds:
     the nonzero ``(j, c)`` pairs, or over F2 a bitmask (bit j is entry j).
     Over Q every row, unit products included, is scaled by one nonzero
-    integer, so a product of t integral factors is the true product times a
-    nonzero rational, and it vanishes, and grows an echelon's rank, exactly
-    when the true product does.  A plain algebra fills its columns from its
-    table (scaled by the common denominator D of its constants).  A
-    :class:`TensorProduct` builds column i on first use, from ``row(ds, i)``
-    over its factors' integer products (scaled by D_left * D_right), so it
-    never builds its table nor a column the DP does not multiply by.
+    integer, ``scale``, so a product of t integral factors is ``scale **
+    (t - 1)`` times the product of the factors, and it vanishes, and grows an
+    echelon's rank, exactly when the true product does.  A plain algebra
+    fills its columns from its table, and ``scale`` is the common
+    denominator D of its constants.  A :class:`TensorProduct` builds column
+    i on first use, from ``row(ds, i)`` over its factors' integer products,
+    and ``scale`` is D_left * D_right; it never builds its table nor a
+    column the DP does not multiply by.  Off Q, ``scale`` is 1.
     """
 
     def __init__(self, algebra: GradedAlgebra):
@@ -167,11 +179,14 @@ class IntegerStructure:
         self._operators: dict = {}
         self._square = None
         if isinstance(algebra, TensorProduct):
-            left = _integral_products(algebra.left)
-            right = left if algebra.right is algebra.left else _integral_products(algebra.right)
+            dl, left = _integral_products(algebra.left)
+            dr, right = (dl, left) if algebra.right is algebra.left else \
+                _integral_products(algebra.right)
+            self.scale = dl * dr
             self._square = algebra, left, right
             return
-        den, converted = _denominator(algebra), {}
+        den = self.scale = _denominator(algebra)
+        converted = {}
         for (d1, i1, d2, i2), row in algebra.table.items():
             nz = converted.get(id(row))  # a shared row is converted once
             if nz is None:
@@ -261,8 +276,12 @@ def capped_cuplength(query: CupLengthQuery, structures: dict | None = None):
     ``FieldEchelon`` (``F2RankEchelon`` over F2), whose inserts only
     eliminate forward and never read its rows out in canonical form:
     whether an insert grows the rank depends on the span alone.  The
-    certificate is rebuilt from the original spanning vectors and multiplied
-    out again.
+    certificate's factors are the original spanning vectors of the first
+    monomial of the last layer, and its product is that monomial's vector:
+    as it is over F_p and Z (a bitmask over F2), and over Q divided by
+    ``D ** (t - 1)`` times the k_i of its t factors, with D the structure's
+    ``scale`` and k_i the multiple that made spanning vector i primitive
+    and integral.
     """
     algebra = query.algebra
     spanning = _filtered_spanning(query)
@@ -274,7 +293,10 @@ def capped_cuplength(query: CupLengthQuery, structures: dict | None = None):
         if structures is not None:
             structures[algebra] = structure
     p = algebra.coeff.p
-    ints = _integral(spanning) if algebra.coeff.kind == RATIONALS else spanning
+    if algebra.coeff.kind == RATIONALS:
+        ints, ks = _integral(spanning)
+    else:
+        ints = spanning
     top = algebra.top_degree
     groups: dict[int, list] = {}  # spanning supports by degree, ascending
     for i, (ds, s) in enumerate(ints):
@@ -323,10 +345,19 @@ def capped_cuplength(query: CupLengthQuery, structures: dict | None = None):
         if not nxt:
             break
         layer = nxt
-    factors = [algebra.component_element(*spanning[i]) for i in layer[0][2]]
-    product = factors[0]
-    for f in factors[1:]:
-        product = product * f
+    d, supp, indices = layer[0]
+    vector = [algebra.coeff.zero()] * algebra.dim(d)
+    if algebra.coeff.kind == RATIONALS:  # undo the scalings of the integer DP
+        scale = structure.scale ** (len(indices) - 1)
+        for i in indices:
+            scale *= ks[i]
+        for j, c in supp:
+            vector[j] = c / scale
+    else:
+        for j, c in supp:
+            vector[j] = c
+    factors = [algebra.component_element(*spanning[i]) for i in indices]
+    product = algebra.component_element(d, vector)
     return len(factors), CupLengthCertificate(factors=factors, product=product)
 
 

@@ -358,15 +358,24 @@ class _Engine:
         return seen
 
     def _apply_lower_bounds(self):
+        # dm reads hdm's source, so a pair's two tables share its source and,
+        # where their caps agree, its cup-length values
+        sources, runs = {}, {}
         for inv, name in sorted(self._lower_targets()):
             table = self.tables[(inv, name)]
-            source = _lower_source(inv, self.model(inv, name))
+            key = ("hdm" if inv == "dm" else inv, name)
+            if key not in sources:
+                sources[key] = _lower_source(inv, self.model(inv, name))
+            source = sources[key]
             table.lower_bounds_applied = True
             if source is None or source[1].is_zero():
                 continue
             algebra, generators, what = source
             degmax = max(generators.degrees())
-            values = self._capped_values(algebra, generators, degmax, table.stable_from - 1)
+            last = min(table.stable_from - 1, degmax)  # with degmax, fixes the caps
+            if (key, last) not in runs:
+                runs[key, last] = self._capped_values(algebra, generators, degmax, last)
+            values = runs[key, last]
             if inv == "tc":  # the square was built for this table alone
                 self._structures.pop(algebra, None)
             for m in table.stored:
@@ -577,12 +586,11 @@ def _lower_source(inv, model):
 
     Each source spans a set of generators of an ideal, from the algebra
     generators g of ``_generators``.  cat reads the g themselves, which
-    generate H^+.  tc, dm and hdm read ``(f* - g*)(g)``: for tc, f* and g*
-    are the inclusions of A into its tensor square, so the vectors are
-    ``g (x) 1 - 1 (x) g``, which generate the kernel of the cup product
-    (Farber 2003), over a field only; for dm and hdm, f* and g* are the
-    pair's and g runs over the codomain's generators, which generate the
-    ideal of im(f* - g*), as
+    generate H^+.  tc reads ``g (x) 1 - 1 (x) g`` in the tensor square
+    (``TensorProduct.zero_divisor``), which generate the kernel of the cup
+    product (Farber 2003), over a field only.  dm and hdm read
+    ``(f* - g*)(g)`` for the pair's f* and g*, with g running over the
+    codomain's generators, which generate the ideal of im(f* - g*), as
     ``(f* - g*)(ab) = (f*a - g*a) f*b + g*a (f*b - g*b)``; dm's pushed zero
     divisors ``(f*a - g*a) g*b`` lie in that ideal too.  A product of k
     ideal elements of degree <= cap expands into terms that each hold a
@@ -601,16 +609,16 @@ def _lower_source(inv, model):
     if inv == "tc":
         if not model.algebra.coeff.is_field:
             return None
-        X, f, g = tensor_square(model.algebra)
-        what = "ker(cup)"
-    else:
-        f, g, X = model.fstar, model.gstar, model.domain.algebra
-        what = "im(f* - g*)"
+        X = tensor_square(model.algebra)[0]
+        for d, i in _generators(model.algebra):
+            rows.setdefault(d, []).append(X.zero_divisor(d, i))
+        return X, Subspace(X, rows), "ker(cup)"
+    f, g, X = model.fstar, model.gstar, model.domain.algebra
     for d, i in _generators(f.source):
         diff = vsub(X.coeff, f.mats[d][i], g.mats[d][i])
         if not vis_zero(diff):
             rows.setdefault(d, []).append(diff)
-    return X, Subspace(X, rows), what
+    return X, Subspace(X, rows), "im(f* - g*)"
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from secatm.algebra import (
     RingMorphism,
     Subspace,
     SubspaceMismatch,
+    TensorProduct,
     UnitViolation,
     UnsupportedCoefficients,
     _cup_kernel_rows,
@@ -136,6 +137,17 @@ class TestMakeAlgebra:
                     ("y", "y", {}),
                 ],
             )
+
+    def test_associativity_is_checked_mod_p(self):
+        # a*a = u + v, b*u = w, b*v = 2w: (a*a)*b = 3w and a*(a*b) = 0,
+        # equal over F3 only; over F2 with b*v = w, equal over F2 only
+        for p, bv in [(3, 2), (2, 1)]:
+            basis = {0: ["1"], 2: ["a", "b"], 4: ["u", "v"], 6: ["w"]}
+            products = [("a", "a", {"u": 1, "v": 1}), ("b", "u", {"w": 1}),
+                        ("b", "v", {"w": bv})]
+            make_algebra(GF(p), basis, products)
+            with pytest.raises(AssociativityViolation):
+                make_algebra(Q, basis, products)
 
     def test_associativity_violation_seen_only_from_the_right(self):
         # x*y = 0 but x*(y*z) = x*u = w: the first violating triple has a
@@ -460,6 +472,53 @@ def test_thin_square_products_equal_the_eager_table(build):
     assert T.table == E.table
 
 
+def eager_square_names(A):
+    """The names of A (x) A as the square's constructor once built them:
+    degree by degree, blocks by the degree of the left factor, a-major."""
+    top = 2 * A.top_degree
+    names = [[] for _ in range(top + 1)]
+    for d in range(top + 1):
+        for p in range(d + 1):
+            q = d - p
+            for i in range(A.dim(p)):
+                for j in range(A.dim(q)):
+                    names[d].append(f"{A.names[p][i]}(x){A.names[q][j]}")
+    return names
+
+
+@pytest.mark.parametrize("build", SQUARE_FACTORS + [
+    lambda: real_projective(4).algebra,
+    lambda: make_algebra(Q, {0: ["1"], 2: ["x"], 4: [], 6: ["y"]}, []),
+])
+def test_square_names_are_built_on_first_read_as_eagerly(build):
+    A = build()
+    T, left, _ = tensor_square(A)
+    assert not {"names", "_index"} & set(vars(T))  # nothing read them yet
+    assert T.zero_divisor(1 if A.dim(1) else 2, 0) is not None
+    assert not {"names", "_index", "mats"} & (set(vars(T)) | set(vars(left)))
+    E = GradedAlgebra(A.coeff, eager_square_names(A), {}, validate=False)
+    assert T.dims() == E.dims() and T.top_degree == E.top_degree
+    assert [T.dim(d) for d in range(-1, T.top_degree + 2)] == \
+        [E.dim(d) for d in range(-1, E.top_degree + 2)]
+    assert T.names == E.names and T._index == E._index
+    u = A.unit_name
+    eager = RingMorphism.from_images(
+        A, T, {n: {f"{n}(x){u}": 1} for ns in A.names[1:] for n in ns}, validate=False)
+    assert left.mats == eager.mats
+    for name, (d, i) in E._index.items():
+        unit = [A.coeff.zero()] * T.dim(d)
+        unit[i] = A.coeff.one()
+        assert T.basis_element(name).comps == {d: tuple(unit)}
+    a = next(n for d in range(1, A.top_degree + 1) for n in A.names[d])
+    zd = T.element({f"{a}(x){u}": 1, f"{u}(x){a}": A.coeff.neg(A.coeff.one())})
+    assert zd == T.component_element(A._index[a][0], T.zero_divisor(*A._index[a]))
+
+
+def test_square_zero_divisors_need_a_square():
+    with pytest.raises(AlgebraMismatch):
+        TensorProduct(sphere(2).algebra, sphere(3).algebra).zero_divisor(2, 0)
+
+
 # ---------------------------------------------------------------------------
 # morphisms
 # ---------------------------------------------------------------------------
@@ -535,9 +594,11 @@ def dense_violation(phi) -> str | None:
 
 @st.composite
 def mutated_morphisms(draw):
-    """A ring map (identity, a Kunneth inclusion or a cup product map) with
-    one to three positive-degree matrix entries changed."""
-    A = draw(cup_algebras())
+    """A ring map (identity, a Kunneth inclusion or a cup product map) over
+    Q, F2, F3, F5 or Z with one to three positive-degree matrix entries
+    changed, over Q also to non-integral values."""
+    coeff = draw(st.sampled_from([Q, GF(2), GF(3), GF(5), Z]))
+    A = draw(cup_algebras(coeff))
     kind = draw(st.sampled_from(["identity", "left", "right", "cup"]))
     if kind == "identity":
         phi = RingMorphism.identity(A)
@@ -550,12 +611,15 @@ def mutated_morphisms(draw):
     mats = {d: [list(row) for row in rows] for d, rows in phi.mats.items()}
     cells = [(d, i, j) for d, rows in mats.items() if d
              for i, row in enumerate(rows) for j in range(len(row))]
+    values = [-2, -1, 0, 1, 2]
+    if coeff == Q:
+        values += [Fraction(1, 2), Fraction(-1, 2), Fraction(1, 3)]
     for d, i, j in draw(st.lists(st.sampled_from(cells), min_size=1, max_size=3)):
-        mats[d][i][j] = A.coeff.parse_scalar(draw(st.integers(-2, 2)))
+        mats[d][i][j] = coeff.parse_scalar(draw(st.sampled_from(values)))
     return RingMorphism(phi.source, phi.target, mats, validate=False)
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=120, deadline=None)
 @given(mutated_morphisms())
 def test_validate_reports_the_dense_checks_first_violation(phi):
     expected = dense_violation(phi)

@@ -503,3 +503,88 @@ def test_tc_builds_square_columns_for_the_generator_support_only(build, zcl):
     built = set(structures[T]._columns)
     assert built == support
     assert len(built) == 2 * len(zero_divisors.rows[1]) < T.total_dim
+
+
+# ---------------------------------------------------------------------------
+# certificate products read off the DP's own vector
+# ---------------------------------------------------------------------------
+#
+# ``capped_cuplength`` takes the certificate's product from its integer
+# vector (scalings undone over Q); multiplying the factors out through the
+# algebra's ``mul_vectors`` must give the same element, scalar types included.
+
+def assert_certificate_products_multiply_out(algebra, generators):
+    """At every cap, the certificate's product equals its factors multiplied
+    out, with scalars of the domain's own type, and the certificate verifies."""
+    kind = type(algebra.coeff.zero())
+    for cap in [*range(1, algebra.top_degree + 1), None]:
+        length, cert = capped_cuplength(CupLengthQuery(algebra, generators, cap))
+        if cert is None:
+            assert length == 0
+            continue
+        product = cert.factors[0]
+        for factor in cert.factors[1:]:
+            product = product * factor
+        assert cert.product == product and not product.is_zero(), cap
+        assert all(type(c) is kind for v in cert.product.comps.values() for c in v)
+        assert cert.verify(cap=cap)
+
+
+def square_zero_divisors(A):
+    """The square of A with the span of its g (x) 1 - 1 (x) g, over any
+    coefficients (over Z too)."""
+    T = tensor_square(A)[0]
+    rows = {}
+    for d, i in _generators(A):
+        rows.setdefault(d, []).append(T.zero_divisor(d, i))
+    return T, Subspace(T, rows)
+
+
+@st.composite
+def generator_subspaces(draw, A):
+    """A nonzero subspace of positive degree spanned by a few random rows,
+    with entries a/b (b in 1, 2, 3) over Q, so the spanning vectors the DP
+    makes primitive and integral need scales other than 1."""
+    dom, rows = A.coeff, {}
+    for d in range(1, A.top_degree + 1):
+        for _ in range(draw(st.integers(0, 2)) if A.dim(d) else 0):
+            row = [dom.parse_scalar(draw(st.integers(-3, 3))) for _ in range(A.dim(d))]
+            if dom == Q:
+                row = [c / draw(st.integers(1, 3)) for c in row]
+            rows.setdefault(d, []).append(row)
+    sub = Subspace(A, rows)
+    assume(not sub.is_zero())
+    return sub
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_certificate_products_equal_their_factors_multiplied_out(data):
+    A = data.draw(cup_algebras())
+    assert_certificate_products_multiply_out(A, Subspace.positive_part(A))
+    assert_certificate_products_multiply_out(A, data.draw(generator_subspaces(A)))
+    if A.total_dim <= 16:  # multiplying out in the square is slow past that
+        assert_certificate_products_multiply_out(*square_zero_divisors(A))
+
+
+@pytest.mark.parametrize("build", SQUARE_FACTORS)
+def test_certificate_products_equal_their_factors_multiplied_out_with_fractions(build):
+    A = build()
+    assert_certificate_products_multiply_out(A, Subspace.positive_part(A))
+    assert_certificate_products_multiply_out(*square_zero_divisors(A))
+
+
+def test_certificate_products_equal_their_factors_multiplied_out_on_the_ladder():
+    # every tc-ladder rung, re-read over Q, F2, F3 and Z where its constants
+    # allow: the zero divisors of its square and the classes of A
+    checked = set()
+    for cid, _, build in _perfbench_cases()._tc_ladder_specs():
+        for coeff in (Q, GF(2), GF(3), Z):
+            A = _over(build().algebra, coeff)
+            if A is None:
+                continue
+            assert_certificate_products_multiply_out(A, Subspace.positive_part(A))
+            if cid != "rp16cat":  # a cat rung
+                assert_certificate_products_multiply_out(*square_zero_divisors(A))
+            checked.add(coeff.label)
+    assert checked == {"Q", "F2", "F3", "Z"}

@@ -172,6 +172,35 @@ class TestLowerBounds:
                 == entry(tables, "tc", "s2", m)
             )
 
+    def test_dm_and_hdm_of_a_pair_share_one_cup_length_run(self, monkeypatch):
+        # dm reads hdm's source, so a run that bounds both reads the source
+        # once and runs the DP once per cap for the two tables
+        s2 = sphere(2, Q)
+        square = product([s2, s2])
+        pr1 = RingMorphism.from_images(s2.algebra, square.algebra, {"a": {"a(x)1": 1}})
+        pr2 = RingMorphism.from_images(s2.algebra, square.algebra, {"a": {"1(x)a": 1}})
+        pair = MapPairModel(domain=square, codomain=s2, fstar=pr1, gstar=pr2)
+        bundle = Bundle()
+        bundle.add_space("s2", s2)
+        bundle.add_space("s2xs2", square)
+        bundle.add_map_pair("projections", pair)
+        queries = []
+
+        def counted(query, structures=None):
+            queries.append(query)
+            return capped_cuplength(query, structures)
+
+        monkeypatch.setattr("secatm.engine.capped_cuplength", counted)
+        tables = compute_tables(bundle, targets=[("dm", "projections")])
+        assert tables[("hdm", "projections")].lower_bounds_applied
+        source = _lower_source("hdm", pair)[1]
+        runs = [(id(q.generators), q.cap) for q in queries if q.generators == source]
+        assert runs and len(set(runs)) == len(runs)
+        assert len({generators for generators, _ in runs}) == 1
+        certificates = [{id(ev.certificate) for ev in tables[(inv, "projections")].log[INF]
+                         if ev.rule == "cup_length"} for inv in ("dm", "hdm")]
+        assert certificates[0] == certificates[1] != set()
+
     def test_honest_interval_where_literature_is_silent(self):
         # nothing pins tc of five-dimensional real projective space: the
         # engine must report the zero-divisor lower bound against the doubling

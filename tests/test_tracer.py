@@ -1,14 +1,15 @@
 """The benchmark's tracer patches functions of the package by name; a
-cleanup that drops one of those names must fail here, not in a benchmark
-run.  The tracer is read from ``perfbench/tracer.py`` and executed without
+cleanup that drops one of those names, or stops calling it, must fail here,
+not in a benchmark run.  The tracer is read from ``perfbench/tracer.py`` and executed without
 writing anything next to it."""
 
 import importlib
 import types
 from pathlib import Path
 
+from secatm.algebra import RingMorphism
 from secatm.engine import Bundle
-from secatm.spaces import sphere
+from secatm.spaces import FibrationModel, point, sphere
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -38,6 +39,11 @@ def test_tracer_patches_every_name_and_restores_it():
             assert getattr(owner, attr) is not original, attr
         bundle = Bundle()
         bundle.add_space("s2", sphere(2))
+        s3, pt = sphere(3), point()
+        bundle.add_fibration("path", FibrationModel(
+            base=s3, total_algebra=pt.algebra,
+            pstar=RingMorphism.augmentation(s3.algebra, pt.algebra),
+            total_contractible=True))
         mods["secatm.engine"].compute_tables(bundle, max_m=2)
     finally:
         tracer.uninstall()
@@ -45,3 +51,7 @@ def test_tracer_patches_every_name_and_restores_it():
         assert getattr(owner, attr) is original, attr
     assert tracer.counts["cuplength.calls"] > 0
     assert tracer.counts["linalg.echelon_inserts"] > 0
+    # every wrapped engine name is still what the engine calls: tc of s2
+    # builds a square, secat of the path fibration takes a kernel
+    spans = {span[1] for span in tracer.spans}
+    assert {"cuplength.capped", "algebra.tensor_square", "algebra.kernel"} <= spans
