@@ -13,7 +13,7 @@ import functools
 
 from .domains import CoefficientDomain
 from . import linalg
-from .linalg import make_echelon, span_rows, kernel_rows, vis_zero, vzero
+from .linalg import make_echelon, span_rows, kernel_rows, vis_zero, vunit, vzero
 
 __all__ = [
     "AlgebraError",
@@ -142,7 +142,13 @@ class GradedAlgebra:
     """
 
     def __init__(self, coeff, names, table, validate=True):
-        self._set_basis(coeff, names)
+        self.coeff: CoefficientDomain = coeff
+        self.names: tuple[tuple[str, ...], ...] = tuple(tuple(ns) for ns in names)
+        self.top_degree: int = len(self.names) - 1
+        self._dims: tuple[int, ...] = tuple(len(ns) for ns in self.names)
+        self._index = _index_of(self.names)
+        if self._dims[0] != 1:
+            raise InvalidAlgebraSpec("degree-0 component must have rank 1 (the unit)")
         self.table: dict = dict(table)
         for key in self.table:
             if key[0] == 0 or key[2] == 0:
@@ -151,15 +157,6 @@ class GradedAlgebra:
                     f"unit follow the unit law and are not listed")
         if validate:
             self.validate()
-
-    def _set_basis(self, coeff, names) -> None:
-        self.coeff: CoefficientDomain = coeff
-        self.names: tuple[tuple[str, ...], ...] = tuple(tuple(ns) for ns in names)
-        self.top_degree: int = len(self.names) - 1
-        self._dims: tuple[int, ...] = tuple(len(ns) for ns in self.names)
-        self._index = _index_of(self.names)
-        if self._dims[0] != 1:
-            raise InvalidAlgebraSpec("degree-0 component must have rank 1 (the unit)")
 
     # -- basic queries ---------------------------------------------------
     def dim(self, d: int) -> int:
@@ -183,15 +180,9 @@ class GradedAlgebra:
         """Coefficient tuple of the product in degree d1+d2, None if zero."""
         if d1 + d2 > self.top_degree:
             return None
-        if d1 == 0:
-            unit = vzero(self.coeff, self.dim(d2))
-            unit = list(unit)
-            unit[i2] = self.coeff.one()
-            return tuple(unit)
-        if d2 == 0:
-            unit = list(vzero(self.coeff, self.dim(d1)))
-            unit[i1] = self.coeff.one()
-            return tuple(unit)
+        if d1 == 0 or d2 == 0:  # the unit law
+            d, i = (d2, i2) if d1 == 0 else (d1, i1)
+            return vunit(self.coeff, self.dim(d), i)
         return self.table.get((d1, i1, d2, i2))
 
     def mul_vectors(self, d1: int, v1: tuple, d2: int, v2: tuple) -> tuple | None:
@@ -241,9 +232,7 @@ class GradedAlgebra:
 
     def basis_element(self, name: str) -> "Element":
         d, i = self._index[name]
-        v = list(vzero(self.coeff, self.dim(d)))
-        v[i] = self.coeff.one()
-        return Element(self, {d: tuple(v)})
+        return Element(self, {d: vunit(self.coeff, self.dim(d), i)})
 
     def element(self, combo: dict) -> "Element":
         """Element from a {basis name: scalar} mapping."""
@@ -502,9 +491,7 @@ def make_algebra(coeff, basis, products) -> GradedAlgebra:
         if unit in (left, right):
             other = right if left == unit else left
             do, io = index[other]
-            want = [coeff.zero()] * dims[do]
-            want[io] = coeff.one()
-            if d > top or list(row) != want:
+            if d > top or tuple(row) != vunit(coeff, dims[do], io):
                 raise UnitViolation(f"declared product {left!r} * {right!r} breaks the unit law")
             continue
         key = (d1, i1, d2, i2)
@@ -540,14 +527,15 @@ class TensorProduct(GradedAlgebra):
 
     The classes ``a (x) b`` with ``a`` of degree p and ``b`` of degree q form
     one block of degree p + q, listed a-major: ``kunneth_pairs[p + q]`` holds
-    their factor classes ``(p, i, q, j)`` from slot ``block_start[(p, q)]``
-    on, at ``block_start[(p, q)] + i * right.dim(q) + j``.  The constructor
-    builds only these slots and the dimensions, in one pass over the blocks;
-    the names ``a(x)b`` and the name index are built on first read
+    their factor classes ``(p, i, q, j)`` from slot ``block_start[p][q]`` on
+    (None for an empty block), and :meth:`slot` gives the slot of each.  The
+    constructor builds only these and the dimensions, in one pass over the
+    blocks; the names ``a(x)b`` and the name index are built on first read
     (formatting, parsing).  ``mul_basis`` multiplies in the factors, so
     elements and certificates never need the 4-index ``table``; it is built
-    on first read (``validate``, ``kunneth_product``) and kept.  Valid over a
-    field, and over Z because all components are free.
+    on first read (``validate``, ``_generators``, a product taken as a
+    factor) and kept.  Valid over a field, and over Z because all components
+    are free.
     """
 
     def __init__(self, left: GradedAlgebra, right: GradedAlgebra):
@@ -559,20 +547,17 @@ class TensorProduct(GradedAlgebra):
         self.top_degree = left.top_degree + right.top_degree
         self._right_dims = rdims = right.dims()
         pairs: list[list[tuple[int, int, int, int]]] = [[] for _ in range(self.top_degree + 1)]
-        start: dict[tuple[int, int], int] = {}
-        self._starts = []
+        self.block_start: list[list[int | None]] = []
         for p, m in enumerate(left.dims()):
             at = []
             for q, n in enumerate(rdims):
                 block = pairs[p + q]
-                if m and n:  # blocks of one degree come in order of p
-                    start[(p, q)] = len(block)
-                    block.extend((p, i, q, j) for i in range(m) for j in range(n))
-                at.append(start.get((p, q)))
-            self._starts.append(at)
+                # blocks of one degree come in order of p
+                at.append(len(block) if m and n else None)
+                block.extend((p, i, q, j) for i in range(m) for j in range(n))
+            self.block_start.append(at)
         self._dims = tuple(map(len, pairs))
         self.kunneth_pairs = dict(enumerate(map(tuple, pairs)))
-        self.block_start = start
 
     @functools.cached_property
     def names(self) -> tuple[tuple[str, ...], ...]:
@@ -584,6 +569,12 @@ class TensorProduct(GradedAlgebra):
     def _index(self) -> dict:
         return _index_of(self.names)
 
+    def slot(self, p: int, i: int, q: int, j: int) -> int:
+        """The index of ``a (x) b`` in the degree-(p + q) basis, for ``a``
+        class i of degree p of the left factor and ``b`` class j of degree q
+        of the right."""
+        return self.block_start[p][q] + i * self._right_dims[q] + j
+
     def zero_divisor(self, d: int, i: int) -> tuple:
         """The coefficients of ``a (x) 1 - 1 (x) a`` over the degree-d basis,
         for ``a`` class i of degree d > 0 of the factor of a tensor square."""
@@ -591,28 +582,29 @@ class TensorProduct(GradedAlgebra):
             raise AlgebraMismatch("a (x) 1 - 1 (x) a needs a tensor square")
         dom = self.coeff
         row = [dom.zero()] * self._dims[d]
-        row[self.block_start[(d, 0)] + i] = dom.one()
-        row[self.block_start[(0, d)] + i] = dom.neg(dom.one())
+        row[self.slot(d, i, 0, 0)] = dom.one()
+        row[self.slot(0, 0, d, i)] = dom.neg(dom.one())
         return tuple(row)
 
     def mul_basis(self, d1: int, k1: int, d2: int, k2: int) -> tuple | None:
         if d1 + d2 > self.top_degree or not (d1 and d2):
             return super().mul_basis(d1, k1, d2, k2)  # zero or the unit law
+        if "table" in vars(self):  # built already: read it
+            return self.table.get((d1, k1, d2, k2))
         p1, i1, q1, j1 = self.kunneth_pairs[d1][k1]
         p2, i2, q2, j2 = self.kunneth_pairs[d2][k2]
         a = self.left.mul_basis(p1, i1, p2, i2)
         b = self.right.mul_basis(q1, j1, q2, j2)
         if a is None or b is None:
             return None
-        dom = self.coeff
-        base, wb = self.block_start[(p1 + p2, q1 + q2)], len(b)
+        dom, p, q = self.coeff, p1 + p2, q1 + q2
         neg = _koszul_sign_is_neg(q1, p2)
         row = [dom.zero()] * self.dim(d1 + d2)
         for ia, ca in enumerate(a):
             for jb, cb in enumerate(b):
                 if ca and cb:
                     c = dom.mul(ca, cb)
-                    row[base + ia * wb + jb] = dom.neg(c) if neg else c
+                    row[self.slot(p, ia, q, jb)] = dom.neg(c) if neg else c
         return None if vis_zero(row) else tuple(row)
 
     def row(self, d: int, k: int, left: dict, right: dict) -> list:
@@ -625,7 +617,7 @@ class TensorProduct(GradedAlgebra):
         reduced over F_p.  Only pairs of nonzero factor products are
         visited; each pair of nonzero factor coefficients lands in its own
         slot with a nonzero product (Q, F_p and Z have no zero divisors)."""
-        bdims, starts = self._right_dims, self._starts
+        bdims, starts = self._right_dims, self.block_start
         p1, i1, q1, j1 = self.kunneth_pairs[d][k]
         rights = right[(q1, j1)]
         out = []
@@ -673,36 +665,22 @@ class TensorProduct(GradedAlgebra):
                     table[(d1, k1, d2, k2)] = row
         return dict(sorted(table.items()))
 
-    def inclusions(self, target: GradedAlgebra) -> tuple:
-        """The morphisms ``a -> a (x) 1`` and ``b -> 1 (x) b`` into
-        ``target``, which has this product's basis; their matrices are
-        built on first read."""
-        return _Inclusion(self, target, True), _Inclusion(self, target, False)
-
 
 def kunneth_product(A: GradedAlgebra, B: GradedAlgebra):
-    """Graded tensor product with Koszul signs, its table built here.
-
-    Returns ``(C, incl_A, incl_B)`` where the inclusions send ``a`` to
-    ``a (x) 1`` and ``b`` to ``1 (x) b``; ``C`` has the basis and
-    ``kunneth_pairs`` of :class:`TensorProduct`.  Explicit products of
-    spaces keep their table; a tensor square that only the zero-divisor
-    bound multiplies in is :func:`tensor_square`.
-    """
+    """The Kunneth product ``A (x) B`` as a :class:`TensorProduct`, with the
+    inclusions ``a -> a (x) 1`` and ``b -> 1 (x) b``: ``(C, incl_A,
+    incl_B)``.  C's table and the inclusions' matrices are built only when
+    read, so a product of spaces costs its dimensions and slots until
+    something multiplies in it."""
     T = TensorProduct(A, B)
-    C = GradedAlgebra(T.coeff, T.names, T.table, validate=False)
-    C.kunneth_pairs = T.kunneth_pairs
-    return (C, *T.inclusions(C))
+    return T, _Inclusion(T, True), _Inclusion(T, False)
 
 
 def tensor_square(A: GradedAlgebra):
-    """Tensor square of ``A`` as a :class:`TensorProduct`, whose products
-    are computed from A's and whose table is built only when read, with
-    the two factor inclusions, whose matrices are built only when read.
-    The zero divisors ``a (x) 1 - 1 (x) a`` come from
+    """``kunneth_product(A, A)``: the tensor square behind the zero-divisor
+    bound, whose ``a (x) 1 - 1 (x) a`` come from
     :meth:`TensorProduct.zero_divisor`, without the inclusions."""
-    T = TensorProduct(A, A)
-    return (T, *T.inclusions(T))
+    return kunneth_product(A, A)
 
 
 # ---------------------------------------------------------------------------
@@ -744,10 +722,7 @@ class RingMorphism:
         target's top degree; of several violations the first in basis order
         is reported."""
         dom = self.source.coeff
-        unit_img = self.mats[0][0]
-        want = list(vzero(dom, self.target.dim(0)))
-        want[0] = dom.one()
-        if unit_img != tuple(want):
+        if self.mats[0][0] != vunit(dom, self.target.dim(0), 0):
             raise UnitViolation("morphism does not send unit to unit")
         src, tgt = self.source, self.target
         top = tgt.top_degree
@@ -855,24 +830,15 @@ class RingMorphism:
     # -- named constructions ------------------------------------------------
     @staticmethod
     def identity(A: GradedAlgebra) -> "RingMorphism":
-        dom = A.coeff
-        mats = {}
-        for d in range(A.top_degree + 1):
-            rows = []
-            for i in range(A.dim(d)):
-                row = list(vzero(dom, A.dim(d)))
-                row[i] = dom.one()
-                rows.append(tuple(row))
-            mats[d] = tuple(rows)
+        mats = {d: tuple(vunit(A.coeff, A.dim(d), i) for i in range(A.dim(d)))
+                for d in range(A.top_degree + 1)}
         return RingMorphism(A, A, mats, validate=False)
 
     @staticmethod
     def augmentation(source: GradedAlgebra, target: GradedAlgebra) -> "RingMorphism":
         """Unit to unit, all positive degrees to zero."""
-        dom = source.coeff
-        row0 = list(vzero(dom, target.dim(0)))
-        row0[0] = dom.one()
-        return RingMorphism(source, target, {0: (tuple(row0),)}, validate=False)
+        unit = vunit(source.coeff, target.dim(0), 0)
+        return RingMorphism(source, target, {0: (unit,)}, validate=False)
 
     @staticmethod
     def from_images(source: GradedAlgebra, target: GradedAlgebra, images, validate=True):
@@ -911,32 +877,23 @@ class RingMorphism:
 
 class _Inclusion(RingMorphism):
     """``a -> a (x) 1`` (``left``) or ``b -> 1 (x) b`` of a factor of a
-    :class:`TensorProduct` into ``target``, an algebra with the product's
-    basis; its matrices are built on first read."""
+    :class:`TensorProduct` into it; its matrices are built on first read."""
 
-    def __init__(self, product: TensorProduct, target: GradedAlgebra, left: bool):
-        if target.dims() != product.dims():
-            raise MorphismMismatch("the target does not have the product's basis")
+    def __init__(self, product: TensorProduct, left: bool):
         self.source = product.left if left else product.right
-        self.target = target
-        self._start, self._left = product.block_start, left
+        self.target = product
+        self._left = left
 
     @functools.cached_property
     def mats(self) -> dict:
-        dom, start, dims = self.source.coeff, self._start, self.target.dims()
-        mats = {}
-        for d in range(self.source.top_degree + 1):
-            slot = start.get((d, 0) if self._left else (0, d))
-            rows = []
-            for i in range(self.source.dim(d)):
-                row = [dom.zero()] * dims[d]
-                row[slot + i] = dom.one()
-                rows.append(tuple(row))
-            mats[d] = tuple(rows)
-        return mats
+        A, T, left = self.source, self.target, self._left
+        return {d: tuple(vunit(A.coeff, T.dim(d),
+                               T.slot(d, i, 0, 0) if left else T.slot(0, 0, d, i))
+                         for i in range(A.dim(d)))
+                for d in range(A.top_degree + 1)}
 
 
-def multiplication_morphism(A: GradedAlgebra, T: GradedAlgebra | None = None):
+def multiplication_morphism(A: GradedAlgebra, T: TensorProduct | None = None):
     """The cup-product map ``A (x) A -> A`` as a ring morphism.
 
     If the tensor square was already built, pass it in to keep basis
@@ -950,16 +907,16 @@ def multiplication_morphism(A: GradedAlgebra, T: GradedAlgebra | None = None):
         rows = []
         for (dl, il, dr, ir) in T.kunneth_pairs[d]:
             prod = A.mul_basis(dl, il, dr, ir)
-            rows.append(
-                prod if prod is not None else vzero(dom, A.dim(d))
-            )
+            rows.append(prod if prod is not None else vzero(dom, A.dim(d)))
         mats[d] = tuple(rows)
     return T, RingMorphism(T, A, mats, validate=False)
 
 
 def tensor_morphism(phi: RingMorphism, psi: RingMorphism,
                     source_tensor=None, target_tensor=None):
-    """Tensor product of two degree-preserving morphisms."""
+    """Tensor product of two degree-preserving morphisms, between the
+    :class:`TensorProduct` of their sources and that of their targets (built
+    here unless passed in)."""
     if phi.source.coeff != psi.source.coeff:
         raise CoefficientMismatch("tensor factors use different coefficients")
     if source_tensor is None:
@@ -968,27 +925,15 @@ def tensor_morphism(phi: RingMorphism, psi: RingMorphism,
         target_tensor, _, _ = kunneth_product(phi.target, psi.target)
     S, T = source_tensor, target_tensor
     dom = phi.source.coeff
-    tpos = {
-        key: (d, i)
-        for d in range(T.top_degree + 1)
-        for i, key in enumerate(T.kunneth_pairs[d])
-    }
     mats = {}
     for d in range(S.top_degree + 1):
         rows = []
         for (dl, il, dr, ir) in S.kunneth_pairs[d]:
-            lrow = phi.mats.get(dl)
-            rrow = psi.mats.get(dr)
             out = [dom.zero()] * T.dim(d)
-            if lrow is not None and rrow is not None:
-                for a, ca in enumerate(lrow[il]):
-                    if ca == 0:
-                        continue
-                    for b, cb in enumerate(rrow[ir]):
-                        if cb == 0:
-                            continue
-                        _, slot = tpos[(dl, a, dr, b)]
-                        out[slot] = dom.add(out[slot], dom.mul(ca, cb))
+            for a, ca in enumerate(phi.mats[dl][il]):
+                for b, cb in enumerate(psi.mats[dr][ir]):
+                    if ca and cb:  # each (a, b) has a slot of its own
+                        out[T.slot(dl, a, dr, b)] = dom.mul(ca, cb)
             rows.append(tuple(out))
         mats[d] = tuple(rows)
     return RingMorphism(S, T, mats, validate=False)
@@ -1035,19 +980,8 @@ class Subspace:
     @staticmethod
     def positive_part(algebra: GradedAlgebra) -> "Subspace":
         """Span of all positive-degree basis classes."""
-        dom = algebra.coeff
-        rows = {}
-        for d in range(1, algebra.top_degree + 1):
-            n = algebra.dim(d)
-            if n == 0:
-                continue
-            rs = []
-            for i in range(n):
-                row = list(vzero(dom, n))
-                row[i] = dom.one()
-                rs.append(tuple(row))
-            rows[d] = rs
-        return Subspace(algebra, rows)
+        return Subspace(algebra, {d: [vunit(algebra.coeff, n, i) for i in range(n)]
+                                  for d, n in enumerate(algebra.dims()) if d and n})
 
     def degrees(self) -> tuple[int, ...]:
         return tuple(self.rows)
@@ -1112,7 +1046,7 @@ def kernel(phi: RingMorphism) -> Subspace:
     return Subspace._of_canonical(alg, rows)
 
 
-def _cup_kernel_rows(A: GradedAlgebra, T: GradedAlgebra) -> dict:
+def _cup_kernel_rows(A: GradedAlgebra, T: TensorProduct) -> dict:
     """The basis ``a (x) b - 1 (x) ab`` of the kernel of the cup product
     ``A (x) A -> A``, one element per basis class ``a`` of positive degree
     and basis class ``b``, as coefficient rows over the basis of the tensor
@@ -1124,8 +1058,6 @@ def _cup_kernel_rows(A: GradedAlgebra, T: GradedAlgebra) -> dict:
     int vectors, over Q scaled by their common denominator, which changes
     no span; the echelon takes them without a ``Fraction`` pass."""
     dom, top = A.coeff, T.top_degree
-    slot = {pair: k for d in range(top + 1)
-            for k, pair in enumerate(T.kunneth_pairs[d])}
     rows: dict[int, list] = {}
     for p in range(1, min(top, A.top_degree) + 1):
         for q in range(min(top - p, A.top_degree) + 1):
@@ -1133,10 +1065,10 @@ def _cup_kernel_rows(A: GradedAlgebra, T: GradedAlgebra) -> dict:
             for i in range(A.dim(p)):
                 for j in range(A.dim(q)):
                     row = [0] * T.dim(d)
-                    row[slot[(p, i, q, j)]] = 1
+                    row[T.slot(p, i, q, j)] = 1
                     for k, c in enumerate(A.mul_basis(p, i, q, j) or ()):
                         if c != 0:
-                            row[slot[(0, 0, d, k)]] = dom.neg(c)
+                            row[T.slot(0, 0, d, k)] = dom.neg(c)
                     rows.setdefault(d, []).append(linalg.clear_denominators(row))
     return rows
 

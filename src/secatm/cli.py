@@ -23,6 +23,7 @@ from .modelfile import (
     Query,
     check_query,
     load_model_file,
+    parse_decimal,
     parse_mrange,
 )
 from .tables import InconsistentModel, render_text, table_to_json
@@ -51,7 +52,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="print cup-length witnesses")
     b.add_argument("--no-literature", action="store_true",
                    help="ignore recorded literature values")
-    b.add_argument("--max-m", type=int, default=None,
+    b.add_argument("--max-m", default=None,
                    help="largest finite m to compute")
     b.add_argument("--coeff", default=None,
                    help="override the file's default coefficient domain")
@@ -84,17 +85,20 @@ def _resolve_queries(args, loaded) -> list[Query]:
 
 
 def _cmd_bounds(args) -> int:
-    if args.max_m is not None and args.max_m < 1:
+    max_m = None if args.max_m is None else parse_decimal(args.max_m)
+    if max_m is None and args.max_m is not None:
+        raise ModelFileError("--max-m", f"expected an integer, got {args.max_m!r}")
+    if max_m is not None and max_m < 1:
         print("error: --max-m must be >= 1", file=sys.stderr)
         return 1
-    if args.max_m is not None and args.max_m > MAX_M:
+    if max_m is not None and max_m > MAX_M:
         print(f"error: --max-m must be <= {MAX_M}", file=sys.stderr)
         return 1
     loaded = load_model_file(args.file, args.coeff)
     queries = _resolve_queries(args, loaded)
 
     needed = max((max(q.ms) for q in queries if q.ms), default=0)
-    max_m = default_max_m(loaded.bundle) if args.max_m is None else args.max_m
+    max_m = default_max_m(loaded.bundle) if max_m is None else max_m
     if max_m is None and needed == 0:
         print(
             "error: no model has a known hdim; pass --max-m or an m range",

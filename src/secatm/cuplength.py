@@ -23,11 +23,12 @@ components are free, so a lattice is nonzero exactly when its rank is, and
 a product is nonzero over Z exactly when it is nonzero over Q.
 
 Products are taken in Python ints through one :class:`IntegerStructure`
-per algebra, built from the algebra's table or, for a tensor square, from
-its factor's integer products, a column per class that a spanning vector
-holds.  A caller that passes one structure map to every query (as
-``compute_tables`` does, once per run) builds each structure, column and
-right-multiplication operator once.
+per algebra, built from a plain algebra's table or, for a Kunneth product
+(a tensor square or a product of spaces), from its factors' integer
+products, a column per class that a spanning vector holds.  A caller
+that passes one structure map to every query (as ``compute_tables`` does,
+once per run) builds each structure, column and right-multiplication
+operator once.
 
 The certificate's product is the DP's own vector for its last monomial,
 read as it is over F_p and Z and with the integer scalings undone over Q;
@@ -164,12 +165,14 @@ class IntegerStructure:
     Over Q every row, unit products included, is scaled by one nonzero
     integer, ``scale``, so a product of t integral factors is ``scale **
     (t - 1)`` times the product of the factors, and it vanishes, and grows an
-    echelon's rank, exactly when the true product does.  A plain algebra
-    fills its columns from its table, and ``scale`` is the common
-    denominator D of its constants.  A :class:`TensorProduct` builds column
-    i on first use, from ``row(ds, i)`` over its factors' integer products,
-    and ``scale`` is D_left * D_right; it never builds its table nor a
-    column the DP does not multiply by.  Off Q, ``scale`` is 1.
+    echelon's rank, exactly when the true product does.  The input's type
+    picks one of two paths.  A plain algebra fills its columns from its
+    table at once, and ``scale`` is the common denominator D of its
+    constants.  A :class:`TensorProduct`, a tensor square or a product of
+    spaces, builds column i on first use, from ``row(ds, i)`` over its
+    factors' integer products, and ``scale`` is D_left * D_right; it never
+    builds its own table nor a column the DP does not multiply by (the
+    factors' tables are read).  Off Q, ``scale`` is 1.
     """
 
     def __init__(self, algebra: GradedAlgebra):

@@ -24,11 +24,12 @@ tables whose lower bounds reach them through a rule record.
 
 from __future__ import annotations
 
+import functools
 from typing import NamedTuple
 
 from .algebra import GradedAlgebra, Subspace, UnsupportedCoefficients, kernel, tensor_square
 from .cuplength import CupLengthQuery, capped_cuplength
-from .linalg import FieldEchelon, vis_zero, vsub
+from .linalg import FieldEchelon, vis_zero, vsub, vunit
 from .spaces import FibrationModel, MapPairModel, SpaceModel
 from .tables import INF, BoundTable
 
@@ -238,6 +239,9 @@ class _Engine:
         # the run; keyed by the algebra itself, which the map keeps alive,
         # so a dropped algebra's id is never taken for a new one's
         self._structures: dict = {}
+        # algebra -> its ``_generators``, ranked once per run for cat, tc
+        # and the map pairs into it, keyed the same way
+        self._generators_of = functools.cache(_generators)
 
     # -- registration -------------------------------------------------------
     def _register(self):
@@ -365,7 +369,7 @@ class _Engine:
             table = self.tables[(inv, name)]
             key = ("hdm" if inv == "dm" else inv, name)
             if key not in sources:
-                sources[key] = _lower_source(inv, self.model(inv, name))
+                sources[key] = _lower_source(inv, self.model(inv, name), self._generators_of)
             source = sources[key]
             table.lower_bounds_applied = True
             if source is None or source[1].is_zero():
@@ -580,9 +584,10 @@ def _generators(A: GradedAlgebra) -> list[tuple[int, int]]:
     return generators
 
 
-def _lower_source(inv, model):
+def _lower_source(inv, model, generators=None):
     """(algebra, generator subspace, description) feeding the cup-length
-    lower bound of ``inv`` on ``model``, or None when it does not apply.
+    lower bound of ``inv`` on ``model``, or None when it does not apply;
+    ``generators``, if given, stands in for ``_generators``.
 
     Each source spans a set of generators of an ideal, from the algebra
     generators g of ``_generators``.  cat reads the g themselves, which
@@ -598,23 +603,22 @@ def _lower_source(inv, model):
     have the cup-length of their ideals."""
     if inv == "secat":
         return model.base.algebra, kernel(model.pstar), "ker(pullback)"
+    generators = generators or _generators
     rows = {}
     if inv == "cat":
-        A, dom = model.algebra, model.algebra.coeff
-        for d, i in _generators(A):
-            row = [dom.zero()] * A.dim(d)
-            row[i] = dom.one()
-            rows.setdefault(d, []).append(row)
+        A = model.algebra
+        for d, i in generators(A):
+            rows.setdefault(d, []).append(vunit(A.coeff, A.dim(d), i))
         return A, Subspace(A, rows), "H^+"
     if inv == "tc":
         if not model.algebra.coeff.is_field:
             return None
         X = tensor_square(model.algebra)[0]
-        for d, i in _generators(model.algebra):
+        for d, i in generators(model.algebra):
             rows.setdefault(d, []).append(X.zero_divisor(d, i))
         return X, Subspace(X, rows), "ker(cup)"
     f, g, X = model.fstar, model.gstar, model.domain.algebra
-    for d, i in _generators(f.source):
+    for d, i in generators(f.source):
         diff = vsub(X.coeff, f.mats[d][i], g.mats[d][i])
         if not vis_zero(diff):
             rows.setdefault(d, []).append(diff)

@@ -36,6 +36,7 @@ __all__ = [
     "vscale",
     "vneg",
     "vzero",
+    "vunit",
     "vis_zero",
     "clear_denominators",
 ]
@@ -44,6 +45,13 @@ __all__ = [
 def vzero(dom: CoefficientDomain, width: int) -> tuple:
     z = dom.zero()
     return (z,) * width
+
+
+def vunit(dom: CoefficientDomain, width: int, k: int) -> tuple:
+    """The vector with 1 at index k and 0 elsewhere."""
+    v = [dom.zero()] * width
+    v[k] = dom.one()
+    return tuple(v)
 
 
 def vadd(dom: CoefficientDomain, u: tuple, v: tuple) -> tuple:

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass, replace
 
 from .domains import CoefficientDomain
@@ -40,15 +41,18 @@ from .engine import KIND_OF, Bundle
 from . import spaces as sp
 
 __all__ = ["MAX_M", "ModelFileError", "Query", "LoadedModel", "check_query",
-           "load_model_file", "parse_model", "parse_mrange"]
+           "load_model_file", "parse_decimal", "parse_model", "parse_mrange"]
 
 SCHEMA = "secatm-model/1"
 # bound on the top degree and the number of basis classes of every algebra
 # a model file declares, and on a declared hdim and number of factors,
-# checked before the algebra is built.  Building one costs about the cube of its size (RP^200 took
-# 12.6 s, a product of 12 circles 23 s; a degree of 2^40 never finishes).
-# tc squares it but multiplies by its generators' columns only: tc of RP^31
-# took 0.02 s and 19 MB in-process (Python 3.11, 2 vCPUs).
+# checked before the algebra is built.  Building an explicit one costs
+# about the cube of its size (RP^200 took 12.6 s; a degree of 2^40 never
+# finishes).  A product is built in milliseconds, but its table, built on
+# first read (by the generators its cup-length bounds read), costs as
+# much: a product of 12 circles took 0.01 s, then 26 s and 281 MB.  tc
+# squares an algebra but multiplies by its generators' columns only: tc of
+# RP^31 took 0.02 s and 19 MB in-process (Python 3.11, 2 vCPUs).
 MAX_ALGEBRA_SIZE = 32
 # bound on m, in an m range and for ``--max-m``: the largest m a test asks
 # for.  A table with no dimension parameter (hdm) stores a row per m, and
@@ -79,17 +83,26 @@ class LoadedModel:
     coeff: CoefficientDomain
 
 
+_DECIMAL = re.compile(r"-?[0-9]+")
+
+
+def parse_decimal(text: str) -> int | None:
+    """The integer that ASCII digits after an optional minus sign spell, or
+    None for any other text: ``int`` would also take spaces, ``+``, ``_``
+    and non-ASCII digits, and fails on more than about 4300 digits."""
+    try:
+        return int(text) if _DECIMAL.fullmatch(text) else None
+    except ValueError:  # more digits than int() converts
+        return None
+
+
 def parse_mrange(text: str, where: str = "m") -> list[int]:
     """Parse ``"3"`` or ``"1..6"`` into an explicit list of m values."""
     if not isinstance(text, str):
         raise ModelFileError(where, f"bad m range {text!r}, expected a string N or N..M")
-    try:
-        if ".." in text:
-            lo_s, hi_s = text.split("..", 1)
-            lo, hi = int(lo_s), int(hi_s)
-        else:
-            lo = hi = int(text)
-    except ValueError:
+    lo_s, hi_s = text.split("..", 1) if ".." in text else (text, text)
+    lo, hi = parse_decimal(lo_s), parse_decimal(hi_s)
+    if lo is None or hi is None:
         raise ModelFileError(where, f"bad m range {text!r}, expected N or N..M")
     if lo < 1 or hi < lo:
         raise ModelFileError(where, f"bad m range {text!r}: need 1 <= lo <= hi")
@@ -313,9 +326,8 @@ class _Loader:
         basis = {}
         for d, names in spec["basis"].items():
             where = f"{path}.basis.{d}"
-            try:
-                degree = int(d)
-            except ValueError:
+            degree = parse_decimal(d)
+            if degree is None:
                 raise ModelFileError(where, "degrees must be integers")
             if degree < 0 or degree in basis:
                 raise ModelFileError(where, "degrees must be distinct and >= 0")

@@ -287,6 +287,9 @@ def nonorientable_surface(h: int) -> SpaceModel:
 def product(models: list[SpaceModel]) -> SpaceModel:
     """Product space with the Kunneth algebra and combined metadata.
 
+    The algebra nests :class:`~secatm.algebra.TensorProduct`, ``(A (x) B)
+    (x) C`` for three factors; building it builds no structure table.
+
     Literature values are left absent on purpose; bounds for products come
     out of the subadditivity and collapse rules.
     """

@@ -251,6 +251,30 @@ class TestPaperSuite:
         assert captured.err.startswith("error: queries[1].m: ")
         assert "1000000" in captured.err and captured.out == ""
 
+    # integers in text take ASCII digits only: int() reads " +1_0" as 10,
+    # "٢" as 2 and "١..٣" as 1..3
+
+    @pytest.mark.parametrize("text", [" 2", "+2", "1_0", "٢", "١..٣"])
+    def test_integers_in_text_take_ascii_digits_only(self, tmp_path, capsys, text):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(base_doc(queries=[{"target": "s2", "invariant": "cat"}])))
+        bad_degree = base_doc(spaces={"x": {"algebra": {"basis": {"0": ["1"], text: ["a"]}}}})
+        degree_path = tmp_path / "degree.json"
+        degree_path.write_text(json.dumps(bad_degree))
+        bad_m = base_doc(queries=[{"target": "s2", "invariant": "cat", "m": text}])
+        m_path = tmp_path / "m.json"
+        m_path.write_text(json.dumps(bad_m))
+        for argv, where in [
+            (["bounds", str(degree_path)], f"spaces.x.algebra.basis.{text}: "),
+            (["bounds", str(m_path)], "queries[0].m: "),
+            (["bounds", str(path), "s2", "cat", text], "mrange: "),
+            (["bounds", str(path), "--max-m", text], "--max-m: "),
+        ]:
+            assert main(argv) == 1, argv
+            captured = capsys.readouterr()
+            assert captured.err.startswith(f"error: {where}"), argv
+            assert captured.out == ""
+
     def test_max_m_above_the_bound_is_a_usage_error(self, capsys):
         import pathlib
 

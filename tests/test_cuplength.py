@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 from secatm.domains import GF, Q, Z
 from secatm.algebra import (
     Subspace,
+    TensorProduct,
     cup_kernel,
     kunneth_product,
     make_algebra,
@@ -22,6 +23,7 @@ from secatm.cuplength import (
 from secatm.engine import _generators, _lower_source
 from secatm.linalg import vis_zero, vsub
 from secatm.spaces import (
+    complex_projective,
     moore,
     nonorientable_surface,
     orientable_surface,
@@ -31,7 +33,7 @@ from secatm.spaces import (
     SpaceModel,
 )
 
-from test_algebra import SQUARE_FACTORS, cup_algebras
+from test_algebra import SQUARE_FACTORS, cup_algebras, odd_rational, plain_copy
 from test_engine import _over, _perfbench_cases
 
 
@@ -372,10 +374,10 @@ def zero_divisor_runs(T, zero_divisors, structures=None):
 def test_cached_dp_on_the_thin_square_equals_the_dp_on_an_eager_copy(build):
     A = build()
     T, _, _ = tensor_square(A)
-    E, _, _ = kunneth_product(A, A)  # the same basis, with its table
+    E = plain_copy(tensor_square(A)[0])  # the same basis, with its table
     structures = {}
     thin = zero_divisor_runs(T, cup_kernel(A, T), structures)
-    eager = zero_divisor_runs(E, cup_kernel(A, E))
+    eager = zero_divisor_runs(E, Subspace(E, cup_kernel(A, T).rows))
     assert thin == eager
     assert list(structures) == [T] and "table" not in vars(T)
 
@@ -402,6 +404,56 @@ def test_one_structure_map_serves_squares_built_and_dropped_in_turn():
     assert [length for length, _ in runs[0]] != [length for length, _ in runs[1]]
 
 
+# -- products of spaces: nested thin products against plain copies -------------
+#
+# spaces.product nests TensorProducts, (A (x) B) (x) C for three factors,
+# and builds no table.  The cat DP reads the product's lazy columns and the
+# tc DP the columns of its square; on a plain GradedAlgebra with the same
+# table both must find the same lengths and certificates.
+
+PRODUCTS_OF_SPACES = [
+    lambda: product([SpaceModel(odd_rational()), sphere(1, Q), sphere(2, Q)]),
+    lambda: product([sphere(1, Q), complex_projective(2), sphere(3, Q)]),
+    lambda: product([real_projective(3), sphere(1, GF(2)), nonorientable_surface(2)]),
+    lambda: product([sphere(1, GF(2))] * 4),
+    lambda: product([sphere(1, GF(3)), sphere(2, GF(3)), sphere(3, GF(3))]),
+    lambda: product([sphere(1, Z), sphere(3, Z), sphere(2, Z)]),
+    lambda: product([sphere(2, Z), sphere(2, Z)]),
+]
+
+
+def dp_runs(inv, space):
+    """(length, factor strings, product) of the DP of ``inv`` at every
+    cap, None where ``inv`` has no cup-length source."""
+    source = _lower_source(inv, space)
+    if source is None:
+        return None
+    algebra, generators, _ = source
+    out = []
+    for cap in [*range(1, algebra.top_degree + 1), None]:
+        length, cert = capped_cuplength(CupLengthQuery(algebra, generators, cap))
+        out.append((length, cert.factor_strings(), cert.product.format()) if cert else (0,))
+    return out
+
+
+@pytest.mark.parametrize("build", PRODUCTS_OF_SPACES)
+def test_products_of_spaces_give_the_dp_results_of_a_plain_copy(build):
+    space = build()
+    P = space.algebra
+    nested = []
+    while isinstance(P, TensorProduct):
+        nested.append(P)
+        P = P.left
+    assert len(nested) == len(space.factors) - 1
+    assert all("table" not in vars(T) for T in nested)  # none built yet
+    plain = SpaceModel(plain_copy(space.algebra))
+    for inv in ("cat", "tc"):
+        runs = dp_runs(inv, space)
+        assert runs == dp_runs(inv, plain), inv
+        assert (runs is None) == (inv == "tc" and space.algebra.coeff == Z)
+        assert runs is None or runs[-1][0] >= len(space.factors)
+
+
 # ---------------------------------------------------------------------------
 # the square's lazy columns against its table
 # ---------------------------------------------------------------------------
@@ -425,7 +477,7 @@ def assert_columns_match_the_table(A, every_class):
     nonzero rational scale for all of them (1 off Q), and an operator that
     is None exactly when every product vanishes."""
     T, left, right = tensor_square(A)
-    E, _, _ = kunneth_product(A, A)  # the same basis, multiplying by T's table
+    E = plain_copy(tensor_square(A)[0])  # the same basis, multiplying by its table
     vectors = [(d, vsub(T.coeff, left.mats[d][i], right.mats[d][i]))
                for d, i in _generators(A)]
     classes = {(ds, i) for ds, v in vectors for i, c in enumerate(v) if c}

@@ -201,6 +201,34 @@ class TestLowerBounds:
                          if ev.rule == "cup_length"} for inv in ("dm", "hdm")]
         assert certificates[0] == certificates[1] != set()
 
+    def test_each_algebra_ranks_its_generators_once_per_run(self, monkeypatch):
+        # cat and tc of S^2 and dm and hdm of the projections into it all
+        # read the generators of S^2: a run ranks them once, a second run
+        # once more
+        s2 = sphere(2, Q)
+        square = product([s2, s2])
+        pr1 = RingMorphism.from_images(s2.algebra, square.algebra, {"a": {"a(x)1": 1}})
+        pr2 = RingMorphism.from_images(s2.algebra, square.algebra, {"a": {"1(x)a": 1}})
+        bundle = Bundle()
+        bundle.add_space("s2", s2)
+        bundle.add_space("s2xs2", square)
+        bundle.add_map_pair("projections", MapPairModel(
+            domain=square, codomain=s2, fstar=pr1, gstar=pr2))
+        ranked = []
+
+        def counted(A):
+            ranked.append(A)
+            return _generators(A)
+
+        monkeypatch.setattr("secatm.engine._generators", counted)
+        for run in (1, 2):
+            tables = compute_tables(bundle)
+            for key in [("cat", "s2"), ("tc", "s2"), ("hdm", "projections"),
+                        ("dm", "projections"), ("cat", "s2xs2"), ("tc", "s2xs2")]:
+                assert tables[key].lower_bounds_applied, key
+            assert sorted(map(id, ranked)) == sorted(
+                [id(s2.algebra), id(square.algebra)] * run)
+
     def test_honest_interval_where_literature_is_silent(self):
         # nothing pins tc of five-dimensional real projective space: the
         # engine must report the zero-divisor lower bound against the doubling
