@@ -209,18 +209,17 @@ class GradedAlgebra:
 
     def nonzero_products(self) -> dict:
         """Every nonzero basis product, products by the unit included:
-        ``(d1, i1)`` maps to a list of ``(d2, i2, nonzero (index, c) pairs)``."""
+        ``(d1, i1)`` maps ``(d2, i2)`` to the nonzero ``(index, c)`` pairs of
+        the product of class i1 of degree d1 by class i2 of degree d2."""
         one = self.coeff.one()
-        out = {(d, i): [] for d in range(self.top_degree + 1) for i in range(self.dim(d))}
+        out = {(d, i): {} for d in range(self.top_degree + 1) for i in range(self.dim(d))}
         for d in range(self.top_degree + 1):
             for i in range(self.dim(d)):
-                out[(0, 0)].append((d, i, ((i, one),)))
-                if d:
-                    out[(d, i)].append((0, 0, ((i, one),)))
+                out[(0, 0)][(d, i)] = out[(d, i)][(0, 0)] = ((i, one),)
         for (d1, i1, d2, i2), row in self.table.items():
             nz = tuple((j, c) for j, c in enumerate(row) if c != 0)
             if d1 and d2 and nz:
-                out[(d1, i1)].append((d2, i2, nz))
+                out[(d1, i1)][(d2, i2)] = nz
         return out
 
     # -- elements ----------------------------------------------------------
@@ -442,14 +441,16 @@ def multiply(a: Element, b: Element) -> Element:
 # construction from a basis/products description
 # ---------------------------------------------------------------------------
 
-def make_algebra(coeff, basis, products) -> GradedAlgebra:
+def make_algebra(coeff, basis, products, validate=True) -> GradedAlgebra:
     """Build and validate a graded algebra.
 
     ``basis`` maps degree -> ordered sequence of names (degree 0 defaults to
     a unit called "1" if omitted).  ``products`` is an iterable of
     ``(left_name, right_name, {name: scalar})`` triples; omitted products are
     zero, products with the unit follow the unit law, and an omitted mirror
-    of a listed pair is filled in with the graded sign.
+    of a listed pair is filled in with the graded sign.  ``validate=False``
+    skips the cubic :meth:`GradedAlgebra.validate` for products known to
+    obey its laws (names, degrees and the unit law are always checked).
     """
     basis = {int(d): list(ns) for d, ns in dict(basis).items()}
     if 0 not in basis:
@@ -513,7 +514,7 @@ def make_algebra(coeff, basis, products) -> GradedAlgebra:
             row = tuple(coeff.neg(a) for a in row)
         table[mirror] = row
 
-    return GradedAlgebra(coeff, names, table, validate=True)
+    return GradedAlgebra(coeff, names, table, validate=validate)
 
 
 # ---------------------------------------------------------------------------
@@ -532,10 +533,10 @@ class TensorProduct(GradedAlgebra):
     constructor builds only these and the dimensions, in one pass over the
     blocks; the names ``a(x)b`` and the name index are built on first read
     (formatting, parsing).  ``mul_basis`` multiplies in the factors, so
-    elements and certificates never need the 4-index ``table``; it is built
-    on first read (``validate``, ``_generators``, a product taken as a
-    factor) and kept.  Valid over a field, and over Z because all components
-    are free.
+    elements, certificates and the cup-length bounds never need the 4-index
+    ``table``; it is built on first read (``validate``, a morphism's
+    validation) and kept.  Valid over a field, and over Z because all
+    components are free.
     """
 
     def __init__(self, left: GradedAlgebra, right: GradedAlgebra):
@@ -608,8 +609,8 @@ class TensorProduct(GradedAlgebra):
         return None if vis_zero(row) else tuple(row)
 
     def row(self, d: int, k: int, left: dict, right: dict) -> list:
-        """The nonzero products of class k of degree d by every class of
-        positive degree, as ``(d2, k2, nz)`` with ``nz`` the nonzero
+        """The nonzero products of class k of degree d by every class, the
+        unit included, as ``(d2, k2, nz)`` with ``nz`` the nonzero
         ``(slot, c)`` pairs in slot order, from the factors' nonzero products
         (``left`` and ``right``: ``nonzero_products`` of each, or the same
         with other coefficients).  Each c is ``ca * cb``, negated by the
@@ -619,15 +620,13 @@ class TensorProduct(GradedAlgebra):
         slot with a nonzero product (Q, F_p and Z have no zero divisors)."""
         bdims, starts = self._right_dims, self.block_start
         p1, i1, q1, j1 = self.kunneth_pairs[d][k]
-        rights = right[(q1, j1)]
+        rights = right[(q1, j1)].items()
         out = []
         append = out.append
-        for p2, i2, anz in left[(p1, i1)]:
+        for (p2, i2), anz in left[(p1, i1)].items():
             neg = q1 & p2 & 1  # the Koszul sign: |b| and |a'| both odd
             at, at2, single = starts[p1 + p2], starts[p2], len(anz) == 1
-            for q2, j2, bnz in rights:
-                if not (p2 or q2):
-                    continue  # the right class is the unit
+            for (q2, j2), bnz in rights:
                 q = q1 + q2
                 base, wb = at[q], bdims[q]
                 if single and len(bnz) == 1:
@@ -652,6 +651,8 @@ class TensorProduct(GradedAlgebra):
         for d1 in range(1, self.top_degree + 1):
             for k1 in range(dims[d1]):
                 for d2, k2, nz in self.row(d1, k1, left, right):
+                    if not d2:
+                        continue  # the unit law, which the table leaves out
                     d = d1 + d2
                     if p is not None:
                         nz = tuple((slot, c % p) for slot, c in nz) if len(nz) > 1 else (

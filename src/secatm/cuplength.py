@@ -22,13 +22,14 @@ no second search is needed.  Over Z rank tracking suffices as well:
 components are free, so a lattice is nonzero exactly when its rank is, and
 a product is nonzero over Z exactly when it is nonzero over Q.
 
-Products are taken in Python ints through one :class:`IntegerStructure`
-per algebra, built from a plain algebra's table or, for a Kunneth product
-(a tensor square or a product of spaces), from its factors' integer
-products, a column per class that a spanning vector holds.  A caller
-that passes one structure map to every query (as ``compute_tables`` does,
-once per run) builds each structure, column and right-multiplication
-operator once.
+Products are taken in Python ints by one routine,
+:meth:`IntegerStructure.products`, from the integer structure constants
+of a plain algebra's table or, for a Kunneth product (a tensor square or a
+product of spaces), of its two factors.  The rank of each degree is kept
+by a sparse rank-only echelon of the products' dicts.  A caller that
+passes one structure map to every query (as ``compute_tables`` does, once
+per run) converts each algebra's constants once, for the algebra and for
+its square alike.
 
 The certificate's product is the DP's own vector for its last monomial,
 read as it is over F_p and Z and with the integer scalings undone over Q;
@@ -39,6 +40,7 @@ compares, so it cross-checks the DP.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -48,7 +50,7 @@ from .domains import RATIONALS
 # make_echelon is not used here any more, but perfbench/tracer.py wraps the
 # echelon factory by this module's name
 from .linalg import (  # noqa: F401
-    F2RankEchelon, FieldEchelon, clear_denominators, make_echelon, vis_zero,
+    F2RankEchelon, SparseRankEchelon, clear_denominators, make_echelon, vis_zero,
 )
 
 __all__ = [
@@ -147,141 +149,141 @@ def _denominator(algebra: GradedAlgebra) -> int:
     return lcm(*{c.denominator for row in rows for c in row})
 
 
-def _integral_products(algebra: GradedAlgebra) -> tuple[int, dict]:
-    """The common denominator of the structure constants, and
-    ``nonzero_products`` with every coefficient made an int, scaled by it."""
-    den = _denominator(algebra)
-    return den, {key: [(d2, i2, _scaled(nz, den)) for d2, i2, nz in entries]
-                 for key, entries in algebra.nonzero_products().items()}
-
-
 class IntegerStructure:
-    """One algebra's nonzero products of basis classes of positive degree,
-    in Python ints, read by the DP through ``right_multiplication``.
+    """One algebra's structure constants in Python ints, multiplied out by
+    :meth:`products`.
 
-    Column ``(ds, i)`` maps a degree dv to the list of ``(i1, row)`` with
-    ``row`` the product of class i1 of degree dv by class i of degree ds:
-    the nonzero ``(j, c)`` pairs, or over F2 a bitmask (bit j is entry j).
-    Over Q every row, unit products included, is scaled by one nonzero
-    integer, ``scale``, so a product of t integral factors is ``scale **
-    (t - 1)`` times the product of the factors, and it vanishes, and grows an
-    echelon's rank, exactly when the true product does.  The input's type
-    picks one of two paths.  A plain algebra fills its columns from its
-    table at once, and ``scale`` is the common denominator D of its
-    constants.  A :class:`TensorProduct`, a tensor square or a product of
-    spaces, builds column i on first use, from ``row(ds, i)`` over its
-    factors' integer products, and ``scale`` is D_left * D_right; it never
-    builds its own table nor a column the DP does not multiply by (the
-    factors' tables are read).  Off Q, ``scale`` is 1.
+    Over Q every constant, unit products included, is scaled by one
+    nonzero integer, ``scale``, so a product of t integral factors is
+    ``scale ** (t - 1)`` times the product of the factors, and it vanishes,
+    and grows an echelon's rank, exactly when the true product does.  Off
+    Q, ``scale`` is 1.  A plain algebra's constants are its own table's,
+    and ``scale`` is their common denominator D.  A :class:`TensorProduct`
+    (a tensor square or a product of spaces) multiplies through its two
+    factors' constants, ``(a (x) b)(a' (x) b') = (-1)^(|b| |a'|) (a a') (x)
+    (b b')``, and ``scale`` is D_left * D_right; it never reads its own
+    table.  A factor's structure is taken from ``structures`` when that map
+    holds one, so an algebra and its square convert the algebra's products
+    once.  Beyond the constants, only the lookup keys of each s are kept.
     """
 
-    def __init__(self, algebra: GradedAlgebra):
+    def __init__(self, algebra: GradedAlgebra, structures: dict | None = None):
+        self.algebra = algebra
         self.p = algebra.coeff.p
-        self.dims = algebra.dims()
-        self._columns: dict = {}
-        self._operators: dict = {}
-        self._square = None
         if isinstance(algebra, TensorProduct):
-            dl, left = _integral_products(algebra.left)
-            dr, right = (dl, left) if algebra.right is algebra.left else \
-                _integral_products(algebra.right)
-            self.scale = dl * dr
-            self._square = algebra, left, right
-            return
-        den = self.scale = _denominator(algebra)
-        converted = {}
-        for (d1, i1, d2, i2), row in algebra.table.items():
-            nz = converted.get(id(row))  # a shared row is converted once
-            if nz is None:
-                nz = _scaled(((j, c) for j, c in enumerate(row) if c), den)
-                if self.p == 2:
-                    nz = sum(1 << j for j, _ in nz)
-                converted[id(row)] = nz
-            self._columns.setdefault((d2, i2), {}).setdefault(d1, []).append((i1, nz))
-
-    def _column(self, ds: int, i: int) -> dict:
-        column = self._columns.get((ds, i))
-        if column is None:
-            column = self._columns[(ds, i)] = {}
-            if self._square is not None:
-                T, left, right = self._square
-                for dx, kx, nz in T.row(ds, i, left, right):
-                    if self.p == 2:
-                        nz = sum(1 << j for j, _ in nz)
-                    elif dx & ds & 1:  # x * s = (-1)^(|x| |s|) s * x
-                        nz = tuple((j, -c) for j, c in nz)
-                    column.setdefault(dx, []).append((kx, nz))
-        return column
-
-    def right_multiplication(self, dv: int, ds: int, s: tuple):
-        """Right multiplication by the degree-``ds`` vector with nonzero
-        ``(i2, b)`` pairs ``s``, on degree ``dv``: entry i1 is the product of
-        basis class i1 by it, a bitmask over F2, otherwise a tuple of nonzero
-        ``(j, c)``; None when every such product is zero.  It costs the
-        columns of the support of s only."""
-        key = (dv, ds, s)
-        if key in self._operators:
-            return self._operators[key]
-        p = self.p
-        if p == 2:
-            op = [0] * self.dims[dv]
-            for i2, _ in s:
-                for i1, mask in self._column(ds, i2).get(dv, ()):
-                    op[i1] ^= mask
+            held = structures or {}
+            left = held.get(algebra.left) or IntegerStructure(algebra.left, structures)
+            right = left if algebra.right is algebra.left else \
+                held.get(algebra.right) or IntegerStructure(algebra.right, structures)
+            self._factors = left, right
+            self.scale = left.scale * right.scale
         else:
-            acc: dict[int, dict] = {}
-            for i2, b in s:
-                for i1, row in self._column(ds, i2).get(dv, ()):
-                    a = acc.get(i1)
-                    if a is None:
-                        a = acc[i1] = {}
-                    for j, c in row:
-                        a[j] = a.get(j, 0) + b * c
-            op = [()] * self.dims[dv]
-            for i1, a in acc.items():
-                if p is not None:
-                    op[i1] = tuple((j, c % p) for j, c in a.items() if c % p)
-                else:
-                    op[i1] = tuple((j, c) for j, c in a.items() if c)
-        return self._operators.setdefault(key, op if any(op) else None)
+            self.scale = _denominator(algebra)
+        self._keyed: dict = {}  # (ds, s) -> the lookup keys of s's classes
+
+    @functools.cached_property
+    def constants(self) -> dict:
+        """``nonzero_products`` in ints scaled by ``scale``; a product's
+        (read where it is a factor) by ``row`` from its factors'."""
+        A = self.algebra
+        if isinstance(A, TensorProduct):
+            left, right = (f.constants for f in self._factors)
+            return {(d, k): {(d2, k2): nz for d2, k2, nz in A.row(d, k, left, right)}
+                    for d in range(A.top_degree + 1) for k in range(A.dim(d))}
+        den = self.scale
+        return {key: {key2: _scaled(nz, den) for key2, nz in row.items()}
+                for key, row in A.nonzero_products().items()}
+
+    def products(self, dv: int, v, ds: int, group):
+        """Yield ``(i, v * s)`` for each ``(i, s)`` of ``group``, v of degree
+        dv and each s of degree ds as nonzero ``(index, c)`` int pairs, each
+        product the dict of its nonzero entries (mod p over F_p), scaled by
+        ``scale``: one constant lookup per pair of support classes."""
+        A, p, memo = self.algebra, self.p, self._keyed
+        tensor = isinstance(A, TensorProduct)
+        if tensor:
+            left, right = self._factors[0].constants, self._factors[1].constants
+            pv, starts, widths = A.kunneth_pairs[dv], A.block_start, A._right_dims
+            rows = []  # per class of v: its coefficient, constants and degrees
+            for k1, a in v:
+                p1, i1, q1, j1 = pv[k1]
+                rows.append((a, left[(p1, i1)], right[(q1, j1)], p1, q1))
+        else:
+            constants = self.constants
+            rows = [(a, constants[(dv, k1)]) for k1, a in v]
+        for i, s in group:
+            keys = memo.get((ds, s))
+            if keys is None:
+                keys = memo[(ds, s)] = self._keys(ds, s)
+            acc: dict[int, int] = {}
+            if tensor:
+                for a, lrow, rrow, p1, q1 in rows:
+                    for lkey, rkey, p2, q2, b in keys:
+                        anz = lrow.get(lkey)
+                        bnz = rrow.get(rkey) if anz else None
+                        if bnz is None:
+                            continue
+                        ab = -a * b if q1 & p2 & 1 else a * b  # the Koszul sign
+                        q = q1 + q2
+                        base, width = starts[p1 + p2][q], widths[q]
+                        for ia, ca in anz:
+                            at, c = base + ia * width, ab * ca
+                            for jb, cb in bnz:
+                                acc[at + jb] = acc.get(at + jb, 0) + c * cb
+            else:
+                for a, row in rows:
+                    for key, b in keys:
+                        nz = row.get(key)
+                        if nz is not None:
+                            ab = a * b
+                            for j, c in nz:
+                                acc[j] = acc.get(j, 0) + ab * c
+            if p is None:
+                yield i, {j: c for j, c in acc.items() if c}
+            else:
+                yield i, {j: c % p for j, c in acc.items() if c % p}
+
+    def _keys(self, ds: int, s) -> list:
+        """Per ``(index, b)`` of s, its class's key in ``constants`` and b;
+        in a product, its factor classes' keys and degrees and b."""
+        A = self.algebra
+        if isinstance(A, TensorProduct):
+            pairs = A.kunneth_pairs[ds]
+            return [((p2, i2), (q2, j2), p2, q2, b)
+                    for (p2, i2, q2, j2), b in ((pairs[k2], b) for k2, b in s)]
+        return [((ds, k2), b) for k2, b in s]
 
 
-def _support(w, p: int | None) -> tuple:
-    """Nonzero ``(index, coefficient)`` pairs of a product."""
-    if p == 2:
-        return tuple((j, 1) for j in range(w.bit_length()) if w >> j & 1)
-    return tuple((j, c) for j, c in enumerate(w) if c)
+def _pairs(v) -> tuple:
+    """Nonzero ``(index, coefficient)`` pairs of a dense vector."""
+    return tuple((j, c) for j, c in enumerate(v) if c)
 
 
 def capped_cuplength(query: CupLengthQuery, structures: dict | None = None):
     """Maximum number of generator factors (degree <= cap) with nonzero product.
 
     Returns ``(length, certificate)``; the certificate is None exactly when
-    the length is 0.  Layer t holds monomials ``(degree, support, factors)``
+    the length is 0.  Layer t holds monomials ``(degree, pairs, factors)``
     whose vectors are linearly independent in each degree; layer t + 1 keeps
     a product ``v * s`` only when it grows the rank of its degree, and a
     degree is skipped once its rank equals its width.  The layers are
     absorbing: once one is empty every later one is, and lengths never exceed
     the top degree since each factor has positive degree.
 
-    Products are taken in Python ints: the algebra's
-    :class:`IntegerStructure`, and over Q each spanning vector made its
-    primitive integer multiple.  ``structures`` maps algebras to their
-    structures: one is built on the algebra's first query and reused, with
-    its memoised columns and operators, by every later query on that
-    algebra (``compute_tables`` keeps one such map per run).  Without it
-    the structure is built for this call and dropped with it; nothing is
-    ever stored on the algebra.  A product ``v * s`` is the sum over the
-    support of v of ``v[i1]`` times entry i1 of the operator of s, and is
-    skipped when that operator is None.  Over F2 the operators and products
-    are bitmasks and a product is an XOR.  A target degree out of range or
-    full is skipped at once.  The rank of each degree is tracked by a
-    ``FieldEchelon`` (``F2RankEchelon`` over F2), whose inserts only
-    eliminate forward and never read its rows out in canonical form:
-    whether an insert grows the rank depends on the span alone.  The
-    certificate's factors are the original spanning vectors of the first
-    monomial of the last layer, and its product is that monomial's vector:
-    as it is over F_p and Z (a bitmask over F2), and over Q divided by
+    Products are taken in Python ints by the algebra's
+    :class:`IntegerStructure`, with the nonzero ``(index, c)`` pairs of v and
+    of s, and over Q each spanning vector made its primitive integer
+    multiple.  ``structures`` maps algebras to their structures: one is
+    built on the algebra's first query and reused by every later query on
+    that algebra and by the structure of a product that has it as a factor
+    (``compute_tables`` keeps one such map per run).  Without it the
+    structure is built for this call and dropped with it; nothing is ever
+    stored on the algebra.  The rank of each degree is tracked by a
+    ``SparseRankEchelon`` of the product's dict (``F2RankEchelon`` of its
+    bitmask over F2): whether an insert grows the rank depends on the span
+    alone.  The certificate's factors are the original spanning vectors of
+    the first monomial of the last layer, and its product is that
+    monomial's vector: as it is over F_p and Z, and over Q divided by
     ``D ** (t - 1)`` times the k_i of its t factors, with D the structure's
     ``scale`` and k_i the multiple that made spanning vector i primitive
     and integral.
@@ -290,25 +292,22 @@ def capped_cuplength(query: CupLengthQuery, structures: dict | None = None):
     spanning = _filtered_spanning(query)
     if not spanning:
         return 0, None
-    structure = None if structures is None else structures.get(algebra)
-    if structure is None:
-        structure = IntegerStructure(algebra)
-        if structures is not None:
-            structures[algebra] = structure
+    structure = (structures or {}).get(algebra) or IntegerStructure(algebra, structures)
+    if structures is not None:
+        structures[algebra] = structure
     p = algebra.coeff.p
     if algebra.coeff.kind == RATIONALS:
         ints, ks = _integral(spanning)
     else:
         ints = spanning
     top = algebra.top_degree
-    groups: dict[int, list] = {}  # spanning supports by degree, ascending
+    groups: dict[int, list] = {}  # spanning pairs by degree, ascending
     for i, (ds, s) in enumerate(ints):
-        groups.setdefault(ds, []).append((i, _support(s, None)))
-    right = {}  # (dv, ds) -> the operators of that degree group, fetched lazily
-    layer = [(d, _support(v, None), (i,)) for i, (d, v) in enumerate(ints)]
+        groups.setdefault(ds, []).append((i, _pairs(s)))
+    layer = [(d, _pairs(v), (i,)) for i, (d, v) in enumerate(ints)]
     while True:
         ech, grown = {}, {}
-        for dv, supp, factors in layer:
+        for dv, v, factors in layer:
             for ds, group in groups.items():
                 d = dv + ds
                 if d > top:
@@ -316,48 +315,29 @@ def capped_cuplength(query: CupLengthQuery, structures: dict | None = None):
                 e = ech.get(d)
                 if e is None:
                     width = algebra.dim(d)
-                    e = ech[d] = F2RankEchelon(width) if p == 2 else FieldEchelon(width, p)
+                    e = ech[d] = F2RankEchelon(width) if p == 2 else SparseRankEchelon(width, p)
                     grown[d] = []
                 if e.rank == e.width:
                     continue
-                ops = right.get((dv, ds))
-                if ops is None:
-                    ops = right[(dv, ds)] = [False] * len(group)
-                for k, (i, s) in enumerate(group):
-                    op = ops[k]
-                    if op is False:
-                        op = ops[k] = structure.right_multiplication(dv, ds, s)
-                    if op is None:
-                        continue  # every product of degree dv by s is zero
-                    if p == 2:
-                        w = 0
-                        for i1, _ in supp:
-                            w ^= op[i1]
-                    else:
-                        w = [0] * e.width
-                        for i1, a in supp:
-                            for j, c in op[i1]:
-                                w[j] += a * c
-                        if p is not None:
-                            w = [x % p for x in w]
-                    if e.insert(w):
-                        grown[d].append((d, _support(w, p), factors + (i,)))
+                for i, w in structure.products(dv, v, ds, group):
+                    if w and e.insert(sum(1 << j for j in w) if p == 2 else w):
+                        grown[d].append((d, tuple(w.items()), factors + (i,)))
                         if e.rank == e.width:
                             break
         nxt = [entry for d in sorted(grown) for entry in grown[d]]
         if not nxt:
             break
         layer = nxt
-    d, supp, indices = layer[0]
+    d, pairs, indices = layer[0]
     vector = [algebra.coeff.zero()] * algebra.dim(d)
     if algebra.coeff.kind == RATIONALS:  # undo the scalings of the integer DP
         scale = structure.scale ** (len(indices) - 1)
         for i in indices:
             scale *= ks[i]
-        for j, c in supp:
+        for j, c in pairs:
             vector[j] = c / scale
     else:
-        for j, c in supp:
+        for j, c in pairs:
             vector[j] = c
     factors = [algebra.component_element(*spanning[i]) for i in indices]
     product = algebra.component_element(d, vector)

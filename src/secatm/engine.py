@@ -27,7 +27,8 @@ from __future__ import annotations
 import functools
 from typing import NamedTuple
 
-from .algebra import GradedAlgebra, Subspace, UnsupportedCoefficients, kernel, tensor_square
+from .algebra import (GradedAlgebra, Subspace, TensorProduct, UnsupportedCoefficients,
+                      kernel, tensor_square)
 from .cuplength import CupLengthQuery, capped_cuplength
 from .linalg import FieldEchelon, vis_zero, vsub, vunit
 from .spaces import FibrationModel, MapPairModel, SpaceModel
@@ -236,8 +237,9 @@ class _Engine:
         self.max_m = max_m
         self._pair_cache: dict = {}
         # algebra -> its cup-length IntegerStructure, shared by every DP of
-        # the run; keyed by the algebra itself, which the map keeps alive,
-        # so a dropped algebra's id is never taken for a new one's
+        # the run and by the structure of its square; keyed by the algebra
+        # itself, which the map keeps alive, so a dropped algebra's id is
+        # never taken for a new one's
         self._structures: dict = {}
         # algebra -> its ``_generators``, ranked once per run for cat, tc
         # and the map pairs into it, keyed the same way
@@ -399,15 +401,20 @@ class _Engine:
 
         The length is monotone in the cap, so the sorted caps are bisected: a
         range whose end caps agree is constant and takes the certificate of
-        its lower end, which also verifies at every larger cap."""
+        its lower end, which also verifies at every larger cap.  Caps with the
+        same generators of degree <= cap, those with the same largest such
+        degree, share one DP run, and a cap below every generator has length
+        0 without one."""
         caps = sorted({*range(1, min(last, degmax) + 1), degmax})
-        values = {}
+        values, runs = {}, {0: (0, None)}  # runs: by largest degree <= cap
 
         def compute(i):
-            if caps[i] not in values:
-                values[caps[i]] = capped_cuplength(
-                    CupLengthQuery(algebra, generators, caps[i]), self._structures)
-            return values[caps[i]]
+            key = max((d for d in generators.degrees() if d <= caps[i]), default=0)
+            if key not in runs:
+                runs[key] = capped_cuplength(
+                    CupLengthQuery(algebra, generators, key), self._structures)
+            values[caps[i]] = runs[key]
+            return runs[key]
 
         todo = [(0, len(caps) - 1)]  # index ranges of caps, lower half first
         while todo:
@@ -565,23 +572,35 @@ def _generators(A: GradedAlgebra) -> list[tuple[int, int]]:
     class that grows the rank of the decomposables and the classes kept
     before it.  Ranks are taken over F_p for a prime field and over Q
     otherwise; the cup-length DP decides vanishing by rank over Q, so over
-    Z these generate for it as well."""
-    echelons = [FieldEchelon(n, A.coeff.p) for n in A.dims()]
-    for (d1, _, d2, _), row in A.table.items():
-        e = echelons[d1 + d2]
-        if e.rank < e.width:
-            e.insert(row)
-    generators = []
-    for d in range(1, A.top_degree + 1):
-        e = echelons[d]
-        for i in range(e.width):
-            if e.rank == e.width:
-                break
-            unit = [0] * e.width
-            unit[i] = 1
-            if e.insert(unit):
-                generators.append((d, i))
-    return generators
+    Z these generate for it as well.
+
+    A :class:`TensorProduct` A (x) B is ranked without its table: its
+    degree-d decomposables are the blocks A_p (x) B_(d-p) for 0 < p < d,
+    1 (x) dec(B_d) and dec(A_d) (x) 1, so it keeps the slots of 1 (x) h and
+    g (x) 1 for the factors' generators h and g."""
+
+    def rank(A):
+        if isinstance(A, TensorProduct):
+            return sorted([(d, A.slot(0, 0, d, j)) for d, j in rank(A.right)] +
+                          [(d, A.slot(d, i, 0, 0)) for d, i in rank(A.left)])
+        echelons = [FieldEchelon(n, A.coeff.p) for n in A.dims()]
+        for (d1, _, d2, _), row in A.table.items():
+            e = echelons[d1 + d2]
+            if e.rank < e.width:
+                e.insert(row)
+        generators = []
+        for d in range(1, A.top_degree + 1):
+            e = echelons[d]
+            for i in range(e.width):
+                if e.rank == e.width:
+                    break
+                unit = [0] * e.width
+                unit[i] = 1
+                if e.insert(unit):
+                    generators.append((d, i))
+        return generators
+
+    return rank(A)
 
 
 def _lower_source(inv, model, generators=None):

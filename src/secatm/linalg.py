@@ -1,14 +1,15 @@
 """Exact echelon forms, spans, membership and kernels.
 
 One echelon serves every field: ``FieldEchelon`` eliminates forward only,
-which is all that membership tests and the cup-length DP's rank checks
-need, and back-substitutes once, when its rows are read, into the reduced
-row echelon form.  Over Q it works in Python ints (primitive integer rows) and
-forms the ``Fraction`` RREF only then.  Integer components are kept in row
-Hermite normal form by ``IntEchelon``.  Both read-out forms are canonical
-for the span they carry, so every stored spanning set, kernel and
-certificate is reproducible bit for bit across runs.  ``F2RankEchelon``
-tracks only the rank, of bitmask rows over F2.
+which is all that membership tests need, and back-substitutes once, when
+its rows are read, into the reduced row echelon form.  Over Q it works in
+Python ints (primitive integer rows) and forms the ``Fraction`` RREF only
+then.  Integer components are kept in row Hermite normal form by
+``IntEchelon``.  Both read-out forms are canonical for the span they
+carry, so every stored spanning set, kernel and certificate is
+reproducible bit for bit across runs.  ``SparseRankEchelon`` (over Q and
+F_p, of ``{column: int}`` rows) and ``F2RankEchelon`` (of bitmask rows
+over F2) track only the rank, for the cup-length DP.
 
 Vectors are tuples of domain scalars; over Q ints are accepted as well.
 Kernels over Z are computed by unimodular row reduction of the augmented
@@ -29,6 +30,7 @@ __all__ = [
     "IntEchelon",
     "make_echelon",
     "F2RankEchelon",
+    "SparseRankEchelon",
     "span_rows",
     "kernel_rows",
     "vadd",
@@ -113,9 +115,9 @@ class FieldEchelon:
     primitive integer vectors with a positive pivot; inputs may hold ints or
     ``Fraction``s, and a ``Fraction`` input has its denominators cleared
     once.  Whether an insert grows the rank depends on the span alone, and
-    the rank over Q of int vectors is their rank over Z as well, which is
-    all the cup-length DP asks.  ``rows()`` back-substitutes once into the
-    reduced row echelon form, which is canonical for the span.
+    the rank over Q of int vectors is their rank over Z as well.  ``rows()``
+    back-substitutes once into the reduced row echelon form, which is
+    canonical for the span.
     """
 
     def __init__(self, width: int, p: int | None = None):
@@ -309,6 +311,55 @@ class IntEchelon:
 
     def rows(self) -> tuple[tuple, ...]:
         return tuple(tuple(r) for r in self._rows)
+
+
+class SparseRankEchelon:
+    """The rank of a ``FieldEchelon`` over Q (``p=None``) or F_p, of sparse
+    ``{column: int}`` vectors, with each row keyed by its smallest column:
+    pivot 1 over F_p, fraction-free over Q (Bareiss 1968), primitive with a
+    positive pivot.  The rank is all it tells, which is all the cup-length
+    DP asks; over Q the rank of int vectors is their rank over Z too."""
+
+    def __init__(self, width: int, p: int | None = None):
+        self.width = width
+        self._p = p
+        self._rows: dict[int, dict[int, int]] = {}
+
+    @property
+    def rank(self) -> int:
+        return len(self._rows)
+
+    def insert(self, v: dict) -> bool:
+        """Add v, the dict of its nonzero entries (left unchanged), to the
+        span; True if the rank grew."""
+        rows, p = self._rows, self._p
+        while v:
+            j = min(v)
+            c, row = v[j], rows.get(j)
+            if row is None:
+                if p is not None:
+                    inv = pow(c, p - 2, p)
+                    rows[j] = {k: x * inv % p for k, x in v.items()}
+                else:
+                    g = gcd(*v.values()) if c > 0 else -gcd(*v.values())
+                    rows[j] = {k: x // g for k, x in v.items()}
+                return True
+            # r * v - c * row over gcd(r, c), for r = row[j] (1 over F_p)
+            g = gcd(row[j], c)
+            r, c = row[j] // g, c // g
+            v = {k: r * x for k, x in v.items()}
+            for k, y in row.items():
+                x = v.get(k, 0) - c * y
+                if p is not None:
+                    x %= p
+                if x:
+                    v[k] = x
+                else:
+                    del v[k]
+            g = gcd(*v.values()) if p is None else 1
+            if g > 1:
+                v = {k: x // g for k, x in v.items()}
+        return False
 
 
 class F2RankEchelon:

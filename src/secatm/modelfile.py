@@ -46,13 +46,11 @@ __all__ = ["MAX_M", "ModelFileError", "Query", "LoadedModel", "check_query",
 SCHEMA = "secatm-model/1"
 # bound on the top degree and the number of basis classes of every algebra
 # a model file declares, and on a declared hdim and number of factors,
-# checked before the algebra is built.  Building an explicit one costs
-# about the cube of its size (RP^200 took 12.6 s; a degree of 2^40 never
-# finishes).  A product is built in milliseconds, but its table, built on
-# first read (by the generators its cup-length bounds read), costs as
-# much: a product of 12 circles took 0.01 s, then 26 s and 281 MB.  tc
-# squares an algebra but multiplies by its generators' columns only: tc of
-# RP^31 took 0.02 s and 19 MB in-process (Python 3.11, 2 vCPUs).
+# checked before the algebra is built.  A file validates every algebra it
+# builds, which costs about the cube of its size (RP^200 took 14.4 s and
+# 354 MB; a degree of 2^40 never finishes).  The bounds themselves build no
+# product's table: cat of a product of 12 circles took 0.62 s and 74 MB,
+# and tc of RP^31 0.008 s and 19 MB (in-process, Python 3.11, 2 vCPUs).
 MAX_ALGEBRA_SIZE = 32
 # bound on m, in an m range and for ``--max-m``: the largest m a test asks
 # for.  A table with no dimension parameter (hdm) stores a row per m, and
@@ -290,6 +288,7 @@ class _Loader:
                 args.append(self._spec_coeff(path, spec))
             model = build(*args)
             _check_size(path, [model.algebra])
+            model.algebra.validate()  # the constructors skip it; a file checks all
         else:
             raise ModelFileError(path, f"unknown constructor {kind!r}")
         return replace(model, **fields) if fields else model

@@ -168,9 +168,11 @@ class MapPairModel:
 # ---------------------------------------------------------------------------
 # constructors
 # ---------------------------------------------------------------------------
+# They skip the cubic ``GradedAlgebra.validate``: their products obey the
+# sign law and associativity by construction (tested at small sizes).
 
 def point(coeff: CoefficientDomain = DOMAIN_Q) -> SpaceModel:
-    alg = make_algebra(coeff, {0: ["1"]}, [])
+    alg = make_algebra(coeff, {0: ["1"]}, [], validate=False)
     return SpaceModel(
         alg, conn=0, hdim=0, pi_vanish_from=1, known_cat=0, known_tc=0
     )
@@ -180,7 +182,7 @@ def sphere(n: int, coeff: CoefficientDomain = DOMAIN_Q) -> SpaceModel:
     """S^n: one class ``a`` in degree n with square zero."""
     if n < 1:
         raise ValueError("sphere dimension must be >= 1")
-    alg = make_algebra(coeff, {0: ["1"], n: ["a"]}, [])
+    alg = make_algebra(coeff, {0: ["1"], n: ["a"]}, [], validate=False)
     return SpaceModel(
         alg,
         conn=n - 1,
@@ -210,7 +212,7 @@ def real_projective(n: int) -> SpaceModel:
             right = "x" if d2 == 1 else f"x^{d2}"
             dname = f"x^{d1 + d2}" if d1 + d2 > 1 else "x"
             prods.append((left, right, {dname: 1}))
-    alg = make_algebra(coeff, names, prods)
+    alg = make_algebra(coeff, names, prods, validate=False)
     known_tc = None
     if n in (1, 3, 7):
         known_tc = n
@@ -232,7 +234,7 @@ def complex_projective(n: int) -> SpaceModel:
             left = "u" if k1 == 1 else f"u^{k1}"
             right = "u" if k2 == 1 else f"u^{k2}"
             prods.append((left, right, {f"u^{k1 + k2}": 1}))
-    alg = make_algebra(DOMAIN_Q, names, prods)
+    alg = make_algebra(DOMAIN_Q, names, prods, validate=False)
     return SpaceModel(alg, conn=1, hdim=2 * n, known_cat=n, known_tc=2 * n)
 
 
@@ -243,7 +245,7 @@ def moore(rank: int, n: int, coeff: CoefficientDomain = DOMAIN_Q) -> SpaceModel:
     if not coeff.is_field:
         raise ValueError("Moore models use field coefficients")
     names = {0: ["1"], n: [f"e{i + 1}" for i in range(rank)]}
-    alg = make_algebra(coeff, names, [])
+    alg = make_algebra(coeff, names, [], validate=False)
     return SpaceModel(alg, conn=n - 1, hdim=n, known_cat=1)
 
 
@@ -258,7 +260,7 @@ def orientable_surface(g: int) -> SpaceModel:
     prods = []
     for i in range(1, g + 1):
         prods.append((f"a{i}", f"b{i}", {"w": 1}))
-    alg = make_algebra(DOMAIN_Q, names, prods)
+    alg = make_algebra(DOMAIN_Q, names, prods, validate=False)
     return SpaceModel(
         alg,
         conn=0,
@@ -278,7 +280,7 @@ def nonorientable_surface(h: int) -> SpaceModel:
     prods = []
     for i in range(1, h + 1):
         prods.append((f"v{i}", f"v{i}", {"w": 1}))
-    alg = make_algebra(coeff, names, prods)
+    alg = make_algebra(coeff, names, prods, validate=False)
     return SpaceModel(
         alg, conn=0, hdim=2, pi_vanish_from=2, known_cat=2, known_tc=4
     )

@@ -255,6 +255,36 @@ def test_dp_matches_oracle_and_certificates_check(query):
     assert again.factor_strings() == cert.factor_strings()
 
 
+# -- zero divisors of Kunneth products against the oracle ---------------------
+#
+# The tc DP on the square of a product of spaces multiplies through nested
+# TensorProducts, whose factors' constants are built from their own
+# factors'.  The oracle multiplies the same zero divisors out through
+# ``mul_vectors``.
+
+@st.composite
+def kunneth_square_queries(draw):
+    """The square of a product of one to three small spaces, the span of
+    its g (x) 1 - 1 (x) g, and a cap; sized to stay within the oracle's
+    guards."""
+    coeff = draw(st.sampled_from([Q, F2, Z]))
+    factors = [draw(st.one_of(FACTORS[coeff])) for _ in range(draw(st.integers(1, 3)))]
+    P = product(factors).algebra
+    assume(P.total_dim <= (3 if coeff == F2 else 8))
+    T, generators = square_zero_divisors(P)
+    cap = draw(st.one_of(st.none(), st.integers(1, T.top_degree)))
+    return CupLengthQuery(T, generators, cap)
+
+
+@settings(max_examples=40, deadline=None)
+@given(kunneth_square_queries())
+def test_dp_on_squares_of_products_matches_the_oracle(query):
+    length, cert = capped_cuplength(query)
+    assert length == brute_force_cuplength(query, max_len=query.algebra.top_degree + 1)
+    assert (cert is None) == (length == 0)
+    assert cert is None or cert.verify(cap=query.cap)
+
+
 # -- rational structure constants -----------------------------------------------
 #
 # Over Q the DP multiplies primitive integer vectors through structure
@@ -407,8 +437,9 @@ def test_one_structure_map_serves_squares_built_and_dropped_in_turn():
 # -- products of spaces: nested thin products against plain copies -------------
 #
 # spaces.product nests TensorProducts, (A (x) B) (x) C for three factors,
-# and builds no table.  The cat DP reads the product's lazy columns and the
-# tc DP the columns of its square; on a plain GradedAlgebra with the same
+# and builds no table.  The cat DP multiplies through the product's factors'
+# constants and the tc DP through those of its square; on a plain
+# GradedAlgebra with the same
 # table both must find the same lengths and certificates.
 
 PRODUCTS_OF_SPACES = [
@@ -455,27 +486,18 @@ def test_products_of_spaces_give_the_dp_results_of_a_plain_copy(build):
 
 
 # ---------------------------------------------------------------------------
-# the square's lazy columns against its table
+# products from the factors' constants against the square's table
 # ---------------------------------------------------------------------------
 
-def _operator_vector(op_entry, width, p):
-    """An operator entry (a bitmask over F2, else ``(j, c)`` pairs) as a
-    coefficient list."""
-    if p == 2:
-        return [op_entry >> j & 1 for j in range(width)]
-    out = [0] * width
-    for j, c in op_entry:
-        out[j] = c
-    return out
-
-
 def assert_columns_match_the_table(A, every_class):
-    """Every right multiplication of ``IntegerStructure`` of the square of
-    ``A`` by the zero divisors ``g (x) 1 - 1 (x) g`` and the classes of their
-    support (by every class of positive degree with ``every_class``) against
-    the same products read from the square's table by ``mul_vectors``: one
-    nonzero rational scale for all of them (1 off Q), and an operator that
-    is None exactly when every product vanishes."""
+    """The columns of right multiplication by the zero divisors ``g (x) 1 -
+    1 (x) g`` of the square of ``A`` and by the classes of their support
+    (by every class of positive degree with ``every_class``), each basis
+    class times s from ``IntegerStructure.products``, against the same
+    products read from the square's table by ``mul_vectors``: one nonzero
+    rational scale for all of them (1 off Q), and an empty dict exactly
+    where a product vanishes.  The structure of A itself is checked the
+    same way against A's own table."""
     T, left, right = tensor_square(A)
     E = plain_copy(tensor_square(A)[0])  # the same basis, multiplying by its table
     vectors = [(d, vsub(T.coeff, left.mats[d][i], right.mats[d][i]))
@@ -487,27 +509,25 @@ def assert_columns_match_the_table(A, every_class):
         unit = [0] * T.dim(ds)
         unit[i] = 1
         vectors.append((ds, tuple(unit)))
-    structure, p, scale = IntegerStructure(T), T.coeff.p, None
-    for ds, s in vectors:
-        pairs = tuple((i, c) for i, c in enumerate(s) if c)
-        for dv in range(1, T.top_degree - ds + 1):
-            op = structure.right_multiplication(dv, ds, pairs)
-            products = []
-            for i1 in range(T.dim(dv)):
-                v = [0] * T.dim(dv)
-                v[i1] = 1
-                products.append(E.mul_vectors(dv, tuple(v), ds, s))
-            if all(vis_zero(w) for w in products):
-                assert op is None, (dv, ds, s)
-                continue
-            assert op is not None and len(op) == T.dim(dv), (dv, ds, s)
-            for entry, w in zip(op, products):
-                got = _operator_vector(entry, len(w), p)
-                if scale is None and not vis_zero(w):  # the first nonzero product
-                    j = next(j for j, c in enumerate(w) if c)
-                    scale = Fraction(got[j]) / Fraction(w[j])
-                    assert scale != 0 and (T.coeff == Q or scale == 1)
-                assert got == [(scale or 0) * c for c in w], (dv, ds, s)
+    own = [(d, tuple(int(j == i) for j in range(A.dim(d))))
+           for d in range(1, A.top_degree + 1) for i in range(A.dim(d))]
+    for X, reference, xs in [(T, E, vectors), (A, A, own)]:
+        structure, scale = IntegerStructure(X), None
+        for ds, s in xs:
+            pairs = tuple((i, c) for i, c in enumerate(s) if c)
+            for dv in range(1, X.top_degree - ds + 1):
+                for i1 in range(X.dim(dv)):
+                    (_, got), = structure.products(dv, ((i1, 1),), ds, [(0, pairs)])
+                    v = [0] * X.dim(dv)
+                    v[i1] = 1
+                    w = reference.mul_vectors(dv, tuple(v), ds, s)
+                    assert all(c for c in got.values()) and (not got) == vis_zero(w)
+                    if got and scale is None:  # the first nonzero product
+                        j = next(iter(got))
+                        scale = Fraction(got[j]) / Fraction(w[j])
+                        assert scale != 0 and (X.coeff == Q or scale == 1)
+                    want = {j: scale * c for j, c in enumerate(w) if c}
+                    assert got == want, (dv, i1, ds, s)
 
 
 @settings(max_examples=40, deadline=None)
@@ -543,18 +563,20 @@ def test_square_columns_match_the_square_table_on_the_ladder():
 @pytest.mark.parametrize("build, zcl", [
     (lambda: real_projective(8), 15),
     (lambda: product([sphere(1, Q)] * 4), 4),
-], ids=["rp8", "t4q"])
-def test_tc_builds_square_columns_for_the_generator_support_only(build, zcl):
-    # a tc DP multiplies by g (x) 1 - 1 (x) g alone, so the square's
-    # structure holds the columns of those classes and no other
-    T, zero_divisors, _ = _lower_source("tc", build())
-    structures = {}
+    (lambda: orientable_surface(3), 4),
+], ids=["rp8", "t4q", "sigma3"])
+def test_tc_builds_no_table_and_no_per_class_data_for_the_square(build, zcl):
+    # a tc DP multiplies through the factor's constants: the square builds
+    # neither its table nor constants of its own, and the factor's
+    # structure, when the map holds it already, is the one it reads
+    space = build()
+    A = space.algebra
+    T, zero_divisors, _ = _lower_source("tc", space)
+    structures = {A: IntegerStructure(A)}
     assert capped_cuplength(CupLengthQuery(T, zero_divisors), structures)[0] == zcl
-    support = {(d, i) for d, rows in zero_divisors.rows.items()
-               for v in rows for i, c in enumerate(v) if c}
-    built = set(structures[T]._columns)
-    assert built == support
-    assert len(built) == 2 * len(zero_divisors.rows[1]) < T.total_dim
+    assert list(structures) == [A, T]
+    assert "table" not in vars(T) and "constants" not in vars(structures[T])
+    assert structures[T]._factors == (structures[A], structures[A])
 
 
 # ---------------------------------------------------------------------------

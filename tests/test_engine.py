@@ -61,7 +61,7 @@ from secatm.spaces import (
 )
 from secatm.tables import INF, InconsistentModel, table_to_json
 
-from test_algebra import cup_algebras
+from test_algebra import cup_algebras, kunneth_factors, plain_copy
 
 
 def entry(tables, inv, name, m):
@@ -291,6 +291,46 @@ class TestGenerators:
         # x^2 = 2y vanishes over F2, where y is a generator
         A = make_algebra(GF(2), {2: ["x"], 4: ["y"]}, [("x", "x", {"y": 2})])
         assert generator_names(A) == ["x", "y"]
+
+
+# The generators of a Kunneth product come from its factors' through
+# TensorProduct.slot, without its table; differential check against the
+# ranking of a plain copy that holds the table.
+
+def assert_product_generators_match_the_table(P):
+    ranked = _generators(P)
+    assert "table" not in vars(P)
+    assert ranked == _generators(plain_copy(P))
+
+
+@settings(max_examples=60, deadline=None)
+@given(kunneth_factors())
+def test_product_generators_match_the_table_ranking(factors):
+    assert_product_generators_match_the_table(kunneth_product(*factors)[0])
+
+
+def test_product_generators_match_the_table_ranking_on_rules_wide_products():
+    makers = _perfbench_cases().rules_wide_catalogue()["product"]
+    assert len(makers) > 40
+    for make in makers.values():
+        (_, _, space), = make()
+        assert_product_generators_match_the_table(space.algebra)
+
+
+@pytest.mark.parametrize("inv", ["cat", "tc"])
+@pytest.mark.parametrize("factors", [
+    lambda: [sphere(1, Q), sphere(2, Q)],
+    lambda: [orientable_surface(2), complex_projective(2)],
+    lambda: [real_projective(3), sphere(2, GF(2))],
+], ids=["s1xs2", "sigma2xcp2", "rp3xs2"])
+def test_dp_on_a_product_of_plain_factors_builds_no_product_table(inv, factors):
+    space = product(factors())
+    bundle = Bundle()
+    bundle.add_space("p", space)
+    table = compute_tables(bundle, targets=[(inv, "p")])[(inv, "p")]
+    assert table.lower_bounds_applied
+    assert any(ev.rule == "cup_length" for events in table.events.values() for ev in events)
+    assert "table" not in vars(space.algebra)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from secatm.linalg import (
     F2RankEchelon,
     FieldEchelon,
     IntEchelon,
+    SparseRankEchelon,
     kernel_rows,
     make_echelon,
     span_rows,
@@ -303,3 +304,28 @@ def test_rank_echelon_over_q_sees_rational_dependence():
     assert not ech.insert([3, 6])
     assert ech.insert([0, -5])
     assert ech.rank == 2
+
+
+# -- the sparse rank echelon against the dense one ------------------------------
+#
+# The cup-length DP hands its products to ``SparseRankEchelon`` as dicts of
+# their nonzero entries.  Differential check against ``FieldEchelon`` on the
+# same vectors: the same answer and the same rank after every insert, and the
+# inserted dict left as it was.
+
+@pytest.mark.parametrize("p, entry", [(None, st.integers(-5, 5)), (3, st.integers(0, 2))],
+                         ids=["Q", "F3"])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_sparse_rank_echelon_agrees_with_the_field_echelon(p, entry, data):
+    w = data.draw(st.integers(1, 9))
+    pool = data.draw(st.lists(st.tuples(*[entry] * w), min_size=1, max_size=4))
+    rows = data.draw(st.lists(st.sampled_from(pool) | st.tuples(*[entry] * w),
+                              min_size=1, max_size=12))
+    dense, sparse = FieldEchelon(w, p), SparseRankEchelon(w, p)
+    for v in rows:
+        d = {j: x for j, x in enumerate(v) if x}
+        kept = dict(d)
+        assert sparse.insert(d) == dense.insert(list(v))
+        assert sparse.rank == dense.rank
+        assert d == kept

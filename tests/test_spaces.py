@@ -1,6 +1,6 @@
 import pytest
 
-from secatm.domains import GF, Q
+from secatm.domains import GF, Q, Z
 from secatm.algebra import CoefficientMismatch, RingMorphism, image_difference
 from secatm.spaces import (
     FibrationModel,
@@ -231,3 +231,25 @@ class TestMapPairModel:
                 domain=s, codomain=s, fstar=ident, gstar=ident,
                 triangle=(leg1, leg2),
             )
+
+
+# The constructors skip GradedAlgebra.validate (graded sign law and
+# associativity, cubic in the size); every one of them, at small sizes and
+# over each coefficient ring it accepts, must pass it.
+
+F3 = GF(3)
+CONSTRUCTED = (
+    [point(c) for c in (Q, GF(2), F3, Z)]
+    + [sphere(n, c) for n in range(1, 5) for c in (Q, GF(2), F3, Z)]
+    + [real_projective(n) for n in range(2, 10)]
+    + [complex_projective(n) for n in range(1, 6)]
+    + [moore(r, n, c) for r in (1, 2, 3) for n in (2, 3) for c in (Q, GF(2), F3)]
+    + [orientable_surface(g) for g in range(1, 5)]
+    + [nonorientable_surface(h) for h in range(2, 6)]
+)
+
+
+def test_every_constructor_passes_validation():
+    assert len(CONSTRUCTED) == 4 + 16 + 8 + 5 + 18 + 4 + 4
+    for space in CONSTRUCTED:
+        space.algebra.validate()
