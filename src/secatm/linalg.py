@@ -155,7 +155,7 @@ class FieldEchelon:
         p = self._p
         # domain scalars over Q are Fractions, so their first entry tells;
         # else the sum is a Fraction exactly when an entry is, one C-level
-        # pass over the DP's ints (slow past a Fraction: int rows are kept int)
+        # pass over int rows (slow past a Fraction: int rows are kept int)
         if p is None and (type(v[0]) is Fraction or type(sum(v)) is Fraction):
             v = clear_denominators(v)
         found = self._reduce(v)
