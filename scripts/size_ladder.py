@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Time tc and cat of growing spaces, one rung per subprocess.
 
-    python scripts/size_ladder.py [--quick] [--timeout SECONDS] [RUNG ...]
+    python scripts/size_ladder.py [--quick]
 
 The rungs are tc of RP^n, of the orientable surfaces Sigma_g, of the tori
 T^k and of CP^n, and cat of T^k, past the sizes the model files accept.
@@ -11,15 +11,14 @@ table as target.  A line per rung gives the seconds of the build and the
 run, the child's peak RSS (the interpreter and the import included), the
 classical interval and the classical lower bound of a second, untimed run
 without literature values, which is the cup-length bound; or ``timeout``
-when the child ran past ``--timeout`` seconds.
+when the child ran past ``TIMEOUT_S`` seconds.
 
 Where the classical value is known on a rung (tc(T^k) = k, tc(Sigma_g) = 4
 for g >= 2, tc(CP^n) = 2n, cat(T^k) = k) the interval must be exactly that
 value and the lower bound without literature must reach it; the exit code
 is 1 when they do not or a rung failed.  ``--quick``
-runs the small rungs only, in a few seconds in all.  Naming rungs runs
-those.  Standard library only; the package is imported from this
-checkout's ``src``.
+runs the small rungs only, in a few seconds in all.  Standard library
+only; the package is imported from this checkout's ``src``.
 """
 
 from __future__ import annotations
@@ -33,6 +32,7 @@ import sys
 import time
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+TIMEOUT_S = 300  # seconds per rung, well above the slowest (tc of Sigma_48)
 
 # name -> (invariant, the space as text, its constructor given the
 # secatm.spaces module, its known classical value)
@@ -75,29 +75,21 @@ def run_rung(name: str) -> dict:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("rungs", nargs="*", metavar="RUNG",
-                        help=f"rungs to run, of: {', '.join(RUNGS)}")
     parser.add_argument("--quick", action="store_true", help="the small rungs only")
-    parser.add_argument("--timeout", type=float, default=120.0,
-                        help="seconds a rung may take (default 120)")
-    parser.add_argument("--child", help=argparse.SUPPRESS)
+    parser.add_argument("--child", choices=RUNGS, help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.child:
         print(json.dumps(run_rung(args.child)))
         return 0
-    unknown = [r for r in args.rungs if r not in RUNGS]
-    if unknown:
-        parser.error(f"unknown rungs {unknown}")
-    names = args.rungs or (QUICK if args.quick else list(RUNGS))
     failed = 0
     print(f"{'rung':<12} {'invariant':<14} {'seconds':>9} {'peak MB':>8}  "
           f"{'interval':<12} no-literature lower bound")
-    for name in names:
+    for name in QUICK if args.quick else RUNGS:
         inv, space, _, known = RUNGS[name]
         what = f"{inv}({space})"
         try:
             child = subprocess.run([sys.executable, __file__, "--child", name],
-                                   capture_output=True, text=True, timeout=args.timeout)
+                                   capture_output=True, text=True, timeout=TIMEOUT_S)
         except subprocess.TimeoutExpired:
             print(f"{name:<12} {what:<14} {'timeout':>9}", flush=True)
             failed += 1
