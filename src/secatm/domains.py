@@ -143,7 +143,8 @@ class CoefficientDomain:
     # -- parsing of domain labels ----------------------------------------
     @staticmethod
     def from_label(label) -> "CoefficientDomain":
-        """Parse ``"Q"``, ``"Z"``, ``"F<p>"`` or ``{"p": <p>}``."""
+        """Parse ``"Q"``, ``"Z"``, ``"F<p>"`` (p in ASCII digits) or
+        ``{"p": <p>}``."""
         if isinstance(label, CoefficientDomain):
             return label
         if isinstance(label, dict) and set(label) == {"p"}:
@@ -153,7 +154,7 @@ class CoefficientDomain:
                 return Q
             if label == "Z":
                 return Z
-            if label.startswith("F") and label[1:].isdigit():
+            if label.startswith("F") and label[1:].isascii() and label[1:].isdigit():
                 return GF(int(label[1:]))
         raise ValueError(f"unknown coefficient domain: {label!r}")
 

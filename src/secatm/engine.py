@@ -594,9 +594,7 @@ def _generators(A: GradedAlgebra) -> list[tuple[int, int]]:
             for i in range(e.width):
                 if e.rank == e.width:
                     break
-                unit = [0] * e.width
-                unit[i] = 1
-                if e.insert(unit):
+                if e.insert({i: 1}):
                     generators.append((d, i))
         return generators
 

@@ -1,17 +1,18 @@
 """Exact echelon forms, spans, membership and kernels.
 
-One echelon serves every field: ``FieldEchelon`` eliminates forward only,
-which is all that membership tests need, and back-substitutes once, when
-its rows are read, into the reduced row echelon form.  Over Q it works in
-Python ints (primitive integer rows) and forms the ``Fraction`` RREF only
-then.  Integer components are kept in row Hermite normal form by
-``IntEchelon``.  Both read-out forms are canonical for the span they
-carry, so every stored spanning set, kernel and certificate is
-reproducible bit for bit across runs.  ``SparseRankEchelon`` (over Q and
-F_p, of ``{column: int}`` rows) and ``F2RankEchelon`` (of bitmask rows
-over F2) track only the rank, for the cup-length DP.
+One echelon serves every field: ``FieldEchelon`` keeps sparse rows over Q
+and F_p, eliminates forward only, which is all that membership tests and
+ranks need, and back-substitutes once, when its rows are read, into the
+reduced row echelon form.  Over Q it works in Python ints (primitive
+integer rows) and forms the ``Fraction`` RREF only then.  Integer
+components are kept in row Hermite normal form by ``IntEchelon``.  Both
+read-out forms are canonical for the span they carry, so every stored
+spanning set, kernel and certificate is reproducible bit for bit across
+runs.  ``F2RankEchelon`` tracks only the rank, of bitmask rows over F2,
+for the cup-length DP.
 
-Vectors are tuples of domain scalars; over Q ints are accepted as well.
+Vectors are tuples of domain scalars; over Q ints are accepted as well, and
+``FieldEchelon`` takes dicts of nonzero int entries too.
 Kernels over Z are computed by unimodular row reduction of the augmented
 matrix ``[M | I]``: the rows whose ``M`` part vanishes project onto a basis
 of the full kernel lattice, which is the same lattice a Smith-normal-form
@@ -30,7 +31,6 @@ __all__ = [
     "IntEchelon",
     "make_echelon",
     "F2RankEchelon",
-    "SparseRankEchelon",
     "span_rows",
     "kernel_rows",
     "vadd",
@@ -108,14 +108,16 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
 class FieldEchelon:
     """Span of vectors over Q (``p=None``) or F_p, by forward elimination.
 
-    Rows live in a pivot -> row dict and are reduced only against the rows
-    of smaller pivot, so ``insert`` and ``contains`` never back-substitute.
-    Over F_p inputs hold residues in ``[0, p)`` and rows are scaled to pivot
-    1 and reduced ``% p``.  Over Q rows are fraction-free (Bareiss 1968):
-    primitive integer vectors with a positive pivot; inputs may hold ints or
-    ``Fraction``s, and a ``Fraction`` input has its denominators cleared
-    once.  Whether an insert grows the rank depends on the span alone, and
-    the rank over Q of int vectors is their rank over Z as well.  ``rows()``
+    Rows are sparse ``{column: int}`` dicts, each keyed by its smallest
+    column, its pivot, and reduced only against the rows of smaller pivot,
+    so ``insert`` and ``contains`` never back-substitute.  Over F_p rows
+    are scaled to pivot 1 and reduced ``% p``.  Over Q rows are
+    fraction-free (Bareiss 1968): primitive integer vectors with a positive
+    pivot.  Inputs are dense vectors (residues over F_p; ints or
+    ``Fraction``s over Q, a ``Fraction`` input having its denominators
+    cleared once) or dicts of nonzero ints, which are left unchanged.
+    Whether an insert grows the rank depends on the span alone, and the
+    rank over Q of int vectors is their rank over Z as well.  ``rows()``
     back-substitutes once into the reduced row echelon form, which is
     canonical for the span.
     """
@@ -123,98 +125,95 @@ class FieldEchelon:
     def __init__(self, width: int, p: int | None = None):
         self.width = width
         self._p = p
-        self._rows: dict[int, list[int]] = {}
+        self._rows: dict[int, dict[int, int]] = {}
 
     @property
     def rank(self) -> int:
         return len(self._rows)
 
-    def _reduce(self, v):
-        """Eliminate v forward, left to right, up to the first column where
-        it is nonzero and no row has its pivot: that column and the reduced
-        vector, or None when v lies in the span."""
-        rows, p = self._rows, self._p
-        for j in range(self.width):
-            c = v[j]
-            if not c:
-                continue
-            row = rows.get(j)
-            if row is None:
-                return j, v
-            # row is zero left of j, and so is v: only columns >= j change
+    def _sparse(self, v) -> dict[int, int]:
+        """The nonzero entries of v, integral over Q."""
+        if isinstance(v, dict):
+            return v
+        # domain scalars over Q are Fractions, so their first entry tells;
+        # else the sum is a Fraction exactly when an entry is, one C-level
+        # pass over int rows
+        if self._p is None and v and (type(v[0]) is Fraction or type(sum(v)) is Fraction):
+            v = clear_denominators(v)
+        return {j: x for j, x in enumerate(v) if x}
+
+    def _eliminate(self, v: dict[int, int], j: int) -> dict[int, int]:
+        """``r*v - c*row`` over gcd(r, c), for ``row`` the row of pivot j,
+        ``r = row[j] > 0`` and ``c = v[j]``, reduced mod p or made
+        primitive: zero at j, and a positive multiple of v on every column
+        where row is zero.  v is left unchanged."""
+        row, p = self._rows[j], self._p
+        g = gcd(row[j], v[j])
+        r, c = row[j] // g, v[j] // g
+        v = {k: r * x for k, x in v.items()} if r != 1 else dict(v)
+        for k, y in row.items():
+            x = v.get(k, 0) - c * y
             if p is not None:
-                v = [(x - c * y) % p for x, y in zip(v, row)]
+                x %= p
+            if x:
+                v[k] = x
             else:
-                v = _eliminate(v, row, j, c)
+                del v[k]
+        if p is None:
+            g = gcd(*v.values())
+            if g > 1:
+                v = {k: x // g for k, x in v.items()}
+        return v
+
+    def _reduce(self, v: dict[int, int]):
+        """Eliminate v at its smallest column while some row has its pivot
+        there: that column and the reduced vector, or None when v lies in
+        the span."""
+        rows = self._rows
+        while v:
+            j = min(v)
+            if j not in rows:
+                return j, v
+            v = self._eliminate(v, j)
         return None
 
     def insert(self, v) -> bool:
         """Add v to the span; True if the rank grew."""
-        if not any(v):
-            return False
-        p = self._p
-        # domain scalars over Q are Fractions, so their first entry tells;
-        # else the sum is a Fraction exactly when an entry is, one C-level
-        # pass over int rows (slow past a Fraction: int rows are kept int)
-        if p is None and (type(v[0]) is Fraction or type(sum(v)) is Fraction):
-            v = clear_denominators(v)
-        found = self._reduce(v)
+        found = self._reduce(self._sparse(v))
         if found is None:
             return False
         j, v = found
-        c = v[j]
+        c, p = v[j], self._p
         if p is not None:
             inv = pow(c, p - 2, p)
-            self._rows[j] = [x * inv % p for x in v]
+            self._rows[j] = {k: x * inv % p for k, x in v.items()}
         else:
-            g = gcd(*v)
-            self._rows[j] = [x // g for x in v] if c > 0 else [-x // g for x in v]
+            g = gcd(*v.values()) if c > 0 else -gcd(*v.values())
+            self._rows[j] = {k: x // g for k, x in v.items()}
         return True
 
     def contains(self, v) -> bool:
         """True if v lies in the span."""
-        if self._p is None:
-            v = clear_denominators(v)
-        return self._reduce(v) is None
+        return self._reduce(self._sparse(v)) is None
 
     def rows(self) -> tuple[tuple, ...]:
         """The reduced row echelon basis, ``Fraction``s over Q and residues
         over F_p.  Each row, last pivot first, is cleared in the pivot
-        columns right of its own, whose rows are already reduced."""
+        columns right of its own, in increasing order; their rows are
+        already reduced, so clearing one column leaves the others."""
         rows, p = self._rows, self._p
         pivots = sorted(rows)
-        for k in range(len(pivots) - 1, -1, -1):
-            r = rows[pivots[k]]
-            for j in pivots[k + 1:]:
-                c = r[j]
-                if c:
-                    if p is not None:
-                        r = [(x - c * y) % p for x, y in zip(r, rows[j])]
-                    else:
-                        r = _eliminate(r, rows[j], j, c)
-            rows[pivots[k]] = r
-        if p is not None:
-            return tuple(tuple(rows[j]) for j in pivots)
-        zero = Fraction(0)
-        return tuple(
-            tuple(Fraction(x, rows[j][j]) if x else zero for x in rows[j])
-            for j in pivots
-        )
-
-
-def _eliminate(v: list[int], row: list[int], piv: int, c: int) -> list[int]:
-    """``p*v - c*row`` over gcd(p, c), divided by its content, where
-    ``c = v[piv]`` and ``p = row[piv] > 0``: zero at ``piv``, and a positive
-    multiple of v on every column where row is zero."""
-    p = row[piv]
-    g = gcd(p, c)
-    p, c = p // g, c // g
-    if p == 1:
-        v = [x - c * y for x, y in zip(v, row)]
-    else:
-        v = [p * x - c * y for x, y in zip(v, row)]
-    g = gcd(*v)
-    return [x // g for x in v] if g > 1 else v
+        for i in reversed(pivots):
+            for j in sorted(j for j in rows[i] if j > i and j in rows):
+                rows[i] = self._eliminate(rows[i], j)
+        zero = 0 if p is not None else Fraction(0)
+        out = []
+        for i in pivots:
+            v = [zero] * self.width
+            for k, x in rows[i].items():
+                v[k] = x if p is not None else Fraction(x, rows[i][i])
+            out.append(tuple(v))
+        return tuple(out)
 
 
 class IntEchelon:
@@ -311,55 +310,6 @@ class IntEchelon:
 
     def rows(self) -> tuple[tuple, ...]:
         return tuple(tuple(r) for r in self._rows)
-
-
-class SparseRankEchelon:
-    """The rank of a ``FieldEchelon`` over Q (``p=None``) or F_p, of sparse
-    ``{column: int}`` vectors, with each row keyed by its smallest column:
-    pivot 1 over F_p, fraction-free over Q (Bareiss 1968), primitive with a
-    positive pivot.  The rank is all it tells, which is all the cup-length
-    DP asks; over Q the rank of int vectors is their rank over Z too."""
-
-    def __init__(self, width: int, p: int | None = None):
-        self.width = width
-        self._p = p
-        self._rows: dict[int, dict[int, int]] = {}
-
-    @property
-    def rank(self) -> int:
-        return len(self._rows)
-
-    def insert(self, v: dict) -> bool:
-        """Add v, the dict of its nonzero entries (left unchanged), to the
-        span; True if the rank grew."""
-        rows, p = self._rows, self._p
-        while v:
-            j = min(v)
-            c, row = v[j], rows.get(j)
-            if row is None:
-                if p is not None:
-                    inv = pow(c, p - 2, p)
-                    rows[j] = {k: x * inv % p for k, x in v.items()}
-                else:
-                    g = gcd(*v.values()) if c > 0 else -gcd(*v.values())
-                    rows[j] = {k: x // g for k, x in v.items()}
-                return True
-            # r * v - c * row over gcd(r, c), for r = row[j] (1 over F_p)
-            g = gcd(row[j], c)
-            r, c = row[j] // g, c // g
-            v = {k: r * x for k, x in v.items()}
-            for k, y in row.items():
-                x = v.get(k, 0) - c * y
-                if p is not None:
-                    x %= p
-                if x:
-                    v[k] = x
-                else:
-                    del v[k]
-            g = gcd(*v.values()) if p is None else 1
-            if g > 1:
-                v = {k: x // g for k, x in v.items()}
-        return False
 
 
 class F2RankEchelon:

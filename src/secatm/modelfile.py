@@ -201,7 +201,7 @@ def parse_model(data: dict, coeff_override: str | None = None) -> LoadedModel:
     try:
         coeff = CoefficientDomain.from_label(coeff_label)
     except (ValueError, KeyError) as e:
-        raise ModelFileError("coeff", str(e))
+        raise ModelFileError("coeff" if coeff_override is None else "--coeff", str(e))
     loader = _Loader(data, coeff)
     return loader.load()
 

@@ -254,21 +254,27 @@ class TestPaperSuite:
     # integers in text take ASCII digits only: int() reads " +1_0" as 10,
     # "٢" as 2 and "١..٣" as 1..3
 
-    @pytest.mark.parametrize("text", [" 2", "+2", "1_0", "٢", "١..٣"])
+    @pytest.mark.parametrize("text", [" 2", "+2", "1_0", "٢", "３", "١..٣"])
     def test_integers_in_text_take_ascii_digits_only(self, tmp_path, capsys, text):
         path = tmp_path / "model.json"
         path.write_text(json.dumps(base_doc(queries=[{"target": "s2", "invariant": "cat"}])))
-        bad_degree = base_doc(spaces={"x": {"algebra": {"basis": {"0": ["1"], text: ["a"]}}}})
-        degree_path = tmp_path / "degree.json"
-        degree_path.write_text(json.dumps(bad_degree))
-        bad_m = base_doc(queries=[{"target": "s2", "invariant": "cat", "m": text}])
-        m_path = tmp_path / "m.json"
-        m_path.write_text(json.dumps(bad_m))
+        label = "F" + text  # "F٢" and "F３" must not read as F2 and F3
+        bad = {
+            "degree": base_doc(spaces={"x": {"algebra": {"basis": {"0": ["1"], text: ["a"]}}}}),
+            "m": base_doc(queries=[{"target": "s2", "invariant": "cat", "m": text}]),
+            "coeff": base_doc(coeff=label),
+            "space_coeff": base_doc(spaces={"x": {"construct": "sphere", "n": 2, "coeff": label}}),
+        }
+        for name, doc in bad.items():
+            (tmp_path / f"{name}.json").write_text(json.dumps(doc))
         for argv, where in [
-            (["bounds", str(degree_path)], f"spaces.x.algebra.basis.{text}: "),
-            (["bounds", str(m_path)], "queries[0].m: "),
+            (["bounds", str(tmp_path / "degree.json")], f"spaces.x.algebra.basis.{text}: "),
+            (["bounds", str(tmp_path / "m.json")], "queries[0].m: "),
             (["bounds", str(path), "s2", "cat", text], "mrange: "),
             (["bounds", str(path), "--max-m", text], "--max-m: "),
+            (["bounds", str(tmp_path / "coeff.json")], "coeff: "),
+            (["bounds", str(tmp_path / "space_coeff.json")], "spaces.x.coeff: "),
+            (["bounds", str(path), "--coeff", label], "--coeff: "),
         ]:
             assert main(argv) == 1, argv
             captured = capsys.readouterr()

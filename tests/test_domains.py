@@ -64,8 +64,9 @@ def test_from_label_forms():
     assert CoefficientDomain.from_label("Z") is Z
     assert CoefficientDomain.from_label("F7") == GF(7)
     assert CoefficientDomain.from_label({"p": 3}) == GF(3)
-    with pytest.raises(ValueError):
-        CoefficientDomain.from_label("R")
+    for label in ("R", "F٣", "F３", "F 3", "F+3"):
+        with pytest.raises(ValueError):
+            CoefficientDomain.from_label(label)
 
 
 def test_scalar_json_round_trip():

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,7 +9,6 @@ from secatm.linalg import (
     F2RankEchelon,
     FieldEchelon,
     IntEchelon,
-    SparseRankEchelon,
     kernel_rows,
     make_echelon,
     span_rows,
@@ -228,9 +228,30 @@ _FIELDS = {
 @st.composite
 def field_matrix(draw, field):
     w = draw(st.integers(1, 8))
-    n = draw(st.integers(1, 6))
     entry = _FIELDS[field][2]
-    return [tuple(draw(entry) for _ in range(w)) for _ in range(n)], w
+    row = st.tuples(*[entry] * w)
+    # repeats from a small pool make dependent inserts common
+    pool = draw(st.lists(row, min_size=1, max_size=3))
+    return draw(st.lists(st.sampled_from(pool) | row, min_size=1, max_size=6)), w
+
+
+def _dict_form(v):
+    """The nonzero entries of v's least integral multiple (v itself for int
+    vectors): the form in which the cup-length DP hands over its products."""
+    k = lcm(*[Fraction(x).denominator for x in v])
+    return {j: int(x * k) for j, x in enumerate(v) if x}
+
+
+def assert_rows_in_normal_form(ech, p):
+    """Each stored row is keyed by its smallest column, its pivot: 1 over
+    F_p with every entry a nonzero residue, and over Q positive in a
+    primitive int row, which keeps the entries from growing."""
+    for j, r in ech._rows.items():
+        assert j == min(r) and all(x for x in r.values())
+        if p is None:
+            assert r[j] > 0 and gcd(*r.values()) == 1
+        else:
+            assert r[j] == 1 and all(0 < x < p for x in r.values())
 
 
 @pytest.mark.parametrize("field", sorted(_FIELDS))
@@ -239,13 +260,18 @@ def field_matrix(draw, field):
 def test_field_echelon_matches_reference(field, data):
     dom, p, entry = _FIELDS[field]
     rows, w = data.draw(field_matrix(field))
-    ech = make_echelon(dom, w)
+    ech, sparse = make_echelon(dom, w), FieldEchelon(w, p)
     for k, v in enumerate(rows):
         before = ech.rank
         grew = ech.insert(v)
+        d = _dict_form(v)
+        kept = dict(d)
+        assert sparse.insert(d) == grew
+        assert d == kept
         want = _ref_rref(rows[:k + 1], w, p)
-        assert ech.rows() == want
-        assert ech.rank == len(want) == before + grew
+        assert ech.rows() == want == sparse.rows()
+        assert ech.rank == sparse.rank == len(want) == before + grew
+        assert_rows_in_normal_form(sparse, p)
     if p is None:
         assert all(type(x) is Fraction for r in ech.rows() for x in r)
     assert span_rows(dom, rows, w) == _ref_rref(rows, w, p)
@@ -253,6 +279,7 @@ def test_field_echelon_matches_reference(field, data):
     probe = data.draw(st.tuples(*[entry] * w))
     rank = len(_ref_rref(rows, w, p))
     assert ech.contains(probe) == (len(_ref_rref(rows + [probe], w, p)) == rank)
+    assert sparse.contains(_dict_form(probe)) == ech.contains(probe)
     for v in rows:
         assert ech.contains(v)
 
@@ -263,7 +290,8 @@ def test_field_echelon_matches_reference(field, data):
 # rank, so the rank after every insert is checked against a reference: the
 # reference RREF over Q and F3, the Hermite-form lattice over Z (whose rank
 # is the rank over Q), and the canonical echelon for the bitmask echelon over
-# F2 (bit j is entry j).  Inputs are the DP's int vectors.
+# F2 (bit j is entry j).  Inputs are the DP's int vectors, handed over as
+# the DP does: as dicts of their nonzero entries, and as bitmasks over F2.
 
 _RANK_DOMAINS = {
     "Q": (FieldEchelon, st.integers(-4, 4), lambda rows, w: len(_ref_rref(rows, w))),
@@ -292,7 +320,7 @@ def test_rank_echelon_agrees_with_the_canonical_echelon(label, data):
     ranked = make_rank(w)
     for k, v in enumerate(rows):
         before, rank = ranked.rank, reference_rank(rows[:k + 1], w)
-        assert ranked.insert(_mask(v) if label == "F2" else list(v)) == (rank > before)
+        assert ranked.insert(_mask(v) if label == "F2" else _dict_form(v)) == (rank > before)
         assert ranked.rank == rank
 
 
@@ -304,28 +332,3 @@ def test_rank_echelon_over_q_sees_rational_dependence():
     assert not ech.insert([3, 6])
     assert ech.insert([0, -5])
     assert ech.rank == 2
-
-
-# -- the sparse rank echelon against the dense one ------------------------------
-#
-# The cup-length DP hands its products to ``SparseRankEchelon`` as dicts of
-# their nonzero entries.  Differential check against ``FieldEchelon`` on the
-# same vectors: the same answer and the same rank after every insert, and the
-# inserted dict left as it was.
-
-@pytest.mark.parametrize("p, entry", [(None, st.integers(-5, 5)), (3, st.integers(0, 2))],
-                         ids=["Q", "F3"])
-@settings(max_examples=100, deadline=None)
-@given(data=st.data())
-def test_sparse_rank_echelon_agrees_with_the_field_echelon(p, entry, data):
-    w = data.draw(st.integers(1, 9))
-    pool = data.draw(st.lists(st.tuples(*[entry] * w), min_size=1, max_size=4))
-    rows = data.draw(st.lists(st.sampled_from(pool) | st.tuples(*[entry] * w),
-                              min_size=1, max_size=12))
-    dense, sparse = FieldEchelon(w, p), SparseRankEchelon(w, p)
-    for v in rows:
-        d = {j: x for j, x in enumerate(v) if x}
-        kept = dict(d)
-        assert sparse.insert(d) == dense.insert(list(v))
-        assert sparse.rank == dense.rank
-        assert d == kept
