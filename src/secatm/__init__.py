@@ -21,25 +21,13 @@ from .algebra import (
     MultiplicativityViolation,
     RingMorphism,
     Subspace,
-    SubspaceMismatch,
     UnitViolation,
-    UnsupportedCoefficients,
-    cup_kernel,
-    image_difference,
     kernel,
     kunneth_product,
     make_algebra,
-    multiply,
-    pushforward_span,
     tensor_square,
 )
-from .cuplength import (
-    CupLengthCertificate,
-    CupLengthQuery,
-    SizeGuardExceeded,
-    brute_force_cuplength,
-    capped_cuplength,
-)
+from .cuplength import CupLengthCertificate, CupLengthQuery, capped_cuplength
 from .spaces import (
     FibrationModel,
     MapPairModel,
@@ -64,16 +52,7 @@ from .tables import (
     table_from_json,
     table_to_json,
 )
-from .engine import (
-    Bundle,
-    cat_lower,
-    compute_tables,
-    default_max_m,
-    dm_lower,
-    hdm_lower,
-    secat_lower,
-    tc_lower,
-)
+from .engine import Bundle, compute_tables, default_max_m
 from .modelfile import ModelFileError, load_model_file, parse_model
 
 __version__ = "0.1.0"

@@ -25,23 +25,16 @@ __all__ = [
     "CoefficientMismatch",
     "MorphismMismatch",
     "MultiplicativityViolation",
-    "SubspaceMismatch",
-    "UnsupportedCoefficients",
     "GradedAlgebra",
     "TensorProduct",
     "Element",
     "RingMorphism",
     "Subspace",
     "make_algebra",
-    "multiply",
     "tensor_square",
     "kunneth_product",
     "tensor_morphism",
     "kernel",
-    "cup_kernel",
-    "multiplication_morphism",
-    "image_difference",
-    "pushforward_span",
 ]
 
 
@@ -78,14 +71,6 @@ class MorphismMismatch(AlgebraError):
 
 
 class MultiplicativityViolation(AlgebraError):
-    pass
-
-
-class SubspaceMismatch(AlgebraError):
-    pass
-
-
-class UnsupportedCoefficients(AlgebraError):
     pass
 
 
@@ -430,11 +415,6 @@ class Element:
             else:
                 out += f" + {term}"
         return out
-
-
-def multiply(a: Element, b: Element) -> Element:
-    """Cup product of two elements of the same algebra."""
-    return a * b
 
 
 # ---------------------------------------------------------------------------
@@ -894,25 +874,6 @@ class _Inclusion(RingMorphism):
                 for d in range(A.top_degree + 1)}
 
 
-def multiplication_morphism(A: GradedAlgebra, T: TensorProduct | None = None):
-    """The cup-product map ``A (x) A -> A`` as a ring morphism.
-
-    If the tensor square was already built, pass it in to keep basis
-    orderings shared; otherwise it is constructed here.
-    """
-    if T is None:
-        T, _, _ = tensor_square(A)
-    dom = A.coeff
-    mats = {}
-    for d in range(T.top_degree + 1):
-        rows = []
-        for (dl, il, dr, ir) in T.kunneth_pairs[d]:
-            prod = A.mul_basis(dl, il, dr, ir)
-            rows.append(prod if prod is not None else vzero(dom, A.dim(d)))
-        mats[d] = tuple(rows)
-    return T, RingMorphism(T, A, mats, validate=False)
-
-
 def tensor_morphism(phi: RingMorphism, psi: RingMorphism,
                     source_tensor=None, target_tensor=None):
     """Tensor product of two degree-preserving morphisms, between the
@@ -978,12 +939,6 @@ class Subspace:
                 rows.setdefault(d, []).append(v)
         return Subspace(algebra, rows)
 
-    @staticmethod
-    def positive_part(algebra: GradedAlgebra) -> "Subspace":
-        """Span of all positive-degree basis classes."""
-        return Subspace(algebra, {d: [vunit(algebra.coeff, n, i) for i in range(n)]
-                                  for d, n in enumerate(algebra.dims()) if d and n})
-
     def degrees(self) -> tuple[int, ...]:
         return tuple(self.rows)
 
@@ -1045,79 +1000,3 @@ def kernel(phi: RingMorphism) -> Subspace:
             continue
         rows[d] = kernel_rows(alg.coeff, list(phi.mats[d]), phi.target.dim(d))
     return Subspace._of_canonical(alg, rows)
-
-
-def _cup_kernel_rows(A: GradedAlgebra, T: TensorProduct) -> dict:
-    """The basis ``a (x) b - 1 (x) ab`` of the kernel of the cup product
-    ``A (x) A -> A``, one element per basis class ``a`` of positive degree
-    and basis class ``b``, as coefficient rows over the basis of the tensor
-    square ``T``, by degree.
-
-    The cup product is split by ``c -> 1 (x) c``, so these elements span its
-    kernel, and their ``a (x) b`` terms with ``|a| > 0`` make them
-    independent; over Z they are a basis of the kernel lattice.  Rows are
-    int vectors, over Q scaled by their common denominator, which changes
-    no span; the echelon takes them without a ``Fraction`` pass."""
-    dom, top = A.coeff, T.top_degree
-    rows: dict[int, list] = {}
-    for p in range(1, min(top, A.top_degree) + 1):
-        for q in range(min(top - p, A.top_degree) + 1):
-            d = p + q
-            for i in range(A.dim(p)):
-                for j in range(A.dim(q)):
-                    row = [0] * T.dim(d)
-                    row[T.slot(p, i, q, j)] = 1
-                    for k, c in enumerate(A.mul_basis(p, i, q, j) or ()):
-                        if c != 0:
-                            row[T.slot(0, 0, d, k)] = dom.neg(c)
-                    rows.setdefault(d, []).append(linalg.clear_denominators(row))
-    return rows
-
-
-def cup_kernel(A: GradedAlgebra, tensor=None) -> Subspace:
-    """Kernel of the cup-product map inside the tensor square of ``A``
-    (built here unless passed in), the span of the explicit basis
-    ``a (x) b - 1 (x) ab`` with ``|a| > 0``; no elimination of the
-    multiplication map is needed.
-
-    Only available over a field; over Z raise ``UnsupportedCoefficients``.
-    """
-    if not A.coeff.is_field:
-        raise UnsupportedCoefficients(
-            "zero-divisor kernels need field coefficients"
-        )
-    if tensor is None:
-        tensor, _, _ = tensor_square(A)
-    return Subspace(tensor, _cup_kernel_rows(A, tensor))
-
-
-def image_difference(f: RingMorphism, g: RingMorphism) -> Subspace:
-    """Degreewise span of ``(f - g)(basis)`` in the common target."""
-    if f.source is not g.source or f.target is not g.target:
-        raise MorphismMismatch("morphisms do not share source and target")
-    dom = f.source.coeff
-    rows = {}
-    for d in range(f.source.top_degree + 1):
-        rs = []
-        for i in range(f.source.dim(d)):
-            diff = linalg.vsub(dom, f.mats[d][i], g.mats[d][i])
-            if not vis_zero(diff):
-                rs.append(diff)
-        if rs:
-            rows[d] = rs
-    return Subspace(f.target, rows)
-
-
-def pushforward_span(phi: RingMorphism, S: Subspace) -> Subspace:
-    """Degreewise span of the images of a subspace's spanning set."""
-    if S.algebra is not phi.source:
-        raise SubspaceMismatch("subspace does not live in the morphism source")
-    rows = {}
-    for d, rs in S.rows.items():
-        if d > phi.target.top_degree:
-            continue
-        imgs = [phi.apply_component(d, v) for v in rs]
-        imgs = [v for v in imgs if not vis_zero(v)]
-        if imgs:
-            rows[d] = imgs
-    return Subspace(phi.target, rows)

@@ -1,4 +1,4 @@
-"""Exact degree-capped cup-length with certificates and a brute-force oracle.
+"""Exact degree-capped cup-length with certificates.
 
 The main computation is a span dynamic program: with S the spanning set of
 the generator subspace filtered to degree <= cap, iterate
@@ -51,20 +51,14 @@ from .domains import RATIONALS
 # make_echelon is not used here any more, but perfbench/tracer.py wraps the
 # echelon factory by this module's name
 from .linalg import (  # noqa: F401
-    F2RankEchelon, FieldEchelon, clear_denominators, make_echelon, vis_zero,
+    F2RankEchelon, FieldEchelon, clear_denominators, make_echelon,
 )
 
 __all__ = [
     "CupLengthQuery",
     "CupLengthCertificate",
-    "SizeGuardExceeded",
     "capped_cuplength",
-    "brute_force_cuplength",
 ]
-
-
-class SizeGuardExceeded(ValueError):
-    """Brute-force search space is too large to enumerate."""
 
 
 @dataclass
@@ -346,69 +340,3 @@ def capped_cuplength(query: CupLengthQuery, structures: dict | None = None):
     factors = [algebra.component_element(*spanning[i]) for i in indices]
     product = algebra.component_element(d, vector)
     return len(factors), CupLengthCertificate(factors=factors, product=product)
-
-
-def _f2_candidates(sub: Subspace) -> list[tuple[int, tuple]]:
-    """All nonzero homogeneous elements of an F2 subspace, degree by degree."""
-    dom = sub.algebra.coeff
-    out = []
-    for d in sorted(sub.rows):
-        rows = sub.rows[d]
-        k = len(rows)
-        width = sub.algebra.dim(d)
-        for mask in range(1, 1 << k):
-            v = [0] * width
-            for b in range(k):
-                if mask >> b & 1:
-                    for j, c in enumerate(rows[b]):
-                        v[j] = dom.add(v[j], c)
-            if not vis_zero(tuple(v)):
-                out.append((d, tuple(v)))
-    return out
-
-
-def brute_force_cuplength(query: CupLengthQuery, max_len: int) -> int:
-    """Independent exhaustive oracle for ``capped_cuplength``.
-
-    Over F2 it enumerates every nonzero homogeneous element of the generator
-    subspace; over Q, Z and odd prime fields it enumerates sequences drawn
-    from the spanning set, which by the expansion argument decides the same
-    question.  Guarded: the F2 mode requires algebra total dimension <= 14,
-    the sequence mode a filtered spanning set of <= 14 vectors.
-    """
-    algebra = query.algebra
-    dom = algebra.coeff
-    sub = query.generators.restricted(query.cap)
-    is_f2 = dom.kind == "prime_field" and dom.p == 2
-    if is_f2:
-        if algebra.total_dim > 14:
-            raise SizeGuardExceeded(
-                f"algebra dimension {algebra.total_dim} exceeds the F2 guard of 14"
-            )
-        candidates = _f2_candidates(sub)
-    else:
-        spanning = _filtered_spanning(query)
-        if len(spanning) > 14:
-            raise SizeGuardExceeded(
-                f"spanning set size {len(spanning)} exceeds the guard of 14"
-            )
-        candidates = spanning
-
-    best = 0
-
-    def search(d, v, length):
-        nonlocal best
-        best = max(best, length)
-        if length >= max_len:
-            return
-        for ds, s in candidates:
-            dd = d + ds
-            if dd > algebra.top_degree:
-                continue
-            w = algebra.mul_vectors(d, v, ds, s)
-            if w is not None and not vis_zero(w):
-                search(dd, w, length + 1)
-
-    for d, v in candidates:
-        search(d, v, 1)
-    return best

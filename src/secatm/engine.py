@@ -27,8 +27,7 @@ from __future__ import annotations
 import functools
 from typing import NamedTuple
 
-from .algebra import (GradedAlgebra, Subspace, TensorProduct, UnsupportedCoefficients,
-                      kernel, tensor_square)
+from .algebra import GradedAlgebra, Subspace, TensorProduct, kernel, tensor_square
 from .cuplength import CupLengthQuery, capped_cuplength
 from .linalg import FieldEchelon, vis_zero, vsub, vunit
 from .spaces import FibrationModel, MapPairModel, SpaceModel
@@ -39,11 +38,6 @@ __all__ = [
     "KIND_OF",
     "compute_tables",
     "default_max_m",
-    "cat_lower",
-    "tc_lower",
-    "secat_lower",
-    "dm_lower",
-    "hdm_lower",
 ]
 
 
@@ -640,49 +634,3 @@ def _lower_source(inv, model, generators=None):
         if not vis_zero(diff):
             rows.setdefault(d, []).append(diff)
     return X, Subspace(X, rows), "im(f* - g*)"
-
-
-# ---------------------------------------------------------------------------
-# standalone lower-bound operations
-# ---------------------------------------------------------------------------
-
-def _lower(inv, model, cap) -> int | None:
-    source = _lower_source(inv, model)
-    if source is None:
-        return None
-    algebra, generators, _ = source
-    return capped_cuplength(CupLengthQuery(algebra, generators, cap))[0]
-
-
-def cat_lower(space: SpaceModel, cap: int | None) -> int:
-    """Capped cup-length of H^+, read from its algebra generators of
-    degree <= cap."""
-    return _lower("cat", space, cap)
-
-
-def tc_lower(space: SpaceModel, cap: int | None) -> int:
-    """Capped zero-divisor cup-length, read from ``g (x) 1 - 1 (x) g`` for
-    the algebra generators g of degree <= cap; field coefficients only."""
-    length = _lower("tc", space, cap)
-    if length is None:
-        raise UnsupportedCoefficients("zero-divisor kernels need field coefficients")
-    return length
-
-
-def secat_lower(fib: FibrationModel, cap: int | None) -> int:
-    """Cup-length of the pullback kernel, capped."""
-    return _lower("secat", fib, cap)
-
-
-def hdm_lower(pair: MapPairModel, cap: int | None) -> int:
-    """Capped cup-length of the ideal of im(f* - g*), read from
-    ``(f* - g*)(g)`` for the codomain's algebra generators g of degree
-    <= cap."""
-    return _lower("hdm", pair, cap)
-
-
-def dm_lower(pair: MapPairModel, cap: int | None) -> int:
-    """The capped cup-length of hdm's source, over any coefficients: the
-    codomain's zero divisors pushed along (f, g) lie in the same ideal and
-    hold its generators (see ``_lower_source``)."""
-    return _lower("dm", pair, cap)

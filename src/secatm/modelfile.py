@@ -139,13 +139,20 @@ def _name(value, where: str) -> str:
     return value
 
 
-def _block(data: dict, key: str, kind: type) -> dict | list:
-    """A top-level block, which must be a JSON object (or list) when present."""
-    value = data.get(key, kind())
+def _collection(value, kind: type, where: str) -> dict | list:
+    """``value`` if it is a JSON object (``kind`` dict) or list (``kind``
+    list); anything else is rejected, since iteration or ``dict(...)`` would
+    read a string as its characters, an object as its keys and a list of
+    pairs as an object."""
     if not isinstance(value, kind):
         expected = "an object" if kind is dict else "a list"
-        raise ModelFileError(key, f"expected {expected}, got {value!r}")
+        raise ModelFileError(where, f"expected {expected}, got {value!r}")
     return value
+
+
+def _block(data: dict, key: str, kind: type) -> dict | list:
+    """A top-level block, which must be a JSON object (or list) when present."""
+    return _collection(data.get(key, kind()), kind, key)
 
 
 def _optional_integer(spec: dict, key: str, path: str) -> int | None:
@@ -186,7 +193,9 @@ def load_model_file(path: str, coeff_override: str | None = None) -> LoadedModel
             data = json.load(fh)
     except OSError as e:
         raise ModelFileError(path, f"cannot read file: {e}")
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:
+        # ValueError: bad syntax, bytes that are not UTF-8, or an integer of
+        # more digits than int() converts; RecursionError: deep nesting
         raise ModelFileError(path, f"not valid JSON: {e}")
     return parse_model(data, coeff_override)
 
@@ -309,7 +318,8 @@ class _Loader:
             fields["h_space_with_division"] = _flag(
                 spec["h_space_with_division"], f"{path}.h_space_with_division")
         if "factors" in spec:
-            fields["factors"] = [self.model("spaces", f, path) for f in spec["factors"]]
+            fields["factors"] = [self.model("spaces", f, path) for f in
+                                 _collection(spec["factors"], list, f"{path}.factors")]
             # each factor costs one Kunneth product, also a point
             _bounded(len(fields["factors"]), f"{path}.factors", "the number of factors")
         if "square" in spec:
@@ -336,8 +346,10 @@ class _Loader:
             basis[degree] = names
         _bounded(sum(map(len, basis.values())), f"{path}.basis", "the number of basis classes")
         products = []
-        for i, entry in enumerate(spec.get("products", [])):
-            if not (isinstance(entry, (list, tuple)) and len(entry) == 3):
+        for i, entry in enumerate(_collection(spec.get("products", []), list,
+                                              f"{path}.products")):
+            if not (isinstance(entry, (list, tuple)) and len(entry) == 3
+                    and isinstance(entry[2], dict)):
                 raise ModelFileError(
                     f"{path}.products[{i}]", "expected [left, right, {name: coeff}]"
                 )
@@ -350,12 +362,15 @@ class _Loader:
     # -- fibrations and map pairs ----------------------------------------------
     def _fibration(self, path: str, spec) -> sp.FibrationModel:
         if spec.get("construct") == "product_fibration":
-            factors = [self.model("fibrations", f, path) for f in spec["factors"]]
+            factors = [self.model("fibrations", f, path) for f in
+                       _collection(spec["factors"], list, f"{path}.factors")]
             if len(factors) != 2:
                 raise ModelFileError(path, "product_fibration takes two factors")
             _check_size(path, [f.base.algebra for f in factors])
             _check_size(path, [f.total_algebra for f in factors])
             return sp.product_fibration(factors[0], factors[1])
+        if "construct" in spec:
+            raise ModelFileError(path, f"unknown constructor {spec['construct']!r}")
         base = self.model("spaces", spec["base"], path)
         total = spec["total"]
         if isinstance(total, str):
@@ -407,15 +422,17 @@ class _Loader:
         kind = spec["kind"]
         if kind == "identity" and source is not target:
             raise ModelFileError(path, "identity morphism needs equal source and target")
+        if kind == "images":
+            images = _collection(spec.get("images", {}), dict, f"{path}.images")
+            for name, combo in images.items():
+                _collection(combo, dict, f"{path}.images.{name}")
         try:
             if kind == "identity":
                 return RingMorphism.identity(source)
             if kind in ("augmentation", "constant"):
                 return RingMorphism.augmentation(source, target)
             if kind == "images":
-                return RingMorphism.from_images(
-                    source, target, dict(spec.get("images", {}))
-                )
+                return RingMorphism.from_images(source, target, images)
         except (AlgebraError, TypeError, ValueError) as e:
             raise ModelFileError(path, str(e))
         raise ModelFileError(path, f"unknown morphism kind {kind!r}")

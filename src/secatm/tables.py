@@ -203,9 +203,6 @@ class BoundTable:
     def interval(self, m) -> Interval:
         return self.rows[self.row(m)]
 
-    def finite_ms(self) -> range:
-        return range(1, self.max_m + 1)
-
     def key(self) -> tuple[str, str]:
         return (self.invariant, self.target)
 

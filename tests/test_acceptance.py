@@ -2,10 +2,11 @@
 (tolerance zero) and prints one pass/fail line."""
 
 import json
+from pathlib import Path
 
 from secatm.domains import GF, Q, Z
-from secatm.algebra import Subspace, cup_kernel, make_algebra
-from secatm.cuplength import CupLengthQuery, brute_force_cuplength, capped_cuplength
+from secatm.algebra import Subspace, make_algebra
+from secatm.cuplength import CupLengthQuery, capped_cuplength
 from secatm.engine import Bundle, compute_tables
 from secatm.goldens import all_cases, evaluate_case, run_suite
 from secatm.spaces import (
@@ -19,6 +20,8 @@ from secatm.spaces import (
     sphere,
 )
 from secatm.tables import INF
+
+from reference import brute_force_cuplength, cup_kernel, positive_part
 
 
 def _report(number, label, fn):
@@ -85,16 +88,16 @@ def test_criterion_06_moore_tables():
     def check():
         tables = _golden("moore")
         t = tables[("cat", "m23q")]
-        for m in t.finite_ms():
+        for m in range(1, t.max_m + 1):
             assert t.interval(m).as_pair() == ((0, 0) if m < 3 else (1, 1))
         assert t.interval(INF).as_pair() == (1, 1)
         # interval honesty in the odd rank-one case: [1, 2] is the answer
         t = tables[("tc", "m13q")]
-        for m in t.finite_ms():
+        for m in range(1, t.max_m + 1):
             assert t.interval(m).as_pair() == ((0, 0) if m < 3 else (1, 2))
         assert t.interval(INF).as_pair() == (1, 2)
         t = tables[("tc", "m24q")]
-        for m in t.finite_ms():
+        for m in range(1, t.max_m + 1):
             assert t.interval(m).as_pair() == ((0, 0) if m < 4 else (2, 2))
         assert t.interval(INF).as_pair() == (2, 2)
     _report(6, "cat and tc of Moore-type models", check)
@@ -152,7 +155,7 @@ def test_criterion_10_unitary_group_distance():
         tables = _golden("unitary_distance")
         for inv in ("dm", "hdm"):
             t = tables[(inv, "idinv")]
-            for m in t.finite_ms():
+            for m in range(1, t.max_m + 1):
                 assert t.interval(m).as_pair() == ((1, 1) if m < 3 else (2, 2))
             assert t.interval(INF).as_pair() == (2, 2)
     _report(10, "distances for the unitary group pair", check)
@@ -165,33 +168,33 @@ def _oracle_corpus():
     corpus = []
     for n in range(2, 9):
         alg = real_projective(n).algebra
-        corpus.append((f"rp{n}+", alg, Subspace.positive_part(alg)))
+        corpus.append((f"rp{n}+", alg, positive_part(alg)))
     for h in (2, 3):
         alg = nonorientable_surface(h).algebra
-        corpus.append((f"n{h}+", alg, Subspace.positive_part(alg)))
+        corpus.append((f"n{h}+", alg, positive_part(alg)))
     alg = moore(3, 4, GF(2)).algebra
-    corpus.append(("moore34f2+", alg, Subspace.positive_part(alg)))
+    corpus.append(("moore34f2+", alg, positive_part(alg)))
     ck = cup_kernel(real_projective(2).algebra)
     corpus.append(("rp2-zdiv", ck.algebra, ck))
     corpus.append(
-        ("rp2x2+", ck.algebra, Subspace.positive_part(ck.algebra))
+        ("rp2x2+", ck.algebra, positive_part(ck.algebra))
     )
 
     # sequence-mode corpora over Q
     s24 = product([sphere(2, Q), sphere(4, Q)]).algebra
-    corpus.append(("s2xs4+", s24, Subspace.positive_part(s24)))
+    corpus.append(("s2xs4+", s24, positive_part(s24)))
     ck = cup_kernel(s24)
     corpus.append(("s2xs4-zdiv", ck.algebra, ck))
     cp2 = complex_projective(2).algebra
-    corpus.append(("cp2+", cp2, Subspace.positive_part(cp2)))
+    corpus.append(("cp2+", cp2, positive_part(cp2)))
     ck = cup_kernel(cp2)
     corpus.append(("cp2-zdiv", ck.algebra, ck))
     m23 = moore(2, 3, Q).algebra
-    corpus.append(("moore23q+", m23, Subspace.positive_part(m23)))
+    corpus.append(("moore23q+", m23, positive_part(m23)))
     ck = cup_kernel(m23)
     corpus.append(("moore23q-zdiv", ck.algebra, ck))
     torus = orientable_surface(1).algebra
-    corpus.append(("torus+", torus, Subspace.positive_part(torus)))
+    corpus.append(("torus+", torus, positive_part(torus)))
     ck = cup_kernel(torus)
     corpus.append(("torus-zdiv", ck.algebra, ck))
 
@@ -201,7 +204,7 @@ def _oracle_corpus():
         {0: ["1"], 1: ["x1"], 3: ["x3"], 4: ["x1x3"]},
         [("x1", "x3", {"x1x3": 1})],
     )
-    corpus.append(("exterior-z+", ext, Subspace.positive_part(ext)))
+    corpus.append(("exterior-z+", ext, positive_part(ext)))
     doubled = Subspace.from_elements(
         ext,
         [ext.basis_element("x1").scale(2), ext.basis_element("x3").scale(2)],
@@ -234,12 +237,12 @@ def test_criterion_12_property_suite():
             all_tables.extend(tables.values())
         # interval validity and monotonicity in m, classical column dominating
         for t in all_tables:
-            los = [t.lo(m) for m in t.finite_ms()]
+            los = [t.lo(m) for m in range(1, t.max_m + 1)]
             assert los == sorted(los), t.key()
-            his = [t.hi(m) for m in t.finite_ms()]
+            his = [t.hi(m) for m in range(1, t.max_m + 1)]
             finite_his = [h for h in his if h is not None]
             assert finite_his == sorted(finite_his), t.key()
-            for m in t.finite_ms():
+            for m in range(1, t.max_m + 1):
                 lo, hi = t.interval(m).as_pair()
                 assert hi is None or lo <= hi
                 assert t.lo(INF) >= lo
@@ -278,3 +281,11 @@ def test_criterion_12_property_suite():
             for m in tables[(inv, "pt")].index:
                 assert tables[(inv, "pt")].interval(m).as_pair() == (0, 0)
     _report(12, "interval validity, witnesses, determinism, point spaces", check)
+
+
+def test_readme_library_example_runs():
+    # the python block under README's "## Library" heading, run as it stands
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    section = readme.read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})

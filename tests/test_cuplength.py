@@ -7,7 +7,6 @@ from secatm.domains import GF, Q, Z
 from secatm.algebra import (
     Subspace,
     TensorProduct,
-    cup_kernel,
     kunneth_product,
     make_algebra,
     tensor_square,
@@ -16,8 +15,6 @@ from secatm.cuplength import (
     CupLengthCertificate,
     CupLengthQuery,
     IntegerStructure,
-    SizeGuardExceeded,
-    brute_force_cuplength,
     capped_cuplength,
 )
 from secatm.engine import _generators, _lower_source
@@ -33,12 +30,13 @@ from secatm.spaces import (
     SpaceModel,
 )
 
+from reference import SizeGuardExceeded, brute_force_cuplength, cup_kernel, positive_part
 from test_algebra import SQUARE_FACTORS, cup_algebras, odd_rational, plain_copy
 from test_engine import _over, _perfbench_cases
 
 
 def positive_query(algebra, cap):
-    return CupLengthQuery(algebra, Subspace.positive_part(algebra), cap)
+    return CupLengthQuery(algebra, positive_part(algebra), cap)
 
 
 class TestCappedCuplength:
@@ -181,7 +179,7 @@ class TestCertificates:
 
     def test_factors_come_from_spanning_set(self):
         alg = real_projective(4).algebra
-        sub = Subspace.positive_part(alg)
+        sub = positive_part(alg)
         q = CupLengthQuery(alg, sub, 1)
         _, cert = capped_cuplength(q)
         spanning = sub.spanning_elements()
@@ -635,7 +633,7 @@ def generator_subspaces(draw, A):
 @given(st.data())
 def test_certificate_products_equal_their_factors_multiplied_out(data):
     A = data.draw(cup_algebras())
-    assert_certificate_products_multiply_out(A, Subspace.positive_part(A))
+    assert_certificate_products_multiply_out(A, positive_part(A))
     assert_certificate_products_multiply_out(A, data.draw(generator_subspaces(A)))
     if A.total_dim <= 16:  # multiplying out in the square is slow past that
         assert_certificate_products_multiply_out(*square_zero_divisors(A))
@@ -644,7 +642,7 @@ def test_certificate_products_equal_their_factors_multiplied_out(data):
 @pytest.mark.parametrize("build", SQUARE_FACTORS)
 def test_certificate_products_equal_their_factors_multiplied_out_with_fractions(build):
     A = build()
-    assert_certificate_products_multiply_out(A, Subspace.positive_part(A))
+    assert_certificate_products_multiply_out(A, positive_part(A))
     assert_certificate_products_multiply_out(*square_zero_divisors(A))
 
 
@@ -657,7 +655,7 @@ def test_certificate_products_equal_their_factors_multiplied_out_on_the_ladder()
             A = _over(build().algebra, coeff)
             if A is None:
                 continue
-            assert_certificate_products_multiply_out(A, Subspace.positive_part(A))
+            assert_certificate_products_multiply_out(A, positive_part(A))
             if cid != "rp16cat":  # a cat rung
                 assert_certificate_products_multiply_out(*square_zero_divisors(A))
             checked.add(coeff.label)

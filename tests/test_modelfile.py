@@ -36,9 +36,10 @@ def covers_doc():
 
 
 def run_validate(doc, tmp_path, timeout):
-    """``secatm validate`` on ``doc`` in a fresh interpreter."""
+    """``secatm validate`` on ``doc`` (or on raw file bytes) in a fresh
+    interpreter."""
     model = tmp_path / "model.json"
-    model.write_text(json.dumps(doc))
+    model.write_bytes(doc if isinstance(doc, bytes) else json.dumps(doc).encode())
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=src)
     return subprocess.run(
@@ -324,6 +325,51 @@ class TestDiagnostics:
         doc = self.basis_doc({"0": ["1"], "2": "ab"})
         assert_rejected(doc, "spaces.x.algebra.basis.2", tmp_path, capsys)
 
+    # a string or an object in place of a list was read as its characters or
+    # keys, and an object given as a list of pairs went through dict(...)
+    WRONG_LISTS = ("ab", {"a": 1, "b": 2})
+
+    def test_space_factors_must_be_a_list(self, tmp_path, capsys):
+        spaces = {"a": {"construct": "sphere", "n": 1}, "b": {"construct": "sphere", "n": 3}}
+        for factors in self.WRONG_LISTS:
+            doc = base_doc(spaces={**spaces, "x": {"construct": "product", "factors": factors}})
+            assert_rejected(doc, "spaces.x.factors", tmp_path, capsys)
+
+    def test_fibration_factors_must_be_a_list(self, tmp_path, capsys):
+        spaces = {"s1": {"construct": "sphere", "n": 1}, "pt": {"construct": "point"}}
+        trivial = {"base": "s1", "total": "pt", "pstar": {"kind": "augmentation"}}
+        for factors in self.WRONG_LISTS:
+            doc = base_doc(spaces=spaces, fibrations={
+                "a": trivial, "b": trivial,
+                "x": {"construct": "product_fibration", "factors": factors}})
+            assert_rejected(doc, "fibrations.x.factors", tmp_path, capsys)
+
+    def test_unknown_fibration_constructor(self, tmp_path, capsys):
+        # used to be ignored: the spec was read as an explicit fibration
+        spaces = {"s1": {"construct": "sphere", "n": 1}, "pt": {"construct": "point"}}
+        doc = base_doc(spaces=spaces, fibrations={"x": {
+            "construct": "bogus", "base": "s1", "total": "pt",
+            "pstar": {"kind": "augmentation"}}})
+        assert_rejected(doc, "fibrations.x", tmp_path, capsys)
+
+    def test_images_must_be_objects(self, tmp_path, capsys):
+        doc = copy.deepcopy(U2_DOC)
+        doc["map_pairs"]["idinv"]["fstar"] = {
+            "kind": "images", "images": [["a(x)1", {"a(x)1": 1}]]}
+        assert_rejected(doc, "map_pairs.idinv.fstar.images", tmp_path, capsys)
+        doc = copy.deepcopy(U2_DOC)
+        doc["map_pairs"]["idinv"]["gstar"]["images"]["a(x)1"] = [["a(x)1", -1]]
+        assert_rejected(doc, "map_pairs.idinv.gstar.images.a(x)1", tmp_path, capsys)
+
+    def test_products_and_their_values_must_be_a_list_and_objects(self, tmp_path, capsys):
+        basis = {"0": ["1"], "2": ["y"], "4": ["y2"]}
+        doc = base_doc(spaces={"x": {"algebra": {
+            "basis": basis, "products": [["y", "y", [["y2", 1]]]]}}})
+        assert_rejected(doc, "spaces.x.algebra.products[0]", tmp_path, capsys)
+        doc = base_doc(spaces={"x": {"algebra": {
+            "basis": basis, "products": {"y": ["y", {"y2": 1}]}}}})
+        assert_rejected(doc, "spaces.x.algebra.products", tmp_path, capsys)
+
     def test_basis_names_must_be_strings(self, tmp_path, capsys):
         doc = self.basis_doc({"0": ["1"], "2": ["a", 3]})
         assert_rejected(doc, "spaces.x.algebra.basis.2", tmp_path, capsys)
@@ -444,6 +490,16 @@ class TestDiagnostics:
         assert (listed.conn, listed.hdim, listed.known_cat) == (1, 5, None)
 
 
+# file contents that json.load cannot decode: each used to end in a traceback
+# except the first
+BAD_JSON = {
+    "syntax": b"{not json",
+    "not-utf8": b"\xff\xfe",
+    "long-integer": b'{"schema": ' + b"1" * 5000 + b"}",  # above int()'s digit limit
+    "deep-nesting": b"[" * 100000,
+}
+
+
 class TestFileLoading:
     def test_round_trip_through_disk(self, tmp_path):
         path = tmp_path / "u2.json"
@@ -455,8 +511,17 @@ class TestFileLoading:
         with pytest.raises(ModelFileError):
             load_model_file("/nonexistent/model.json")
 
-    def test_invalid_json(self, tmp_path):
+    @pytest.mark.parametrize("content", BAD_JSON.values(), ids=BAD_JSON)
+    def test_invalid_json(self, content, tmp_path):
         path = tmp_path / "bad.json"
-        path.write_text("{not json")
-        with pytest.raises(ModelFileError):
+        path.write_bytes(content)
+        with pytest.raises(ModelFileError) as err:
             load_model_file(str(path))
+        assert err.value.path == str(path)
+
+    def test_invalid_json_exits_with_an_error_line(self, tmp_path):
+        for content in BAD_JSON.values():
+            done = run_validate(content, tmp_path, timeout=30)
+            assert done.returncode == 1
+            model = tmp_path / "model.json"
+            assert f"error: {model}: " in done.stderr and "Traceback" not in done.stderr

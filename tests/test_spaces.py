@@ -1,7 +1,7 @@
 import pytest
 
 from secatm.domains import GF, Q, Z
-from secatm.algebra import CoefficientMismatch, RingMorphism, image_difference
+from secatm.algebra import CoefficientMismatch, RingMorphism
 from secatm.spaces import (
     FibrationModel,
     MapPairModel,
@@ -17,6 +17,8 @@ from secatm.spaces import (
     real_projective,
     sphere,
 )
+
+from reference import image_difference
 
 
 class TestSphere:
