@@ -3,8 +3,11 @@
 
     python scripts/size_ladder.py [--quick]
 
-The rungs are tc of RP^n, of the orientable surfaces Sigma_g, of the tori
-T^k and of CP^n, and cat of T^k, past the sizes the model files accept.
+The rungs are tc of RP^n, of the orientable surfaces Sigma_g, of the
+non-orientable surfaces N_h, of the tori T^k and of CP^n, and cat of T^k,
+past the sizes the model files accept.  RP^n and N_h are over F2: RP^n has
+one class in each degree, and N_h has h classes in degree 1, so the square
+of N_h is wide in degree 2.
 Each rung runs in a fresh interpreter of its own, which builds the space
 with the built-in constructors and runs ``compute_tables`` with the one
 table as target.  A line per rung gives the seconds of the build and the
@@ -41,6 +44,10 @@ for n in (16, 32, 64, 128):
     RUNGS[f"tc-rp{n}"] = ("tc", f"RP^{n}", lambda sp, n=n: sp.real_projective(n), None)
 for g in (2, 4, 8, 16, 24, 32, 48):
     RUNGS[f"tc-sigma{g}"] = ("tc", f"Sigma_{g}", lambda sp, g=g: sp.orientable_surface(g), 4)
+# the constructor records tc(N_h) = 4, but the zero-divisor cup-length over
+# F2 is 3, so no known value is checked on these rungs
+for h in (8, 16, 32, 48):
+    RUNGS[f"tc-n{h}"] = ("tc", f"N_{h}", lambda sp, h=h: sp.nonorientable_surface(h), None)
 for k in (2, 3, 4, 5, 6, 7):
     RUNGS[f"tc-t{k}"] = ("tc", f"T^{k}", lambda sp, k=k: sp.product([sp.sphere(1)] * k), k)
 for n in (2, 4, 8, 16, 32):
@@ -48,7 +55,7 @@ for n in (2, 4, 8, 16, 32):
 for k in (4, 6, 8, 10):
     RUNGS[f"cat-t{k}"] = ("cat", f"T^{k}", lambda sp, k=k: sp.product([sp.sphere(1)] * k), k)
 
-QUICK = ["tc-rp16", "tc-sigma2", "tc-sigma4", "tc-t2", "tc-t3", "tc-t4",
+QUICK = ["tc-rp16", "tc-sigma2", "tc-sigma4", "tc-n8", "tc-t2", "tc-t3", "tc-t4",
          "tc-cp2", "tc-cp4", "cat-t4", "cat-t6"]
 
 

@@ -333,9 +333,6 @@ class Element:
             raise ValueError("degree is defined for nonzero homogeneous elements")
         return next(iter(self.comps))
 
-    def component(self, d: int) -> tuple:
-        return self.comps.get(d, vzero(self.algebra.coeff, self.algebra.dim(d)))
-
     # -- arithmetic ---------------------------------------------------------
     def _check_same(self, other: "Element") -> None:
         if self.algebra is not other.algebra:

@@ -26,11 +26,10 @@ Products are taken in Python ints by one routine,
 :meth:`IntegerStructure.products`, from the integer structure constants
 of a plain algebra's table or, for a Kunneth product (a tensor square or a
 product of spaces), of its two factors.  The rank of each degree is kept
-by the sparse ``FieldEchelon`` of the products' dicts, and over F2 by an
-``F2RankEchelon`` of their bitmasks.  A caller that
-passes one structure map to every query (as ``compute_tables`` does, once
-per run) converts each algebra's constants once, for the algebra and for
-its square alike.
+by a sparse ``FieldEchelon`` of the products' dicts over every field
+(over Q for Z).  A caller that passes one structure map to every query (as
+``compute_tables`` does, once per run) converts each algebra's constants
+once, for the algebra and for its square alike.
 
 The certificate's product is the DP's own vector for its last monomial,
 read as it is over F_p and Z and with the integer scalings undone over Q;
@@ -50,9 +49,7 @@ from .algebra import Element, GradedAlgebra, Subspace, TensorProduct
 from .domains import RATIONALS
 # make_echelon is not used here any more, but perfbench/tracer.py wraps the
 # echelon factory by this module's name
-from .linalg import (  # noqa: F401
-    F2RankEchelon, FieldEchelon, clear_denominators, make_echelon,
-)
+from .linalg import FieldEchelon, clear_denominators, make_echelon  # noqa: F401
 
 __all__ = [
     "CupLengthQuery",
@@ -274,14 +271,13 @@ def capped_cuplength(query: CupLengthQuery, structures: dict | None = None):
     (``compute_tables`` keeps one such map per run).  Without it the
     structure is built for this call and dropped with it; nothing is ever
     stored on the algebra.  The rank of each degree is tracked by a
-    ``FieldEchelon`` of the product's dict (``F2RankEchelon`` of its
-    bitmask over F2): whether an insert grows the rank depends on the span
-    alone.  The certificate's factors are the original spanning vectors of
-    the first monomial of the last layer, and its product is that
-    monomial's vector: as it is over F_p and Z, and over Q divided by
-    ``D ** (t - 1)`` times the k_i of its t factors, with D the structure's
-    ``scale`` and k_i the multiple that made spanning vector i primitive
-    and integral.
+    ``FieldEchelon`` of the product's dict, over F_p and over Q (for Z
+    too): whether an insert grows the rank depends on the span alone.  The
+    certificate's factors are the original spanning vectors of the first
+    monomial of the last layer, and its product is that monomial's vector:
+    as it is over F_p and Z, and over Q divided by ``D ** (t - 1)`` times
+    the k_i of its t factors, with D the structure's ``scale`` and k_i the
+    multiple that made spanning vector i primitive and integral.
     """
     algebra = query.algebra
     spanning = _filtered_spanning(query)
@@ -309,16 +305,12 @@ def capped_cuplength(query: CupLengthQuery, structures: dict | None = None):
                     break
                 e = ech.get(d)
                 if e is None:
-                    width = algebra.dim(d)
-                    # bitmask rows stay over F2: on the whole cup kernel of
-                    # RP^16's square, caps 1..32 take 12.7 s, against 18.7 s
-                    # on dict rows (2 vCPUs, Python 3.11)
-                    e = ech[d] = F2RankEchelon(width) if p == 2 else FieldEchelon(width, p)
+                    e = ech[d] = FieldEchelon(algebra.dim(d), p)
                     grown[d] = []
                 if e.rank == e.width:
                     continue
                 for i, w in structure.products(dv, v, ds, group):
-                    if w and e.insert(sum(1 << j for j in w) if p == 2 else w):
+                    if w and e.insert(w):
                         grown[d].append((d, tuple(w.items()), factors + (i,)))
                         if e.rank == e.width:
                             break

@@ -8,8 +8,7 @@ integer rows) and forms the ``Fraction`` RREF only then.  Integer
 components are kept in row Hermite normal form by ``IntEchelon``.  Both
 read-out forms are canonical for the span they carry, so every stored
 spanning set, kernel and certificate is reproducible bit for bit across
-runs.  ``F2RankEchelon`` tracks only the rank, of bitmask rows over F2,
-for the cup-length DP.
+runs.
 
 Vectors are tuples of domain scalars; over Q ints are accepted as well, and
 ``FieldEchelon`` takes dicts of nonzero int entries too.
@@ -30,7 +29,6 @@ __all__ = [
     "FieldEchelon",
     "IntEchelon",
     "make_echelon",
-    "F2RankEchelon",
     "span_rows",
     "kernel_rows",
     "vadd",
@@ -310,33 +308,6 @@ class IntEchelon:
 
     def rows(self) -> tuple[tuple, ...]:
         return tuple(tuple(r) for r in self._rows)
-
-
-class F2RankEchelon:
-    """The rank of a ``FieldEchelon`` over F2, with each vector a Python-int
-    bitmask (bit j is entry j), eliminated by XOR in the manner of M4RI
-    (Albrecht, Bard and Pernet): one word operation per row instead of one
-    per entry.  Rows are keyed by their highest set bit."""
-
-    def __init__(self, width: int):
-        self.width = width
-        self._rows: dict[int, int] = {}
-
-    @property
-    def rank(self) -> int:
-        return len(self._rows)
-
-    def insert(self, v: int) -> bool:
-        """Add the bitmask v to the span; True if the rank grew."""
-        rows = self._rows
-        while v:
-            top = v.bit_length()
-            row = rows.get(top)
-            if row is None:
-                rows[top] = v
-                return True
-            v ^= row
-        return False
 
 
 def make_echelon(dom: CoefficientDomain, width: int):

@@ -368,9 +368,10 @@ class TestKunneth:
 
 # -- the Kunneth product against a direct reference ----------------------------
 #
-# (a (x) b)(a' (x) b') = (-1)^{|b||a'|} (a a') (x) (b b'), with each factor
-# product taken through mul_basis, for every pair of positive-degree tensor
-# classes.  The table must list its keys in (d1, k1, d2, k2) order.
+# (a (x) b)(a' (x) b') = (-1)^{|b||a'|} (a a') (x) (b b'), for every pair of
+# positive-degree tensor classes, from each factor's nonzero basis products
+# listed once through mul_basis.  The table must list its keys in
+# (d1, k1, d2, k2) order.
 
 F2 = GF(2)
 KUNNETH_FACTORS = {
@@ -396,29 +397,40 @@ def kunneth_factors(draw):
     return algebra(), algebra()
 
 
+def basis_products(A):
+    """Every nonzero product of two basis classes of A, units included,
+    through ``mul_basis``: ``((d1, i1), (d2, i2), row)``."""
+    classes = [(d, i) for d in range(A.top_degree + 1) for i in range(A.dim(d))]
+    return [(x, y, row) for x in classes for y in classes
+            if (row := A.mul_basis(*x, *y)) is not None]
+
+
 def kunneth_reference(A, B, C):
     dom = A.coeff
     slot = {d: {key: k for k, key in enumerate(C.kunneth_pairs[d])}
             for d in range(C.top_degree + 1)}
     out = {}
-    for d1 in range(1, C.top_degree + 1):
-        for k1, (p1, i1, q1, j1) in enumerate(C.kunneth_pairs[d1]):
-            for d2 in range(1, C.top_degree + 1 - d1):
-                for k2, (p2, i2, q2, j2) in enumerate(C.kunneth_pairs[d2]):
-                    arow = A.mul_basis(p1, i1, p2, i2)
-                    brow = B.mul_basis(q1, j1, q2, j2)
-                    if arow is None or brow is None:
+    b_products = basis_products(B)
+    for (p1, i1), (p2, i2), arow in basis_products(A):
+        for (q1, j1), (q2, j2), brow in b_products:
+            d1, d2 = p1 + q1, p2 + q2
+            if not (d1 and d2):
+                continue  # a product by the unit, which the table leaves out
+            row = [dom.zero()] * C.dim(d1 + d2)
+            for ia, ca in enumerate(arow):
+                if ca == 0:
+                    continue
+                for jb, cb in enumerate(brow):
+                    if cb == 0:
                         continue
-                    row = [dom.zero()] * C.dim(d1 + d2)
-                    for ia, ca in enumerate(arow):
-                        for jb, cb in enumerate(brow):
-                            c = dom.mul(ca, cb)
-                            if q1 % 2 and p2 % 2:
-                                c = dom.neg(c)
-                            s = slot[d1 + d2][(p1 + p2, ia, q1 + q2, jb)]
-                            row[s] = dom.add(row[s], c)
-                    if any(row):
-                        out[(d1, k1, d2, k2)] = tuple(row)
+                    c = dom.mul(ca, cb)
+                    if q1 % 2 and p2 % 2:
+                        c = dom.neg(c)
+                    s = slot[d1 + d2][(p1 + p2, ia, q1 + q2, jb)]
+                    row[s] = dom.add(row[s], c)
+            if any(row):
+                k1, k2 = slot[d1][(p1, i1, q1, j1)], slot[d2][(p2, i2, q2, j2)]
+                out[(d1, k1, d2, k2)] = tuple(row)
     return out
 
 

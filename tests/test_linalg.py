@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from secatm.domains import GF, Q, Z
 from secatm.linalg import (
-    F2RankEchelon,
     FieldEchelon,
     IntEchelon,
     kernel_rows,
@@ -289,22 +288,20 @@ def test_field_echelon_matches_reference(field, data):
 # The cup-length DP keeps a monomial exactly when inserting it grows the
 # rank, so the rank after every insert is checked against a reference: the
 # reference RREF over Q and F3, the Hermite-form lattice over Z (whose rank
-# is the rank over Q), and the canonical echelon for the bitmask echelon over
-# F2 (bit j is entry j).  Inputs are the DP's int vectors, handed over as
-# the DP does: as dicts of their nonzero entries, and as bitmasks over F2.
+# is the rank over Q), and over F2 the canonical echelon of the dense rows
+# (``span_rows``, itself checked against the reference RREF by
+# ``test_field_echelon_matches_reference[F2]``).  Inputs are the DP's int
+# vectors, handed over as the DP does: as dicts of their nonzero entries, to
+# the ``FieldEchelon`` it builds for each field.
 
 _RANK_DOMAINS = {
     "Q": (FieldEchelon, st.integers(-4, 4), lambda rows, w: len(_ref_rref(rows, w))),
     "Z": (FieldEchelon, st.integers(-4, 4), lambda rows, w: len(span_rows(Z, rows, w))),
     "F3": (lambda w: FieldEchelon(w, 3), st.integers(0, 2),
            lambda rows, w: len(_ref_rref(rows, w, 3))),
-    "F2": (F2RankEchelon, st.integers(0, 1),
+    "F2": (lambda w: FieldEchelon(w, 2), st.integers(0, 1),
            lambda rows, w: len(span_rows(GF(2), rows, w))),
 }
-
-
-def _mask(v):
-    return sum(1 << j for j, x in enumerate(v) if x)
 
 
 @pytest.mark.parametrize("label", sorted(_RANK_DOMAINS))
@@ -320,7 +317,7 @@ def test_rank_echelon_agrees_with_the_canonical_echelon(label, data):
     ranked = make_rank(w)
     for k, v in enumerate(rows):
         before, rank = ranked.rank, reference_rank(rows[:k + 1], w)
-        assert ranked.insert(_mask(v) if label == "F2" else _dict_form(v)) == (rank > before)
+        assert ranked.insert(_dict_form(v)) == (rank > before)
         assert ranked.rank == rank
 
 
