@@ -872,16 +872,12 @@ class _Inclusion(RingMorphism):
 
 
 def tensor_morphism(phi: RingMorphism, psi: RingMorphism,
-                    source_tensor=None, target_tensor=None):
-    """Tensor product of two degree-preserving morphisms, between the
-    :class:`TensorProduct` of their sources and that of their targets (built
-    here unless passed in)."""
+                    source_tensor: TensorProduct, target_tensor: TensorProduct):
+    """Tensor product of two degree-preserving morphisms, between
+    ``source_tensor``, the :class:`TensorProduct` of their sources, and
+    ``target_tensor``, that of their targets."""
     if phi.source.coeff != psi.source.coeff:
         raise CoefficientMismatch("tensor factors use different coefficients")
-    if source_tensor is None:
-        source_tensor, _, _ = kunneth_product(phi.source, psi.source)
-    if target_tensor is None:
-        target_tensor, _, _ = kunneth_product(phi.target, psi.target)
     S, T = source_tensor, target_tensor
     dom = phi.source.coeff
     mats = {}

@@ -22,17 +22,18 @@ no second search is needed.  Over Z rank tracking suffices as well:
 components are free, so a lattice is nonzero exactly when its rank is, and
 a product is nonzero over Z exactly when it is nonzero over Q.
 
-Products are taken in Python ints by one routine,
-:meth:`IntegerStructure.products`, from the integer structure constants
-of a plain algebra's table or, for a Kunneth product (a tensor square or a
-product of spaces), of its two factors.  The rank of each degree is kept
-by a sparse ``FieldEchelon`` of the products' dicts over every field
-(over Q for Z).  A caller that passes one structure map to every query (as
-``compute_tables`` does, once per run) converts each algebra's constants
-once, for the algebra and for its square alike.
+Products are taken by one routine, :meth:`IntegerStructure.products`,
+from the structure constants of a plain algebra's table or, for a Kunneth
+product (a tensor square or a product of spaces), of its two factors.  They
+are true products: each integral rational is taken as its int and only a
+non-integral one stays a ``Fraction``.  The rank of each degree is kept by
+a sparse ``FieldEchelon`` of the products' dicts over every field (over Q
+for Z), which clears their denominators.  A caller that passes one
+structure map to every query (as ``compute_tables`` does, once per run)
+converts each algebra's constants once, for the algebra, for its square
+and for every product that has it as a factor.
 
-The certificate's product is the DP's own vector for its last monomial,
-read as it is over F_p and Z and with the integer scalings undone over Q;
+The certificate's product is the DP's own vector for its last monomial;
 nothing is multiplied out again.  :meth:`CupLengthCertificate.verify`
 multiplies the factors through the algebra's own ``mul_vectors`` and
 compares, so it cross-checks the DP.
@@ -42,14 +43,11 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd, lcm
 
 from .algebra import Element, GradedAlgebra, Subspace, TensorProduct
-from .domains import RATIONALS
 # make_echelon is not used here any more, but perfbench/tracer.py wraps the
 # echelon factory by this module's name
-from .linalg import FieldEchelon, clear_denominators, make_echelon  # noqa: F401
+from .linalg import FieldEchelon, make_echelon  # noqa: F401
 
 __all__ = [
     "CupLengthQuery",
@@ -88,7 +86,7 @@ class CupLengthCertificate:
     def verify(self, cap: int | None = None) -> bool:
         """Multiply the factors out through the algebra's ``mul_vectors``
         and check the stored nonzero product, which ``capped_cuplength``
-        reads off its own integer vector, so the two are independent."""
+        reads off its own vector, so the two are independent."""
         if not self.factors:
             return False
         prod = self.factors[0]
@@ -116,81 +114,65 @@ def _filtered_spanning(query: CupLengthQuery) -> list[tuple[int, tuple]]:
     return out
 
 
-def _integral(spanning) -> tuple[list, list]:
-    """Each spanning vector v over Q as its primitive integer multiple
-    k * v, and each k."""
-    ints, ks = [], []
-    for d, v in spanning:
-        u = clear_denominators(v)
-        g = gcd(*u)
-        j = next(j for j, x in enumerate(u) if x)
-        ints.append((d, tuple(x // g for x in u)))
-        ks.append(Fraction(u[j] // g) / v[j])
-    return ints, ks
+def _scalar(c):
+    """c as an int when it is integral, else the ``Fraction`` it is."""
+    return c.numerator if c.denominator == 1 else c
 
 
-def _scaled(pairs, den: int) -> tuple:
-    """Nonzero ``(j, c)`` pairs with each c an int or ``Fraction`` made the
-    int ``den * c``."""
-    return tuple((j, c.numerator * (den // c.denominator)) for j, c in pairs)
-
-
-def _denominator(algebra: GradedAlgebra) -> int:
-    """The common denominator of the structure constants (1 off Q)."""
-    rows = {id(row): row for row in algebra.table.values()}.values()
-    return lcm(*{c.denominator for row in rows for c in row})
+def _pairs(v) -> tuple:
+    """Nonzero ``(index, coefficient)`` pairs of a dense vector."""
+    return tuple((j, _scalar(c)) for j, c in enumerate(v) if c)
 
 
 class IntegerStructure:
-    """One algebra's structure constants in Python ints, multiplied out by
-    :meth:`products`.
+    """One algebra's structure constants, ints where they are integral,
+    multiplied out by :meth:`products`.
 
-    Over Q every constant, unit products included, is scaled by one
-    nonzero integer, ``scale``, so a product of t integral factors is
-    ``scale ** (t - 1)`` times the product of the factors, and it vanishes,
-    and grows an echelon's rank, exactly when the true product does.  Off
-    Q, ``scale`` is 1.  A plain algebra's constants are its own table's,
-    and ``scale`` is their common denominator D.  A :class:`TensorProduct`
-    (a tensor square or a product of spaces) multiplies through its two
-    factors' constants, ``(a (x) b)(a' (x) b') = (-1)^(|b| |a'|) (a a') (x)
-    (b b')``, and ``scale`` is D_left * D_right; it never reads its own
-    table.  A factor's structure is taken from ``structures`` when that map
-    holds one, so an algebra and its square convert the algebra's products
-    once.  Beyond the constants, only the lookup keys of each s are kept.
+    A plain algebra's constants are its own table's.  A
+    :class:`TensorProduct` (a tensor square or a product of spaces)
+    multiplies through its two factors' constants, ``(a (x) b)(a' (x) b') =
+    (-1)^(|b| |a'|) (a a') (x) (b b')``; it never reads its own table.  Its
+    factors' structures come from :meth:`of` with the same map, so an
+    algebra, its square and every product with it as a factor convert the
+    algebra's constants once (a bare call builds them in a map of its own).
+    Beyond the constants, only the lookup keys of each s are kept.
     """
 
     def __init__(self, algebra: GradedAlgebra, structures: dict | None = None):
         self.algebra = algebra
         self.p = algebra.coeff.p
         if isinstance(algebra, TensorProduct):
-            held = structures or {}
-            left = held.get(algebra.left) or IntegerStructure(algebra.left, structures)
-            right = left if algebra.right is algebra.left else \
-                held.get(algebra.right) or IntegerStructure(algebra.right, structures)
-            self._factors = left, right
-            self.scale = left.scale * right.scale
-        else:
-            self.scale = _denominator(algebra)
+            structures = {} if structures is None else structures
+            self._factors = (self.of(algebra.left, structures),
+                             self.of(algebra.right, structures))
         self._keyed: dict = {}  # (ds, s) -> the lookup keys of s's classes
+
+    @staticmethod
+    def of(algebra: GradedAlgebra, structures: dict) -> "IntegerStructure":
+        """The structure of ``algebra`` in ``structures``, built and stored
+        there first when the map holds none."""
+        structure = structures.get(algebra)
+        if structure is None:
+            structure = structures[algebra] = IntegerStructure(algebra, structures)
+        return structure
 
     @functools.cached_property
     def constants(self) -> dict:
-        """``nonzero_products`` in ints scaled by ``scale``; a product's
-        (read where it is a factor) by ``row`` from its factors'."""
+        """``nonzero_products``, integral scalars as ints; a product's (read
+        where it is a factor) by ``row`` from its factors'."""
         A = self.algebra
         if isinstance(A, TensorProduct):
             left, right = (f.constants for f in self._factors)
             return {(d, k): {(d2, k2): nz for d2, k2, nz in A.row(d, k, left, right)}
                     for d in range(A.top_degree + 1) for k in range(A.dim(d))}
-        den = self.scale
-        return {key: {key2: _scaled(nz, den) for key2, nz in row.items()}
+        return {key: {key2: tuple((j, _scalar(c)) for j, c in nz) for key2, nz in row.items()}
                 for key, row in A.nonzero_products().items()}
 
     def products(self, dv: int, v, ds: int, group):
         """Yield ``(i, v * s)`` for each ``(i, s)`` of ``group``, v of degree
-        dv and each s of degree ds as nonzero ``(index, c)`` int pairs, each
-        product the dict of its nonzero entries (mod p over F_p), scaled by
-        ``scale``: one constant lookup per pair of support classes."""
+        dv and each s of degree ds as nonzero ``(index, c)`` pairs, each
+        product the dict of its nonzero entries (mod p over F_p): one
+        constant lookup per pair of support classes."""
         A, p, memo = self.algebra, self.p, self._keyed
         tensor = isinstance(A, TensorProduct)
         if tensor:
@@ -246,11 +228,6 @@ class IntegerStructure:
         return [((ds, k2), b) for k2, b in s]
 
 
-def _pairs(v) -> tuple:
-    """Nonzero ``(index, coefficient)`` pairs of a dense vector."""
-    return tuple((j, c) for j, c in enumerate(v) if c)
-
-
 def capped_cuplength(query: CupLengthQuery, structures: dict | None = None):
     """Maximum number of generator factors (degree <= cap) with nonzero product.
 
@@ -262,40 +239,32 @@ def capped_cuplength(query: CupLengthQuery, structures: dict | None = None):
     absorbing: once one is empty every later one is, and lengths never exceed
     the top degree since each factor has positive degree.
 
-    Products are taken in Python ints by the algebra's
-    :class:`IntegerStructure`, with the nonzero ``(index, c)`` pairs of v and
-    of s, and over Q each spanning vector made its primitive integer
-    multiple.  ``structures`` maps algebras to their structures: one is
-    built on the algebra's first query and reused by every later query on
-    that algebra and by the structure of a product that has it as a factor
-    (``compute_tables`` keeps one such map per run).  Without it the
-    structure is built for this call and dropped with it; nothing is ever
-    stored on the algebra.  The rank of each degree is tracked by a
+    Products are true products, taken by the algebra's
+    :class:`IntegerStructure` with the nonzero ``(index, c)`` pairs of v and
+    of s, integral scalars as ints.  ``structures`` maps algebras to their
+    structures: :meth:`IntegerStructure.of` builds one on the algebra's
+    first query and stores it there with its factors', for every later
+    query on that algebra and for the structure of a product that has it as
+    a factor (``compute_tables`` keeps one such map per run).  Without it
+    the structures are built for this call and dropped with it; nothing is
+    ever stored on the algebra.  The rank of each degree is tracked by a
     ``FieldEchelon`` of the product's dict, over F_p and over Q (for Z
     too): whether an insert grows the rank depends on the span alone.  The
     certificate's factors are the original spanning vectors of the first
-    monomial of the last layer, and its product is that monomial's vector:
-    as it is over F_p and Z, and over Q divided by ``D ** (t - 1)`` times
-    the k_i of its t factors, with D the structure's ``scale`` and k_i the
-    multiple that made spanning vector i primitive and integral.
+    monomial of the last layer, and its product is that monomial's vector
+    as it stands.
     """
     algebra = query.algebra
     spanning = _filtered_spanning(query)
     if not spanning:
         return 0, None
-    structure = (structures or {}).get(algebra) or IntegerStructure(algebra, structures)
-    if structures is not None:
-        structures[algebra] = structure
+    structure = IntegerStructure.of(algebra, {} if structures is None else structures)
     p = algebra.coeff.p
-    if algebra.coeff.kind == RATIONALS:
-        ints, ks = _integral(spanning)
-    else:
-        ints = spanning
     top = algebra.top_degree
     groups: dict[int, list] = {}  # spanning pairs by degree, ascending
-    for i, (ds, s) in enumerate(ints):
+    for i, (ds, s) in enumerate(spanning):
         groups.setdefault(ds, []).append((i, _pairs(s)))
-    layer = [(d, _pairs(v), (i,)) for i, (d, v) in enumerate(ints)]
+    layer = [(d, _pairs(v), (i,)) for i, (d, v) in enumerate(spanning)]
     while True:
         ech, grown = {}, {}
         for dv, v, factors in layer:
@@ -319,16 +288,10 @@ def capped_cuplength(query: CupLengthQuery, structures: dict | None = None):
             break
         layer = nxt
     d, pairs, indices = layer[0]
-    vector = [algebra.coeff.zero()] * algebra.dim(d)
-    if algebra.coeff.kind == RATIONALS:  # undo the scalings of the integer DP
-        scale = structure.scale ** (len(indices) - 1)
-        for i in indices:
-            scale *= ks[i]
-        for j, c in pairs:
-            vector[j] = c / scale
-    else:
-        for j, c in pairs:
-            vector[j] = c
+    dom = algebra.coeff
+    vector = [dom.zero()] * algebra.dim(d)
+    for j, c in pairs:
+        vector[j] = dom.parse_scalar(c)
     factors = [algebra.component_element(*spanning[i]) for i in indices]
     product = algebra.component_element(d, vector)
     return len(factors), CupLengthCertificate(factors=factors, product=product)

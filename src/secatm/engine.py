@@ -358,8 +358,8 @@ class _Engine:
         return seen
 
     def _apply_lower_bounds(self):
-        # dm reads hdm's source, so a pair's two tables share its source and,
-        # where their caps agree, its cup-length values
+        # dm reads hdm's source, so a pair's two tables share its source and
+        # its cup-length values
         sources, runs = {}, {}
         for inv, name in sorted(self._lower_targets()):
             table = self.tables[(inv, name)]
@@ -372,10 +372,9 @@ class _Engine:
                 continue
             algebra, generators, what = source
             degmax = max(generators.degrees())
-            last = min(table.stable_from - 1, degmax)  # with degmax, fixes the caps
-            if (key, last) not in runs:
-                runs[key, last] = self._capped_values(algebra, generators, degmax, last)
-            values = runs[key, last]
+            if key not in runs:
+                runs[key] = self._capped_values(algebra, generators, degmax)
+            values = runs[key]
             if inv == "tc":  # the square was built for this table alone
                 self._structures.pop(algebra, None)
             for m in table.stored:
@@ -389,9 +388,11 @@ class _Engine:
                         certificate=cert,
                     )
 
-    def _capped_values(self, algebra, generators, degmax, last):
-        """cap -> (length, certificate) for the caps of m = 1..last and inf:
-        min(m, degmax) and degmax.
+    def _capped_values(self, algebra, generators, degmax):
+        """cap -> (length, certificate) for the caps of m = 1..max_m and
+        inf: min(m, degmax) and degmax.  Every table the values serve
+        stabilizes at or past degmax, its dimension parameter being at
+        least the top degree, so it reads no other cap.
 
         The length is monotone in the cap, so the sorted caps are bisected: a
         range whose end caps agree is constant and takes the certificate of
@@ -399,7 +400,7 @@ class _Engine:
         same generators of degree <= cap, those with the same largest such
         degree, share one DP run, and a cap below every generator has length
         0 without one."""
-        caps = sorted({*range(1, min(last, degmax) + 1), degmax})
+        caps = sorted({*range(1, min(self.max_m, degmax) + 1), degmax})
         values, runs = {}, {0: (0, None)}  # runs: by largest degree <= cap
 
         def compute(i):

@@ -11,7 +11,7 @@ spanning set, kernel and certificate is reproducible bit for bit across
 runs.
 
 Vectors are tuples of domain scalars; over Q ints are accepted as well, and
-``FieldEchelon`` takes dicts of nonzero int entries too.
+``FieldEchelon`` takes dicts of nonzero entries too.
 Kernels over Z are computed by unimodular row reduction of the augmented
 matrix ``[M | I]``: the rows whose ``M`` part vanishes project onto a basis
 of the full kernel lattice, which is the same lattice a Smith-normal-form
@@ -111,9 +111,9 @@ class FieldEchelon:
     so ``insert`` and ``contains`` never back-substitute.  Over F_p rows
     are scaled to pivot 1 and reduced ``% p``.  Over Q rows are
     fraction-free (Bareiss 1968): primitive integer vectors with a positive
-    pivot.  Inputs are dense vectors (residues over F_p; ints or
-    ``Fraction``s over Q, a ``Fraction`` input having its denominators
-    cleared once) or dicts of nonzero ints, which are left unchanged.
+    pivot.  Inputs are dense vectors or dicts of nonzero entries: residues
+    over F_p, ints or ``Fraction``s over Q.  An input holding a ``Fraction``
+    has its denominators cleared once; an int dict is taken unchanged.
     Whether an insert grows the rank depends on the span alone, and the
     rank over Q of int vectors is their rank over Z as well.  ``rows()``
     back-substitutes once into the reduced row echelon form, which is
@@ -132,10 +132,13 @@ class FieldEchelon:
     def _sparse(self, v) -> dict[int, int]:
         """The nonzero entries of v, integral over Q."""
         if isinstance(v, dict):
+            # the sum is a Fraction exactly when an entry is, one C-level
+            # pass over int values
+            if self._p is None and type(sum(v.values())) is Fraction:
+                return dict(zip(v, clear_denominators(v.values())))
             return v
         # domain scalars over Q are Fractions, so their first entry tells;
-        # else the sum is a Fraction exactly when an entry is, one C-level
-        # pass over int rows
+        # else the same sum tells
         if self._p is None and v and (type(v[0]) is Fraction or type(sum(v)) is Fraction):
             v = clear_denominators(v)
         return {j: x for j, x in enumerate(v) if x}

@@ -285,10 +285,10 @@ def test_dp_on_squares_of_products_matches_the_oracle(query):
 
 # -- rational structure constants -----------------------------------------------
 #
-# Over Q the DP multiplies primitive integer vectors through structure
-# constants scaled by their common denominator D.  In this algebra
-# x*x = 1/2 y and x*z = -1/3 y, so (x + 3/4 z)^2 = (1/2 - 1/2) y = 0 while
-# x^2 != 0: dropping D zeroes x^2, and keeping only numerators makes
+# Over Q the DP multiplies true products, in ``Fraction``s where a constant
+# or a spanning entry is not integral.  In this algebra x*x = 1/2 y and
+# x*z = -1/3 y, so (x + 3/4 z)^2 = (1/2 - 1/2) y = 0 while x^2 != 0:
+# dropping the denominators zeroes x^2, and keeping only numerators makes
 # (x + 3/4 z)^2 nonzero.
 
 def rational_algebra():
@@ -407,7 +407,11 @@ def test_cached_dp_on_the_thin_square_equals_the_dp_on_an_eager_copy(build):
     thin = zero_divisor_runs(T, cup_kernel(A, T), structures)
     eager = zero_divisor_runs(E, Subspace(E, cup_kernel(A, T).rows))
     assert thin == eager
-    assert list(structures) == [T] and "table" not in vars(T)
+    # the map holds the square's structure and, beside it, the factor's
+    # (and a product factor's own factors'), the one the square multiplies
+    # through
+    assert T in structures and "table" not in vars(T)
+    assert structures[T]._factors == (structures[A], structures[A])
 
 
 def test_one_structure_map_serves_squares_built_and_dropped_in_turn():
@@ -492,10 +496,10 @@ def assert_columns_match_the_table(A, every_class):
     1 (x) g`` of the square of ``A`` and by the classes of their support
     (by every class of positive degree with ``every_class``), each basis
     class times s from ``IntegerStructure.products``, against the same
-    products read from the square's table by ``mul_vectors``: one nonzero
-    rational scale for all of them (1 off Q), and an empty dict exactly
-    where a product vanishes.  The structure of A itself is checked the
-    same way against A's own table."""
+    products read from the square's table by ``mul_vectors``: equal entry
+    for entry over every domain, the true products, and an empty dict
+    exactly where a product vanishes.  The structure of A itself is checked
+    the same way against A's own table."""
     T, left, right = tensor_square(A)
     E = plain_copy(tensor_square(A)[0])  # the same basis, multiplying by its table
     vectors = [(d, vsub(T.coeff, left.mats[d][i], right.mats[d][i]))
@@ -510,7 +514,7 @@ def assert_columns_match_the_table(A, every_class):
     own = [(d, tuple(int(j == i) for j in range(A.dim(d))))
            for d in range(1, A.top_degree + 1) for i in range(A.dim(d))]
     for X, reference, xs in [(T, E, vectors), (A, A, own)]:
-        structure, scale = IntegerStructure(X), None
+        structure = IntegerStructure(X)
         for ds, s in xs:
             pairs = tuple((i, c) for i, c in enumerate(s) if c)
             for dv in range(1, X.top_degree - ds + 1):
@@ -520,11 +524,7 @@ def assert_columns_match_the_table(A, every_class):
                     v[i1] = 1
                     w = reference.mul_vectors(dv, tuple(v), ds, s)
                     assert all(c for c in got.values()) and (not got) == vis_zero(w)
-                    if got and scale is None:  # the first nonzero product
-                        j = next(iter(got))
-                        scale = Fraction(got[j]) / Fraction(w[j])
-                        assert scale != 0 and (X.coeff == Q or scale == 1)
-                    want = {j: scale * c for j, c in enumerate(w) if c}
+                    want = {j: c for j, c in enumerate(w) if c}
                     assert got == want, (dv, i1, ds, s)
 
 
@@ -581,9 +581,9 @@ def test_tc_builds_no_table_and_no_per_class_data_for_the_square(build, zcl):
 # certificate products read off the DP's own vector
 # ---------------------------------------------------------------------------
 #
-# ``capped_cuplength`` takes the certificate's product from its integer
-# vector (scalings undone over Q); multiplying the factors out through the
-# algebra's ``mul_vectors`` must give the same element, scalar types included.
+# ``capped_cuplength`` takes the certificate's product from its own vector,
+# the true product; multiplying the factors out through the algebra's
+# ``mul_vectors`` must give the same element, scalar types included.
 
 def assert_certificate_products_multiply_out(algebra, generators):
     """At every cap, the certificate's product equals its factors multiplied
@@ -615,8 +615,8 @@ def square_zero_divisors(A):
 @st.composite
 def generator_subspaces(draw, A):
     """A nonzero subspace of positive degree spanned by a few random rows,
-    with entries a/b (b in 1, 2, 3) over Q, so the spanning vectors the DP
-    makes primitive and integral need scales other than 1."""
+    with entries a/b (b in 1, 2, 3) over Q, so the DP multiplies
+    fractional spanning vectors."""
     dom, rows = A.coeff, {}
     for d in range(1, A.top_degree + 1):
         for _ in range(draw(st.integers(0, 2)) if A.dim(d) else 0):

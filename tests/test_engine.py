@@ -1,3 +1,4 @@
+import functools
 import gc
 import importlib.util
 import json
@@ -20,7 +21,7 @@ from secatm.algebra import (
     tensor_morphism,
     tensor_square,
 )
-from secatm.cuplength import CupLengthQuery, capped_cuplength
+from secatm.cuplength import CupLengthQuery, IntegerStructure, capped_cuplength
 from secatm.engine import (
     Bundle,
     _Engine,
@@ -176,32 +177,49 @@ class TestLowerBounds:
 
     def test_dm_and_hdm_of_a_pair_share_one_cup_length_run(self, monkeypatch):
         # dm reads hdm's source, so a run that bounds both reads the source
-        # once and runs the DP once per cap for the two tables
+        # once and runs the DP once per cap for the two tables; on the
+        # identity against a constant map of S^2 the dm table stabilizes at
+        # the domain's hdim, which is the generators' top degree, and hdm
+        # never does
         s2 = sphere(2, Q)
         square = product([s2, s2])
         pr1 = RingMorphism.from_images(s2.algebra, square.algebra, {"a": {"a(x)1": 1}})
         pr2 = RingMorphism.from_images(s2.algebra, square.algebra, {"a": {"1(x)a": 1}})
-        pair = MapPairModel(domain=square, codomain=s2, fstar=pr1, gstar=pr2)
-        bundle = Bundle()
-        bundle.add_space("s2", s2)
-        bundle.add_space("s2xs2", square)
-        bundle.add_map_pair("projections", pair)
-        queries = []
+        pairs = {
+            "projections": MapPairModel(domain=square, codomain=s2, fstar=pr1, gstar=pr2),
+            "identity_vs_constant": MapPairModel(
+                domain=s2, codomain=s2, fstar=RingMorphism.identity(s2.algebra),
+                gstar=constant_map_pullback(s2, s2)),
+        }
+        queries, sources = [], []
 
         def counted(query, structures=None):
             queries.append(query)
             return capped_cuplength(query, structures)
 
+        def read(inv, model, generators=None):
+            source = _lower_source(inv, model, generators)
+            if any(model is pair for pair in pairs.values()):
+                sources.append(source[1])
+            return source
+
         monkeypatch.setattr("secatm.engine.capped_cuplength", counted)
-        tables = compute_tables(bundle, targets=[("dm", "projections")])
-        assert tables[("hdm", "projections")].lower_bounds_applied
-        source = _lower_source("hdm", pair)[1]
-        runs = [(id(q.generators), q.cap) for q in queries if q.generators == source]
-        assert runs and len(set(runs)) == len(runs)
-        assert len({generators for generators, _ in runs}) == 1
-        certificates = [{id(ev.certificate) for ev in tables[(inv, "projections")].log[INF]
-                         if ev.rule == "cup_length"} for inv in ("dm", "hdm")]
-        assert certificates[0] == certificates[1] != set()
+        monkeypatch.setattr("secatm.engine._lower_source", read)
+        for name, pair in pairs.items():
+            queries.clear()
+            sources.clear()
+            bundle = Bundle()
+            bundle.add_space("s2", s2)
+            bundle.add_space("s2xs2", square)
+            bundle.add_map_pair(name, pair)
+            tables = compute_tables(bundle, targets=[("dm", name)])
+            assert tables[("hdm", name)].lower_bounds_applied
+            assert len(sources) == 1, name
+            runs = [q.cap for q in queries if q.generators is sources[0]]
+            assert runs and len(set(runs)) == len(runs), name
+            certificates = [{id(ev.certificate) for ev in tables[(inv, name)].log[INF]
+                             if ev.rule == "cup_length"} for inv in ("dm", "hdm")]
+            assert certificates[0] == certificates[1] != set(), name
 
     def test_each_algebra_ranks_its_generators_once_per_run(self, monkeypatch):
         # cat and tc of S^2 and dm and hdm of the projections into it all
@@ -230,6 +248,33 @@ class TestLowerBounds:
                 assert tables[key].lower_bounds_applied, key
             assert sorted(map(id, ranked)) == sorted(
                 [id(s2.algebra), id(square.algebra)] * run)
+
+    def test_a_run_converts_each_algebras_constants_once(self, monkeypatch):
+        # cat of S^2 x S^3 multiplies through the spheres' constants and tc
+        # through the product's, built from them; the spheres' own cat runs
+        # after the product's and must find their structures in the run's
+        # map, so each algebra is converted once per run
+        s2, s3 = sphere(2, Q), sphere(3, Q)
+        both = product([s2, s3])
+        bundle = Bundle()
+        for name, space in [("s2", s2), ("s2xs3", both), ("s3", s3)]:
+            bundle.add_space(name, space)
+        converted = []
+        convert = IntegerStructure.constants.func
+
+        def counted(structure):
+            converted.append(structure.algebra)
+            return convert(structure)
+
+        constants = functools.cached_property(counted)
+        constants.__set_name__(IntegerStructure, "constants")
+        monkeypatch.setattr(IntegerStructure, "constants", constants)
+        tables = compute_tables(bundle)
+        for inv in ("cat", "tc"):
+            for name in ("s2", "s2xs3", "s3"):
+                assert tables[(inv, name)].lower_bounds_applied, (inv, name)
+        assert sorted(map(id, converted)) == sorted(
+            map(id, [s2.algebra, s3.algebra, both.algebra]))
 
     def test_honest_interval_where_literature_is_silent(self):
         # nothing pins tc of five-dimensional real projective space: the
@@ -882,7 +927,7 @@ def test_bisected_cap_values_equal_direct_dp(case):
             continue
         algebra, generators, _ = source
         degmax = max(generators.degrees())
-        values = engine._capped_values(algebra, generators, degmax, engine.max_m)
+        values = engine._capped_values(algebra, generators, degmax)
         assert set(values) == {min(m, degmax) for m in range(1, engine.max_m + 1)} | {degmax}
         for cap, (length, cert) in values.items():
             assert length == capped_cuplength(CupLengthQuery(algebra, generators, cap))[0]
