@@ -507,13 +507,14 @@ class TensorProduct(GradedAlgebra):
     one block of degree p + q, listed a-major: ``kunneth_pairs[p + q]`` holds
     their factor classes ``(p, i, q, j)`` from slot ``block_start[p][q]`` on
     (None for an empty block), and :meth:`slot` gives the slot of each.  The
-    constructor builds only these and the dimensions, in one pass over the
-    blocks; the names ``a(x)b`` and the name index are built on first read
-    (formatting, parsing).  ``mul_basis`` multiplies in the factors, so
-    elements, certificates and the cup-length bounds never need the 4-index
-    ``table``; it is built on first read (``validate``, a morphism's
-    validation) and kept.  Valid over a field, and over Z because all
-    components are free.
+    constructor builds only these and the dimensions, visiting only the
+    pairs of nonzero factor degrees, so a sparse factor such as a sphere
+    costs its few blocks, not (top + 1)^2 pairs; the names ``a(x)b`` and
+    the name index are built on first read (formatting, parsing).
+    ``mul_basis`` multiplies in the factors, so elements, certificates and
+    the cup-length bounds never need the 4-index ``table``; it is built on
+    first read (``validate``, a morphism's validation) and kept.  Valid over
+    a field, and over Z because all components are free.
     """
 
     def __init__(self, left: GradedAlgebra, right: GradedAlgebra):
@@ -524,16 +525,19 @@ class TensorProduct(GradedAlgebra):
         self.left, self.right, self.coeff = left, right, left.coeff
         self.top_degree = left.top_degree + right.top_degree
         self._right_dims = rdims = right.dims()
+        ldims = left.dims()
         pairs: list[list[tuple[int, int, int, int]]] = [[] for _ in range(self.top_degree + 1)]
-        self.block_start: list[list[int | None]] = []
-        for p, m in enumerate(left.dims()):
-            at = []
-            for q, n in enumerate(rdims):
+        self.block_start: list[list[int | None]] = [[None] * len(rdims) for _ in ldims]
+        rnonzero = [(q, n) for q, n in enumerate(rdims) if n]
+        for p, m in enumerate(ldims):
+            if not m:
+                continue
+            at = self.block_start[p]
+            for q, n in rnonzero:
                 block = pairs[p + q]
                 # blocks of one degree come in order of p
-                at.append(len(block) if m and n else None)
+                at[q] = len(block)
                 block.extend((p, i, q, j) for i in range(m) for j in range(n))
-            self.block_start.append(at)
         self._dims = tuple(map(len, pairs))
         self.kunneth_pairs = dict(enumerate(map(tuple, pairs)))
 

@@ -1,7 +1,8 @@
 """Exact degree-capped cup-length with certificates.
 
 The main computation is a span dynamic program: with S the spanning set of
-the generator subspace filtered to degree <= cap, iterate
+the generator subspace filtered to degree <= cap (the subspace's own rows of
+those degrees, read in one pass; no restricted subspace is built), iterate
 
     V_1 = span(S),   V_{t+1} = span{ v * s : v in V_t, s in S }
 
@@ -103,15 +104,6 @@ class CupLengthCertificate:
 
     def factor_strings(self) -> list[str]:
         return [f.format() for f in self.factors]
-
-
-def _filtered_spanning(query: CupLengthQuery) -> list[tuple[int, tuple]]:
-    sub = query.generators.restricted(query.cap)
-    out = []
-    for d in sorted(sub.rows):
-        for v in sub.rows[d]:
-            out.append((d, v))
-    return out
 
 
 def _scalar(c):
@@ -232,12 +224,15 @@ def capped_cuplength(query: CupLengthQuery, structures: dict | None = None):
     """Maximum number of generator factors (degree <= cap) with nonzero product.
 
     Returns ``(length, certificate)``; the certificate is None exactly when
-    the length is 0.  Layer t holds monomials ``(degree, pairs, factors)``
-    whose vectors are linearly independent in each degree; layer t + 1 keeps
-    a product ``v * s`` only when it grows the rank of its degree, and a
-    degree is skipped once its rank equals its width.  The layers are
-    absorbing: once one is empty every later one is, and lengths never exceed
-    the top degree since each factor has positive degree.
+    the length is 0.  The spanning set is read once, straight from the
+    generator subspace's rows of degree <= cap in ascending degree, and each
+    vector becomes its nonzero pairs once, shared by layer 1 and the groups
+    every layer multiplies by.  Layer t holds monomials ``(degree, pairs,
+    factors)`` whose vectors are linearly independent in each degree; layer
+    t + 1 keeps a product ``v * s`` only when it grows the rank of its
+    degree, and a degree is skipped once its rank equals its width.  The
+    layers are absorbing: once one is empty every later one is, and lengths
+    never exceed the top degree since each factor has positive degree.
 
     Products are true products, taken by the algebra's
     :class:`IntegerStructure` with the nonzero ``(index, c)`` pairs of v and
@@ -254,17 +249,18 @@ def capped_cuplength(query: CupLengthQuery, structures: dict | None = None):
     monomial of the last layer, and its product is that monomial's vector
     as it stands.
     """
-    algebra = query.algebra
-    spanning = _filtered_spanning(query)
+    algebra, cap = query.algebra, query.cap
+    spanning = [(d, v) for d, rows in sorted(query.generators.rows.items())
+                if cap is None or d <= cap for v in rows]
     if not spanning:
         return 0, None
     structure = IntegerStructure.of(algebra, {} if structures is None else structures)
     p = algebra.coeff.p
     top = algebra.top_degree
-    groups: dict[int, list] = {}  # spanning pairs by degree, ascending
-    for i, (ds, s) in enumerate(spanning):
-        groups.setdefault(ds, []).append((i, _pairs(s)))
     layer = [(d, _pairs(v), (i,)) for i, (d, v) in enumerate(spanning)]
+    groups: dict[int, list] = {}  # spanning pairs by degree, ascending
+    for ds, s, (i,) in layer:
+        groups.setdefault(ds, []).append((i, s))
     while True:
         ech, grown = {}, {}
         for dv, v, factors in layer:

@@ -9,7 +9,10 @@ classical ones from m = hdim on (twice hdim for tc; Schwarz), so a table
 stores rows only below that m (see :mod:`secatm.tables`), and each record's
 index pairs are resolved once against the stored rows.  Every rule only
 narrows intervals, so iteration terminates; a crossing pair of bounds raises
-:class:`~secatm.tables.InconsistentModel` with both provenance chains.
+:class:`~secatm.tables.InconsistentModel` with both provenance chains.  A
+sweep re-applies a record only when a table it reads has narrowed since its
+last application (semi-naive evaluation), which changes no event and no
+order of events.
 Lower bounds come from capped cup-lengths over spans of ideal generators:
 for cat, the algebra generators of H^+ (the basis classes that complement
 the decomposables); for tc, a (x) 1 - 1 (x) a over those generators, which
@@ -25,6 +28,7 @@ tables whose lower bounds reach them through a rule record.
 from __future__ import annotations
 
 import functools
+from bisect import bisect_right
 from typing import NamedTuple
 
 from .algebra import GradedAlgebra, Subspace, TensorProduct, kernel, tensor_square
@@ -129,6 +133,10 @@ class _Bound(NamedTuple):
     scale: int = 1
     floor: int = 0
 
+    @property
+    def inputs(self) -> tuple:
+        return self.sources
+
     def text(self, m, n) -> str:
         return self.detail if isinstance(self.detail, str) else self.detail(m, n)
 
@@ -175,6 +183,10 @@ class _Equal(NamedTuple):
     pairs: list
     detail: str
 
+    @property
+    def inputs(self) -> tuple:
+        return (self.a, self.b)
+
     def apply(self) -> bool:
         a, b, rule, detail = self.a, self.b, self.rule, self.detail
         a_rows, b_rows = a.rows, b.rows
@@ -190,6 +202,28 @@ class _Equal(NamedTuple):
             if ea.hi is not None and (eb.hi is None or ea.hi < eb.hi):
                 changed |= b.lower_hi(n, ea.hi, rule, detail)
         return changed
+
+
+def _fixpoint(rules) -> None:
+    """Sweep the records in order until a sweep narrows nothing, skipping a
+    record while no table it reads (``inputs``) has narrowed since its last
+    application (semi-naive evaluation).  Skipping is exact: an application
+    leaves every pair of its record satisfied unless it narrowed an input,
+    and narrowing its target further cannot unsatisfy a pair.  The counts
+    are taken before the application, so a record that narrows its own
+    input (``monotone_m`` walks one row per sweep) runs again.  Counts only
+    grow, so one sum per record tells whether any of them moved."""
+    inputs = [rule.inputs for rule in rules]
+    seen = [-1] * len(rules)
+    changed = True
+    while changed:
+        changed = False
+        for i, rule in enumerate(rules):
+            ins = inputs[i]  # most records read one table
+            count = ins[0].narrowings if len(ins) == 1 else sum([t.narrowings for t in ins])
+            if count != seen[i]:
+                seen[i] = count
+                changed |= rule.apply()
 
 
 # ---------------------------------------------------------------------------
@@ -300,9 +334,9 @@ class _Engine:
         self._apply_static()
         self._apply_lower_bounds()
 
-        # sweep every record, in order, until a whole sweep narrows nothing
-        while any([rule.apply() for rule in self.rules]):
-            pass
+        # sweep the records until a sweep narrows nothing, skipping each one
+        # whose inputs did not narrow since it was last applied
+        _fixpoint(self.rules)
         return self.tables
 
     # -- static narrowing (metadata and literature axioms) --------------------
@@ -401,10 +435,13 @@ class _Engine:
         degree, share one DP run, and a cap below every generator has length
         0 without one."""
         caps = sorted({*range(1, min(self.max_m, degmax) + 1), degmax})
-        values, runs = {}, {0: (0, None)}  # runs: by largest degree <= cap
+        degrees = sorted(generators.degrees())
+        # per cap, its run's key: the largest generator degree <= it, 0 if none
+        keys = [degrees[i - 1] if i else 0 for i in (bisect_right(degrees, c) for c in caps)]
+        values, runs = {}, {0: (0, None)}
 
         def compute(i):
-            key = max((d for d in generators.degrees() if d <= caps[i]), default=0)
+            key = keys[i]
             if key not in runs:
                 runs[key] = capped_cuplength(
                     CupLengthQuery(algebra, generators, key), self._structures)

@@ -49,6 +49,12 @@ class ModelFieldError(ValueError):
         super().__init__(message)
 
 
+def _check_degree(field: str, degree: int | None) -> None:
+    """A homotopy-vanishing degree names a degree, so it is not negative."""
+    if degree is not None and degree < 0:
+        raise ModelFieldError(field, f"{field} must be >= 0, got {degree}")
+
+
 @dataclass
 class SpaceModel:
     """A space as its cohomology algebra plus homotopy metadata.
@@ -79,6 +85,7 @@ class SpaceModel:
                 raise ModelFieldError(
                     "conn", f"a {self.conn}-connected space has no cohomology in "
                     f"degree {i}, but the algebra has rank {self.algebra.dim(i)} there")
+        _check_degree("pi_vanish_from", self.pi_vanish_from)
         if self.hdim is not None and self.hdim < self.algebra.top_degree:
             raise ValueError(
                 f"hdim {self.hdim} is below the algebra top degree "
@@ -128,6 +135,7 @@ class FibrationModel:
             raise ValueError("pstar must start at the base algebra")
         if self.pstar.target is not self.total_algebra:
             raise ValueError("pstar must land in the total-space algebra")
+        _check_degree("fiber_pi_vanish_from", self.fiber_pi_vanish_from)
         if self.known_secat is not None and self.known_secat < 0:
             raise ValueError("literature values must be >= 0")
 

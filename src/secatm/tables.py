@@ -114,7 +114,9 @@ class BoundTable:
     ``dim`` is the dimension parameter: entries m >= dim are the inf entry
     (see the module docstring).  ``rows`` and ``log`` hold the intervals and
     events of the stored rows ``stored``; ``interval`` and ``events`` look
-    them up at any m of ``index``.
+    them up at any m of ``index``.  ``narrowings`` counts the narrowings
+    that took effect, so a reader can tell whether the table moved since it
+    last looked.
     """
 
     def __init__(self, invariant: str, target: str, max_m: int, dim: int | None = None):
@@ -128,6 +130,7 @@ class BoundTable:
         self.rows: dict = {m: Interval() for m in self.stored}
         self.log: dict = {m: [] for m in self.stored}
         self.lower_bounds_applied = False
+        self.narrowings = 0
 
     @property
     def events(self) -> Mapping:
@@ -171,6 +174,7 @@ class BoundTable:
             return False
         self.log[m].append(ProvenanceEvent(rule, "lo", value, detail, certificate))
         entry.lo = value
+        self.narrowings += 1
         if entry.hi is not None and entry.lo > entry.hi:
             self._crossed(m)
         return True
@@ -182,6 +186,7 @@ class BoundTable:
             return False
         self.log[m].append(ProvenanceEvent(rule, "hi", value, detail))
         entry.hi = value
+        self.narrowings += 1
         if entry.lo > entry.hi:
             self._crossed(m)
         return True

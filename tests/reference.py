@@ -6,7 +6,9 @@ references here build the whole ideals instead (all of H^+, the kernel of
 the cup product, the image of f* - g*), enumerate products exhaustively
 (``brute_force_cuplength``), and run one cup-length query per table entry
 (the ``*_lower`` wrappers), so the tests can check that the fast paths give
-the same spans and lengths.  Nothing in ``secatm`` uses them.
+the same spans and lengths.  ``sweep_until_quiet`` is the plain rule
+fixpoint, which re-applies every record on every sweep.  Nothing in
+``secatm`` uses them.
 
 Import them as ``from reference import ...``.
 """
@@ -21,7 +23,7 @@ from secatm.algebra import (
     TensorProduct,
     tensor_square,
 )
-from secatm.cuplength import CupLengthQuery, _filtered_spanning, capped_cuplength
+from secatm.cuplength import CupLengthQuery, capped_cuplength
 from secatm.engine import _lower_source
 from secatm.linalg import vis_zero, vunit, vzero
 from secatm.spaces import FibrationModel, MapPairModel, SpaceModel
@@ -144,6 +146,21 @@ def pushforward_span(phi: RingMorphism, S: Subspace) -> Subspace:
     return Subspace(phi.target, rows)
 
 
+def dense_kunneth_blocks(left: GradedAlgebra, right: GradedAlgebra):
+    """``(kunneth_pairs, block_start)`` of ``left (x) right``, built by
+    visiting every pair of degrees, empty blocks included."""
+    pairs = [[] for _ in range(left.top_degree + right.top_degree + 1)]
+    starts = []
+    for p, m in enumerate(left.dims()):
+        at = []
+        for q, n in enumerate(right.dims()):
+            block = pairs[p + q]
+            at.append(len(block) if m and n else None)
+            block.extend((p, i, q, j) for i in range(m) for j in range(n))
+        starts.append(at)
+    return dict(enumerate(map(tuple, pairs))), starts
+
+
 # ---------------------------------------------------------------------------
 # exhaustive cup-length oracle
 # ---------------------------------------------------------------------------
@@ -187,7 +204,7 @@ def brute_force_cuplength(query: CupLengthQuery, max_len: int) -> int:
             )
         candidates = _f2_candidates(sub)
     else:
-        spanning = _filtered_spanning(query)
+        spanning = [(d, v) for d in sorted(sub.rows) for v in sub.rows[d]]
         if len(spanning) > 14:
             raise SizeGuardExceeded(
                 f"spanning set size {len(spanning)} exceeds the guard of 14"
@@ -258,3 +275,15 @@ def dm_lower(pair: MapPairModel, cap: int | None) -> int:
     codomain's zero divisors pushed along (f, g) lie in the same ideal and
     hold its generators (see ``_lower_source``)."""
     return _lower("dm", pair, cap)
+
+
+# ---------------------------------------------------------------------------
+# the plain rule fixpoint
+# ---------------------------------------------------------------------------
+
+def sweep_until_quiet(rules) -> None:
+    """Apply every record, in order, until a whole sweep narrows nothing;
+    a stand-in for ``secatm.engine._fixpoint``, which skips records whose
+    inputs did not narrow."""
+    while any([rule.apply() for rule in rules]):
+        pass

@@ -41,6 +41,7 @@ from reference import (
     UnsupportedCoefficients,
     _cup_kernel_rows,
     cup_kernel,
+    dense_kunneth_blocks,
     image_difference,
     multiplication_morphism,
     positive_part,
@@ -439,8 +440,29 @@ def kunneth_reference(A, B, C):
 def test_kunneth_product_matches_the_reference(factors):
     A, B = factors
     C, _, _ = kunneth_product(A, B)
+    assert (C.kunneth_pairs, C.block_start) == dense_kunneth_blocks(A, B)
     assert C.table == kunneth_reference(A, B, C)
     assert list(C.table) == sorted(C.table)
+
+
+# The constructor visits only pairs of nonzero factor degrees; the blocks
+# and their starts must be those of the dense loop over every pair, on
+# factors with many empty degrees.
+@pytest.mark.parametrize("left, right", [
+    pytest.param(sphere(10, Q), sphere(10, Q), id="s10-s10"),
+    pytest.param(sphere(63, GF(2)), sphere(64, GF(2)), id="s63-s64-f2"),
+    pytest.param(sphere(1, Z), sphere(7, Z), id="s1-s7-z"),
+    pytest.param(moore(2, 3, Q), moore(1, 5, Q), id="moore2.3-moore1.5"),
+    pytest.param(moore(1, 4, Q), sphere(2, Q), id="moore1.4-s2"),
+    pytest.param(complex_projective(4), complex_projective(3), id="cp4-cp3"),
+    pytest.param(complex_projective(2), moore(2, 2, Q), id="cp2-moore2.2"),
+])
+def test_kunneth_blocks_match_the_dense_loop(left, right):
+    A, B = left.algebra, right.algebra
+    for X, Y in ((A, B), (B, A), (A, A)):
+        C, _, _ = kunneth_product(X, Y)
+        assert (C.kunneth_pairs, C.block_start) == dense_kunneth_blocks(X, Y)
+        assert C.dims() == tuple(map(len, C.kunneth_pairs.values()))
 
 
 # The tensor square is thin: mul_basis multiplies in the factor, and the

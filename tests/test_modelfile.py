@@ -233,6 +233,22 @@ class TestDiagnostics:
         doc["fibrations"]["cover4"]["fiber_pi_vanish_from"] = "q"
         assert_rejected(doc, "fibrations.cover4.fiber_pi_vanish_from", tmp_path, capsys)
 
+    # a homotopy-vanishing degree below 0 names no degree: it used to pass
+    # (a fibration printed its table) or end in an inconsistent-model exit 2
+    def test_negative_fiber_vanishing_degree(self, tmp_path, capsys):
+        doc = covers_doc()
+        doc["fibrations"]["cover4"]["fiber_pi_vanish_from"] = -7
+        assert_rejected(doc, "fibrations.cover4.fiber_pi_vanish_from", tmp_path, capsys)
+
+    def test_negative_vanishing_degree_of_a_constructor(self, tmp_path, capsys):
+        doc = base_doc(spaces={"s2": {"construct": "sphere", "n": 2, "pi_vanish_from": -4}})
+        assert_rejected(doc, "spaces.s2.pi_vanish_from", tmp_path, capsys)
+
+    def test_negative_vanishing_degree_of_an_explicit_algebra(self, tmp_path, capsys):
+        doc = base_doc(spaces={"e": {
+            "algebra": {"basis": {"0": ["1"], "1": ["x"]}}, "pi_vanish_from": -1}})
+        assert_rejected(doc, "spaces.e.pi_vanish_from", tmp_path, capsys)
+
     def test_query_m_must_be_a_string(self, tmp_path, capsys):
         doc = covers_doc()
         doc["queries"][0]["m"] = 5
