@@ -224,15 +224,13 @@ def capped_cuplength(query: CupLengthQuery, structures: dict | None = None):
     """Maximum number of generator factors (degree <= cap) with nonzero product.
 
     Returns ``(length, certificate)``; the certificate is None exactly when
-    the length is 0.  The spanning set is read once, straight from the
-    generator subspace's rows of degree <= cap in ascending degree, and each
-    vector becomes its nonzero pairs once, shared by layer 1 and the groups
-    every layer multiplies by.  Layer t holds monomials ``(degree, pairs,
-    factors)`` whose vectors are linearly independent in each degree; layer
-    t + 1 keeps a product ``v * s`` only when it grows the rank of its
-    degree, and a degree is skipped once its rank equals its width.  The
-    layers are absorbing: once one is empty every later one is, and lengths
-    never exceed the top degree since each factor has positive degree.
+    the length is 0.  Layer t holds monomials ``(degree, pairs, factors)``
+    whose vectors are linearly independent in each degree; layer t + 1 keeps
+    a product ``v * s`` only when it grows the rank of its degree, and a
+    degree is skipped once its rank equals its width.  The layers are
+    absorbing: once one is empty every later one is, and lengths never exceed
+    the top degree since each factor has positive degree.  Each spanning
+    vector becomes its nonzero pairs once, for layer 1 and for the groups.
 
     Products are true products, taken by the algebra's
     :class:`IntegerStructure` with the nonzero ``(index, c)`` pairs of v and

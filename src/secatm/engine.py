@@ -211,8 +211,8 @@ def _fixpoint(rules) -> None:
     leaves every pair of its record satisfied unless it narrowed an input,
     and narrowing its target further cannot unsatisfy a pair.  The counts
     are taken before the application, so a record that narrows its own
-    input (``monotone_m`` walks one row per sweep) runs again.  Counts only
-    grow, so one sum per record tells whether any of them moved."""
+    input (``monotone_m`` walks one row per sweep) runs again; they only
+    grow, so their sum tells whether any of them moved."""
     inputs = [rule.inputs for rule in rules]
     seen = [-1] * len(rules)
     changed = True
@@ -334,8 +334,7 @@ class _Engine:
         self._apply_static()
         self._apply_lower_bounds()
 
-        # sweep the records until a sweep narrows nothing, skipping each one
-        # whose inputs did not narrow since it was last applied
+        # sweep until quiet, skipping records whose inputs did not narrow
         _fixpoint(self.rules)
         return self.tables
 

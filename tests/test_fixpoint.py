@@ -3,8 +3,6 @@ narrowed, against the plain loop that re-applies every record on every
 sweep (``reference.sweep_until_quiet``): the same events in the same order,
 certificates included."""
 
-import importlib.util
-import sys
 from pathlib import Path
 
 import pytest
@@ -16,6 +14,7 @@ from secatm.modelfile import load_model_file
 from secatm.tables import INF, BoundTable, table_to_json
 
 from reference import sweep_until_quiet
+from test_engine import _perfbench_cases
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -51,10 +50,7 @@ def test_model_files_equal_the_plain_loop(monkeypatch, path, lit):
 
 def _catalogue_bundle() -> Bundle:
     """Every item of the benchmark's rules-wide catalogue in one bundle."""
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_cases", ROOT / "perfbench" / "cases.py")
-    cases = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(cases)
+    cases = _perfbench_cases()
     makers = {item: make for category in cases.rules_wide_catalogue().values()
               for item, make in category.items()}
     bundle = Bundle()

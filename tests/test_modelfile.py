@@ -233,8 +233,8 @@ class TestDiagnostics:
         doc["fibrations"]["cover4"]["fiber_pi_vanish_from"] = "q"
         assert_rejected(doc, "fibrations.cover4.fiber_pi_vanish_from", tmp_path, capsys)
 
-    # a homotopy-vanishing degree below 0 names no degree: it used to pass
-    # (a fibration printed its table) or end in an inconsistent-model exit 2
+    # a homotopy-vanishing degree below 0 names no degree, so the model is
+    # rejected before any table is computed
     def test_negative_fiber_vanishing_degree(self, tmp_path, capsys):
         doc = covers_doc()
         doc["fibrations"]["cover4"]["fiber_pi_vanish_from"] = -7
