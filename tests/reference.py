@@ -6,9 +6,10 @@ references here build the whole ideals instead (all of H^+, the kernel of
 the cup product, the image of f* - g*), enumerate products exhaustively
 (``brute_force_cuplength``), and run one cup-length query per table entry
 (the ``*_lower`` wrappers), so the tests can check that the fast paths give
-the same spans and lengths.  ``sweep_until_quiet`` is the plain rule
-fixpoint, which re-applies every record on every sweep.  Nothing in
-``secatm`` uses them.
+the same spans and lengths.  ``dense_kunneth_blocks`` lays out the
+Kunneth blocks over every pair of degrees, and ``sweep_until_quiet`` is the
+plain rule fixpoint, which re-applies every record on every sweep.  Nothing
+in ``secatm`` uses them.
 
 Import them as ``from reference import ...``.
 """
