@@ -5,13 +5,13 @@
 
 The rungs are tc of RP^n, of the orientable surfaces Sigma_g, of the
 non-orientable surfaces N_h, of the tori T^k, of CP^n and of the spheres
-S^n, and cat of T^k, past the sizes the model files accept.  The square of
-S^n has 4 classes in 2n + 1 degrees, so almost all of its Kunneth blocks
-are empty.  RP^n and N_h are over F2: RP^n has
-one class in each degree, and N_h has h classes in degree 1, so the square
-of N_h is wide in degree 2.  The ``tc-sigma<g>h`` rungs take Sigma_g over Q
-with a_i b_i = w/2, isomorphic to H*(Sigma_g; Q), so the cup-length DP
-multiplies fractional constants.
+S^n, and cat of T^k over Q and over Z (``cat-t<k>z``), past the sizes the
+model files accept.  The square of S^n has 4 classes in 2n + 1 degrees, so
+almost all of its Kunneth blocks are empty.  RP^n and N_h are over F2:
+RP^n has one class in each degree, and N_h has h classes in degree 1, so
+the square of N_h is wide in degree 2.  The ``tc-sigma<g>h`` rungs take
+Sigma_g over Q with a_i b_i = w/2, isomorphic to H*(Sigma_g; Q), so the
+cup-length DP multiplies fractional constants.
 Each rung runs in a fresh interpreter of its own, which builds the space
 with the built-in constructors and runs ``compute_tables`` with the one
 table as target.  A line per rung gives the seconds of the build and the
@@ -22,9 +22,10 @@ when the child ran past ``TIMEOUT_S`` seconds.
 
 Where the classical value is known on a rung (tc(T^k) = k, tc(Sigma_g) = 4
 for g >= 2, tc(CP^n) = 2n, tc(S^n) = 1 for odd n and 2 for even n (Farber
-2003), cat(T^k) = k) the interval must be exactly that
-value and the lower bound without literature must reach it; the exit code
-is 1 when they do not or a rung failed.  ``--quick``
+2003), cat(T^k) = k over Q and over Z (Cornea, Lupton, Oprea and Tanre
+2003)) the interval must be exactly that value and the lower bound without
+literature must reach it; the exit code is 1 when they do not or a rung
+failed.  ``--quick``
 runs the small rungs only, in a few seconds in all.  Standard library
 only; the package is imported from this checkout's ``src``.
 """
@@ -60,6 +61,14 @@ def half_surface(sp, g):
                    algebra=make_algebra(Q, names, products, validate=False))
 
 
+def integral_torus(sp, k):
+    """T^k over Z: its spans are taken over Q and read out as primitive
+    integer rows."""
+    from secatm.domains import Z
+
+    return sp.product([sp.sphere(1, Z)] * k)
+
+
 for n in (16, 32, 64, 128):
     RUNGS[f"tc-rp{n}"] = ("tc", f"RP^{n}", lambda sp, n=n: sp.real_projective(n), None)
 for g in (2, 4, 8, 16, 24, 32, 48):
@@ -78,9 +87,11 @@ for n in (63, 64, 127, 128):
     RUNGS[f"tc-s{n}"] = ("tc", f"S^{n}", lambda sp, n=n: sp.sphere(n), 2 - n % 2)
 for k in (4, 6, 8, 10):
     RUNGS[f"cat-t{k}"] = ("cat", f"T^{k}", lambda sp, k=k: sp.product([sp.sphere(1)] * k), k)
+for k in (4, 6, 8, 10):
+    RUNGS[f"cat-t{k}z"] = ("cat", f"T^{k} over Z", lambda sp, k=k: integral_torus(sp, k), k)
 
 QUICK = ["tc-rp16", "tc-sigma2", "tc-sigma4", "tc-sigma4h", "tc-n8", "tc-t2", "tc-t3",
-         "tc-t4", "tc-cp2", "tc-cp4", "tc-s64", "cat-t4", "cat-t6"]
+         "tc-t4", "tc-cp2", "tc-cp4", "tc-s64", "cat-t4", "cat-t6", "cat-t4z"]
 
 
 def run_rung(name: str) -> dict:

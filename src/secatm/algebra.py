@@ -905,8 +905,10 @@ def tensor_morphism(phi: RingMorphism, psi: RingMorphism,
 class Subspace:
     """Degreewise span inside an algebra, stored in canonical echelon form.
 
-    Over a field each degree is an RREF basis; over Z a Hermite-normal-form
-    lattice basis.  Membership is exact.
+    Over a field each degree is an RREF basis.  Over Z it is the rational
+    span of integral rows, each RREF row read out as its primitive integer
+    vector; a product vanishes over Z exactly when it does over Q.
+    Membership is exact, over Q for Z.
     """
 
     def __init__(self, algebra: GradedAlgebra, rows: dict):

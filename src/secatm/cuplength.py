@@ -8,11 +8,11 @@ those degrees, read in one pass; no restricted subspace is built), iterate
 
 and report the largest t with V_t != 0.  Any product of linear combinations
 expands into products of spanning elements, so all spanning products vanish
-exactly when all subspace products vanish; this holds over fields and over
-Z lattices alike.  The search is restricted to homogeneous factors: a
-nonzero product of non-homogeneous classes expands into a nonzero product of
-homogeneous components of no larger degree, so the restriction never weakens
-a bound.
+exactly when all subspace products vanish; this holds over every domain,
+Z included, whose subspaces are Q-spans of integral rows.  The search is
+restricted to homogeneous factors: a nonzero product of non-homogeneous
+classes expands into a nonzero product of homogeneous components of no
+larger degree, so the restriction never weakens a bound.
 
 Each layer carries its own witnesses.  Its basis is a list of monomials
 s_i1 * ... * s_it, each stored with its factor indices, and a product joins
@@ -20,8 +20,8 @@ the next layer only when it grows the rank of its degree's echelon.  The
 kept monomials span V_t over the fraction field, so the length is the same
 as for the full span, and any monomial of the last layer is a certificate;
 no second search is needed.  Over Z rank tracking suffices as well:
-components are free, so a lattice is nonzero exactly when its rank is, and
-a product is nonzero over Z exactly when it is nonzero over Q.
+components are free, so a product of integral vectors is nonzero over Z
+exactly when it is nonzero over Q, and ranks over Q decide it.
 
 Products are taken by one routine, :meth:`IntegerStructure.products`,
 from the structure constants of a plain algebra's table or, for a Kunneth

@@ -1,21 +1,19 @@
 """Exact echelon forms, spans, membership and kernels.
 
-One echelon serves every field: ``FieldEchelon`` keeps sparse rows over Q
+One echelon serves every domain: ``FieldEchelon`` keeps sparse rows over Q
 and F_p, eliminates forward only, which is all that membership tests and
 ranks need, and back-substitutes once, when its rows are read, into the
 reduced row echelon form.  Over Q it works in Python ints (primitive
-integer rows) and forms the ``Fraction`` RREF only then.  Integer
-components are kept in row Hermite normal form by ``IntEchelon``.  Both
-read-out forms are canonical for the span they carry, so every stored
-spanning set, kernel and certificate is reproducible bit for bit across
-runs.
+integer rows) and forms the ``Fraction`` RREF only then.  Z is ranked over
+Q: its models are free modules, so integral vectors are independent over Z
+exactly when they are over Q.  ``span_rows`` and ``kernel_rows`` read each
+RREF row out over Z as its primitive integer vector with a positive pivot.
+Every read-out form is canonical for the span it carries (the Q-span over
+Z), so every stored spanning set, kernel and certificate is reproducible
+bit for bit across runs.
 
 Vectors are tuples of domain scalars; over Q ints are accepted as well, and
 ``FieldEchelon`` takes dicts of nonzero entries too.
-Kernels over Z are computed by unimodular row reduction of the augmented
-matrix ``[M | I]``: the rows whose ``M`` part vanishes project onto a basis
-of the full kernel lattice, which is the same lattice a Smith-normal-form
-computation yields.
 """
 
 from __future__ import annotations
@@ -27,7 +25,6 @@ from .domains import CoefficientDomain
 
 __all__ = [
     "FieldEchelon",
-    "IntEchelon",
     "make_echelon",
     "span_rows",
     "kernel_rows",
@@ -79,28 +76,6 @@ def clear_denominators(v) -> list[int]:
     entries of v (ints or ``Fraction``s)."""
     k = lcm(*[a.denominator for a in v])
     return [a.numerator * (k // a.denominator) for a in v]
-
-
-def _leading(u: tuple) -> int | None:
-    for i, a in enumerate(u):
-        if a != 0:
-            return i
-    return None
-
-
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """Return (g, x, y) with g = gcd(a, b) >= 0 and x*a + y*b = g."""
-    x, nx = 1, 0
-    y, ny = 0, 1
-    g, ng = a, b
-    while ng:
-        q = g // ng
-        x, nx = nx, x - q * nx
-        y, ny = ny, y - q * ny
-        g, ng = ng, g - q * ng
-    if g < 0:
-        x, y, g = -x, -y, -g
-    return g, x, y
 
 
 class FieldEchelon:
@@ -217,112 +192,25 @@ class FieldEchelon:
         return tuple(out)
 
 
-class IntEchelon:
-    """Hermite-normal-form lattice span over Z.
-
-    Pivots are positive and entries above each pivot are reduced into
-    ``[0, pivot)``, which makes ``rows()`` canonical for the lattice.
-    """
-
-    def __init__(self, dom: CoefficientDomain, width: int):
-        assert not dom.is_field
-        self.dom = dom
-        self.width = width
-        self._rows: list[list[int]] = []  # sorted by pivot column
-        self._pivots: list[int] = []
-
-    @property
-    def rank(self) -> int:
-        return len(self._rows)
-
-    def _row_at_pivot(self, col: int) -> int | None:
-        for i, piv in enumerate(self._pivots):
-            if piv == col:
-                return i
-            if piv > col:
-                return None
-        return None
-
-    def insert(self, v: tuple) -> bool:
-        v = [int(a) for a in v]
-        rank_grew = False
-        touched = False
-        while True:
-            lead = _leading(tuple(v))
-            if lead is None:
-                break
-            i = self._row_at_pivot(lead)
-            if i is None:
-                if v[lead] < 0:
-                    v = [-a for a in v]
-                pos = 0
-                while pos < len(self._pivots) and self._pivots[pos] < lead:
-                    pos += 1
-                self._rows.insert(pos, v)
-                self._pivots.insert(pos, lead)
-                rank_grew = True
-                touched = True
-                break
-            row = self._rows[i]
-            p, a = row[lead], v[lead]
-            if a % p == 0:
-                q = a // p
-                v = [x - q * y for x, y in zip(v, row)]
-            else:
-                g, s, t = _xgcd(p, a)
-                new_row = [s * x + t * y for x, y in zip(row, v)]
-                v = [(p // g) * y - (a // g) * x for x, y in zip(row, v)]
-                self._rows[i] = new_row
-                touched = True
-        if touched:
-            self._reduce_above()
-        return rank_grew
-
-    def _reduce_above(self) -> None:
-        # canonical HNF: positive pivots, entries above each pivot in [0, pivot).
-        # Left-to-right order matters: reducing at an early pivot can reintroduce
-        # entries in later pivot columns, which later passes then clean up.
-        for i in range(len(self._rows)):
-            piv = self._pivots[i]
-            p = self._rows[i][piv]
-            if p < 0:  # pragma: no cover - pivots kept positive on insert
-                self._rows[i] = [-a for a in self._rows[i]]
-                p = -p
-            for k in range(i):
-                c = self._rows[k][piv]
-                q = c // p
-                if q != 0:
-                    self._rows[k] = [
-                        x - q * y for x, y in zip(self._rows[k], self._rows[i])
-                    ]
-
-    def reduce(self, v: tuple) -> tuple:
-        """Subtract integral multiples of the basis; zero iff v is in the lattice."""
-        v = [int(a) for a in v]
-        for piv, row in zip(self._pivots, self._rows):
-            c = v[piv]
-            if c != 0 and c % row[piv] == 0:
-                q = c // row[piv]
-                v = [x - q * y for x, y in zip(v, row)]
-        return tuple(v)
-
-    def contains(self, v: tuple) -> bool:
-        return vis_zero(self.reduce(v))
-
-    def rows(self) -> tuple[tuple, ...]:
-        return tuple(tuple(r) for r in self._rows)
+def make_echelon(dom: CoefficientDomain, width: int) -> FieldEchelon:
+    return FieldEchelon(width, dom.p)
 
 
-def make_echelon(dom: CoefficientDomain, width: int):
-    return FieldEchelon(width, dom.p) if dom.is_field else IntEchelon(dom, width)
+def _integral(dom: CoefficientDomain, rows) -> tuple[tuple, ...]:
+    """Over Z, each RREF row over Q as its primitive integer vector with a
+    positive pivot: the pivot is 1, so the least common denominator leaves
+    the entries coprime.  Over a field the rows as they are."""
+    if dom.is_field:
+        return tuple(rows)
+    return tuple(tuple(clear_denominators(r)) for r in rows)
 
 
 def span_rows(dom: CoefficientDomain, rows, width: int) -> tuple[tuple, ...]:
-    """Canonical echelon basis of the span (lattice over Z) of the given rows."""
+    """Canonical echelon basis of the span (over Q for Z) of the given rows."""
     ech = make_echelon(dom, width)
     for r in rows:
         ech.insert(tuple(r))
-    return ech.rows()
+    return _integral(dom, ech.rows())
 
 
 def kernel_rows(dom: CoefficientDomain, rows, width: int) -> tuple[tuple, ...]:
@@ -344,4 +232,4 @@ def kernel_rows(dom: CoefficientDomain, rows, width: int) -> tuple[tuple, ...]:
     ech = make_echelon(dom, width + n)
     for r in aug:
         ech.insert(r)
-    return tuple(r[width:] for r in ech.rows() if not any(r[:width]))
+    return _integral(dom, (r[width:] for r in ech.rows() if not any(r[:width])))

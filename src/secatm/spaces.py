@@ -49,10 +49,11 @@ class ModelFieldError(ValueError):
         super().__init__(message)
 
 
-def _check_degree(field: str, degree: int | None) -> None:
-    """A homotopy-vanishing degree names a degree, so it is not negative."""
-    if degree is not None and degree < 0:
-        raise ModelFieldError(field, f"{field} must be >= 0, got {degree}")
+def _check_nonnegative(field: str, value: int | None) -> None:
+    """A homotopy-vanishing degree names a degree and a literature value
+    counts open sets, so neither is negative."""
+    if value is not None and value < 0:
+        raise ModelFieldError(field, f"{field} must be >= 0, got {value}")
 
 
 @dataclass
@@ -85,15 +86,14 @@ class SpaceModel:
                 raise ModelFieldError(
                     "conn", f"a {self.conn}-connected space has no cohomology in "
                     f"degree {i}, but the algebra has rank {self.algebra.dim(i)} there")
-        _check_degree("pi_vanish_from", self.pi_vanish_from)
+        _check_nonnegative("pi_vanish_from", self.pi_vanish_from)
         if self.hdim is not None and self.hdim < self.algebra.top_degree:
-            raise ValueError(
-                f"hdim {self.hdim} is below the algebra top degree "
+            raise ModelFieldError(
+                "hdim", f"hdim {self.hdim} is below the algebra top degree "
                 f"{self.algebra.top_degree}"
             )
-        for v in (self.known_cat, self.known_tc):
-            if v is not None and v < 0:
-                raise ValueError("literature values must be >= 0")
+        _check_nonnegative("known_cat", self.known_cat)
+        _check_nonnegative("known_tc", self.known_tc)
         if self.factors:
             conn = min(f.conn for f in self.factors)
             if self.conn != conn:
@@ -135,9 +135,8 @@ class FibrationModel:
             raise ValueError("pstar must start at the base algebra")
         if self.pstar.target is not self.total_algebra:
             raise ValueError("pstar must land in the total-space algebra")
-        _check_degree("fiber_pi_vanish_from", self.fiber_pi_vanish_from)
-        if self.known_secat is not None and self.known_secat < 0:
-            raise ValueError("literature values must be >= 0")
+        _check_nonnegative("fiber_pi_vanish_from", self.fiber_pi_vanish_from)
+        _check_nonnegative("known_secat", self.known_secat)
 
 
 @dataclass
@@ -158,8 +157,7 @@ class MapPairModel:
                 raise ValueError("induced maps must start at the codomain algebra")
             if m.target is not self.domain.algebra:
                 raise ValueError("induced maps must land in the domain algebra")
-        if self.known_d is not None and self.known_d < 0:
-            raise ValueError("literature values must be >= 0")
+        _check_nonnegative("known_d", self.known_d)
         if self.triangle is not None:
             left, right = self.triangle
             if left.domain.algebra is not self.domain.algebra or \

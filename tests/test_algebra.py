@@ -763,8 +763,12 @@ class TestImageDifference:
         )
         span = image_difference(ident, inv)
         assert span.dim(1) == 1 and span.dim(3) == 1 and span.dim(4) == 0
+        # over Z the span is the Q-span of 2*x1 and 2*x3, read out as the
+        # primitive rows x1 and x3
+        assert span.rows == {1: ((1,),), 3: ((1,),)}
         assert span.contains(alg.basis_element("x1").scale(2))
-        assert not span.contains(alg.basis_element("x1"))  # lattice, not Q-span
+        assert span.contains(alg.basis_element("x1"))
+        assert not span.contains(alg.basis_element("x1x3"))
 
     def test_two_augmentations_give_zero(self):
         A = truncated_f2(2)

@@ -96,7 +96,8 @@ class TestCappedCuplength:
         assert length >= 3
 
     def test_integer_lattice_nonvanishing(self):
-        # scalar multiples witness nonvanishing over Z: 2x1 * 2x3 = 4 x1x3
+        # 2x1 * 2x3 = 4 x1x3 is nonzero over Z exactly as over Q; the
+        # subspace is the Q-span, so the certificate is the primitive x1 * x3
         alg = make_algebra(
             Z,
             {0: ["1"], 1: ["x1"], 3: ["x3"], 4: ["x1x3"]},
@@ -108,7 +109,9 @@ class TestCappedCuplength:
         )
         length, cert = capped_cuplength(CupLengthQuery(alg, sub, None))
         assert length == 2
-        assert cert.product == alg.basis_element("x1x3").scale(4)
+        assert sub.dim(1) == sub.dim(3) == 1
+        assert cert.verify()
+        assert cert.product == alg.basis_element("x1x3")
 
     def test_dead_end_monomial_does_not_hide_a_longer_chain(self):
         # a*a is the first product in degree 4 but dies at once; the chain

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from secatm.domains import GF, Q, Z
 from secatm.linalg import (
     FieldEchelon,
-    IntEchelon,
     kernel_rows,
     make_echelon,
     span_rows,
@@ -40,27 +39,22 @@ class TestFieldEchelon:
         assert fwd == rev
 
 
-class TestIntEchelon:
-    def test_hermite_form(self):
-        # lattice spanned by (2,0), (0,2), (1,1) is {(a,b): a+b even}
-        rows = span_rows(Z, [(2, 0), (0, 2), (1, 1)], 2)
-        assert rows == ((1, 1), (0, 2))
+class TestIntegerSpan:
+    def test_integer_form_is_primitive(self):
+        # over Z the span is the Q-span: (2,0), (0,2), (1,1) span Q^2, read
+        # out as the primitive RREF rows
+        assert span_rows(Z, [(2, 0), (0, 2), (1, 1)], 2) == ((1, 0), (0, 1))
+        # each row is primitive with a positive pivot: (-4, 6) reads (2, -3)
+        assert span_rows(Z, [(-4, 6)], 2) == ((2, -3),)
+        assert span_rows(Z, [(2, 1, 0), (0, 1, 3)], 3) == ((2, 0, -3), (0, 1, 3))
 
-    def test_membership_uses_divisibility(self):
-        ech = IntEchelon(Z, 2)
+    def test_membership_is_over_q(self):
+        ech = make_echelon(Z, 2)
         ech.insert((2, 0))
+        assert ech.contains((1, 0))
+        assert not ech.contains((0, 1))
         ech.insert((0, 2))
-        assert ech.contains((4, 2))
-        assert not ech.contains((1, 0))
-        assert not ech.contains((2, 1))
-
-    def test_gcd_refinement_enlarges_lattice(self):
-        ech = IntEchelon(Z, 1)
-        ech.insert((4,))
-        ech.insert((6,))
-        assert ech.rows() == ((2,),)
-        ech.insert((3,))
-        assert ech.rows() == ((1,),)
+        assert ech.contains((2, 1))
 
 
 class TestKernels:
@@ -118,7 +112,7 @@ def test_rank_nullity_over_f5(rows):
 
 @settings(max_examples=60, deadline=None)
 @given(int_matrix(), st.randoms(use_true_random=False))
-def test_hermite_span_is_permutation_invariant(rows, rng):
+def test_integer_span_is_permutation_invariant(rows, rng):
     w = len(rows[0])
     base = span_rows(Z, rows, w)
     shuffled = list(rows)
@@ -128,40 +122,9 @@ def test_hermite_span_is_permutation_invariant(rows, rng):
     assert span_rows(Z, list(base), w) == base
 
 
-def _det(rows):
-    # cofactor expansion; exact on int matrices
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    total = 0
-    for j in range(n):
-        if rows[0][j] == 0:
-            continue
-        minor = [r[:j] + r[j + 1:] for r in rows[1:]]
-        total += (-1) ** j * rows[0][j] * _det(minor)
-    return total
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.lists(st.tuples(small_int, small_int, small_int), min_size=3, max_size=3))
-def test_hermite_pivot_product_is_the_determinant(rows):
-    # unimodular row operations preserve |det|, and the HNF of a full-rank
-    # square matrix is upper triangular, so its pivot product is |det|
-    rows = [tuple(r) for r in rows]
-    d = _det([list(r) for r in rows])
-    hnf = span_rows(Z, rows, 3)
-    if d == 0:
-        assert len(hnf) < 3
-    else:
-        prod = 1
-        for i, r in enumerate(hnf):
-            prod *= r[[j for j, x in enumerate(r) if x][0]]
-        assert len(hnf) == 3 and prod == abs(d)
-
-
 @settings(max_examples=60, deadline=None)
 @given(int_matrix())
-def test_hermite_membership_of_generators(rows):
+def test_integer_membership_of_generators(rows):
     w = len(rows[0])
     ech = make_echelon(Z, w)
     for r in rows:
@@ -283,12 +246,36 @@ def test_field_echelon_matches_reference(field, data):
         assert ech.contains(v)
 
 
+# -- the Z read-out against the reference over Q ------------------------------
+#
+# Over Z spans and kernels are taken over Q, and each RREF row is read out as
+# its primitive integer vector with a positive pivot.
+
+def _primitive(v):
+    """The primitive integer vector with positive pivot on the line of v."""
+    k = lcm(*[Fraction(x).denominator for x in v])
+    ints = [int(x * k) for x in v]
+    g = gcd(*ints) * (1 if next(x for x in ints if x) > 0 else -1)
+    return tuple(x // g for x in ints)
+
+
+@settings(max_examples=80, deadline=None)
+@given(int_matrix(max_rows=6, max_cols=6))
+def test_integer_read_out_matches_the_reference_over_q(rows):
+    w = len(rows[0])
+    span, ker = span_rows(Z, rows, w), kernel_rows(Z, rows, w)
+    assert span == tuple(_primitive(r) for r in _ref_rref(rows, w))
+    assert ker == tuple(_primitive(r) for r in _ref_kernel(rows, w))
+    for r in span + ker:
+        assert all(type(x) is int for x in r) and gcd(*r) == 1
+
+
 # -- ranks after every insert ------------------------------------------------
 #
 # The cup-length DP keeps a monomial exactly when inserting it grows the
 # rank, so the rank after every insert is checked against a reference: the
-# reference RREF over Q and F3, the Hermite-form lattice over Z (whose rank
-# is the rank over Q), and over F2 the canonical echelon of the dense rows
+# reference RREF over Q, F3 and Z (which is ranked over Q), and over F2 the
+# canonical echelon of the dense rows
 # (``span_rows``, itself checked against the reference RREF by
 # ``test_field_echelon_matches_reference[F2]``).  Inputs are the DP's int
 # vectors, handed over as the DP does: as dicts of their nonzero entries, to
@@ -296,7 +283,8 @@ def test_field_echelon_matches_reference(field, data):
 
 _RANK_DOMAINS = {
     "Q": (FieldEchelon, st.integers(-4, 4), lambda rows, w: len(_ref_rref(rows, w))),
-    "Z": (FieldEchelon, st.integers(-4, 4), lambda rows, w: len(span_rows(Z, rows, w))),
+    "Z": (lambda w: make_echelon(Z, w), st.integers(-4, 4),
+          lambda rows, w: len(_ref_rref(rows, w))),
     "F3": (lambda w: FieldEchelon(w, 3), st.integers(0, 2),
            lambda rows, w: len(_ref_rref(rows, w, 3))),
     "F2": (lambda w: FieldEchelon(w, 2), st.integers(0, 1),

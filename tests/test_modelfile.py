@@ -249,6 +249,32 @@ class TestDiagnostics:
             "algebra": {"basis": {"0": ["1"], "1": ["x"]}}, "pi_vanish_from": -1}})
         assert_rejected(doc, "spaces.e.pi_vanish_from", tmp_path, capsys)
 
+    # a negative literature value or an hdim below the top degree contradicts
+    # the model, and the error names the field, not just the space
+
+    def test_negative_known_cat(self, tmp_path, capsys):
+        doc = base_doc(spaces={"s2": {"construct": "sphere", "n": 2, "known_cat": -1}})
+        assert_rejected(doc, "spaces.s2.known_cat", tmp_path, capsys)
+
+    def test_negative_known_tc(self, tmp_path, capsys):
+        doc = base_doc(spaces={"e": {
+            "algebra": {"basis": {"0": ["1"], "1": ["x"]}}, "known_tc": -2}})
+        assert_rejected(doc, "spaces.e.known_tc", tmp_path, capsys)
+
+    def test_negative_known_secat(self, tmp_path, capsys):
+        doc = covers_doc()
+        doc["fibrations"]["cover4"]["known_secat"] = -1
+        assert_rejected(doc, "fibrations.cover4.known_secat", tmp_path, capsys)
+
+    def test_negative_known_d(self, tmp_path, capsys):
+        doc = copy.deepcopy(U2_DOC)
+        doc["map_pairs"]["idinv"]["known_d"] = -3
+        assert_rejected(doc, "map_pairs.idinv.known_d", tmp_path, capsys)
+
+    def test_hdim_below_the_top_degree(self, tmp_path, capsys):
+        doc = base_doc(spaces={"s2": {"construct": "sphere", "n": 2, "hdim": 1}})
+        assert_rejected(doc, "spaces.s2.hdim", tmp_path, capsys)
+
     def test_query_m_must_be_a_string(self, tmp_path, capsys):
         doc = covers_doc()
         doc["queries"][0]["m"] = 5
