@@ -13,7 +13,7 @@ import functools
 
 from .domains import CoefficientDomain
 from . import linalg
-from .linalg import make_echelon, span_rows, kernel_rows, vis_zero, vunit, vzero
+from .linalg import FieldEchelon, make_echelon, span_rows, kernel_rows, vis_zero, vunit, vzero
 
 __all__ = [
     "AlgebraError",
@@ -78,10 +78,16 @@ def _koszul_sign_is_neg(d1: int, d2: int) -> bool:
     return (d1 % 2 == 1) and (d2 % 2 == 1)
 
 
+def _as_int(c):
+    """c as an int when it is integral, else the ``Fraction`` it is: ints
+    multiply much faster."""
+    return c.numerator if c.denominator == 1 else c
+
+
 def _terms(row) -> list:
     """The nonzero ``(index, c)`` pairs of a row, integral rationals made
-    ints, which multiply much faster."""
-    return [(j, c.numerator if c.denominator == 1 else c) for j, c in enumerate(row) if c]
+    ints (``_as_int``)."""
+    return [(j, _as_int(c)) for j, c in enumerate(row) if c]
 
 
 def _table_terms(table: dict) -> dict:
@@ -123,7 +129,9 @@ class GradedAlgebra:
     coefficient tuple of ``names[d1][i1] * names[d2][i2]`` over the basis of
     degree ``d1 + d2``; absent keys mean the product is zero.  Products with
     the unit follow the unit law and have no table entries.  Instances are
-    immutable after construction and safe to share.
+    immutable after construction and safe to share; what the cup-length
+    bounds read of one (``generators``, ``constants``) is built on first
+    read and lives as long as it does.
     """
 
     def __init__(self, coeff, names, table, validate=True):
@@ -206,6 +214,63 @@ class GradedAlgebra:
             if d1 and d2 and nz:
                 out[(d1, i1)][(d2, i2)] = nz
         return out
+
+    # -- what the cup-length bounds read, built on first read and kept -------
+    @functools.cached_property
+    def generators(self) -> tuple[tuple[int, int], ...]:
+        """``(degree, index)`` of the basis classes of positive degree that
+        generate the algebra: degree by degree, in basis order, each class
+        that grows the rank of the decomposables and the classes kept before
+        it.  Ranks are taken over F_p for a prime field and over Q
+        otherwise; the cup-length DP decides vanishing by rank over Q, so
+        over Z these generate for it as well."""
+        echelons = [FieldEchelon(n, self.coeff.p) for n in self.dims()]
+        for (d1, _, d2, _), row in self.table.items():
+            e = echelons[d1 + d2]
+            if e.rank < e.width:
+                e.insert(row)
+        generators = []
+        for d in range(1, self.top_degree + 1):
+            e = echelons[d]
+            for i in range(e.width):
+                if e.rank == e.width:
+                    break
+                if e.insert({i: 1}):
+                    generators.append((d, i))
+        return tuple(generators)
+
+    @functools.cached_property
+    def constants(self) -> dict:
+        """``nonzero_products`` with integral scalars as ints (``_as_int``),
+        which :meth:`products` multiplies by."""
+        return {key: {key2: tuple((j, _as_int(c)) for j, c in nz) for key2, nz in row.items()}
+                for key, row in self.nonzero_products().items()}
+
+    def product_keys(self, ds: int, s) -> list:
+        """Per ``(index, b)`` of s, a degree-ds vector as nonzero pairs, the
+        key of its class in ``constants`` and b: the form :meth:`products`
+        reads s in."""
+        return [((ds, k), b) for k, b in s]
+
+    def products(self, dv: int, v, ds: int, group):
+        """Yield ``(i, v * s)`` for each ``(i, keys)`` of ``group``: v of
+        degree dv as nonzero ``(index, c)`` pairs, s of degree ds as its
+        ``product_keys``, each product the dict of its nonzero entries (mod
+        p over F_p).  One constant lookup per pair of support classes, in
+        Python arithmetic on ints, and on a ``Fraction`` only where a scalar
+        is not integral."""
+        constants = self.constants
+        rows = [(a, constants[(dv, k)]) for k, a in v]
+        for i, keys in group:
+            acc: dict[int, int] = {}
+            for a, row in rows:
+                for key, b in keys:
+                    nz = row.get(key)
+                    if nz is not None:
+                        ab = a * b
+                        for j, c in nz:
+                            acc[j] = acc.get(j, 0) + ab * c
+            yield i, _reduced(acc, self.coeff.p)
 
     # -- elements ----------------------------------------------------------
     def zero_element(self) -> "Element":
@@ -513,7 +578,8 @@ class TensorProduct(GradedAlgebra):
     the name index are built on first read (formatting, parsing).
     ``mul_basis`` multiplies in the factors, so elements, certificates and
     the cup-length bounds never need the 4-index ``table``; it is built on
-    first read (``validate``, a morphism's validation) and kept.  Valid over
+    first read (``validate``, a morphism's validation) and kept.  Its
+    ``generators`` and ``products`` come from the factors' too.  Valid over
     a field, and over Z because all components are free.
     """
 
@@ -588,6 +654,57 @@ class TensorProduct(GradedAlgebra):
                     c = dom.mul(ca, cb)
                     row[self.slot(p, ia, q, jb)] = dom.neg(c) if neg else c
         return None if vis_zero(row) else tuple(row)
+
+    @functools.cached_property
+    def generators(self) -> tuple[tuple[int, int], ...]:
+        """Ranked without the table: the degree-d decomposables are the
+        blocks A_p (x) B_(d-p) for 0 < p < d, 1 (x) dec(B_d) and dec(A_d)
+        (x) 1, so the generators are the slots of g (x) 1 and 1 (x) h for
+        the factors' generators g and h."""
+        return tuple(sorted([(d, self.slot(0, 0, d, j)) for d, j in self.right.generators] +
+                            [(d, self.slot(d, i, 0, 0)) for d, i in self.left.generators]))
+
+    @functools.cached_property
+    def constants(self) -> dict:
+        """Built by :meth:`row` from the factors' ``constants``; read only
+        where the product is itself a factor, as :meth:`products` multiplies
+        through the factors'."""
+        left, right = self.left.constants, self.right.constants
+        return {(d, k): {(d2, k2): nz for d2, k2, nz in self.row(d, k, left, right)}
+                for d in range(self.top_degree + 1) for k in range(self.dim(d))}
+
+    def product_keys(self, ds: int, s) -> list:
+        """Per ``(index, b)`` of s, its factor classes' keys and degrees and
+        b."""
+        pairs = self.kunneth_pairs[ds]
+        return [((p, i), (q, j), p, q, b) for k, b in s for p, i, q, j in (pairs[k],)]
+
+    def products(self, dv: int, v, ds: int, group):
+        """Multiplies through the factors' ``constants``: ``(a (x) b)(a'
+        (x) b') = (-1)^(|b| |a'|) (a a') (x) (b b')``, never reading the
+        product's own table or constants."""
+        left, right = self.left.constants, self.right.constants
+        pv, starts, widths = self.kunneth_pairs[dv], self.block_start, self._right_dims
+        rows = []  # per class of v: its coefficient, constants and degrees
+        for k, a in v:
+            p1, i1, q1, j1 = pv[k]
+            rows.append((a, left[(p1, i1)], right[(q1, j1)], p1, q1))
+        for i, keys in group:
+            acc: dict[int, int] = {}
+            for a, lrow, rrow, p1, q1 in rows:
+                for lkey, rkey, p2, q2, b in keys:
+                    anz = lrow.get(lkey)
+                    bnz = rrow.get(rkey) if anz else None
+                    if bnz is None:
+                        continue
+                    ab = -a * b if q1 & p2 & 1 else a * b  # the Koszul sign
+                    q = q1 + q2
+                    base, width = starts[p1 + p2][q], widths[q]
+                    for ia, ca in anz:
+                        at, c = base + ia * width, ab * ca
+                        for jb, cb in bnz:
+                            acc[at + jb] = acc.get(at + jb, 0) + c * cb
+            yield i, _reduced(acc, self.coeff.p)
 
     def row(self, d: int, k: int, left: dict, right: dict) -> list:
         """The nonzero products of class k of degree d by every class, the
@@ -950,14 +1067,6 @@ class Subspace:
 
     def is_zero(self) -> bool:
         return not self.rows
-
-    def restricted(self, cap: int | None) -> "Subspace":
-        """Sub-span of the components of degree <= cap (all when cap is None)."""
-        if cap is None:
-            return self
-        return Subspace._of_canonical(
-            self.algebra, {d: rs for d, rs in self.rows.items() if d <= cap}
-        )
 
     def spanning_elements(self) -> list[Element]:
         out = []

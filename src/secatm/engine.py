@@ -22,18 +22,21 @@ coefficients only); for secat, the pullback kernel; for dm and hdm,
 ideal and a generating set of it have the same capped cup-length, so the
 bounds are those of the whole ideals.  They carry their certificates in the
 provenance, and are applied lazily: only to the requested tables and to
-tables whose lower bounds reach them through a rule record.
+tables whose lower bounds reach them through a rule record.  The engine
+keeps no per-algebra data of its own: each algebra ranks its generators
+(``GradedAlgebra.generators``) and converts its integer structure
+constants (``GradedAlgebra.constants``) on first read and keeps them, so a
+second run on the same models ranks and converts nothing.
 """
 
 from __future__ import annotations
 
-import functools
 from bisect import bisect_right
 from typing import NamedTuple
 
-from .algebra import GradedAlgebra, Subspace, TensorProduct, kernel, tensor_square
+from .algebra import Subspace, kernel, tensor_square
 from .cuplength import CupLengthQuery, capped_cuplength
-from .linalg import FieldEchelon, vis_zero, vsub, vunit
+from .linalg import vis_zero, vsub, vunit
 from .spaces import FibrationModel, MapPairModel, SpaceModel
 from .tables import INF, BoundTable
 
@@ -264,14 +267,6 @@ class _Engine:
         self.tables: dict[tuple[str, str], BoundTable] = {}
         self.max_m = max_m
         self._pair_cache: dict = {}
-        # algebra -> its cup-length IntegerStructure, shared by every DP of
-        # the run and by the structure of its square; keyed by the algebra
-        # itself, which the map keeps alive, so a dropped algebra's id is
-        # never taken for a new one's
-        self._structures: dict = {}
-        # algebra -> its ``_generators``, ranked once per run for cat, tc
-        # and the map pairs into it, keyed the same way
-        self._generators_of = functools.cache(_generators)
 
     # -- registration -------------------------------------------------------
     def _register(self):
@@ -398,7 +393,7 @@ class _Engine:
             table = self.tables[(inv, name)]
             key = ("hdm" if inv == "dm" else inv, name)
             if key not in sources:
-                sources[key] = _lower_source(inv, self.model(inv, name), self._generators_of)
+                sources[key] = _lower_source(inv, self.model(inv, name))
             source = sources[key]
             table.lower_bounds_applied = True
             if source is None or source[1].is_zero():
@@ -408,8 +403,6 @@ class _Engine:
             if key not in runs:
                 runs[key] = self._capped_values(algebra, generators, degmax)
             values = runs[key]
-            if inv == "tc":  # the square was built for this table alone
-                self._structures.pop(algebra, None)
             for m in table.stored:
                 eff = degmax if m == INF else min(m, degmax)
                 length, cert = values[eff]
@@ -442,8 +435,7 @@ class _Engine:
         def compute(i):
             key = keys[i]
             if key not in runs:
-                runs[key] = capped_cuplength(
-                    CupLengthQuery(algebra, generators, key), self._structures)
+                runs[key] = capped_cuplength(CupLengthQuery(algebra, generators, key))
             values[caps[i]] = runs[key]
             return runs[key]
 
@@ -597,49 +589,14 @@ def _children(model) -> list:
         ("map_pairs", side, leg) for side, leg in legs]
 
 
-def _generators(A: GradedAlgebra) -> list[tuple[int, int]]:
-    """``(degree, index)`` of the basis classes of positive degree that
-    generate ``A`` as an algebra: degree by degree, in basis order, each
-    class that grows the rank of the decomposables and the classes kept
-    before it.  Ranks are taken over F_p for a prime field and over Q
-    otherwise; the cup-length DP decides vanishing by rank over Q, so over
-    Z these generate for it as well.
-
-    A :class:`TensorProduct` A (x) B is ranked without its table: its
-    degree-d decomposables are the blocks A_p (x) B_(d-p) for 0 < p < d,
-    1 (x) dec(B_d) and dec(A_d) (x) 1, so it keeps the slots of 1 (x) h and
-    g (x) 1 for the factors' generators h and g."""
-
-    def rank(A):
-        if isinstance(A, TensorProduct):
-            return sorted([(d, A.slot(0, 0, d, j)) for d, j in rank(A.right)] +
-                          [(d, A.slot(d, i, 0, 0)) for d, i in rank(A.left)])
-        echelons = [FieldEchelon(n, A.coeff.p) for n in A.dims()]
-        for (d1, _, d2, _), row in A.table.items():
-            e = echelons[d1 + d2]
-            if e.rank < e.width:
-                e.insert(row)
-        generators = []
-        for d in range(1, A.top_degree + 1):
-            e = echelons[d]
-            for i in range(e.width):
-                if e.rank == e.width:
-                    break
-                if e.insert({i: 1}):
-                    generators.append((d, i))
-        return generators
-
-    return rank(A)
-
-
-def _lower_source(inv, model, generators=None):
+def _lower_source(inv, model):
     """(algebra, generator subspace, description) feeding the cup-length
-    lower bound of ``inv`` on ``model``, or None when it does not apply;
-    ``generators``, if given, stands in for ``_generators``.
+    lower bound of ``inv`` on ``model``, or None when it does not apply.
 
     Each source spans a set of generators of an ideal, from the algebra
-    generators g of ``_generators``.  cat reads the g themselves, which
-    generate H^+.  tc reads ``g (x) 1 - 1 (x) g`` in the tensor square
+    generators g of ``GradedAlgebra.generators``, which each algebra ranks
+    once and keeps.  cat reads the g themselves, which generate H^+.  tc
+    reads ``g (x) 1 - 1 (x) g`` in the tensor square
     (``TensorProduct.zero_divisor``), which generate the kernel of the cup
     product (Farber 2003), over a field only.  dm and hdm read
     ``(f* - g*)(g)`` for the pair's f* and g*, with g running over the
@@ -651,22 +608,21 @@ def _lower_source(inv, model, generators=None):
     have the cup-length of their ideals."""
     if inv == "secat":
         return model.base.algebra, kernel(model.pstar), "ker(pullback)"
-    generators = generators or _generators
     rows = {}
     if inv == "cat":
         A = model.algebra
-        for d, i in generators(A):
+        for d, i in A.generators:
             rows.setdefault(d, []).append(vunit(A.coeff, A.dim(d), i))
         return A, Subspace(A, rows), "H^+"
     if inv == "tc":
         if not model.algebra.coeff.is_field:
             return None
         X = tensor_square(model.algebra)[0]
-        for d, i in generators(model.algebra):
+        for d, i in model.algebra.generators:
             rows.setdefault(d, []).append(X.zero_divisor(d, i))
         return X, Subspace(X, rows), "ker(cup)"
     f, g, X = model.fstar, model.gstar, model.domain.algebra
-    for d, i in generators(f.source):
+    for d, i in f.source.generators:
         diff = vsub(X.coeff, f.mats[d][i], g.mats[d][i])
         if not vis_zero(diff):
             rows.setdefault(d, []).append(diff)

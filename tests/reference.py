@@ -196,7 +196,9 @@ def brute_force_cuplength(query: CupLengthQuery, max_len: int) -> int:
     """
     algebra = query.algebra
     dom = algebra.coeff
-    sub = query.generators.restricted(query.cap)
+    cap = query.cap
+    rows = {d: rs for d, rs in query.generators.rows.items() if cap is None or d <= cap}
+    sub = Subspace(algebra, rows)
     is_f2 = dom.kind == "prime_field" and dom.p == 2
     if is_f2:
         if algebra.total_dim > 14:

@@ -832,13 +832,6 @@ class TestSubspace:
         sub = Subspace.from_elements(A, [A.basis_element("a").scale(Fraction(2, 3))])
         assert sub.contains(A.basis_element("a"))  # field span rescales
 
-    def test_restriction_by_degree(self):
-        A = truncated_f2(3)
-        sub = positive_part(A)
-        capped = sub.restricted(2)
-        assert capped.degrees() == (1, 2)
-        assert sub.restricted(None) is sub
-
     def test_spanning_elements_are_homogeneous(self):
         A = truncated_f2(3)
         for el in positive_part(A).spanning_elements():
@@ -848,14 +841,11 @@ class TestSubspace:
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_kernel_and_restriction_keep_canonical_rows(data):
-    # both take their rows as they are, with no new echelon: those rows must
-    # be what a fresh echelon of them gives
+    # kernel takes its rows as they are, with no new echelon: those rows
+    # must be what a fresh echelon of them gives
     phi = data.draw(mutated_morphisms())
     ker = kernel(phi)
     assert Subspace(ker.algebra, ker.rows) == ker
-    cap = data.draw(st.integers(0, phi.source.top_degree))
-    assert ker.restricted(cap) == Subspace(
-        ker.algebra, {d: rs for d, rs in ker.rows.items() if d <= cap})
 
 
 # -- the explicit cup-kernel basis against elimination ---------------------------

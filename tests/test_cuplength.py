@@ -14,10 +14,9 @@ from secatm.algebra import (
 from secatm.cuplength import (
     CupLengthCertificate,
     CupLengthQuery,
-    IntegerStructure,
     capped_cuplength,
 )
-from secatm.engine import _generators, _lower_source
+from secatm.engine import _lower_source
 from secatm.linalg import vis_zero, vsub
 from secatm.spaces import (
     complex_projective,
@@ -250,7 +249,8 @@ def test_dp_matches_oracle_and_certificates_check(query):
         return
     assert len(cert) == length
     assert cert.verify(cap=query.cap)
-    spanning = query.generators.restricted(query.cap).spanning_elements()
+    spanning = [f for f in query.generators.spanning_elements()
+                if query.cap is None or f.degree <= query.cap]
     assert all(f in spanning for f in cert.factors)
     _, again = capped_cuplength(query)
     assert again.factor_strings() == cert.factor_strings()
@@ -386,17 +386,17 @@ def test_zero_divisor_witnesses_are_pinned(build, pins):
         assert cert is None or cert.verify(cap=cap)
 
 
-# -- one integer structure per algebra ----------------------------------------
+# -- integer products kept on each algebra ------------------------------------
 #
-# A tensor square's structure comes from its factor's integer products, a
-# plain algebra's from its table; a structure map shared across queries must
-# give what a fresh structure per query gives.
+# A tensor square multiplies through its factor's integer constants, a plain
+# algebra through its table's; each algebra builds its own on first read and
+# keeps them, and what one algebra keeps must never serve another.
 
-def zero_divisor_runs(T, zero_divisors, structures=None):
+def zero_divisor_runs(T, zero_divisors):
     """(length, factor strings) of the zero-divisor DP at every cap."""
     out = []
     for cap in [*range(1, T.top_degree + 1), None]:
-        length, cert = capped_cuplength(CupLengthQuery(T, zero_divisors, cap), structures)
+        length, cert = capped_cuplength(CupLengthQuery(T, zero_divisors, cap))
         out.append((length, cert.factor_strings() if cert else []))
     return out
 
@@ -406,37 +406,39 @@ def test_cached_dp_on_the_thin_square_equals_the_dp_on_an_eager_copy(build):
     A = build()
     T, _, _ = tensor_square(A)
     E = plain_copy(tensor_square(A)[0])  # the same basis, with its table
-    structures = {}
-    thin = zero_divisor_runs(T, cup_kernel(A, T), structures)
+    thin = zero_divisor_runs(T, cup_kernel(A, T))
+    # a second pass reads the constants the first one kept
+    assert zero_divisor_runs(T, cup_kernel(A, T)) == thin
     eager = zero_divisor_runs(E, Subspace(E, cup_kernel(A, T).rows))
     assert thin == eager
-    # the map holds the square's structure and, beside it, the factor's
-    # (and a product factor's own factors'), the one the square multiplies
-    # through
-    assert T in structures and "table" not in vars(T)
-    assert structures[T]._factors == (structures[A], structures[A])
+    # the square multiplied through the constants of its factor (and a
+    # product factor's through its own factors'), which keeps them, and
+    # built neither its table nor constants of its own
+    assert "constants" in vars(A)
+    assert "table" not in vars(T) and "constants" not in vars(T)
 
 
 def test_one_structure_map_serves_squares_built_and_dropped_in_turn():
     # two factors of the same shape with different products (RP^3 and
-    # S^1 v S^2 v S^3 over F2): a structure of one square served to the
-    # other would change its lengths
-    factors = [
-        real_projective(3).algebra,
-        make_algebra(GF(2), {0: ["1"], 1: ["x"], 2: ["y"], 3: ["z"]}, []),
+    # S^1 v S^2 v S^3 over F2), each built, squared, run and dropped in
+    # turn: data kept for one algebra and served to the other would change
+    # its lengths
+    builds = [
+        lambda: real_projective(3).algebra,
+        lambda: make_algebra(GF(2), {0: ["1"], 1: ["x"], 2: ["y"], 3: ["z"]}, []),
     ]
-    structures, runs = {}, []
-    for A in factors * 4:
-        T = tensor_square(A)[0]  # no inclusion keeps T alive
-        zero_divisors = cup_kernel(A, T)
-        fresh = zero_divisor_runs(T, zero_divisors)
-        assert zero_divisor_runs(T, zero_divisors, structures) == fresh
-        runs.append(fresh)
-        # T is freed here unless the map holds it, and a later square is
-        # then often allocated at its address, so an id() key would serve
-        # it T's structure
-        del T, zero_divisors
-    assert [length for length, _ in runs[0]] != [length for length, _ in runs[1]]
+
+    def runs(A):
+        # the zero divisors of A's generators; no inclusion keeps T alive
+        return zero_divisor_runs(*square_zero_divisors(A))
+
+    expected = [runs(build()) for build in builds]
+    assert [n for n, _ in expected[0]] != [n for n, _ in expected[1]]
+    for k in range(8):
+        # A and its square are freed after each turn, and a later algebra
+        # is then often allocated at a freed address, so data kept by id()
+        # would be served to it
+        assert runs(builds[k % 2]()) == expected[k % 2], k
 
 
 # -- products of spaces: nested thin products against plain copies -------------
@@ -498,15 +500,15 @@ def assert_columns_match_the_table(A, every_class):
     """The columns of right multiplication by the zero divisors ``g (x) 1 -
     1 (x) g`` of the square of ``A`` and by the classes of their support
     (by every class of positive degree with ``every_class``), each basis
-    class times s from ``IntegerStructure.products``, against the same
+    class times s from the algebra's ``products``, against the same
     products read from the square's table by ``mul_vectors``: equal entry
     for entry over every domain, the true products, and an empty dict
-    exactly where a product vanishes.  The structure of A itself is checked
-    the same way against A's own table."""
+    exactly where a product vanishes.  A's own ``products`` are checked
+    the same way against A's table."""
     T, left, right = tensor_square(A)
     E = plain_copy(tensor_square(A)[0])  # the same basis, multiplying by its table
     vectors = [(d, vsub(T.coeff, left.mats[d][i], right.mats[d][i]))
-               for d, i in _generators(A)]
+               for d, i in A.generators]
     classes = {(ds, i) for ds, v in vectors for i, c in enumerate(v) if c}
     if every_class:
         classes = {(d, i) for d in range(1, T.top_degree + 1) for i in range(T.dim(d))}
@@ -517,12 +519,11 @@ def assert_columns_match_the_table(A, every_class):
     own = [(d, tuple(int(j == i) for j in range(A.dim(d))))
            for d in range(1, A.top_degree + 1) for i in range(A.dim(d))]
     for X, reference, xs in [(T, E, vectors), (A, A, own)]:
-        structure = IntegerStructure(X)
         for ds, s in xs:
-            pairs = tuple((i, c) for i, c in enumerate(s) if c)
+            keys = X.product_keys(ds, [(i, c) for i, c in enumerate(s) if c])
             for dv in range(1, X.top_degree - ds + 1):
                 for i1 in range(X.dim(dv)):
-                    (_, got), = structure.products(dv, ((i1, 1),), ds, [(0, pairs)])
+                    (_, got), = X.products(dv, ((i1, 1),), ds, [(0, keys)])
                     v = [0] * X.dim(dv)
                     v[i1] = 1
                     w = reference.mul_vectors(dv, tuple(v), ds, s)
@@ -568,16 +569,15 @@ def test_square_columns_match_the_square_table_on_the_ladder():
 ], ids=["rp8", "t4q", "sigma3"])
 def test_tc_builds_no_table_and_no_per_class_data_for_the_square(build, zcl):
     # a tc DP multiplies through the factor's constants: the square builds
-    # neither its table nor constants of its own, and the factor's
-    # structure, when the map holds it already, is the one it reads
+    # neither its table nor constants nor generators of its own, and the
+    # factor's constants, when it holds them already, are the ones it reads
     space = build()
     A = space.algebra
+    constants = A.constants
     T, zero_divisors, _ = _lower_source("tc", space)
-    structures = {A: IntegerStructure(A)}
-    assert capped_cuplength(CupLengthQuery(T, zero_divisors), structures)[0] == zcl
-    assert list(structures) == [A, T]
-    assert "table" not in vars(T) and "constants" not in vars(structures[T])
-    assert structures[T]._factors == (structures[A], structures[A])
+    assert capped_cuplength(CupLengthQuery(T, zero_divisors))[0] == zcl
+    assert A.constants is constants
+    assert not {"table", "constants", "generators"} & set(vars(T))
 
 
 # ---------------------------------------------------------------------------
@@ -610,7 +610,7 @@ def square_zero_divisors(A):
     coefficients (over Z too)."""
     T = tensor_square(A)[0]
     rows = {}
-    for d, i in _generators(A):
+    for d, i in A.generators:
         rows.setdefault(d, []).append(T.zero_divisor(d, i))
     return T, Subspace(T, rows)
 
