@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Time tc and cat of growing spaces, one rung per subprocess.
+"""Time tc and cat of growing spaces, and their validation, one rung per
+subprocess.
 
     python scripts/size_ladder.py [--quick]
 
@@ -11,14 +12,19 @@ almost all of its Kunneth blocks are empty.  RP^n and N_h are over F2:
 RP^n has one class in each degree, and N_h has h classes in degree 1, so
 the square of N_h is wide in degree 2.  The ``tc-sigma<g>h`` rungs take
 Sigma_g over Q with a_i b_i = w/2, isomorphic to H*(Sigma_g; Q), so the
-cup-length DP multiplies fractional constants.
+cup-length DP multiplies fractional constants.  The ``validate-*`` rungs
+time ``GradedAlgebra.validate`` on a plain copy of the table of RP^n or
+T^k, built as a model file's algebras are
+(``GradedAlgebra(coeff, names, table)``).
 Each rung runs in a fresh interpreter of its own, which builds the space
 with the built-in constructors and runs ``compute_tables`` with the one
-table as target.  A line per rung gives the seconds of the build and the
-run, the child's peak RSS (the interpreter and the import included), the
-classical interval and the classical lower bound of a second, untimed run
-without literature values, which is the cup-length bound; or ``timeout``
-when the child ran past ``TIMEOUT_S`` seconds.
+table as target, or builds the validated copy.  A line per rung gives the
+seconds of the build and the run (of the validated copy alone), the
+child's peak RSS (the interpreter and the import included), the classical
+interval and the classical lower bound of a second, untimed run without
+literature values, which is the cup-length bound (``valid`` on a
+validation rung); or ``timeout`` when the child ran past ``TIMEOUT_S``
+seconds.
 
 Where the classical value is known on a rung (tc(T^k) = k, tc(Sigma_g) = 4
 for g >= 2, tc(CP^n) = 2n, tc(S^n) = 1 for odd n and 2 for even n (Farber
@@ -89,9 +95,15 @@ for k in (4, 6, 8, 10):
     RUNGS[f"cat-t{k}"] = ("cat", f"T^{k}", lambda sp, k=k: sp.product([sp.sphere(1)] * k), k)
 for k in (4, 6, 8, 10):
     RUNGS[f"cat-t{k}z"] = ("cat", f"T^{k} over Z", lambda sp, k=k: integral_torus(sp, k), k)
+for n in (64, 128):
+    RUNGS[f"validate-rp{n}"] = ("validate", f"RP^{n}", lambda sp, n=n: sp.real_projective(n), None)
+for k in (8, 10):
+    RUNGS[f"validate-t{k}"] = ("validate", f"T^{k}",
+                               lambda sp, k=k: sp.product([sp.sphere(1)] * k), None)
 
 QUICK = ["tc-rp16", "tc-sigma2", "tc-sigma4", "tc-sigma4h", "tc-n8", "tc-t2", "tc-t3",
-         "tc-t4", "tc-cp2", "tc-cp4", "tc-s64", "cat-t4", "cat-t6", "cat-t4z"]
+         "tc-t4", "tc-cp2", "tc-cp4", "tc-s64", "cat-t4", "cat-t6", "cat-t4z",
+         "validate-rp64"]
 
 
 def run_rung(name: str) -> dict:
@@ -102,6 +114,16 @@ def run_rung(name: str) -> dict:
     from secatm.tables import INF
 
     inv, _, build, _ = RUNGS[name]
+    if inv == "validate":
+        from secatm.algebra import GradedAlgebra
+
+        A = build(spaces).algebra
+        coeff, names, table = A.coeff, A.names, A.table
+        t0 = time.perf_counter()
+        GradedAlgebra(coeff, names, table)
+        seconds = time.perf_counter() - t0
+        rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+        return {"seconds": seconds, "rss_mb": rss_mb}
     t0 = time.perf_counter()
     bundle = Bundle()
     bundle.add_space(name, build(spaces))
@@ -124,7 +146,7 @@ def main() -> int:
         print(json.dumps(run_rung(args.child)))
         return 0
     failed = 0
-    print(f"{'rung':<12} {'invariant':<16} {'seconds':>9} {'peak MB':>8}  "
+    print(f"{'rung':<14} {'invariant':<16} {'seconds':>9} {'peak MB':>8}  "
           f"{'interval':<12} no-literature lower bound")
     for name in QUICK if args.quick else RUNGS:
         inv, space, _, known = RUNGS[name]
@@ -133,20 +155,23 @@ def main() -> int:
             child = subprocess.run([sys.executable, __file__, "--child", name],
                                    capture_output=True, text=True, timeout=TIMEOUT_S)
         except subprocess.TimeoutExpired:
-            print(f"{name:<12} {what:<16} {'timeout':>9}", flush=True)
+            print(f"{name:<14} {what:<16} {'timeout':>9}", flush=True)
             failed += 1
             continue
         if child.returncode:
-            print(f"{name:<12} {what:<16} {'error':>9}\n{child.stderr}", flush=True)
+            print(f"{name:<14} {what:<16} {'error':>9}\n{child.stderr}", flush=True)
             failed += 1
             continue
         out = json.loads(child.stdout.splitlines()[-1])
+        figures = f"{name:<14} {what:<16} {out['seconds']:9.3f} {out['rss_mb']:8.1f}  "
+        if inv == "validate":
+            print(f"{figures}valid", flush=True)
+            continue
         lo, hi = out["interval"]
         wrong = known is not None and (lo, hi, out["cup_length"]) != (known,) * 3
         failed += wrong
         note = f"  expected {known}" if wrong else ""
-        print(f"{name:<12} {what:<16} {out['seconds']:9.3f} {out['rss_mb']:8.1f}  "
-              f"{f'[{lo}, {hi}]':<12} {out['cup_length']}{note}", flush=True)
+        print(f"{figures}{f'[{lo}, {hi}]':<12} {out['cup_length']}{note}", flush=True)
     return 1 if failed else 0
 
 

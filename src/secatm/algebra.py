@@ -2,9 +2,9 @@
 
 An algebra is presented by an ordered basis per degree and structure
 constants for basis products.  Constructors check the unit law, the graded
-sign law and associativity exhaustively; derived constructions (tensor
-squares, Kunneth products) inherit those laws from their factors and can be
-re-checked with :meth:`GradedAlgebra.validate`.
+sign law on every pair and associativity through the generators; derived
+constructions (tensor squares, Kunneth products) inherit those laws from
+their factors and can be re-checked with :meth:`GradedAlgebra.validate`.
 """
 
 from __future__ import annotations
@@ -88,18 +88,6 @@ def _terms(row) -> list:
     """The nonzero ``(index, c)`` pairs of a row, integral rationals made
     ints (``_as_int``)."""
     return [(j, _as_int(c)) for j, c in enumerate(row) if c]
-
-
-def _table_terms(table: dict) -> dict:
-    """``_terms`` of every row of a structure table; a row object the table
-    shares between products is converted once."""
-    out, seen = {}, {}
-    for key, row in table.items():
-        terms = seen.get(id(row))
-        if terms is None:
-            terms = seen[id(row)] = _terms(row)
-        out[key] = terms
-    return out
 
 
 def _reduced(sums: dict, p: int | None) -> dict:
@@ -203,14 +191,18 @@ class GradedAlgebra:
     def nonzero_products(self) -> dict:
         """Every nonzero basis product, products by the unit included:
         ``(d1, i1)`` maps ``(d2, i2)`` to the nonzero ``(index, c)`` pairs of
-        the product of class i1 of degree d1 by class i2 of degree d2."""
+        the product of class i1 of degree d1 by class i2 of degree d2.  A
+        row object the table shares between products is converted once."""
         one = self.coeff.one()
         out = {(d, i): {} for d in range(self.top_degree + 1) for i in range(self.dim(d))}
         for d in range(self.top_degree + 1):
             for i in range(self.dim(d)):
                 out[(0, 0)][(d, i)] = out[(d, i)][(0, 0)] = ((i, one),)
+        seen = {}
         for (d1, i1, d2, i2), row in self.table.items():
-            nz = tuple((j, c) for j, c in enumerate(row) if c != 0)
+            nz = seen.get(id(row))
+            if nz is None:
+                nz = seen[id(row)] = tuple((j, c) for j, c in enumerate(row) if c)
             if d1 and d2 and nz:
                 out[(d1, i1)][(d2, i2)] = nz
         return out
@@ -242,7 +234,7 @@ class GradedAlgebra:
     @functools.cached_property
     def constants(self) -> dict:
         """``nonzero_products`` with integral scalars as ints (``_as_int``),
-        which :meth:`products` multiplies by."""
+        which :meth:`products` multiplies by and :meth:`validate` checks."""
         return {key: {key2: tuple((j, _as_int(c)) for j, c in nz) for key2, nz in row.items()}
                 for key, row in self.nonzero_products().items()}
 
@@ -297,10 +289,15 @@ class GradedAlgebra:
 
     # -- validation ----------------------------------------------------------
     def validate(self) -> None:
-        """Re-check the table's shape, the graded sign law and associativity
-        on every pair and triple of basis classes where they can fail (the
-        unit law holds by construction)."""
-        dom = self.coeff
+        """Re-check the table's shape, the graded sign law on every pair and
+        associativity on the triples (x, b, c) with x in ``generators`` (the
+        unit law holds by construction), on the kept ``constants``.  Every
+        class of positive degree is a sum of products xw with x a generator,
+        so by induction on the degree of a = xw every triple follows:
+        ((xw)b)c = (x(wb))c = x((wb)c) = x(w(bc)) = (xw)(bc); over Z ranks
+        over Q suffice, as components are free.  When a generator shows a
+        violation, every first class is scanned, so the first violation in
+        basis order is reported."""
         for (d1, i1, d2, i2), row in self.table.items():
             if d1 + d2 > self.top_degree:
                 raise InvalidAlgebraSpec(
@@ -310,60 +307,56 @@ class GradedAlgebra:
             if len(row) != self.dim(d1 + d2):
                 raise InvalidAlgebraSpec("structure constant row has wrong width")
         # A law can fail only where one side is nonzero, and products with
-        # the unit follow the unit law in mul_basis, so both laws are checked
-        # on the table's entries between positive degrees, each taken as its
-        # nonzero (index, coefficient) pairs in Python arithmetic
-        # (``_table_terms``).  Of several violations the first in basis
-        # order is reported.
-        nz = _table_terms(self.table)
-        # graded commutativity
+        # the unit follow the unit law, so both are checked on the nonzero
+        # products between positive degrees.
+        p = self.coeff.p
+        products = {x: {y: nz for y, nz in row.items() if y[0]}
+                    for x, row in self.constants.items() if x[0]}
         bad = []
-        for (d1, i1, d2, i2), xy in nz.items():
-            yx = nz.get((d2, i2, d1, i1), [])
-            if _koszul_sign_is_neg(d1, d2):
-                yx = [(j, dom.neg(c)) for j, c in yx]
-            if xy != yx:
-                bad.append(min((d1, i1, d2, i2), (d2, i2, d1, i1)))
+        for x, row in products.items():
+            for y, xy in row.items():
+                yx = products[y].get(x, ())
+                if _koszul_sign_is_neg(x[0], y[0]):
+                    yx = tuple((j, -c) for j, c in yx)
+                if xy != yx and _reduced(dict(xy), p) != _reduced(dict(yx), p):
+                    bad.append(min(x + y, y + x))
         if bad:
             d1, i1, d2, i2 = min(bad)
             raise CommutativityViolation(
                 f"{self.names[d1][i1]!r} * {self.names[d2][i2]!r} violates "
                 f"the graded sign law"
             )
-        # associativity, on the triples where (xy)z or x(yz) can be nonzero:
-        # xy has a class w in its support and wz is in the table, or yz has
-        # a class u in its support and xu is in the table
-        lefts, rights = {}, {}
-        for d1, i1, d2, i2 in nz:
-            lefts.setdefault((d1, i1), []).append((d2, i2))
-            rights.setdefault((d2, i2), []).append((d1, i1))
-        triples = set()
-        for (d1, i1, d2, i2), terms in nz.items():
-            for j, _ in terms:
-                w = (d1 + d2, j)
-                triples.update(((d1, i1), (d2, i2), z) for z in lefts.get(w, ()))
-                triples.update((x, (d1, i1), (d2, i2)) for x in rights.get(w, ()))
+        involving = {}  # u -> ((b, c), e) for u in bc at coefficient e
+        for b, row in products.items():
+            for c, bc in row.items():
+                for j, e in bc:
+                    involving.setdefault((b[0] + c[0], j), []).append(((b, c), e))
 
-        def combine(terms) -> dict:
-            """sum of c * (product with key k) over ``(c, k)``, nonzero entries"""
-            out = {}
-            for c, key in terms:
-                for j, e in nz.get(key, ()):
-                    out[j] = out.get(j, 0) + c * e
-            return _reduced(out, dom.p)
+        def violations(x) -> list:
+            """The (b, c) with (xb)c != x(bc)."""
+            diff = {}  # (b, c) -> the entries of (xb)c - x(bc)
+            for b, xb in products[x].items():
+                for j, a in xb:
+                    for c, wc in products[(x[0] + b[0], j)].items():
+                        acc = diff.setdefault((b, c), {})
+                        for k, e in wc:
+                            acc[k] = acc.get(k, 0) + a * e
+            for u, xu in products[x].items():
+                for bc, e in involving.get(u, ()):
+                    acc = diff.setdefault(bc, {})
+                    for k, a in xu:
+                        acc[k] = acc.get(k, 0) - e * a
+            return [bc for bc, acc in diff.items() if _reduced(acc, p)]
 
-        bad = []
-        for (d1, i1), (d2, i2), (d3, i3) in triples:
-            left = combine((c, (d1 + d2, j, d3, i3)) for j, c in nz.get((d1, i1, d2, i2), ()))
-            right = combine((c, (d1, i1, d2 + d3, j)) for j, c in nz.get((d2, i2, d3, i3), ()))
-            if left != right:
-                bad.append(((d1, i1), (d2, i2), (d3, i3)))
-        if bad:
-            x, y, z = (self.names[d][i] for d, i in min(bad))
-            raise AssociativityViolation(
-                f"({x!r} * {y!r}) * {z!r} differs from "
-                f"{x!r} * ({y!r} * {z!r})"
-            )
+        if any(map(violations, self.generators)):
+            for x in products:
+                found = violations(x)
+                if found:
+                    x, y, z = (self.names[d][i] for d, i in (x, *min(found)))
+                    raise AssociativityViolation(
+                        f"({x!r} * {y!r}) * {z!r} differs from "
+                        f"{x!r} * ({y!r} * {z!r})"
+                    )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -491,7 +484,8 @@ def make_algebra(coeff, basis, products, validate=True) -> GradedAlgebra:
     ``(left_name, right_name, {name: scalar})`` triples; omitted products are
     zero, products with the unit follow the unit law, and an omitted mirror
     of a listed pair is filled in with the graded sign.  ``validate=False``
-    skips the cubic :meth:`GradedAlgebra.validate` for products known to
+    skips :meth:`GradedAlgebra.validate` (the sign law on every pair,
+    associativity on the triples led by a generator) for products known to
     obey its laws (names, degrees and the unit law are always checked).
     """
     basis = {int(d): list(ns) for d, ns in dict(basis).items()}
@@ -578,9 +572,9 @@ class TensorProduct(GradedAlgebra):
     the name index are built on first read (formatting, parsing).
     ``mul_basis`` multiplies in the factors, so elements, certificates and
     the cup-length bounds never need the 4-index ``table``; it is built on
-    first read (``validate``, a morphism's validation) and kept.  Its
-    ``generators`` and ``products`` come from the factors' too.  Valid over
-    a field, and over Z because all components are free.
+    first read (``validate`` checks its shape) and kept.  Its
+    ``generators``, ``constants`` and ``products`` come from the factors'
+    too.  Valid over a field, and over Z because all components are free.
     """
 
     def __init__(self, left: GradedAlgebra, right: GradedAlgebra):
@@ -666,9 +660,9 @@ class TensorProduct(GradedAlgebra):
 
     @functools.cached_property
     def constants(self) -> dict:
-        """Built by :meth:`row` from the factors' ``constants``; read only
-        where the product is itself a factor, as :meth:`products` multiplies
-        through the factors'."""
+        """Built by :meth:`row` from the factors' ``constants``, not reduced
+        mod p; read by the validators and where the product is itself a
+        factor, as :meth:`products` multiplies through the factors'."""
         left, right = self.left.constants, self.right.constants
         return {(d, k): {(d2, k2): nz for d2, k2, nz in self.row(d, k, left, right)}
                 for d in range(self.top_degree + 1) for k in range(self.dim(d))}
@@ -817,62 +811,59 @@ class RingMorphism:
 
     def validate(self) -> None:
         """Check that the unit goes to the unit and that ``f(xy) = f(x)f(y)``
-        for every pair of basis classes whose degrees sum to at most the
-        target's top degree; of several violations the first in basis order
-        is reported."""
+        for the pairs of basis classes whose degrees sum to at most the
+        target's top degree and whose x is a generator of the source, on the
+        kept ``constants``.  Between associative algebras, as validated ones
+        are, that gives every pair by induction on the degree of a = xw:
+        f((xw)y) = f(x(wy)) = f(x)f(wy) = f(x)(f(w)f(y)) = f(xw)f(y).  When a
+        generator shows a violation, every first class is scanned, so the
+        first violation in basis order is reported."""
         dom = self.source.coeff
         if self.mats[0][0] != vunit(dom, self.target.dim(0), 0):
             raise UnitViolation("morphism does not send unit to unit")
-        src, tgt = self.source, self.target
+        src, tgt, p = self.source, self.target, dom.p
         top = tgt.top_degree
         # With the unit sent to the unit, pairs with a degree-0 class hold by
         # the unit law.  Between positive degrees f(xy) can be nonzero only
-        # where xy is in the source table, and f(x)f(y) only where classes u
-        # of f(x) and v of f(y) have uv in the target table, so only those
-        # pairs are checked, on nonzero (index, coefficient) pairs, in
-        # Python arithmetic: integral rationals become ints, sums are
-        # reduced mod p only when compared.
+        # where xy is, and f(x)f(y) only where classes u of f(x) and v of
+        # f(y) have uv nonzero, so only those pairs are checked.
         image = {}  # positive-degree source class -> nonzero terms of f(x)
+        hits = {}  # target class -> (source class, coefficient) of its preimages
         for d in range(1, min(src.top_degree, top) + 1):
             for i, row in enumerate(self.mats[d]):
                 terms = _terms(row)
                 if terms:
                     image[(d, i)] = terms
-        hits = {}  # target class -> source classes whose image involves it
-        for (d, i), terms in image.items():
-            for k, _ in terms:
-                hits.setdefault((d, k), []).append(i)
-        partners = {}  # target class -> (degree, index) of its table partners
-        for d1, k1, d2, k2 in tgt.table:
-            partners.setdefault((d1, k1), []).append((d2, k2))
-        pairs = {key for key in src.table if key[0] + key[2] <= top}
-        for (d1, i1), terms in image.items():
-            for k1, _ in terms:
-                for d2, k2 in partners.get((d1, k1), ()):
-                    pairs.update((d1, i1, d2, i2) for i2 in hits.get((d2, k2), ()))
+                    for k, c in terms:
+                        hits.setdefault((d, k), []).append(((d, i), c))
+        sconst, tconst = src.constants, tgt.constants
 
-        src_terms, tgt_terms = _table_terms(src.table), _table_terms(tgt.table)
+        def violations(x) -> list:
+            """The y with f(xy) != f(x)f(y), for x of positive degree."""
+            diff = {}  # y -> the entries of f(xy) - f(x)f(y)
+            for y, xy in sconst[x].items():
+                if y[0] and x[0] + y[0] <= top:
+                    acc = diff[y] = {}
+                    for j, a in xy:
+                        for k, e in image.get((x[0] + y[0], j), ()):
+                            acc[k] = acc.get(k, 0) + a * e
+            for k1, c1 in image.get(x, ()):
+                for v, uv in tconst[(x[0], k1)].items():
+                    for y, c2 in hits.get(v, ()):
+                        acc = diff.setdefault(y, {})
+                        for m, e in uv:
+                            acc[m] = acc.get(m, 0) - c1 * c2 * e
+            return [y for y, acc in diff.items() if _reduced(acc, p)]
 
-        def add_into(out: dict, c, terms) -> None:
-            for k, e in terms:
-                out[k] = out.get(k, 0) + c * e
-
-        bad = []
-        for d1, i1, d2, i2 in pairs:
-            lhs, rhs = {}, {}
-            for j, c in src_terms.get((d1, i1, d2, i2), ()):
-                add_into(lhs, c, image.get((d1 + d2, j), ()))
-            for k1, c1 in image.get((d1, i1), ()):
-                for k2, c2 in image.get((d2, i2), ()):
-                    add_into(rhs, c1 * c2, tgt_terms.get((d1, k1, d2, k2), ()))
-            if _reduced(lhs, dom.p) != _reduced(rhs, dom.p):
-                bad.append((d1, i1, d2, i2))
-        if bad:
-            d1, i1, d2, i2 = min(bad)
-            raise MultiplicativityViolation(
-                f"morphism is not multiplicative on "
-                f"({src.names[d1][i1]!r}, {src.names[d2][i2]!r})"
-            )
+        if any(violations(x) for x in src.generators if x[0] < top):
+            for x in sconst:
+                found = 0 < x[0] < top and violations(x)
+                if found:
+                    (d1, i1), (d2, i2) = x, min(found)
+                    raise MultiplicativityViolation(
+                        f"morphism is not multiplicative on "
+                        f"({src.names[d1][i1]!r}, {src.names[d2][i2]!r})"
+                    )
 
     def apply_component(self, d: int, v: tuple) -> tuple:
         dom = self.source.coeff

@@ -88,7 +88,9 @@ class CoefficientDomain:
     def parse_scalar(self, value):
         """Parse a scalar: an int, or ``"a/b"`` or a ``Fraction`` over Q.
 
-        Floats and booleans are rejected, never rounded.
+        Floats and booleans are rejected, never rounded.  A string that
+        ``Fraction`` rejects, too long a one included, gets this message,
+        with the string cut to a few dozen characters.
         """
         if isinstance(value, bool):
             raise ValueError(f"not a scalar: {value!r}")
@@ -96,12 +98,16 @@ class CoefficientDomain:
             return self.from_int(value)
         if isinstance(value, Fraction) and self.kind == RATIONALS:
             return value
+        shown = repr(value)
+        shown = shown if len(shown) <= 40 else shown[:36] + "..."
         if isinstance(value, str) and self.kind == RATIONALS:
             try:
                 return Fraction(value)
             except ZeroDivisionError:
-                raise ValueError(f"zero denominator in scalar {value!r}")
-        raise ValueError(f"cannot parse scalar {value!r} over {self.label}")
+                raise ValueError(f"zero denominator in scalar {shown}")
+            except ValueError:
+                pass
+        raise ValueError(f"cannot parse scalar {shown} over {self.label}")
 
     def scalar_to_json(self, x):
         if self.kind == RATIONALS:

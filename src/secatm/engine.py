@@ -25,8 +25,10 @@ provenance, and are applied lazily: only to the requested tables and to
 tables whose lower bounds reach them through a rule record.  The engine
 keeps no per-algebra data of its own: each algebra ranks its generators
 (``GradedAlgebra.generators``) and converts its integer structure
-constants (``GradedAlgebra.constants``) on first read and keeps them, so a
-second run on the same models ranks and converts nothing.
+constants (``GradedAlgebra.constants``) on first read and keeps them, so
+a second run on the same models ranks and converts nothing.  Validation
+reads both, so the algebras a model file declares come to their first run
+with them built.
 """
 
 from __future__ import annotations

@@ -47,10 +47,12 @@ SCHEMA = "secatm-model/1"
 # bound on the top degree and the number of basis classes of every algebra
 # a model file declares, and on a declared hdim and number of factors,
 # checked before the algebra is built.  A file validates every algebra it
-# builds, which costs about the cube of its size (RP^200 took 14.4 s and
-# 354 MB; a degree of 2^40 never finishes).  The bounds themselves build no
-# product's table: cat of a product of 12 circles took 0.62 s and 74 MB,
-# and tc of RP^31 0.008 s and 19 MB (in-process, Python 3.11, 2 vCPUs).
+# builds: the sign law on every pair, associativity on the triples led by
+# a generator (RP^200 over F2 declared by its products took 0.24-0.28 s and
+# 44 MB, against 13.0 s and 367 MB checking every triple; a degree of 2^40
+# never finishes).  The bounds themselves build no product's table: cat of
+# a product of 12 circles took 0.62 s and 74 MB, and tc of RP^31 0.008 s
+# and 19 MB (in-process, Python 3.11, 2 vCPUs).
 MAX_ALGEBRA_SIZE = 32
 # bound on m, in an m range and for ``--max-m``: the largest m a test asks
 # for.  A table with no dimension parameter (hdm) stores a row per m, and

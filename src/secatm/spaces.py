@@ -174,7 +174,7 @@ class MapPairModel:
 # ---------------------------------------------------------------------------
 # constructors
 # ---------------------------------------------------------------------------
-# They skip the cubic ``GradedAlgebra.validate``: their products obey the
+# They skip ``GradedAlgebra.validate``: their products obey the
 # sign law and associativity by construction (tested at small sizes).
 
 def point(coeff: CoefficientDomain = DOMAIN_Q) -> SpaceModel:

@@ -7,9 +7,10 @@ the cup product, the image of f* - g*), enumerate products exhaustively
 (``brute_force_cuplength``), and run one cup-length query per table entry
 (the ``*_lower`` wrappers), so the tests can check that the fast paths give
 the same spans and lengths.  ``dense_kunneth_blocks`` lays out the
-Kunneth blocks over every pair of degrees, and ``sweep_until_quiet`` is the
-plain rule fixpoint, which re-applies every record on every sweep.  Nothing
-in ``secatm`` uses them.
+Kunneth blocks over every pair of degrees, ``dense_law_violation`` checks
+the algebra laws on every pair and triple of basis classes, and
+``sweep_until_quiet`` is the plain rule fixpoint, which re-applies every
+record on every sweep.  Nothing in ``secatm`` uses them.
 
 Import them as ``from reference import ...``.
 """
@@ -160,6 +161,45 @@ def dense_kunneth_blocks(left: GradedAlgebra, right: GradedAlgebra):
             block.extend((p, i, q, j) for i in range(m) for j in range(n))
         starts.append(at)
     return dict(enumerate(map(tuple, pairs))), starts
+
+
+# ---------------------------------------------------------------------------
+# the algebra laws on every pair and triple
+# ---------------------------------------------------------------------------
+
+def dense_law_violation(A: GradedAlgebra) -> str | None:
+    """The message of the first violation in basis order of the graded sign
+    law, else of associativity, as ``GradedAlgebra.validate`` words it,
+    found through ``mul_basis`` and ``mul_vectors`` on every pair and every
+    triple of basis classes; None when both laws hold."""
+    dom = A.coeff
+    basis = [(d, i) for d in range(A.top_degree + 1) for i in range(A.dim(d))]
+    names = {(d, i): repr(A.names[d][i]) for d, i in basis}
+
+    def product(d1, v1, d2, v2) -> tuple:
+        out = A.mul_vectors(d1, v1, d2, v2)
+        return vzero(dom, A.dim(d1 + d2)) if out is None else out
+
+    unit = {(d, i): vunit(dom, A.dim(d), i) for d, i in basis}
+    pairs = {(x, y): product(x[0], unit[x], y[0], unit[y]) for x in basis for y in basis}
+    for x in basis:
+        for y in basis:
+            yx = pairs[(y, x)]
+            if x[0] % 2 and y[0] % 2:
+                yx = linalg.vneg(dom, yx)
+            if pairs[(x, y)] != yx:
+                return f"{names[x]} * {names[y]} violates the graded sign law"
+    for x in basis:
+        for y in basis:
+            for z in basis:
+                if x[0] + y[0] + z[0] > A.top_degree:
+                    continue
+                left = product(x[0] + y[0], pairs[(x, y)], z[0], unit[z])
+                right = product(x[0], unit[x], y[0] + z[0], pairs[(y, z)])
+                if left != right:
+                    x, y, z = names[x], names[y], names[z]
+                    return f"({x} * {y}) * {z} differs from {x} * ({y} * {z})"
+    return None
 
 
 # ---------------------------------------------------------------------------

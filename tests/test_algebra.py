@@ -42,6 +42,7 @@ from reference import (
     _cup_kernel_rows,
     cup_kernel,
     dense_kunneth_blocks,
+    dense_law_violation,
     image_difference,
     multiplication_morphism,
     positive_part,
@@ -672,6 +673,67 @@ def test_validate_reports_the_dense_checks_first_violation(phi):
         return
     with pytest.raises(MultiplicativityViolation) as err:
         phi.validate()
+    assert str(err.value) == expected
+
+
+# -- the generator-first algebra check against the dense one -------------------
+#
+# ``GradedAlgebra.validate`` checks associativity only on the triples whose
+# first class is a generator, on the kept integer constants, which a tensor
+# square leaves unreduced mod p.  The reference checks every pair and triple
+# through ``mul_basis`` and ``mul_vectors`` and reports the first violation.
+
+@st.composite
+def mutated_algebras(draw):
+    """An algebra from ``cup_algebras`` over Q, F2, F3 or Z, the tensor
+    square of a small one over F2 or F3, or RP^4-6 or CP^3-4, whose powers
+    of one generator reach far enough to break associativity among
+    themselves; as it is or as a plain copy of its table with one to three
+    products between positive degrees redrawn, over Q also with
+    non-integral entries, each with its mirror redrawn by the graded sign
+    law (three times in four) or left as it was."""
+    source = draw(st.sampled_from(["cup", "square", "powers"]))
+    if source == "cup":
+        A = draw(cup_algebras(draw(st.sampled_from([Q, GF(2), GF(3), Z]))))
+    elif source == "square":
+        A = tensor_square(draw(cup_algebras(draw(st.sampled_from([GF(2), GF(3)])),
+                                            small=True)))[0]
+    else:
+        build, n = draw(st.sampled_from([(real_projective, 4), (real_projective, 6),
+                                         (complex_projective, 3), (complex_projective, 4)]))
+        A = build(n).algebra
+    dom, top = A.coeff, A.top_degree
+    keys = [(d1, i1, d2, i2) for d1 in range(1, top) for d2 in range(1, top + 1 - d1)
+            if A.dim(d1 + d2) for i1 in range(A.dim(d1)) for i2 in range(A.dim(d2))]
+    if not keys or draw(st.booleans()):
+        return A
+    values = [-2, -1, 0, 1, 2]
+    if dom == Q:
+        values += [Fraction(1, 2), Fraction(-1, 3)]
+    table = dict(A.table)
+    for d1, i1, d2, i2 in draw(st.lists(st.sampled_from(keys), min_size=1, max_size=3)):
+        row = tuple(dom.parse_scalar(draw(st.sampled_from(values)))
+                    for _ in range(A.dim(d1 + d2)))
+        changed = {(d1, i1, d2, i2): row}
+        if draw(st.sampled_from([True, True, True, False])):
+            odd = d1 % 2 and d2 % 2
+            changed[(d2, i2, d1, i1)] = tuple(dom.neg(c) for c in row) if odd else row
+        for key, row in changed.items():
+            table[key] = row
+            if not any(row):
+                del table[key]
+    return GradedAlgebra(dom, A.names, table, validate=False)
+
+
+@settings(max_examples=150, deadline=None)
+@given(mutated_algebras())
+def test_validate_reports_the_dense_laws_first_violation(A):
+    expected = dense_law_violation(A)
+    if expected is None:
+        A.validate()
+        return
+    with pytest.raises((CommutativityViolation, AssociativityViolation)) as err:
+        A.validate()
     assert str(err.value) == expected
 
 

@@ -343,6 +343,21 @@ class TestDiagnostics:
         doc["map_pairs"]["idinv"]["gstar"]["images"]["a(x)1"] = {"a(x)1": -1.0}
         assert_rejected(doc, "map_pairs.idinv.gstar", tmp_path, capsys)
 
+    @pytest.mark.parametrize("scalar", ["abc", "1" * 5000])
+    def test_string_scalars_fraction_rejects_get_a_short_message(
+            self, scalar, tmp_path, capsys):
+        # Fraction's own messages name its literal syntax or advise
+        # sys.set_int_max_str_digits(), which a user of a file cannot follow
+        doc = base_doc(spaces={"x": {"algebra": {
+            "basis": {"0": ["1"], "2": ["y"], "4": ["y2"]},
+            "products": [["y", "y", {"y2": scalar}]]}}})
+        assert_rejected(doc, "spaces.x.algebra", tmp_path, capsys)
+        with pytest.raises(ModelFileError) as err:
+            parse_model(doc)
+        assert err.value.message.startswith("cannot parse scalar '")
+        assert err.value.message.endswith(" over Q")
+        assert len(err.value.message) < 80 and "sys." not in err.value.message
+
     def test_spaces_must_be_an_object(self, tmp_path, capsys):
         assert_rejected(base_doc(spaces="ab"), "spaces", tmp_path, capsys)
 
