@@ -5,17 +5,20 @@
 The corpus is every table of a full and of a targeted ``compute_tables`` run
 of each golden case (``table_to_json``), ``secatm paper-suite --json``, and
 ``secatm bounds --json`` and ``--certificates`` on every file in
-``models/``, with each command's exit code.  Three lines are printed: one
+``models/``, with each command's exit code.  Four lines are printed: one
 digest with the certificates kept, one with every ``certificate`` field
-stripped and the ``--certificates`` text left out, and one with every
-``detail`` field stripped as well.  Equal digests at two commits mean
-equal intervals and rule ids (third line), also equal provenance text
-(second line), and also equal witnesses (first line).  ``--intervals``
+stripped and the ``--certificates`` text left out, one with every
+``detail`` field stripped as well, and one over the raw stdout of every
+command.  The first three re-parse ``--json`` output, so they cannot see
+whitespace or escaping.  Equal digests at two commits mean equal intervals
+and rule ids (third line), also equal provenance text (second line), also
+equal witnesses (first line), and also the same bytes on stdout (fourth
+line).  ``--intervals``
 prints one digest over the intervals alone: the invariant, target and
 ``(m, lo, hi)`` of every row of every table, plus exit codes, with
 provenance and the ``--certificates`` text left out; it compares two
 checkouts whose provenance differs.  ``scripts/expected_digests.txt``
-holds the three lines of the current output, which CI diffs against.
+holds the four lines of the current output, which CI diffs against.
 Standard library only; the package is imported from this checkout's
 ``src``.
 """
@@ -44,30 +47,32 @@ def _tables(tables) -> list:
     return [table_to_json(tables[key]) for key in sorted(tables)]
 
 
-def _cli(argv) -> dict:
+def _cli(label, argv, is_cert_text=False) -> tuple[str, dict, bool, str]:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main(argv)
     text = out.getvalue()
-    return {"argv": argv, "exit": code,
-            "stdout": json.loads(text) if "--json" in argv else text}
+    return (label, {"argv": argv, "exit": code,
+                    "stdout": json.loads(text) if "--json" in argv else text},
+            is_cert_text, text)
 
 
-def corpus() -> list[tuple[str, object, bool]]:
-    """``(label, output, is_certificate_text)`` for every output compared."""
+def corpus() -> list[tuple[str, object, bool, str | None]]:
+    """``(label, output, is_certificate_text, stdout)`` for every output
+    compared; ``stdout`` is the raw text of a CLI command, None for the
+    in-process tables."""
     items = []
     for case in all_cases():
         bundle, targets, _ = case.build()
-        items.append((f"{case.name} full", _tables(compute_tables(bundle)), False))
+        items.append((f"{case.name} full", _tables(compute_tables(bundle)), False, None))
         bundle, targets, _ = case.build()
         items.append((f"{case.name} targeted",
-                      _tables(compute_tables(bundle, targets=targets)), False))
-    items.append(("paper-suite", _cli(["paper-suite", "--json"]), False))
+                      _tables(compute_tables(bundle, targets=targets)), False, None))
+    items.append(_cli("paper-suite", ["paper-suite", "--json"]))
     for path in sorted((ROOT / "models").glob("*.json")):
         rel = str(path.relative_to(ROOT))  # run from ROOT, so no absolute path leaks
-        items.append((rel + " json", _cli(["bounds", rel, "--json"]), False))
-        items.append((rel + " certificates",
-                      _cli(["bounds", rel, "--certificates"]), True))
+        items.append(_cli(rel + " json", ["bounds", rel, "--json"]))
+        items.append(_cli(rel + " certificates", ["bounds", rel, "--certificates"], True))
     return items
 
 
@@ -93,21 +98,24 @@ def _intervals(obj):
 
 def interval_digest(items) -> str:
     digest = hashlib.sha256()
-    for label, output, is_cert_text in items:
+    for label, output, is_cert_text, _ in items:
         if not is_cert_text:
             digest.update(json.dumps([label, _intervals(output)], sort_keys=True).encode())
     return digest.hexdigest()
 
 
-def digests(items) -> tuple[str, str, str]:
+def digests(items) -> tuple[str, str, str, str]:
     full, stripped, rules = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
-    for label, output, is_cert_text in items:
+    raw = hashlib.sha256()
+    for label, output, is_cert_text, stdout in items:
         full.update(json.dumps([label, output], sort_keys=True).encode())
         if not is_cert_text:
             stripped.update(json.dumps([label, _strip(output)], sort_keys=True).encode())
             rules.update(json.dumps([label, _strip(output, ("certificate", "detail"))],
                                     sort_keys=True).encode())
-    return full.hexdigest(), stripped.hexdigest(), rules.hexdigest()
+        if stdout is not None:
+            raw.update(f"{label}\0{stdout}\0".encode())
+    return full.hexdigest(), stripped.hexdigest(), rules.hexdigest(), raw.hexdigest()
 
 
 if __name__ == "__main__":
@@ -119,7 +127,8 @@ if __name__ == "__main__":
     if args.intervals:
         print(f"intervals: {interval_digest(corpus())}")
     else:
-        with_certs, without, rule_ids = digests(corpus())
+        with_certs, without, rule_ids, stdout_bytes = digests(corpus())
         print(f"with certificates:    {with_certs}")
         print(f"without certificates: {without}")
         print(f"intervals, rule ids:  {rule_ids}")
+        print(f"stdout bytes:         {stdout_bytes}")

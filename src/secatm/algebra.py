@@ -215,12 +215,18 @@ class GradedAlgebra:
         that grows the rank of the decomposables and the classes kept before
         it.  Ranks are taken over F_p for a prime field and over Q
         otherwise; the cup-length DP decides vanishing by rank over Q, so
-        over Z these generate for it as well."""
+        over Z these generate for it as well.  Each product row goes in as
+        its nonzero entries, integral rationals made ints, converted once
+        per row object the table shares."""
         echelons = [FieldEchelon(n, self.coeff.p) for n in self.dims()]
+        sparse = {}  # id(row) -> its nonzero entries
         for (d1, _, d2, _), row in self.table.items():
             e = echelons[d1 + d2]
             if e.rank < e.width:
-                e.insert(row)
+                nz = sparse.get(id(row))
+                if nz is None:
+                    nz = sparse[id(row)] = {j: _as_int(c) for j, c in enumerate(row) if c}
+                e.insert(nz)
         generators = []
         for d in range(1, self.top_degree + 1):
             e = echelons[d]
@@ -288,16 +294,9 @@ class GradedAlgebra:
         return Element(self, {d: tuple(v)})
 
     # -- validation ----------------------------------------------------------
-    def validate(self) -> None:
-        """Re-check the table's shape, the graded sign law on every pair and
-        associativity on the triples (x, b, c) with x in ``generators`` (the
-        unit law holds by construction), on the kept ``constants``.  Every
-        class of positive degree is a sum of products xw with x a generator,
-        so by induction on the degree of a = xw every triple follows:
-        ((xw)b)c = (x(wb))c = x((wb)c) = x(w(bc)) = (xw)(bc); over Z ranks
-        over Q suffice, as components are free.  When a generator shows a
-        violation, every first class is scanned, so the first violation in
-        basis order is reported."""
+    def _check_shape(self) -> None:
+        """Every product of the table lands in a degree of the algebra, in
+        a row of that degree's width."""
         for (d1, i1, d2, i2), row in self.table.items():
             if d1 + d2 > self.top_degree:
                 raise InvalidAlgebraSpec(
@@ -306,6 +305,19 @@ class GradedAlgebra:
                 )
             if len(row) != self.dim(d1 + d2):
                 raise InvalidAlgebraSpec("structure constant row has wrong width")
+
+    def validate(self) -> None:
+        """Re-check the table's shape (``_check_shape``), the graded sign
+        law on every pair and associativity on the triples (x, b, c) with x
+        in ``generators`` (the unit law holds by construction), on the kept
+        ``constants``.  Every class of positive degree is a sum of products
+        xw with x a generator, so by induction on the degree of a = xw every
+        triple follows:
+        ((xw)b)c = (x(wb))c = x((wb)c) = x(w(bc)) = (xw)(bc); over Z ranks
+        over Q suffice, as components are free.  When a generator shows a
+        violation, every first class is scanned, so the first violation in
+        basis order is reported."""
+        self._check_shape()
         # A law can fail only where one side is nonzero, and products with
         # the unit follow the unit law, so both are checked on the nonzero
         # products between positive degrees.
@@ -571,8 +583,8 @@ class TensorProduct(GradedAlgebra):
     costs its few blocks, not (top + 1)^2 pairs; the names ``a(x)b`` and
     the name index are built on first read (formatting, parsing).
     ``mul_basis`` multiplies in the factors, so elements, certificates and
-    the cup-length bounds never need the 4-index ``table``; it is built on
-    first read (``validate`` checks its shape) and kept.  Its
+    the cup-length bounds never need the 4-index ``table``, and neither
+    does ``validate``; it is built on first read and kept.  Its
     ``generators``, ``constants`` and ``products`` come from the factors'
     too.  Valid over a field, and over Z because all components are free.
     """
@@ -730,6 +742,12 @@ class TensorProduct(GradedAlgebra):
                                for ia, ca in anz for jb, cb in bnz)
                 append((p2 + q2, at2[q2] + i2 * bdims[q2] + j2, nz))
         return out
+
+    def _check_shape(self) -> None:
+        """Nothing to check, and no ``table`` to build for it: :meth:`row`
+        puts each product of factor classes in the slots of its own degree's
+        blocks, so every product lands in a degree of the algebra, in a row
+        of that degree's width."""
 
     @functools.cached_property
     def table(self) -> dict:

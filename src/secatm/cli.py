@@ -11,7 +11,6 @@ Exit codes: 0 success, 1 validation or usage errors, 2 inconsistent model.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -26,7 +25,7 @@ from .modelfile import (
     parse_decimal,
     parse_mrange,
 )
-from .tables import InconsistentModel, render_text, table_to_json
+from .tables import InconsistentModel, render_text, table_to_json, write_json
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -67,6 +66,17 @@ def _build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("validate", help="validate a model file")
     v.add_argument("file", help="model JSON file")
     return parser
+
+
+def _print_json(payload) -> None:
+    """Print the text of ``write_json`` for ``payload``: the text in one
+    write and the newline in a second.  With unbuffered stdout (``python
+    -u``) a write that a reader closing the pipe cuts short is not
+    reported, so it is the newline's write that fails with
+    ``BrokenPipeError``."""
+    pieces: list[str] = []
+    write_json(payload, pieces.append)
+    print("".join(pieces))
 
 
 def _resolve_queries(args, loaded) -> list[Query]:
@@ -128,8 +138,7 @@ def _cmd_bounds(args) -> int:
         else:
             outputs.append(render_text(table, ms, certificates=args.certificates))
     if args.json:
-        payload = outputs[0] if len(outputs) == 1 else outputs
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        _print_json(outputs[0] if len(outputs) == 1 else outputs)
     else:
         sys.stdout.write("\n".join(outputs))
     return 0
@@ -138,7 +147,7 @@ def _cmd_bounds(args) -> int:
 def _cmd_paper_suite(args) -> int:
     report = run_suite()
     if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
+        _print_json(report)
     else:
         for case in report["cases"]:
             status = "ok" if case["ok"] else "MISMATCH"

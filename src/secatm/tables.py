@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _escape
 
 __all__ = [
     "INF",
@@ -38,6 +39,7 @@ __all__ = [
     "render_text",
     "table_to_json",
     "table_from_json",
+    "write_json",
 ]
 
 INF = "inf"  # table column for the classical (uncapped) invariant
@@ -71,20 +73,6 @@ class ProvenanceEvent:
 
     def describe(self) -> str:
         return f"{self.rule}: {self.side} -> {self.value} ({self.detail})"
-
-    def to_json(self) -> dict:
-        out = {
-            "rule": self.rule,
-            "side": self.side,
-            "value": self.value,
-            "detail": self.detail,
-        }
-        if self.certificate is not None:
-            out["certificate"] = {
-                "factors": self.certificate.factor_strings(),
-                "product": self.certificate.product.format(),
-            }
-        return out
 
 
 @dataclass
@@ -235,10 +223,22 @@ def _m_label(m) -> str:
     return "inf" if m == INF else str(m)
 
 
+def _formatted(certificate, seen: dict) -> tuple:
+    """A certificate's factor strings and product, formatted once per
+    ``seen``: ``_capped_values`` shares one certificate between the rows of
+    every cap where the cup length stays the same."""
+    out = seen.get(id(certificate))
+    if out is None:
+        out = seen[id(certificate)] = (certificate.factor_strings(),
+                                       certificate.product.format())
+    return out
+
+
 def render_text(table: BoundTable, ms=None, certificates=False) -> str:
     """Deterministic fixed-width text rendering of selected rows."""
     rows = ms if ms is not None else table.index
     events = table.events
+    seen: dict = {}
     lines = [f"{table.invariant}[{table.target}]"]
     for m in rows:
         entry, row_events = table.interval(m), events[m]
@@ -251,29 +251,35 @@ def render_text(table: BoundTable, ms=None, certificates=False) -> str:
         if certificates:
             for ev in row_events:
                 if ev.certificate is not None:
-                    factors = " * ".join(
-                        f"({s})" for s in ev.certificate.factor_strings()
-                    )
-                    lines.append(
-                        f"      witness: {factors} = "
-                        f"{ev.certificate.product.format()}"
-                    )
+                    factors, product = _formatted(ev.certificate, seen)
+                    factors = " * ".join(f"({s})" for s in factors)
+                    lines.append(f"      witness: {factors} = {product}")
     return "\n".join(lines) + "\n"
 
 
 def table_to_json(table: BoundTable, ms=None) -> dict:
+    """The JSON form of selected rows.  Each event gets its own dicts and
+    lists, so the result shares no mutable object."""
     rows = ms if ms is not None else table.index
     events = table.events
+    seen: dict = {}
     entries = []
     for m in rows:
         entry = table.interval(m)
+        provenance = []
+        for ev in events[m]:
+            out = {"rule": ev.rule, "side": ev.side, "value": ev.value, "detail": ev.detail}
+            if ev.certificate is not None:
+                factors, product = _formatted(ev.certificate, seen)
+                out["certificate"] = {"factors": list(factors), "product": product}
+            provenance.append(out)
         entries.append(
             {
                 "m": _m_label(m),
                 "lo": entry.lo,
                 "hi": entry.hi,
                 "exact": entry.is_exact(),
-                "provenance": [ev.to_json() for ev in events[m]],
+                "provenance": provenance,
             }
         )
     return {
@@ -282,6 +288,58 @@ def table_to_json(table: BoundTable, ms=None) -> dict:
         "max_m": table.max_m,
         "entries": entries,
     }
+
+
+def _json_leaf(value) -> str:
+    """The JSON text of a scalar or of an empty dict or list."""
+    if isinstance(value, str):
+        return _escape(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, (dict, list)) and not value:
+        return "{}" if isinstance(value, dict) else "[]"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def write_json(obj, write) -> None:
+    """Pass the text of ``json.dumps(obj, indent=2, sort_keys=True)`` to
+    ``write`` in pieces, for dicts with str keys, lists, str, int, bool and
+    None; anything else, a non-str key included, raises ``TypeError``.
+    With ``indent`` set, ``json.dumps`` takes its pure-Python encoder; here
+    keys and strings go through the C ``encode_basestring_ascii`` and each
+    leaf is written in one piece with its key."""
+    _write_json(obj, write, "")
+
+
+def _write_json(obj, write, indent: str) -> None:
+    """``write_json`` of ``obj`` on a line indented by ``indent``."""
+    if isinstance(obj, dict) and obj:
+        keys, start, close = sorted(obj), "{\n", "}"
+    elif isinstance(obj, list) and obj:
+        keys, start, close = None, "[\n", "]"
+    else:
+        write(_json_leaf(obj))
+        return
+    inner = indent + "  "
+    sep = start + inner
+    for item in keys or obj:
+        if keys:  # _escape raises TypeError on a key that is not a str
+            head, value = sep + _escape(item) + ": ", obj[item]
+        else:
+            head, value = sep, item
+        if isinstance(value, (dict, list)) and value:
+            write(head)
+            _write_json(value, write, inner)
+        else:
+            write(head + _json_leaf(value))
+        sep = ",\n" + inner
+    write("\n" + indent + close)
 
 
 def table_from_json(data: dict) -> BoundTable:

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,7 +25,7 @@ from secatm.algebra import (
     tensor_square,
 )
 from secatm.cuplength import CupLengthQuery, capped_cuplength
-from secatm.linalg import vzero
+from secatm.linalg import FieldEchelon, vzero
 from secatm.spaces import (
     complex_projective,
     moore,
@@ -517,6 +518,13 @@ def test_thin_square_products_equal_the_eager_table(build):
     assert T.table == E.table
 
 
+@pytest.mark.parametrize("build", SQUARE_FACTORS)
+def test_validating_a_square_builds_no_table(build):
+    T, _, _ = tensor_square(build())
+    T.validate()
+    assert "table" not in vars(T)
+
+
 def eager_square_names(A):
     """The names of A (x) A as the square's constructor once built them:
     degree by degree, blocks by the degree of the left factor, a-major."""
@@ -970,6 +978,47 @@ def assert_cup_kernel_is_the_kernel(A):
 @given(cup_algebras())
 def test_cup_kernel_equals_the_eliminated_kernel(A):
     assert_cup_kernel_is_the_kernel(A)
+
+
+def dense_generators(coeff, dims, table) -> tuple:
+    """``generators`` ranked by inserting each dense product row."""
+    echelons = [FieldEchelon(n, coeff.p) for n in dims]
+    for (d1, _, d2, _), row in table.items():
+        e = echelons[d1 + d2]
+        if e.rank < e.width:
+            e.insert(row)
+    generators = []
+    for d in range(1, len(dims)):
+        e = echelons[d]
+        for i in range(e.width):
+            if e.rank < e.width and e.insert({i: 1}):
+                generators.append((d, i))
+    return tuple(generators)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cup_algebras(), st.sampled_from([1, Fraction(1, 3), Fraction(-7, 2)]))
+def test_generators_insert_the_dense_rows_nonzero_entries(A, scale):
+    # the same rows, as their nonzero entries, in the same order: the same
+    # generators from the same number of inserts; over Q the rows are also
+    # scaled, which leaves every span as it is, so some are fractional
+    table = A.table
+    if A.coeff == Q:
+        table = {key: tuple(c * scale for c in row) for key, row in table.items()}
+    inserted = []
+    insert = FieldEchelon.insert
+
+    def recording(self, v):
+        entries = v.items() if isinstance(v, dict) else enumerate(v)
+        inserted.append((self.width, {j: Fraction(c) for j, c in entries if c}))
+        return insert(self, v)
+
+    with patch.object(FieldEchelon, "insert", recording):
+        got = GradedAlgebra(A.coeff, A.names, table, validate=False).generators
+        sparse = inserted[:]
+        inserted.clear()
+        assert got == dense_generators(A.coeff, A.dims(), table)
+    assert sparse == inserted
 
 
 @pytest.mark.parametrize("build", [

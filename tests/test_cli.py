@@ -128,6 +128,55 @@ class TestBounds:
         assert "= 1" in capsys.readouterr().out
 
 
+class TestJsonBytes:
+    """``--json`` prints the bytes of ``json.dumps(payload, indent=2,
+    sort_keys=True)`` and a newline, the payload taken from what the
+    command built (``table_to_json`` per query, ``run_suite``'s report)."""
+
+    @staticmethod
+    def built(monkeypatch, name):
+        from secatm import cli
+
+        payloads = []
+        original = getattr(cli, name)
+
+        def recording(*args, **kwargs):
+            payloads.append(original(*args, **kwargs))
+            return payloads[-1]
+
+        monkeypatch.setattr(cli, name, recording)
+        return payloads
+
+    def assert_bytes(self, monkeypatch, capsys, argv, name="table_to_json"):
+        payloads = self.built(monkeypatch, name)
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        payload = payloads[0] if len(payloads) == 1 else payloads
+        assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        return payloads
+
+    @pytest.mark.parametrize("name", ["u2.json", "covers.json"])
+    def test_shipped_models(self, monkeypatch, capsys, name):
+        path = str(Path(__file__).resolve().parent.parent / "models" / name)
+        assert len(self.assert_bytes(monkeypatch, capsys, ["bounds", path, "--json"])) == 2
+
+    def test_several_queries_and_non_ascii_names(self, monkeypatch, capsys, tmp_path):
+        doc = base_doc(
+            spaces={"s2": {"construct": "sphere", "n": 2},
+                    "\u03a3\u2082 \"tab\"\t": {"construct": "orientable_surface", "genus": 2}},
+            queries=[{"target": "s2", "invariant": "cat"},
+                     {"target": "\u03a3\u2082 \"tab\"\t", "invariant": "tc", "m": "1..3"},
+                     {"target": "s2", "invariant": "tc", "m": "2"}])
+        path = tmp_path / "several.json"
+        path.write_text(json.dumps(doc))
+        payloads = self.assert_bytes(monkeypatch, capsys, ["bounds", str(path), "--json"])
+        assert len(payloads) == 3
+        self.assert_bytes(monkeypatch, capsys, ["bounds", str(path), "s2", "tc", "--json"])
+
+    def test_paper_suite(self, monkeypatch, capsys):
+        self.assert_bytes(monkeypatch, capsys, ["paper-suite", "--json"], "run_suite")
+
+
 class TestShippedModels:
     def test_sample_files_compute(self, capsys):
         import pathlib

@@ -1,9 +1,15 @@
 import gc
+import json
 import weakref
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from secatm.algebra import Element
+from secatm.cuplength import CupLengthCertificate
+from secatm.engine import Bundle, compute_tables
+from secatm.spaces import product, sphere
 from secatm.tables import (
     INF,
     BoundTable,
@@ -12,6 +18,7 @@ from secatm.tables import (
     render_text,
     table_from_json,
     table_to_json,
+    write_json,
 )
 
 
@@ -192,3 +199,69 @@ def test_intervals_only_narrow(ops):
         assert t.lo(1) == lo and t.hi(1) == hi
         if hi is not None:
             assert lo <= hi
+
+
+# ---------------------------------------------------------------------------
+# the JSON writer against json.dumps(indent=2, sort_keys=True)
+# ---------------------------------------------------------------------------
+
+def written(obj) -> str:
+    pieces = []
+    write_json(obj, pieces.append)
+    return "".join(pieces)
+
+
+# every code point, lone surrogates and control characters included
+json_text = st.text(st.characters(exclude_categories=()), max_size=6) | st.sampled_from(
+    ["", "\x00\x1f\x7f", '"\\/\b\f\n\r\t', "\u00e9\u2603", "\ud83d\ude00", "\ud800"])
+json_leaves = (st.none() | st.booleans() | st.integers() | json_text
+               | st.integers(10 ** 299, 10 ** 300 - 1).flatmap(
+                   lambda n: st.sampled_from([n, -n])))
+json_values = st.recursive(
+    json_leaves,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(json_text, inner, max_size=4),
+    max_leaves=24)
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_values)
+def test_write_json_writes_the_text_of_json_dumps(obj):
+    assert written(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("obj", [
+    1.5, Fraction(1, 2), {1: "a"}, {"a": 1, 2: "b"}, [{"a": [0.5]}], {"a": {(1,): 2}}, (1, 2),
+])
+def test_write_json_rejects_other_types(obj):
+    with pytest.raises(TypeError):
+        written(obj)
+
+
+def test_a_certificate_shared_by_rows_is_formatted_once(monkeypatch):
+    # tc of T^3 cites one certificate on every row, as _capped_values shares
+    # it between the caps where the cup length stays the same
+    bundle = Bundle()
+    bundle.add_space("t3", product([sphere(1)] * 3))
+    table = compute_tables(bundle, max_m=6)[("tc", "t3")]
+    cited = [ev.certificate for m in table.index for ev in table.events[m] if ev.certificate]
+    assert len(cited) > 2 and len(set(map(id, cited))) == 1
+    calls = {"factor_strings": 0, "format": 0}
+    for cls, name in [(CupLengthCertificate, "factor_strings"), (Element, "format")]:
+        def counted(self, original=getattr(cls, name), name=name):
+            calls[name] += 1
+            return original(self)
+        monkeypatch.setattr(cls, name, counted)
+    once = {"factor_strings": 1, "format": len(cited[0].factors) + 1}
+
+    data = table_to_json(table)
+    assert calls == once
+    certs = [ev["certificate"] for e in data["entries"] for ev in e["provenance"]
+             if "certificate" in ev]
+    assert len(certs) == len(cited) and all(c == certs[0] for c in certs)
+    # each event its own dict and list: the result shares no mutable object
+    assert len(set(map(id, certs))) == len(certs)
+    assert len({id(c["factors"]) for c in certs}) == len(certs)
+
+    calls.update(factor_strings=0, format=0)
+    text = render_text(table, certificates=True)
+    assert calls == once and text.count("witness: ") == len(cited)
