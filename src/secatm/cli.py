@@ -68,15 +68,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _print_json(payload) -> None:
-    """Print the text of ``write_json`` for ``payload``: the text in one
-    write and the newline in a second.  With unbuffered stdout (``python
-    -u``) a write that a reader closing the pipe cuts short is not
-    reported, so it is the newline's write that fails with
+def _print(text: str) -> None:
+    """Write ``text``, and then the final newline in a second write.  With
+    unbuffered stdout (``python -u``) a write that a reader closing the pipe
+    cuts short is not reported, so it is the newline's write that fails with
     ``BrokenPipeError``."""
+    sys.stdout.write(text)
+    sys.stdout.write("\n")
+
+
+def _json(payload) -> str:
     pieces: list[str] = []
     write_json(payload, pieces.append)
-    print("".join(pieces))
+    return "".join(pieces)
 
 
 def _resolve_queries(args, loaded) -> list[Query]:
@@ -138,16 +142,16 @@ def _cmd_bounds(args) -> int:
         else:
             outputs.append(render_text(table, ms, certificates=args.certificates))
     if args.json:
-        _print_json(outputs[0] if len(outputs) == 1 else outputs)
-    else:
-        sys.stdout.write("\n".join(outputs))
+        _print(_json(outputs[0] if len(outputs) == 1 else outputs))
+    else:  # each rendered table ends in a newline
+        _print("\n".join(outputs).removesuffix("\n"))
     return 0
 
 
 def _cmd_paper_suite(args) -> int:
     report = run_suite()
     if args.json:
-        _print_json(report)
+        _print(_json(report))
     else:
         for case in report["cases"]:
             status = "ok" if case["ok"] else "MISMATCH"

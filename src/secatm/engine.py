@@ -2,17 +2,20 @@
 classical column, produced by exact cup-length lower bounds and a narrowing
 rule system iterated to a fixpoint.
 
-Every rule is a record in one table built per run: a one-sided bound
-(a target table narrowed from source tables at shared index pairs) or an
-equality between two table entries.  The m-dimensional invariants equal the
+Every rule is a record in one table built per run, and every record states
+one inequality: a target table is at most its source tables at shared index
+pairs.  Applying it lowers the target's upper ends and, for an inequality
+between two single entries, raises the source's lower ends too; an equality
+is two records, one each way.  The m-dimensional invariants equal the
 classical ones from m = hdim on (twice hdim for tc; Schwarz), so a table
 stores rows only below that m (see :mod:`secatm.tables`), and each record's
 index pairs are resolved once against the stored rows.  Every rule only
-narrows intervals, so iteration terminates; a crossing pair of bounds raises
-:class:`~secatm.tables.InconsistentModel` with both provenance chains.  A
-sweep re-applies a record only when a table it reads has narrowed since its
-last application (semi-naive evaluation), which changes no event and no
-order of events.
+narrows intervals, so iteration terminates, and the intervals it ends with
+do not depend on the order of the records (chaotic iteration; Cousot 1977);
+a crossing pair of bounds raises :class:`~secatm.tables.InconsistentModel`
+with both provenance chains.  A sweep re-applies a record only when a table
+it reads has narrowed since its last application (semi-naive evaluation),
+which changes no event and no order of events.
 Lower bounds come from capped cup-lengths over spans of ideal generators:
 for cat, the algebra generators of H^+ (the basis classes that complement
 the decomposables); for tc, a (x) 1 - 1 (x) a over those generators, which
@@ -106,56 +109,63 @@ def compute_tables(bundle, max_m=None, use_literature=True, targets=None):
 # rule records
 # ---------------------------------------------------------------------------
 
-# Index pairs (m, n, shift) by kind: the target entry m is narrowed from the
-# source entry n, offset by shift.  Finite m run up to ``last`` only: the
+# Index pairs (m, n, shift) by kind: the target entry m is bounded above by
+# the source entry n, offset by shift.  Finite m run up to ``last`` only: the
 # engine passes the last m that is not the inf entry in every table of the
-# record, and every pair beyond it reads and writes inf entries only.
+# record, and every pair beyond it reads and writes inf entries only.  A
+# record that also raises lower ends reads the same pairs the other way, the
+# source entry n bounded below by the target entry m.
 _PAIRS = {
     "same": lambda last, M, d: [(m, m, 0) for m in range(1, last + 1)] + [(INF, INF, 0)],
-    "up": lambda last, M, d: [(m + 1, m, 0) for m in range(1, min(last, M - 1) + 1)],
     "down": lambda last, M, d: [(m, m + 1, 0) for m in range(1, min(last, M - 1) + 1)],
-    "to_inf": lambda last, M, d: [(INF, m, 0) for m in range(1, last + 1)],
     "from_inf": lambda last, M, d: [(m, INF, 0) for m in range(1, last + 1)],
-    "recover_hi": lambda last, M, d: [(INF, m, d // (m + 1)) for m in range(1, last + 1)],
-    "recover_lo": lambda last, M, d: [(m, INF, -(d // (m + 1))) for m in range(1, last + 1)],
+    "recover": lambda last, M, d: [(INF, m, d // (m + 1)) for m in range(1, last + 1)],
     "skeleton": lambda last, M, d: [(INF, d - 1, 0)] if 1 <= d - 1 <= M else [],
     "stable": lambda last, M, d: [(m, INF, 0) for m in range(max(d, 1), last + 1)],
 }
 
 
+def _text(detail, m, n) -> str:
+    return detail if isinstance(detail, str) else detail(m, n)
+
+
 class _Bound(NamedTuple):
-    """One side of an inequality: ``target[m]`` is raised to
-    ``source[n].lo + shift`` (side ``lo``, one source), or lowered to
-    ``max(scale * sum(source[n].hi) + shift, floor)`` (side ``hi``).  Each
-    pair is (target row, one row per source, shift), over stored rows."""
+    """One inequality, ``target[m] <= max(scale * sum(source[n]) + shift,
+    floor)`` at each index pair (target row, one row per source, shift),
+    over stored rows.  Applying it lowers ``target[m].hi``.  A record with a
+    ``lo_detail`` (one source, scale 1, no floor) first raises
+    ``source[n].lo`` to ``target[m].lo - shift``, over all pairs, and then
+    lowers the upper ends.  ``detail`` and ``lo_detail`` are provenance text,
+    or ``(m, n) -> text`` of the pair's target and source row."""
 
     rule: str
-    side: str
     target: BoundTable
     sources: tuple
     pairs: list
-    detail: object  # str, or (m, n) -> str
+    detail: object
+    lo_detail: object = None
     scale: int = 1
     floor: int = 0
 
     @property
     def inputs(self) -> tuple:
-        return self.sources
-
-    def text(self, m, n) -> str:
-        return self.detail if isinstance(self.detail, str) else self.detail(m, n)
+        """The tables the record reads, each once."""
+        if self.lo_detail is None or self.target in self.sources:
+            return self.sources
+        return (*self.sources, self.target)
 
     def apply(self) -> bool:
-        return self._raise() if self.side == "lo" else self._lower()
+        raised = self.lo_detail is not None and self._raise()
+        return self._lower() | raised
 
     def _raise(self) -> bool:
-        target = self.target
-        rows, source = target.rows, self.sources[0].rows
+        source = self.sources[0]
+        rows, target = source.rows, self.target.rows
         changed = False
         for m, (n,), shift in self.pairs:
-            value = source[n].lo + shift
-            if value > rows[m].lo:
-                changed |= target.raise_lo(m, value, self.rule, self.text(m, n))
+            value = target[m].lo - shift
+            if value > rows[n].lo:
+                changed |= source.raise_lo(n, value, self.rule, _text(self.lo_detail, m, n))
         return changed
 
     def _lower(self) -> bool:
@@ -175,37 +185,7 @@ class _Bound(NamedTuple):
                 value = floor
             current = rows[m].hi
             if current is None or value < current:
-                changed |= target.lower_hi(m, value, self.rule, self.text(m, ns[0]))
-        return changed
-
-
-class _Equal(NamedTuple):
-    """``a[m] = b[n]`` at each index pair: both sides raise and lower."""
-
-    rule: str
-    a: BoundTable
-    b: BoundTable
-    pairs: list
-    detail: str
-
-    @property
-    def inputs(self) -> tuple:
-        return (self.a, self.b)
-
-    def apply(self) -> bool:
-        a, b, rule, detail = self.a, self.b, self.rule, self.detail
-        a_rows, b_rows = a.rows, b.rows
-        changed = False
-        for m, (n,), _ in self.pairs:
-            ea, eb = a_rows[m], b_rows[n]
-            if eb.lo > ea.lo:
-                changed |= a.raise_lo(m, eb.lo, rule, detail)
-            if ea.lo > eb.lo:
-                changed |= b.raise_lo(n, ea.lo, rule, detail)
-            if eb.hi is not None and (ea.hi is None or eb.hi < ea.hi):
-                changed |= a.lower_hi(m, eb.hi, rule, detail)
-            if ea.hi is not None and (eb.hi is None or ea.hi < eb.hi):
-                changed |= b.lower_hi(n, ea.hi, rule, detail)
+                changed |= target.lower_hi(m, value, self.rule, _text(self.detail, m, ns[0]))
         return changed
 
 
@@ -368,16 +348,13 @@ class _Engine:
     # -- cup-length lower bounds ----------------------------------------------
     def _lower_targets(self):
         """Tables that need cup-length lower bounds: the requested ones plus
-        every table whose lower bounds reach them through ``lo`` records and
-        equalities."""
+        every table whose lower bounds reach them.  Lower bounds flow only
+        through records with a ``lo_detail``, from the record's target to
+        its source."""
         feeds: dict = {}  # table key -> keys whose lower bounds flow into it
         for rule in self.rules:
-            if isinstance(rule, _Equal):
-                flows = [(rule.a, rule.b), (rule.b, rule.a)]
-            else:
-                flows = [(rule.target, rule.sources[0])] if rule.side == "lo" else []
-            for target, source in flows:
-                feeds.setdefault(target.key(), []).append(source.key())
+            if rule.lo_detail is not None:
+                feeds.setdefault(rule.sources[0].key(), []).append(rule.target.key())
         seen = set()
         todo = list(self.tables if self.requested is None else self.requested)
         while todo:
@@ -480,37 +457,36 @@ class _Engine:
             if record.pairs:  # a record with no pair left can never narrow
                 rules.append(record)
 
-        def lo(rule, target, source, detail, kind="same", dim=None):
-            pairs = self._pairs(kind, dim, target, (source,))
-            add(_Bound(rule, "lo", target, (source,), pairs, detail))
-
-        def hi(rule, target, sources, detail, kind="same", dim=None, scale=1, floor=0):
+        def le(rule, target, sources, detail, kind="same", dim=None, scale=1, floor=0,
+               lo_detail=None):
             pairs = self._pairs(kind, dim, target, tuple(sources))
-            add(_Bound(rule, "hi", target, tuple(sources), pairs, detail, scale, floor))
+            add(_Bound(rule, target, tuple(sources), pairs, detail, lo_detail, scale, floor))
 
         def eq(rule, a, b_, detail, kind="same", dim=None):
-            add(_Equal(rule, a, b_, self._pairs(kind, dim, a, (b_,)), detail))
+            # a <= b and b <= a, the second over the first's pairs reversed
+            pairs = self._pairs(kind, dim, a, (b_,))
+            add(_Bound(rule, a, (b_,), pairs, detail, detail))
+            add(_Bound(rule, b_, (a,), [(n, (m,), 0) for m, (n,), _ in pairs], detail, detail))
 
         for tab in self.tables.values():
-            lo("monotone_m", tab, tab, lambda m, n: f"at least the m={n} entry", "up")
-            hi("monotone_m", tab, [tab], lambda m, n: f"at most the m={n} entry", "down")
+            le("monotone_m", tab, [tab], lambda m, n: f"at most the m={n} entry", "down",
+               lo_detail=lambda m, n: f"at least the m={m} entry")
         for tab in self.tables.values():
-            lo("classical_cap", tab, tab, lambda m, n: f"dominates the m={n} entry", "to_inf")
-            hi("classical_cap", tab, [tab], "at most the classical value", "from_inf")
+            le("classical_cap", tab, [tab], "at most the classical value", "from_inf",
+               lo_detail=lambda m, n: f"dominates the m={m} entry")
         for name, f in b.fibrations.items():
             s, c = t("secat", name), t("cat", name_of(f.base))
-            hi("secat_le_cat_base", s, [c], f"at most cat[{c.target}]")
-            lo("secat_le_cat_base", c, s, f"at least secat[{name}]")
+            le("secat_le_cat_base", s, [c], f"at most cat[{c.target}]",
+               lo_detail=f"at least secat[{name}]")
             if f.total_contractible:
                 eq("secat_eq_cat_contractible", s, c, "contractible total space")
         dims = [(tab, tab.dim) for tab in self.tables.values() if tab.dim is not None]
         for tab, dim in dims:
-            hi("dim_recovery", tab, [tab],
-               lambda m, n, d=dim: f"m={n} entry + floor({d}/{n + 1})", "recover_hi", dim)
-            lo("dim_recovery", tab, tab,
-               lambda m, n, d=dim: f"classical entry - floor({d}/{m + 1})", "recover_lo", dim)
+            le("dim_recovery", tab, [tab],
+               lambda m, n, d=dim: f"m={n} entry + floor({d}/{n + 1})", "recover", dim,
+               lo_detail=lambda m, n, d=dim: f"classical entry - floor({d}/{n + 1})")
         for tab, dim in dims:
-            hi("skeletal_cap", tab, [tab], lambda m, n: f"max of the m={n} entry and 2",
+            le("skeletal_cap", tab, [tab], lambda m, n: f"max of the m={n} entry and 2",
                "skeleton", dim, floor=2)
 
         # (table, first degree of vanishing homotopy, whose, first m = d0 - lag)
@@ -530,34 +506,33 @@ class _Engine:
         for inv, name, factors in products:
             if factors:
                 fnames = [name_of(x) for x in factors]
-                hi("product_subadd", t(inv, name), [t(inv, fn) for fn in fnames],
+                le("product_subadd", t(inv, name), [t(inv, fn) for fn in fnames],
                    f"sum over factors {fnames}")
 
         for name, p in b.map_pairs.items():
             dm = t("dm", name)
             cdom, tcod = t("cat", name_of(p.domain)), t("tc", name_of(p.codomain))
-            hi("dm_le_cat_domain", dm, [cdom], f"at most cat[{cdom.target}]")
-            hi("dm_le_tc_codomain", dm, [tcod], f"at most tc[{tcod.target}]")
+            le("dm_le_cat_domain", dm, [cdom], f"at most cat[{cdom.target}]")
+            le("dm_le_tc_codomain", dm, [tcod], f"at most tc[{tcod.target}]")
         for name in b.map_pairs:
             dm, hdm = t("dm", name), t("hdm", name)
-            lo("hdm_le_dm", dm, hdm, "at least the cohomological distance")
-            hi("hdm_le_dm", hdm, [dm], "at most the homotopic distance")
+            le("hdm_le_dm", hdm, [dm], "at most the homotopic distance",
+               lo_detail="at least the cohomological distance")
         for name, p in b.map_pairs.items():
             if p.triangle is not None:
                 dl, dr = (t("dm", name_of(x)) for x in p.triangle)
-                hi("triangle", t("dm", name), [dl, dr],
+                le("triangle", t("dm", name), [dl, dr],
                    f"through {dl.target} and {dr.target}")
 
         for name in b.spaces:
             cat, tc = t("cat", name), t("tc", name)
-            lo("cat_le_tc", tc, cat, "at least cat")
-            hi("cat_le_tc", cat, [tc], "at most tc")
+            le("cat_le_tc", cat, [tc], "at most tc", lo_detail="at least cat")
         for name, s in b.spaces.items():
             cat, tc = t("cat", name), t("tc", name)
-            hi("tc_le_2cat", tc, [cat], "at most twice cat", scale=2)
+            le("tc_le_2cat", tc, [cat], "at most twice cat", scale=2)
             if s.square is not None:
                 csq = t("cat", name_of(s.square))
-                hi("tc_le_cat_square", tc, [csq], f"at most cat[{csq.target}]")
+                le("tc_le_cat_square", tc, [csq], f"at most cat[{csq.target}]")
         for name, s in b.spaces.items():
             if s.h_space_with_division:
                 eq("h_space_eq", t("tc", name), t("cat", name), "H-space with division")
@@ -573,7 +548,7 @@ class _Engine:
                 eq("const_vs_identity", dm, cdom,
                    "distance to a constant map equals cat")
             else:  # dm <= cat[domain] is dm_le_cat_domain
-                hi("const_pair_cap", dm, [ccod], f"at most cat[{ccod.target}]")
+                le("const_pair_cap", dm, [ccod], f"at most cat[{ccod.target}]")
         return rules
 
 

@@ -189,17 +189,24 @@ class TestShippedModels:
 
 
 class TestClosedStdout:
-    def test_reader_closing_the_pipe_early_leaves_no_traceback(self):
-        # about 1.2 MB of JSON, far past a pipe buffer, so the writes after
-        # the reader has gone fail with a broken pipe
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("fmt", [[], ["--json"]], ids=["text", "json"])
+    def test_reader_closing_the_pipe_early_leaves_no_traceback(self, fmt, unbuffered):
+        # about 90 KB of text or 1.2 MB of JSON, past a pipe buffer, so the
+        # writes after the reader has gone fail with a broken pipe; with
+        # unbuffered stdout the cut write is not reported, and the final
+        # newline's write must fail instead
         root = Path(__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
         proc = subprocess.Popen(
             [sys.executable, "-m", "secatm", "bounds", str(root / "models" / "u2.json"),
-             "idinv", "hdm", "--json", "--max-m", "2000"],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-            env=dict(os.environ, PYTHONPATH=str(root / "src")))
+             "idinv", "hdm", *fmt, "--max-m", "2000"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
         try:
-            assert proc.stdout.read(100).startswith(b"{")
+            assert proc.stdout.read(100).startswith(b"{" if fmt else b"hdm[idinv]")
             proc.stdout.close()
             _, err = proc.communicate(timeout=60)
         finally:

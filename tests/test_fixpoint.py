@@ -3,14 +3,16 @@ narrowed, against the plain loop that re-applies every record on every
 sweep (``reference.sweep_until_quiet``): the same events in the same order,
 certificates included."""
 
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from secatm import engine
-from secatm.engine import Bundle, _Bound, _Equal, _fixpoint, compute_tables
+from secatm.engine import Bundle, _Bound, _fixpoint, compute_tables
 from secatm.goldens import all_cases
 from secatm.modelfile import load_model_file
+from secatm.spaces import sphere
 from secatm.tables import INF, BoundTable, table_to_json
 
 from reference import sweep_until_quiet
@@ -66,11 +68,11 @@ def test_rules_wide_catalogue_equals_the_plain_loop(monkeypatch, lit):
 
 def test_the_fixpoint_skips_records_whose_inputs_did_not_narrow(monkeypatch):
     applied = []
-    for record in (_Bound, _Equal):
-        def counted(self, apply=record.apply):
-            applied.append(self)
-            return apply(self)
-        monkeypatch.setattr(record, "apply", counted)
+
+    def counted(self, apply=_Bound.apply):
+        applied.append(self)
+        return apply(self)
+    monkeypatch.setattr(_Bound, "apply", counted)
     runs = {}
     for fixpoint in (_fixpoint, sweep_until_quiet):
         monkeypatch.setattr(engine, "_fixpoint", fixpoint)
@@ -81,18 +83,16 @@ def test_the_fixpoint_skips_records_whose_inputs_did_not_narrow(monkeypatch):
 
 
 def _monotone_records(table):
-    """``monotone_m`` of one table with every row stored: row m + 1 is at
-    least row m, row m is at most row m + 1."""
-    up = [(m + 1, (m,), 0) for m in range(1, table.max_m)]
+    """``monotone_m`` of one table with every row stored: row m is at most
+    row m + 1, so row m + 1 is at least row m."""
     down = [(m, (m + 1,), 0) for m in range(1, table.max_m)]
-    return [_Bound("monotone_m", "lo", table, (table,), up, "up"),
-            _Bound("monotone_m", "hi", table, (table,), down, "down")]
+    return [_Bound("monotone_m", table, (table,), down, "down", "up")]
 
 
 @pytest.mark.parametrize("fixpoint", [_fixpoint, sweep_until_quiet],
                          ids=["skipping", "plain"])
 def test_an_upper_bound_walks_down_one_row_per_sweep(fixpoint):
-    # the "down" pairs run in ascending m, so a bound on row 6 reaches row 5
+    # the pairs run in ascending m, so a bound on row 6 reaches row 5
     # in the first sweep, row 4 in the second, and so on: the record narrows
     # its own input, and must run again although nothing else moved
     table = BoundTable("cat", "x", 8)
@@ -103,3 +103,54 @@ def test_an_upper_bound_walks_down_one_row_per_sweep(fixpoint):
     assert [table.lo(m) for m in range(1, 9)] == [0] + [1] * 7
     assert table.interval(INF).as_pair() == (0, None)
     assert [len(table.events[m]) for m in range(1, 7)] == [1] + [2] * 5
+
+
+def test_a_shifted_record_narrows_both_ends():
+    # dim_recovery of a table of dimension 6: x[inf] <= x[m] + floor(6/(m+1)),
+    # so x[m] >= x[inf] - floor(6/(m+1))
+    table = BoundTable("cat", "x", 8, dim=6)
+    pairs = [(INF, (m,), 6 // (m + 1)) for m in range(1, 6)]
+    record = _Bound("dim_recovery", table, (table,), pairs, "hi", "lo")
+    table.raise_lo(INF, 4, "test", "a classical lower bound")
+    table.lower_hi(2, 2, "test", "an upper bound on one finite row")
+    assert record.inputs == (table,)
+    assert record.apply()
+    assert [table.lo(m) for m in range(1, 6)] == [1, 2, 3, 3, 3]
+    assert table.interval(INF).as_pair() == (4, 4)
+    assert not record.apply()
+
+
+def test_a_record_without_lo_detail_never_raises_a_lower_end():
+    cat, tc = BoundTable("cat", "x", 3), BoundTable("tc", "x", 3)
+    cat.raise_lo(2, 2, "test", "a lower bound on cat")
+    tc.lower_hi(2, 3, "test", "an upper bound on tc")
+    pairs = [(m, (m,), 0) for m in (1, 2, 3, INF)]
+    one_sided = _Bound("cat_le_tc", cat, (tc,), pairs, "at most tc")
+    assert one_sided.inputs == (tc,)
+    assert one_sided.apply()
+    assert [tc.lo(m) for m in (1, 2, 3, INF)] == [0] * 4
+    assert cat.interval(2).as_pair() == (2, 3)
+    two_sided = _Bound("cat_le_tc", cat, (tc,), pairs, "at most tc", "at least cat")
+    assert two_sided.inputs == (tc, cat)
+    assert two_sided.apply()
+    assert tc.interval(2).as_pair() == (2, 3)
+
+
+def test_an_equality_is_two_records_that_close_both_tables():
+    bundle = Bundle()
+    bundle.add_space("s3", replace(sphere(3), h_space_with_division=True))
+    run = engine._Engine(bundle, 8, True, None)
+    run.run()
+    tc, cat = run.t("tc", "s3"), run.t("cat", "s3")
+    first, second = [r for r in run.rules if r.rule == "h_space_eq"]
+    assert (first.target, first.sources, second.target, second.sources) == (tc, (cat,), cat, (tc,))
+    assert second.pairs == [(n, (m,), 0) for m, (n,), _ in first.pairs]
+    # two fresh tables, each narrowed on one side of one row
+    a, b = BoundTable("tc", "y", 4), BoundTable("cat", "y", 4)
+    a.raise_lo(3, 1, "test", "a lower bound on a")
+    b.lower_hi(3, 1, "test", "an upper bound on b")
+    pairs = [(m, (m,), 0) for m in (1, 2, 3, 4, INF)]
+    _fixpoint([_Bound("eq", a, (b,), pairs, "d", "d"), _Bound("eq", b, (a,), pairs, "d", "d")])
+    assert a.interval(3).as_pair() == b.interval(3).as_pair() == (1, 1)
+    assert [(e.side, e.value) for e in a.events[3] if e.rule == "eq"] == [("hi", 1)]
+    assert [(e.side, e.value) for e in b.events[3] if e.rule == "eq"] == [("lo", 1)]
