@@ -103,7 +103,7 @@ for k in (8, 10):
 
 QUICK = ["tc-rp16", "tc-sigma2", "tc-sigma4", "tc-sigma4h", "tc-n8", "tc-t2", "tc-t3",
          "tc-t4", "tc-cp2", "tc-cp4", "tc-s64", "cat-t4", "cat-t6", "cat-t4z",
-         "validate-rp64"]
+         "validate-rp64", "validate-t8"]
 
 
 def run_rung(name: str) -> dict:

@@ -188,25 +188,6 @@ class GradedAlgebra:
                         out[j] = dom.add(out[j], dom.mul(ab, c))
         return tuple(out)
 
-    def nonzero_products(self) -> dict:
-        """Every nonzero basis product, products by the unit included:
-        ``(d1, i1)`` maps ``(d2, i2)`` to the nonzero ``(index, c)`` pairs of
-        the product of class i1 of degree d1 by class i2 of degree d2.  A
-        row object the table shares between products is converted once."""
-        one = self.coeff.one()
-        out = {(d, i): {} for d in range(self.top_degree + 1) for i in range(self.dim(d))}
-        for d in range(self.top_degree + 1):
-            for i in range(self.dim(d)):
-                out[(0, 0)][(d, i)] = out[(d, i)][(0, 0)] = ((i, one),)
-        seen = {}
-        for (d1, i1, d2, i2), row in self.table.items():
-            nz = seen.get(id(row))
-            if nz is None:
-                nz = seen[id(row)] = tuple((j, c) for j, c in enumerate(row) if c)
-            if d1 and d2 and nz:
-                out[(d1, i1)][(d2, i2)] = nz
-        return out
-
     # -- what the cup-length bounds read, built on first read and kept -------
     @functools.cached_property
     def generators(self) -> tuple[tuple[int, int], ...]:
@@ -215,18 +196,15 @@ class GradedAlgebra:
         that grows the rank of the decomposables and the classes kept before
         it.  Ranks are taken over F_p for a prime field and over Q
         otherwise; the cup-length DP decides vanishing by rank over Q, so
-        over Z these generate for it as well.  Each product row goes in as
-        its nonzero entries, integral rationals made ints, converted once
-        per row object the table shares."""
+        over Z these generate for it as well.  The decomposables are the
+        products between positive degrees in ``constants``."""
         echelons = [FieldEchelon(n, self.coeff.p) for n in self.dims()]
-        sparse = {}  # id(row) -> its nonzero entries
-        for (d1, _, d2, _), row in self.table.items():
-            e = echelons[d1 + d2]
-            if e.rank < e.width:
-                nz = sparse.get(id(row))
-                if nz is None:
-                    nz = sparse[id(row)] = {j: _as_int(c) for j, c in enumerate(row) if c}
-                e.insert(nz)
+        for (d1, _), row in self.constants.items():
+            if d1:
+                for (d2, _), nz in row.items():
+                    e = echelons[d1 + d2]
+                    if d2 and e.rank < e.width:
+                        e.insert(dict(nz))
         generators = []
         for d in range(1, self.top_degree + 1):
             e = echelons[d]
@@ -239,10 +217,24 @@ class GradedAlgebra:
 
     @functools.cached_property
     def constants(self) -> dict:
-        """``nonzero_products`` with integral scalars as ints (``_as_int``),
-        which :meth:`products` multiplies by and :meth:`validate` checks."""
-        return {key: {key2: tuple((j, _as_int(c)) for j, c in nz) for key2, nz in row.items()}
-                for key, row in self.nonzero_products().items()}
+        """Every nonzero basis product, products by the unit included:
+        ``(d1, i1)`` maps ``(d2, i2)`` to the nonzero ``(index, c)`` pairs
+        of the product of class i1 of degree d1 by class i2 of degree d2,
+        integral scalars as ints (``_terms``), keys in basis order and
+        entries in ``table`` order.  :meth:`products` multiplies by them
+        and :meth:`validate` checks them; a row object the table shares
+        between products is converted once."""
+        out = {(d, i): {(0, 0): ((i, 1),)}
+               for d in range(self.top_degree + 1) for i in range(self.dim(d))}
+        out[(0, 0)] = {key: row[(0, 0)] for key, row in out.items()}
+        seen = {}  # id(row) -> its nonzero entries
+        for (d1, i1, d2, i2), row in self.table.items():
+            nz = seen.get(id(row))
+            if nz is None:
+                nz = seen[id(row)] = tuple(_terms(row))
+            if nz:
+                out[(d1, i1)][(d2, i2)] = nz
+        return out
 
     def product_keys(self, ds: int, s) -> list:
         """Per ``(index, b)`` of s, a degree-ds vector as nonzero pairs, the
@@ -582,11 +574,13 @@ class TensorProduct(GradedAlgebra):
     pairs of nonzero factor degrees, so a sparse factor such as a sphere
     costs its few blocks, not (top + 1)^2 pairs; the names ``a(x)b`` and
     the name index are built on first read (formatting, parsing).
-    ``mul_basis`` multiplies in the factors, so elements, certificates and
-    the cup-length bounds never need the 4-index ``table``, and neither
-    does ``validate``; it is built on first read and kept.  Its
-    ``generators``, ``constants`` and ``products`` come from the factors'
-    too.  Valid over a field, and over Z because all components are free.
+    ``mul_basis`` multiplies in the factors' ``mul_basis``, so elements,
+    certificates and the cup-length bounds never need the 4-index
+    ``table``.  ``generators``, ``constants`` and ``products`` come from the
+    factors' ``generators`` and ``constants``; ``validate`` checks the
+    product's ``constants``, and ``table``, built on first read and kept,
+    densifies them.  Valid over a field, and over Z because all components
+    are free.
     """
 
     def __init__(self, left: GradedAlgebra, right: GradedAlgebra):
@@ -643,8 +637,6 @@ class TensorProduct(GradedAlgebra):
     def mul_basis(self, d1: int, k1: int, d2: int, k2: int) -> tuple | None:
         if d1 + d2 > self.top_degree or not (d1 and d2):
             return super().mul_basis(d1, k1, d2, k2)  # zero or the unit law
-        if "table" in vars(self):  # built already: read it
-            return self.table.get((d1, k1, d2, k2))
         p1, i1, q1, j1 = self.kunneth_pairs[d1][k1]
         p2, i2, q2, j2 = self.kunneth_pairs[d2][k2]
         a = self.left.mul_basis(p1, i1, p2, i2)
@@ -672,12 +664,32 @@ class TensorProduct(GradedAlgebra):
 
     @functools.cached_property
     def constants(self) -> dict:
-        """Built by :meth:`row` from the factors' ``constants``, not reduced
-        mod p; read by the validators and where the product is itself a
+        """The constants of :class:`GradedAlgebra`, keys in basis order,
+        built from the factors' ``constants``: the product of ``a (x) b``
+        by ``a' (x) b'`` for each pair of nonzero products aa' and bb',
+        each entry ``ca * cb`` negated by the Koszul sign, in slot order.
+        Python arithmetic, exact over Q and Z, not reduced over F_p; each
+        pair of nonzero factor coefficients lands in its own slot with a
+        nonzero product (Q, F_p and Z have no zero divisors).  Read by the
+        validators, by :attr:`table` and where the product is itself a
         factor, as :meth:`products` multiplies through the factors'."""
         left, right = self.left.constants, self.right.constants
-        return {(d, k): {(d2, k2): nz for d2, k2, nz in self.row(d, k, left, right)}
-                for d in range(self.top_degree + 1) for k in range(self.dim(d))}
+        bdims, starts = self._right_dims, self.block_start
+        out = {}
+        for d, pairs in self.kunneth_pairs.items():
+            for k, (p1, i1, q1, j1) in enumerate(pairs):
+                rights = right[(q1, j1)].items()
+                row = out[(d, k)] = {}
+                for (p2, i2), anz in left[(p1, i1)].items():
+                    neg = q1 & p2 & 1  # the Koszul sign: |b| and |a'| both odd
+                    at, at2 = starts[p1 + p2], starts[p2]
+                    for (q2, j2), bnz in rights:
+                        q = q1 + q2
+                        base, wb = at[q], bdims[q]
+                        row[(p2 + q2, at2[q2] + i2 * bdims[q2] + j2)] = tuple(
+                            (base + ia * wb + jb, -(ca * cb) if neg else ca * cb)
+                            for ia, ca in anz for jb, cb in bnz)
+        return out
 
     def product_keys(self, ds: int, s) -> list:
         """Per ``(index, b)`` of s, its factor classes' keys and degrees and
@@ -712,68 +724,36 @@ class TensorProduct(GradedAlgebra):
                             acc[at + jb] = acc.get(at + jb, 0) + c * cb
             yield i, _reduced(acc, self.coeff.p)
 
-    def row(self, d: int, k: int, left: dict, right: dict) -> list:
-        """The nonzero products of class k of degree d by every class, the
-        unit included, as ``(d2, k2, nz)`` with ``nz`` the nonzero
-        ``(slot, c)`` pairs in slot order, from the factors' nonzero products
-        (``left`` and ``right``: ``nonzero_products`` of each, or the same
-        with other coefficients).  Each c is ``ca * cb``, negated by the
-        Koszul sign, in Python arithmetic: exact over Q and Z, not yet
-        reduced over F_p.  Only pairs of nonzero factor products are
-        visited; each pair of nonzero factor coefficients lands in its own
-        slot with a nonzero product (Q, F_p and Z have no zero divisors)."""
-        bdims, starts = self._right_dims, self.block_start
-        p1, i1, q1, j1 = self.kunneth_pairs[d][k]
-        rights = right[(q1, j1)].items()
-        out = []
-        append = out.append
-        for (p2, i2), anz in left[(p1, i1)].items():
-            neg = q1 & p2 & 1  # the Koszul sign: |b| and |a'| both odd
-            at, at2, single = starts[p1 + p2], starts[p2], len(anz) == 1
-            for (q2, j2), bnz in rights:
-                q = q1 + q2
-                base, wb = at[q], bdims[q]
-                if single and len(bnz) == 1:
-                    (ia, ca), (jb, cb) = anz[0], bnz[0]
-                    c = ca * cb
-                    nz = ((base + ia * wb + jb, -c if neg else c),)
-                else:
-                    nz = tuple((base + ia * wb + jb, -(ca * cb) if neg else ca * cb)
-                               for ia, ca in anz for jb, cb in bnz)
-                append((p2 + q2, at2[q2] + i2 * bdims[q2] + j2, nz))
-        return out
-
     def _check_shape(self) -> None:
-        """Nothing to check, and no ``table`` to build for it: :meth:`row`
-        puts each product of factor classes in the slots of its own degree's
-        blocks, so every product lands in a degree of the algebra, in a row
-        of that degree's width."""
+        """Nothing to check, and no ``table`` to build for it:
+        :attr:`constants` puts each product of factor classes in the slots
+        of its own degree's blocks, so every product lands in a degree of
+        the algebra, in a row of that degree's width."""
 
     @functools.cached_property
     def table(self) -> dict:
         """The 4-index table of :class:`GradedAlgebra`, keys in
-        ``(d1, k1, d2, k2)`` order; equal product rows share one tuple,
-        keyed on their nonzero entries."""
+        ``(d1, k1, d2, k2)`` order, densified from :attr:`constants`: each
+        entry reduced mod p and made a domain scalar; equal product rows
+        share one tuple, keyed on their nonzero entries."""
         dom = self.coeff
-        left = self.left.nonzero_products()
-        right = left if self.right is self.left else self.right.nonzero_products()
         table, shared, zero, p, dims = {}, {}, dom.zero(), dom.p, self.dims()
-        for d1 in range(1, self.top_degree + 1):
-            for k1 in range(dims[d1]):
-                for d2, k2, nz in self.row(d1, k1, left, right):
-                    if not d2:
-                        continue  # the unit law, which the table leaves out
-                    d = d1 + d2
-                    if p is not None:
-                        nz = tuple((slot, c % p) for slot, c in nz) if len(nz) > 1 else (
-                            (nz[0][0], nz[0][1] % p),)
-                    row = shared.get((d, nz))
-                    if row is None:
-                        row = [zero] * dims[d]
-                        for slot, c in nz:
-                            row[slot] = c
-                        row = shared[(d, nz)] = tuple(row)
-                    table[(d1, k1, d2, k2)] = row
+        for (d1, k1), products in self.constants.items():
+            if not d1:
+                continue
+            for (d2, k2), nz in products.items():
+                if not d2:
+                    continue  # the unit law, which the table leaves out
+                d = d1 + d2
+                if p is not None:
+                    nz = tuple((slot, c % p) for slot, c in nz)
+                row = shared.get((d, nz))
+                if row is None:
+                    row = [zero] * dims[d]
+                    for slot, c in nz:
+                        row[slot] = dom.parse_scalar(c)
+                    row = shared[(d, nz)] = tuple(row)
+                table[(d1, k1, d2, k2)] = row
         return dict(sorted(table.items()))
 
 
@@ -952,6 +932,9 @@ class RingMorphism:
     def from_images(source: GradedAlgebra, target: GradedAlgebra, images, validate=True):
         """Morphism from {source basis name: {target name: scalar}}; omitted
         positive-degree names map to zero."""
+        for name in images:
+            if name not in source._index:
+                raise MorphismMismatch(f"unknown source basis name {name!r}")
         dom = source.coeff
         mats = {}
         for d in range(source.top_degree + 1):

@@ -137,15 +137,6 @@ class CoefficientDomain:
     def is_zero(self, a) -> bool:
         return a == 0
 
-    def inv(self, a):
-        if not self.is_field:
-            raise ZeroDivisionError("no inverses over Z")
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero")
-        if self.kind == RATIONALS:
-            return Fraction(1) / a
-        return pow(a, self.p - 2, self.p)
-
     # -- parsing of domain labels ----------------------------------------
     @staticmethod
     def from_label(label) -> "CoefficientDomain":

@@ -183,6 +183,20 @@ class TestDiagnostics:
         assert "multiplicative" in str(err.value)
         assert "gstar" in err.value.path
 
+    # a misspelt source name would otherwise be dropped, and the class it
+    # meant would map to zero: a constant map, not the identity
+    def test_unknown_source_name_in_images(self, tmp_path, capsys):
+        doc = base_doc(map_pairs={"p": {
+            "domain": "s2",
+            "codomain": "s2",
+            "fstar": {"kind": "identity"},
+            "gstar": {"kind": "images", "images": {"A": {"a": 1}}},
+        }})
+        assert_rejected(doc, "map_pairs.p.gstar", tmp_path, capsys)
+        with pytest.raises(ModelFileError) as err:
+            parse_model(doc)
+        assert "unknown source basis name 'A'" in str(err.value)
+
     def test_unknown_factor_reference(self):
         doc = base_doc(
             spaces={"p": {"construct": "product", "factors": ["s2", "nope"]}}
