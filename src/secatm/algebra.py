@@ -931,7 +931,8 @@ class RingMorphism:
     @staticmethod
     def from_images(source: GradedAlgebra, target: GradedAlgebra, images, validate=True):
         """Morphism from {source basis name: {target name: scalar}}; omitted
-        positive-degree names map to zero."""
+        positive-degree names map to zero, and a name of no basis class is
+        an error."""
         for name in images:
             if name not in source._index:
                 raise MorphismMismatch(f"unknown source basis name {name!r}")
