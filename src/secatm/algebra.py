@@ -1032,10 +1032,10 @@ class Subspace:
 
     @staticmethod
     def _of_canonical(algebra: GradedAlgebra, rows: dict) -> "Subspace":
-        """The subspace whose nonempty degrees hold ``rows``, taken as they
-        are: each must already be the canonical echelon basis."""
+        """The subspace whose nonempty degrees hold ``rows``, kept as tuples
+        and not echeloned: each must already be the canonical basis."""
         out = Subspace(algebra, {})
-        out.rows = {d: rs for d, rs in sorted(rows.items()) if rs}
+        out.rows = {d: tuple(rs) for d, rs in sorted(rows.items()) if rs}
         return out
 
     @staticmethod

@@ -35,8 +35,10 @@ are built on an algebra's first query and kept on it, so they serve every
 later query on it, on its square and on every product that has it as a
 factor.
 
-The certificate's product is the DP's own vector for its last monomial;
-nothing is multiplied out again.  :meth:`CupLengthCertificate.verify`
+The certificate's product is the DP's own vector for its last monomial,
+and its factors are the spanning rows; its elements are built from these
+vectors as they stand, with no width check or zero scan, and nothing is
+multiplied out again.  :meth:`CupLengthCertificate.verify`
 multiplies the factors through the algebra's own ``mul_vectors`` and
 compares, so it cross-checks the DP.
 """
@@ -166,6 +168,15 @@ def capped_cuplength(query: CupLengthQuery):
     vector = [dom.zero()] * algebra.dim(d)
     for j, c in pairs:
         vector[j] = dom.parse_scalar(c)
-    factors = [algebra.component_element(*spanning[i]) for i in indices]
-    product = algebra.component_element(d, vector)
+    factors = [_element(algebra, *spanning[i]) for i in indices]
+    product = _element(algebra, d, tuple(vector))
     return len(factors), CupLengthCertificate(factors=factors, product=product)
+
+
+def _element(algebra: GradedAlgebra, d: int, v: tuple) -> Element:
+    """``algebra.component_element(d, v)`` for a nonzero tuple v of the
+    degree's width, as every spanning row and kept product of the DP is:
+    no width check and no zero scan."""
+    el = object.__new__(Element)
+    el.algebra, el.comps = algebra, {d: v}
+    return el

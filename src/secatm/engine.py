@@ -21,7 +21,9 @@ for cat, the algebra generators of H^+ (the basis classes that complement
 the decomposables); for tc, a (x) 1 - 1 (x) a over those generators, which
 generate the ideal of zero divisors in the tensor square (field
 coefficients only); for secat, the pullback kernel; for dm and hdm,
-(f* - g*) of the codomain's generators in the domain.  At every cap an
+(f* - g*) of the codomain's generators in the domain.  The cat and tc
+sources are written straight in canonical echelon form and stored without
+an echelon; the others are echeloned.  At every cap an
 ideal and a generating set of it have the same capped cup-length, so the
 bounds are those of the whole ideals.  They carry their certificates in the
 provenance, and are applied lazily: only to the requested tables and to
@@ -432,21 +434,25 @@ class _Engine:
         """The index pairs of one record resolved against the stored rows of
         its tables: (target row, source rows, shift), without duplicates and
         without pairs that bound an entry by itself.  Records whose tables
-        stabilize alike share one list."""
-        stable = [t.stable_from for t in (target, *sources)]
+        stabilize alike share one list, built on the first of them: a
+        record on one table is keyed by that table's ``stable_from`` alone,
+        a shorter key than any other record's."""
         itself = sources == (target,)
-        key = (kind, dim, *stable, itself)
-        if key not in self._pair_cache:
-            raw = _PAIRS[kind](min(self.max_m, max(stable)), self.max_m, dim)
+        key = ((kind, dim, target.stable_from) if itself else
+               (kind, dim, target.stable_from, *[s.stable_from for s in sources]))
+        pairs = self._pair_cache.get(key)
+        if pairs is None:
+            last = max([t.stable_from for t in (target, *sources)])
+            raw = _PAIRS[kind](min(self.max_m, last), self.max_m, dim)
             # an index with no stored row of its own is the inf entry
             columns = [[n if n in s.rows else INF for _, n, _ in raw] for s in sources]
-            pairs, rows_of = {}, target.rows
+            found, rows_of = {}, target.rows
             for (m, _, shift), rows in zip(raw, zip(*columns)):
                 row = m if m in rows_of else INF
                 if shift or not itself or rows[0] != row:
-                    pairs[row, rows, shift] = None
-            self._pair_cache[key] = list(pairs)
-        return self._pair_cache[key]
+                    found[row, rows, shift] = None
+            pairs = self._pair_cache[key] = list(found)
+        return pairs
 
     def _rules(self):
         """Every narrowing rule of the fixpoint as a record, in sweep order."""
@@ -459,8 +465,9 @@ class _Engine:
 
         def le(rule, target, sources, detail, kind="same", dim=None, scale=1, floor=0,
                lo_detail=None):
-            pairs = self._pairs(kind, dim, target, tuple(sources))
-            add(_Bound(rule, target, tuple(sources), pairs, detail, lo_detail, scale, floor))
+            sources = tuple(sources)
+            pairs = self._pairs(kind, dim, target, sources)
+            add(_Bound(rule, target, sources, pairs, detail, lo_detail, scale, floor))
 
         def eq(rule, a, b_, detail, kind="same", dim=None):
             # a <= b and b <= a, the second over the first's pairs reversed
@@ -573,16 +580,22 @@ def _lower_source(inv, model):
     Each source spans a set of generators of an ideal, from the algebra
     generators g of ``GradedAlgebra.generators``, which each algebra ranks
     once and keeps.  cat reads the g themselves, which generate H^+.  tc
-    reads ``g (x) 1 - 1 (x) g`` in the tensor square
-    (``TensorProduct.zero_divisor``), which generate the kernel of the cup
-    product (Farber 2003), over a field only.  dm and hdm read
+    reads ``g (x) 1 - 1 (x) g`` in the tensor square, which generate the
+    kernel of the cup product (Farber 2003), over a field only.  Both are
+    written in canonical echelon form and stored without an echelon: the
+    unit rows of the g, sorted by (degree, index), are their own RREF, and
+    so are the rows ``1 (x) g - g (x) 1``, whose pivot is the slot of
+    ``1 (x) g`` (the left-degree-0 block comes first in each degree) and
+    whose other entry lies in the left-degree-d block, which holds no
+    pivot.  dm and hdm read
     ``(f* - g*)(g)`` for the pair's f* and g*, with g running over the
     codomain's generators, which generate the ideal of im(f* - g*), as
     ``(f* - g*)(ab) = (f*a - g*a) f*b + g*a (f*b - g*b)``; dm's pushed zero
     divisors ``(f*a - g*a) g*b`` lie in that ideal too.  A product of k
     ideal elements of degree <= cap expands into terms that each hold a
     product of k generators of degree <= cap, so at every cap the spans
-    have the cup-length of their ideals."""
+    have the cup-length of their ideals.  The dm and secat rows can be
+    dependent, so they are echeloned."""
     if inv == "secat":
         return model.base.algebra, kernel(model.pstar), "ker(pullback)"
     rows = {}
@@ -590,14 +603,19 @@ def _lower_source(inv, model):
         A = model.algebra
         for d, i in A.generators:
             rows.setdefault(d, []).append(vunit(A.coeff, A.dim(d), i))
-        return A, Subspace(A, rows), "H^+"
+        return A, Subspace._of_canonical(A, rows), "H^+"
     if inv == "tc":
-        if not model.algebra.coeff.is_field:
+        A = model.algebra
+        if not A.coeff.is_field:
             return None
-        X = tensor_square(model.algebra)[0]
-        for d, i in model.algebra.generators:
-            rows.setdefault(d, []).append(X.zero_divisor(d, i))
-        return X, Subspace(X, rows), "ker(cup)"
+        X, dom = tensor_square(A)[0], A.coeff
+        zero, one, minus_one = dom.zero(), dom.one(), dom.neg(dom.one())
+        for d, i in A.generators:
+            row = [zero] * X.dim(d)
+            row[X.slot(0, 0, d, i)] = one
+            row[X.slot(d, i, 0, 0)] = minus_one
+            rows.setdefault(d, []).append(tuple(row))
+        return X, Subspace._of_canonical(X, rows), "ker(cup)"
     f, g, X = model.fstar, model.gstar, model.domain.algebra
     for d, i in f.source.generators:
         diff = vsub(X.coeff, f.mats[d][i], g.mats[d][i])

@@ -15,6 +15,7 @@ from secatm.algebra import (
     AlgebraError,
     GradedAlgebra,
     RingMorphism,
+    Subspace,
     TensorProduct,
     kernel,
     kunneth_product,
@@ -30,6 +31,7 @@ from secatm.engine import (
     compute_tables,
     default_max_m,
 )
+from secatm.linalg import vunit
 from secatm.modelfile import load_model_file
 from secatm.goldens import (
     all_cases,
@@ -1227,6 +1229,98 @@ def test_generator_sources_match_the_whole_ideals(A):
 
 
 # ---------------------------------------------------------------------------
+# cat and tc sources: written in canonical form, certificates from the DP
+# ---------------------------------------------------------------------------
+
+def _echeloned_source(inv, A):
+    """(algebra, span) of the cat or tc source of A, echeloned by
+    ``Subspace`` from the unit rows of the generators or from their zero
+    divisors a (x) 1 - 1 (x) a."""
+    X = A if inv == "cat" else tensor_square(A)[0]
+    rows = {}
+    for d, i in A.generators:
+        rows.setdefault(d, []).append(
+            vunit(A.coeff, A.dim(d), i) if inv == "cat" else X.zero_divisor(d, i))
+    return X, Subspace(X, rows)
+
+
+def _source_invariants(A):
+    # tc of a large algebra is left to the corpus test, as in
+    # test_generator_sources_match_the_whole_ideals
+    return ("cat", "tc") if A.coeff.is_field and A.total_dim <= 16 else ("cat",)
+
+
+def assert_sources_are_the_echeloned_spans(A, label=""):
+    for inv in _source_invariants(A):
+        X, want = _echeloned_source(inv, A)
+        algebra, got, _ = _lower_source(inv, SpaceModel(A))
+        assert algebra.dims() == X.dims(), (label, inv)
+        assert got.rows == want.rows and list(got.rows) == list(want.rows), (label, inv)
+        assert type(got.rows) is dict, (label, inv)
+        for d, rows in got.rows.items():
+            assert type(rows) is tuple and all(type(r) is tuple for r in rows), (label, inv)
+            assert ([type(c) for r in rows for c in r]
+                    == [type(c) for r in want.rows[d] for c in r]), (label, inv, d)
+
+
+def assert_certificates_are_the_checked_elements(A, label=""):
+    for inv in _source_invariants(A):
+        algebra, span, _ = _lower_source(inv, SpaceModel(A))
+        for cap in range(1, max(span.degrees(), default=0) + 1):
+            length, cert = capped_cuplength(CupLengthQuery(algebra, span, cap))
+            if cert is None:
+                assert length == 0
+                continue
+            for el in (*cert.factors, cert.product):
+                (d, v), = el.comps.items()
+                checked = algebra.component_element(d, v)
+                assert el == checked and el.algebra is algebra, (label, inv, cap)
+                assert type(el.comps) is dict and type(el.comps[d]) is tuple
+            assert all(f.comps[f.degree] in span.rows[f.degree] for f in cert.factors)
+            assert len(cert) == length and cert.verify(cap), (label, inv, cap)
+
+
+def _catalogue_algebras():
+    """(label, algebra) of every space of the rules-wide catalogue, derived
+    spaces included, each algebra once."""
+    cases = _perfbench_cases()
+    makers = {item: make for category in cases.rules_wide_catalogue().values()
+              for item, make in category.items()}
+    bundle = Bundle()
+    cases.add_items(bundle, makers, sorted(makers))
+    engine = _Engine(bundle, None, True, None)
+    engine._register()
+    seen = {}
+    for name, space in engine.bundle.spaces.items():
+        seen.setdefault(id(space.algebra), (name, space.algebra))
+    return list(seen.values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(cup_algebras())
+def test_cat_and_tc_sources_are_the_echeloned_spans(A):
+    assert_sources_are_the_echeloned_spans(A)
+
+
+def test_cat_and_tc_sources_are_the_echeloned_spans_on_the_catalogue():
+    algebras = _catalogue_algebras()
+    for label, A in algebras:
+        assert_sources_are_the_echeloned_spans(A, label)
+    assert {A.coeff.label for _, A in algebras} == {"Q", "F2", "F3", "Z"}
+
+
+@settings(max_examples=60, deadline=None)
+@given(cup_algebras())
+def test_dp_certificates_are_the_checked_elements(A):
+    assert_certificates_are_the_checked_elements(A)
+
+
+def test_dp_certificates_are_the_checked_elements_on_the_catalogue():
+    for label, A in _catalogue_algebras():
+        assert_certificates_are_the_checked_elements(A, label)
+
+
+# ---------------------------------------------------------------------------
 # a run's objects are freed without the cycle collector
 # ---------------------------------------------------------------------------
 
@@ -1238,12 +1332,17 @@ def test_tables_are_freed_by_reference_counting():
     try:
         tables = compute_tables(bundle)
         cat = weakref.ref(tables[("cat", "rp4")])
+        # the cat certificates hold elements of rp4, which outlives the run
+        events = [e for es in tables[("cat", "rp4")].events.values() for e in es]
+        cert = next(e.certificate for e in events if e.certificate)
+        cat_cert, factor = weakref.ref(cert), weakref.ref(cert.factors[0])
         # the tc certificates live in the tensor square of rp4
         events = [e for es in tables[("tc", "rp4")].events.values() for e in es]
         square = weakref.ref(next(e.certificate for e in events if e.certificate)
                              .product.algebra)
-        del tables, events
+        del tables, events, cert
         assert cat() is None and square() is None
+        assert cat_cert() is None and factor() is None
     finally:
         gc.enable()
 
