@@ -6,8 +6,10 @@ subprocess.
 
 The rungs are tc of RP^n, of the orientable surfaces Sigma_g, of the
 non-orientable surfaces N_h, of the tori T^k, of CP^n and of the spheres
-S^n, and cat of T^k over Q and over Z (``cat-t<k>z``), past the sizes the
-model files accept.  The square of S^n has 4 classes in 2n + 1 degrees, so
+S^n, and cat of T^k over Q and over Z (``cat-t<k>z``) and of S^1 x S^2 x
+S^3 x S^4, past the sizes the model files accept.  Every other rung has its
+generators in one degree; those of S^1 x ... x S^4 lie in four, so the
+cup-length DP reads each cap off a different prefix of them.  The square of S^n has 4 classes in 2n + 1 degrees, so
 almost all of its Kunneth blocks are empty.  RP^n and N_h are over F2:
 RP^n has one class in each degree, and N_h has h classes in degree 1, so
 the square of N_h is wide in degree 2.  The ``tc-sigma<g>h`` rungs take
@@ -28,8 +30,8 @@ seconds.
 
 Where the classical value is known on a rung (tc(T^k) = k, tc(Sigma_g) = 4
 for g >= 2, tc(CP^n) = 2n, tc(S^n) = 1 for odd n and 2 for even n (Farber
-2003), cat(T^k) = k over Q and over Z (Cornea, Lupton, Oprea and Tanre
-2003)) the interval must be exactly that value and the lower bound without
+2003), cat(T^k) = k over Q and over Z and cat(S^1 x ... x S^4) = 4
+(Cornea, Lupton, Oprea and Tanre 2003)) the interval must be exactly that value and the lower bound without
 literature must reach it; the exit code is 1 when they do not or a rung
 failed.  ``--quick``
 runs the small rungs only, in a few seconds in all.  Standard library
@@ -95,6 +97,10 @@ for k in (4, 6, 8, 10):
     RUNGS[f"cat-t{k}"] = ("cat", f"T^{k}", lambda sp, k=k: sp.product([sp.sphere(1)] * k), k)
 for k in (4, 6, 8, 10):
     RUNGS[f"cat-t{k}z"] = ("cat", f"T^{k} over Z", lambda sp, k=k: integral_torus(sp, k), k)
+# generators in four degrees, so one DP reads a different prefix of them at
+# each cap
+RUNGS["cat-s1234"] = ("cat", "S^1x..xS^4",
+                      lambda sp: sp.product([sp.sphere(n) for n in (1, 2, 3, 4)]), 4)
 for n in (64, 128):
     RUNGS[f"validate-rp{n}"] = ("validate", f"RP^{n}", lambda sp, n=n: sp.real_projective(n), None)
 for k in (8, 10):
@@ -103,7 +109,7 @@ for k in (8, 10):
 
 QUICK = ["tc-rp16", "tc-sigma2", "tc-sigma4", "tc-sigma4h", "tc-n8", "tc-t2", "tc-t3",
          "tc-t4", "tc-cp2", "tc-cp4", "tc-s64", "cat-t4", "cat-t6", "cat-t4z",
-         "validate-rp64", "validate-t8"]
+         "cat-s1234", "validate-rp64", "validate-t8"]
 
 
 def run_rung(name: str) -> dict:

@@ -1,24 +1,32 @@
 """Exact degree-capped cup-length with certificates.
 
-The main computation is a span dynamic program: with S the spanning set of
-the generator subspace filtered to degree <= cap (the subspace's own rows of
-those degrees, read in one pass; no restricted subspace is built), iterate
+The main computation is a span dynamic program over the spanning rows
+s_1, ..., s_n of the generator subspace in (degree, row) order.  With
+V_t(<= i) the span of the ordered monomials s_i1 * ... * s_it, i1 <= ... <=
+it <= i, it adds one row at a time:
 
-    V_1 = span(S),   V_{t+1} = span{ v * s : v in V_t, s in S }
+    V_1(<= i) = V_1(<= i-1) + span(s_i),
+    V_t(<= i) = V_t(<= i-1) + V_{t-1}(<= i) * s_i,
 
-and report the largest t with V_t != 0.  Any product of linear combinations
-expands into products of spanning elements, so all spanning products vanish
+so each product is formed once, never in both orders.  A cap is a prefix
+of the rows, so the cup-length at each cap, the largest t with V_t != 0,
+is read off once the DP passes it, and one run serves every cap.  Ordered
+monomials span all products of t rows by graded commutativity (and
+associativity), the laws ``validate`` checks; without the sign law the
+lengths are still sound, as every kept monomial is a true product, and
+only their tightness is lost.  Any product of linear combinations expands
+into products of spanning elements, so all spanning products vanish
 exactly when all subspace products vanish; this holds over every domain,
 Z included, whose subspaces are Q-spans of integral rows.  The search is
 restricted to homogeneous factors: a nonzero product of non-homogeneous
 classes expands into a nonzero product of homogeneous components of no
 larger degree, so the restriction never weakens a bound.
 
-Each layer carries its own witnesses.  Its basis is a list of monomials
-s_i1 * ... * s_it, each stored with its factor indices, and a product joins
-the next layer only when it grows the rank of its degree's echelon.  The
-kept monomials span V_t over the fraction field, so the length is the same
-as for the full span, and any monomial of the last layer is a certificate;
+Each layer carries its own witnesses.  Its basis is a list of monomials,
+each stored with its factor indices, and a product joins its layer only
+when it grows the rank of its (length, degree) echelon.  The kept
+monomials span V_t over the fraction field, so the length is the same as
+for the full span, and any monomial of the last layer is a certificate;
 no second search is needed.  Over Z rank tracking suffices as well:
 components are free, so a product of integral vectors is nonzero over Z
 exactly when it is nonzero over Q, and ranks over Q decide it.
@@ -108,69 +116,75 @@ class CupLengthCertificate:
         return [f.format() for f in self.factors]
 
 
-def capped_cuplength(query: CupLengthQuery):
+def capped_cuplength(query: CupLengthQuery, caps=None):
     """Maximum number of generator factors (degree <= cap) with nonzero product.
 
-    Returns ``(length, certificate)``; the certificate is None exactly when
-    the length is 0.  Layer t holds monomials ``(degree, pairs, factors)``
-    whose vectors are linearly independent in each degree; layer t + 1 keeps
-    a product ``v * s`` only when it grows the rank of its degree, and a
-    degree is skipped once its rank equals its width.  The layers are
-    absorbing: once one is empty every later one is, and lengths never exceed
-    the top degree since each factor has positive degree.  Each spanning
-    vector becomes its nonzero pairs once, for layer 1, and its
-    ``product_keys`` once, for the groups.
-
-    Products are true products, taken by the algebra's ``products`` with
-    the nonzero ``(index, c)`` pairs of v and the keys of s, integral
-    scalars as ints.  The rank of each degree is tracked by a
-    ``FieldEchelon`` of the product's dict, over F_p and over Q (for Z
-    too): whether an insert grows the rank depends on the span alone.  The
-    certificate's factors are the original spanning vectors of the first
-    monomial of the last layer, and its product is that monomial's vector
-    as it stands.
+    Returns ``(length, certificate)`` for ``query.cap``, or with ``caps``
+    ``{cap: (length, certificate)}`` for each of them (None = unbounded),
+    read off one DP as soon as it passes the cap's prefix of the rows; the
+    certificate is None exactly when the length is 0.  Layer t holds
+    monomials ``(degree, pairs, factors)`` whose vectors are linearly
+    independent in each degree, ranked by one ``FieldEchelon`` per (t,
+    degree) over F_p or Q (for Z too), as whether an insert grows the rank
+    depends on the span alone.  Adding row s multiplies each monomial of
+    layer t - 1 by s alone, t = 2, 3, ... while layer t - 1 is nonempty, by
+    the algebra's ``products``, and a (t, degree) is skipped once its rank
+    equals its width.  The length is the number of nonempty layers.  The
+    certificate's factors are the spanning rows of the first monomial of
+    the longest layer, and its product is that monomial's vector as it
+    stands; caps of equal length share the certificate of the lowest.
     """
-    algebra, cap = query.algebra, query.cap
+    algebra, top = query.algebra, query.algebra.top_degree
+    bounds = {c: top if c is None else c for c in ((query.cap,) if caps is None else caps)}
+    ends = sorted(bounds, key=bounds.get)
+    last = max(bounds.values(), default=0)
     spanning = [(d, v) for d, rows in sorted(query.generators.rows.items())
-                if cap is None or d <= cap for v in rows]
-    if not spanning:
-        return 0, None
-    p = algebra.coeff.p
-    top = algebra.top_degree
-    layer = [(d, _terms(v), (i,)) for i, (d, v) in enumerate(spanning)]
-    groups: dict[int, list] = {}  # spanning keys by degree, ascending
-    for ds, s, (i,) in layer:
-        groups.setdefault(ds, []).append((i, algebra.product_keys(ds, s)))
-    while True:
-        ech, grown = {}, {}
-        for dv, v, factors in layer:
-            for ds, group in groups.items():
-                d = dv + ds
-                if d > top:
-                    break
-                e = ech.get(d)
-                if e is None:
-                    e = ech[d] = FieldEchelon(algebra.dim(d), p)
-                    grown[d] = []
-                if e.rank == e.width:
-                    continue
-                for i, w in algebra.products(dv, v, ds, group):
-                    if w and e.insert(w):
-                        grown[d].append((d, tuple(w.items()), factors + (i,)))
-                        if e.rank == e.width:
-                            break
-        nxt = [entry for d in sorted(grown) for entry in grown[d]]
-        if not nxt:
+                if d <= last for v in rows]
+    p, kept, ech = algebra.coeff.p, [], {}  # kept[t - 1]: layer t
+    out, value, k = {}, (0, None), 0
+    for i, (ds, s) in enumerate([*spanning, (last + 1, None)]):
+        while k < len(ends) and ds > bounds[ends[k]]:
+            if len(kept) != value[0]:
+                value = len(kept), _certificate(algebra, spanning, kept[-1][0])
+            out[ends[k]] = value
+            k += 1
+        if s is None:
             break
-        layer = nxt
-    d, pairs, indices = layer[0]
+        s = _terms(s)
+        group = ((i, algebra.product_keys(ds, s)),)
+        if not kept:
+            kept.append([])
+        kept[0].append((ds, s, (i,)))
+        for t, layer in enumerate(kept, 1):
+            grown = []
+            for dv, v, factors in layer:
+                d = dv + ds
+                e = ech.get((t, d))
+                if e is None:
+                    if d > top:
+                        continue
+                    e = ech[(t, d)] = FieldEchelon(algebra.dim(d), p)
+                elif e.rank == e.width:
+                    continue
+                for _, w in algebra.products(dv, v, ds, group):
+                    if w and e.insert(w):
+                        grown.append((d, tuple(w.items()), factors + (i,)))
+            if t < len(kept):
+                kept[t] += grown
+            elif grown:
+                kept.append(grown)
+    return out[query.cap] if caps is None else out
+
+
+def _certificate(algebra: GradedAlgebra, spanning: list, monomial) -> CupLengthCertificate:
+    """The certificate of a kept monomial ``(degree, pairs, factors)``."""
+    d, pairs, indices = monomial
     dom = algebra.coeff
     vector = [dom.zero()] * algebra.dim(d)
     for j, c in pairs:
         vector[j] = dom.parse_scalar(c)
     factors = [_element(algebra, *spanning[i]) for i in indices]
-    product = _element(algebra, d, tuple(vector))
-    return len(factors), CupLengthCertificate(factors=factors, product=product)
+    return CupLengthCertificate(factors=factors, product=_element(algebra, d, tuple(vector)))
 
 
 def _element(algebra: GradedAlgebra, d: int, v: tuple) -> Element:

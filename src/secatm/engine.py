@@ -25,7 +25,9 @@ coefficients only); for secat, the pullback kernel; for dm and hdm,
 sources are written straight in canonical echelon form and stored without
 an echelon; the others are echeloned.  At every cap an
 ideal and a generating set of it have the same capped cup-length, so the
-bounds are those of the whole ideals.  They carry their certificates in the
+bounds are those of the whole ideals.  One DP per source serves all its
+caps: it adds the generators in degree order and reads each cap off its
+prefix (``capped_cuplength``).  The bounds carry their certificates in the
 provenance, and are applied lazily: only to the requested tables and to
 tables whose lower bounds reach them through a rule record.  The engine
 keeps no per-algebra data of its own: each algebra ranks its generators
@@ -38,7 +40,6 @@ with them built.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from typing import NamedTuple
 
 from .algebra import Subspace, kernel, tensor_square
@@ -399,35 +400,11 @@ class _Engine:
         """cap -> (length, certificate) for the caps of m = 1..max_m and
         inf: min(m, degmax) and degmax.  Every table the values serve
         stabilizes at or past degmax, its dimension parameter being at
-        least the top degree, so it reads no other cap.
-
-        The length is monotone in the cap, so the sorted caps are bisected: a
-        range whose end caps agree is constant and takes the certificate of
-        its lower end, which also verifies at every larger cap.  Caps with the
-        same generators of degree <= cap, those with the same largest such
-        degree, share one DP run, and a cap below every generator has length
-        0 without one."""
-        caps = sorted({*range(1, min(self.max_m, degmax) + 1), degmax})
-        degrees = sorted(generators.degrees())
-        # per cap, its run's key: the largest generator degree <= it, 0 if none
-        keys = [degrees[i - 1] if i else 0 for i in (bisect_right(degrees, c) for c in caps)]
-        values, runs = {}, {0: (0, None)}
-
-        def compute(i):
-            key = keys[i]
-            if key not in runs:
-                runs[key] = capped_cuplength(CupLengthQuery(algebra, generators, key))
-            values[caps[i]] = runs[key]
-            return runs[key]
-
-        todo = [(0, len(caps) - 1)]  # index ranges of caps, lower half first
-        while todo:
-            i, j = todo.pop()
-            if compute(i)[0] == compute(j)[0]:
-                values.update((c, values[caps[i]]) for c in caps[i + 1:j])
-            elif j - i > 1:
-                todo += [((i + j) // 2, j), (i, (i + j) // 2)]
-        return values
+        least the top degree, so it reads no other cap.  One DP reads every
+        cap off its prefix of the generators in degree order, and caps of
+        equal length share the certificate of the lowest of them."""
+        caps = {*range(1, min(self.max_m, degmax) + 1), degmax}
+        return capped_cuplength(CupLengthQuery(algebra, generators), caps)
 
     # -- the rule table ----------------------------------------------------------
     def _pairs(self, kind, dim, target, sources):

@@ -23,11 +23,12 @@ from secatm.algebra import (
     RingMorphism,
     Subspace,
     TensorProduct,
+    _terms,
     tensor_square,
 )
-from secatm.cuplength import CupLengthQuery, capped_cuplength
+from secatm.cuplength import CupLengthCertificate, CupLengthQuery, _element, capped_cuplength
 from secatm.engine import _lower_source
-from secatm.linalg import vis_zero, vunit, vzero
+from secatm.linalg import FieldEchelon, vis_zero, vunit, vzero
 from secatm.spaces import FibrationModel, MapPairModel, SpaceModel
 
 
@@ -272,6 +273,75 @@ def brute_force_cuplength(query: CupLengthQuery, max_len: int) -> int:
     for d, v in candidates:
         search(d, v, 1)
     return best
+
+
+def layered_cuplength(query: CupLengthQuery):
+    """The layered DP that ``capped_cuplength`` replaced, kept verbatim as
+    an oracle: one run per cap, every kept monomial times every spanning
+    vector, so it forms both s_i * s_j and s_j * s_i.
+
+    Maximum number of generator factors (degree <= cap) with nonzero product.
+
+    Returns ``(length, certificate)``; the certificate is None exactly when
+    the length is 0.  Layer t holds monomials ``(degree, pairs, factors)``
+    whose vectors are linearly independent in each degree; layer t + 1 keeps
+    a product ``v * s`` only when it grows the rank of its degree, and a
+    degree is skipped once its rank equals its width.  The layers are
+    absorbing: once one is empty every later one is, and lengths never exceed
+    the top degree since each factor has positive degree.  Each spanning
+    vector becomes its nonzero pairs once, for layer 1, and its
+    ``product_keys`` once, for the groups.
+
+    Products are true products, taken by the algebra's ``products`` with
+    the nonzero ``(index, c)`` pairs of v and the keys of s, integral
+    scalars as ints.  The rank of each degree is tracked by a
+    ``FieldEchelon`` of the product's dict, over F_p and over Q (for Z
+    too): whether an insert grows the rank depends on the span alone.  The
+    certificate's factors are the original spanning vectors of the first
+    monomial of the last layer, and its product is that monomial's vector
+    as it stands.
+    """
+    algebra, cap = query.algebra, query.cap
+    spanning = [(d, v) for d, rows in sorted(query.generators.rows.items())
+                if cap is None or d <= cap for v in rows]
+    if not spanning:
+        return 0, None
+    p = algebra.coeff.p
+    top = algebra.top_degree
+    layer = [(d, _terms(v), (i,)) for i, (d, v) in enumerate(spanning)]
+    groups: dict[int, list] = {}  # spanning keys by degree, ascending
+    for ds, s, (i,) in layer:
+        groups.setdefault(ds, []).append((i, algebra.product_keys(ds, s)))
+    while True:
+        ech, grown = {}, {}
+        for dv, v, factors in layer:
+            for ds, group in groups.items():
+                d = dv + ds
+                if d > top:
+                    break
+                e = ech.get(d)
+                if e is None:
+                    e = ech[d] = FieldEchelon(algebra.dim(d), p)
+                    grown[d] = []
+                if e.rank == e.width:
+                    continue
+                for i, w in algebra.products(dv, v, ds, group):
+                    if w and e.insert(w):
+                        grown[d].append((d, tuple(w.items()), factors + (i,)))
+                        if e.rank == e.width:
+                            break
+        nxt = [entry for d in sorted(grown) for entry in grown[d]]
+        if not nxt:
+            break
+        layer = nxt
+    d, pairs, indices = layer[0]
+    dom = algebra.coeff
+    vector = [dom.zero()] * algebra.dim(d)
+    for j, c in pairs:
+        vector[j] = dom.parse_scalar(c)
+    factors = [_element(algebra, *spanning[i]) for i in indices]
+    product = _element(algebra, d, tuple(vector))
+    return len(factors), CupLengthCertificate(factors=factors, product=product)
 
 
 # ---------------------------------------------------------------------------

@@ -1059,7 +1059,8 @@ def capped_lengths(span: Subspace) -> list[int]:
     """The cup-length of ``span`` at every cap up to its algebra's top
     degree, and uncapped."""
     caps = [*range(1, span.algebra.top_degree + 1), None]
-    return [capped_cuplength(CupLengthQuery(span.algebra, span, cap))[0] for cap in caps]
+    values = capped_cuplength(CupLengthQuery(span.algebra, span), caps)
+    return [values[cap][0] for cap in caps]
 
 
 def assert_pushed_length_is_the_difference_length(f, g):

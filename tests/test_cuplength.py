@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -16,7 +17,7 @@ from secatm.cuplength import (
     CupLengthQuery,
     capped_cuplength,
 )
-from secatm.engine import _lower_source
+from secatm.engine import Bundle, _Engine, _lower_source
 from secatm.linalg import vis_zero, vsub
 from secatm.spaces import (
     complex_projective,
@@ -29,7 +30,13 @@ from secatm.spaces import (
     SpaceModel,
 )
 
-from reference import SizeGuardExceeded, brute_force_cuplength, cup_kernel, positive_part
+from reference import (
+    SizeGuardExceeded,
+    brute_force_cuplength,
+    cup_kernel,
+    layered_cuplength,
+    positive_part,
+)
 from test_algebra import SQUARE_FACTORS, cup_algebras, odd_rational, plain_copy
 from test_engine import _over, _perfbench_cases
 
@@ -663,3 +670,112 @@ def test_certificate_products_equal_their_factors_multiplied_out_on_the_ladder()
                 assert_certificate_products_multiply_out(*square_zero_divisors(A))
             checked.add(coeff.label)
     assert checked == {"Q", "F2", "F3", "Z"}
+
+
+# ---------------------------------------------------------------------------
+# one run over the rows in degree order against the layered DP
+# ---------------------------------------------------------------------------
+#
+# ``layered_cuplength`` is the DP as it was before the rows were added one
+# at a time: one run per cap, every kept monomial of a layer times every
+# spanning row.  One multi-cap run must give its length at every cap.
+
+def assert_matches_the_layered_dp(algebra, generators, label=""):
+    caps = range(1, max(generators.degrees()) + 1)
+    values = capped_cuplength(CupLengthQuery(algebra, generators), caps)
+    assert sorted(values) == list(caps), label
+    for cap in caps:
+        old = layered_cuplength(CupLengthQuery(algebra, generators, cap))[0]
+        assert values[cap][0] == old, (label, cap)
+
+
+@pytest.mark.parametrize("coeff", [Q, GF(2), GF(3), Z], ids=lambda c: c.label)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_dp_matches_the_layered_dp(coeff, data):
+    # the cat source, the tc source up to 16 classes (the layered DP on
+    # larger squares is slow) and a random span with rows in several degrees
+    A = data.draw(cup_algebras(coeff))
+    for inv in ("cat", "tc") if coeff.is_field and A.total_dim <= 16 else ("cat",):
+        algebra, generators, _ = _lower_source(inv, SpaceModel(A))
+        assert_matches_the_layered_dp(algebra, generators, inv)
+    assert_matches_the_layered_dp(A, data.draw(generator_subspaces(A)), "span")
+
+
+def _run_sources(bundle):
+    """(label, algebra, generators) of every nonzero lower-bound source of
+    the tables of a run on bundle."""
+    engine = _Engine(bundle, None, True, None)
+    engine.run()
+    for inv, name in sorted(engine.tables):
+        source = _lower_source(inv, engine.model(inv, name))
+        if source is not None and not source[1].is_zero():
+            yield f"{inv}[{name}]", source[0], source[1]
+
+
+def test_dp_matches_the_layered_dp_on_the_catalogue_and_the_ladder():
+    cases = _perfbench_cases()
+    makers = {item: make for category in cases.rules_wide_catalogue().values()
+              for item, make in category.items()}
+    bundles = [Bundle()]
+    cases.add_items(bundles[0], makers, sorted(makers))
+    for cid, _, build in cases._tc_ladder_specs():
+        bundles.append(Bundle())
+        bundles[-1].add_space(cid, build())
+    seen = Counter()
+    for bundle in bundles:
+        for label, algebra, generators in _run_sources(bundle):
+            assert_matches_the_layered_dp(algebra, generators, label)
+            seen[label.split("[")[0]] += 1
+            seen["several degrees"] += len(generators.degrees()) > 1
+    assert all(seen[key] for key in ("cat", "tc", "secat", "hdm", "several degrees")), seen
+
+
+# ---------------------------------------------------------------------------
+# soundness without the graded sign law
+# ---------------------------------------------------------------------------
+#
+# The DP forms only ordered monomials s_i1 * ... * s_it, i1 <= ... <= it;
+# they span every product of t rows by graded commutativity.  Without that
+# law each kept monomial is still a true product, so the lengths stay sound
+# and the certificates verify; only tightness is lost.
+
+@st.composite
+def unsigned_algebras(draw):
+    """Classes in degrees 1, 2 and 3 with a product drawn for every ordered
+    pair, so most break the sign law; built without validation."""
+    coeff = draw(st.sampled_from([Q, GF(2), GF(3), Z]))
+    basis = {1: ["a", "b", "c"][:draw(st.integers(1, 3))],
+             2: ["u", "v"][:draw(st.integers(1, 2))],
+             3: ["w"][:draw(st.integers(0, 1))]}
+    degree = {n: d for d, names in basis.items() for n in names}
+    products = [(left, right, {n: draw(st.integers(-2, 2))
+                               for n in basis.get(degree[left] + degree[right], ())})
+                for left in degree for right in degree]
+    return make_algebra(coeff, basis, products, validate=False)
+
+
+def assert_sound(A):
+    generators = positive_part(A)
+    caps = range(1, A.top_degree + 1)
+    values = capped_cuplength(CupLengthQuery(A, generators), caps)
+    for cap in caps:
+        length, cert = values[cap]
+        query = CupLengthQuery(A, generators, cap)
+        assert length <= brute_force_cuplength(query, max_len=A.top_degree), cap
+        assert length == 0 or (len(cert) == length and cert.verify(cap)), cap
+
+
+@settings(max_examples=80, deadline=None)
+@given(unsigned_algebras())
+def test_dp_is_sound_without_the_sign_law(A):
+    assert_sound(A)
+
+
+def test_dp_without_the_sign_law_is_sound_but_not_tight():
+    # a * b = 0 but b * a = u: the DP forms only a * b, the search finds b * a
+    A = make_algebra(Q, {1: ["a", "b"], 2: ["u"]},
+                     [("a", "b", {}), ("b", "a", {"u": 1})], validate=False)
+    assert_sound(A)
+    query = positive_query(A, None)
+    assert capped_cuplength(query)[0] == 1 < brute_force_cuplength(query, max_len=2) == 2

@@ -179,10 +179,10 @@ class TestLowerBounds:
 
     def test_dm_and_hdm_of_a_pair_share_one_cup_length_run(self, monkeypatch):
         # dm reads hdm's source, so a run that bounds both reads the source
-        # once and runs the DP once per cap for the two tables; on the
-        # identity against a constant map of S^2 the dm table stabilizes at
-        # the domain's hdim, which is the generators' top degree, and hdm
-        # never does
+        # once and runs the DP once for the two tables and all their caps;
+        # on the identity against a constant map of S^2 the dm table
+        # stabilizes at the domain's hdim, which is the generators' top
+        # degree, and hdm never does
         s2 = sphere(2, Q)
         square = product([s2, s2])
         pr1 = RingMorphism.from_images(s2.algebra, square.algebra, {"a": {"a(x)1": 1}})
@@ -195,9 +195,9 @@ class TestLowerBounds:
         }
         queries, sources = [], []
 
-        def counted(query):
+        def counted(query, *args, **kwargs):
             queries.append(query)
-            return capped_cuplength(query)
+            return capped_cuplength(query, *args, **kwargs)
 
         def read(inv, model):
             source = _lower_source(inv, model)
@@ -217,8 +217,10 @@ class TestLowerBounds:
             tables = compute_tables(bundle, targets=[("dm", name)])
             assert tables[("hdm", name)].lower_bounds_applied
             assert len(sources) == 1, name
-            runs = [q.cap for q in queries if q.generators is sources[0]]
-            assert runs and len(set(runs)) == len(runs), name
+            # one DP per source, the pair's included, for every cap
+            ids = [id(q.generators) for q in queries]
+            assert len(set(ids)) == len(ids), name
+            assert sum(q.generators is sources[0] for q in queries) == 1, name
             certificates = [{id(ev.certificate) for ev in tables[(inv, name)].log[INF]
                              if ev.rule == "cup_length"} for inv in ("dm", "hdm")]
             assert certificates[0] == certificates[1] != set(), name
@@ -963,8 +965,10 @@ def test_targeted_tables_equal_full_run(build):
 
 @pytest.mark.parametrize("case", all_cases(), ids=lambda case: case.name)
 def test_bisected_cap_values_equal_direct_dp(case):
-    # _capped_values bisects over the caps and fills constant ranges from
-    # their lower end; every cap must still read what a direct DP gives
+    # _capped_values reads every cap off one DP over the generators in
+    # degree order (the name dates from a bisection of the caps); each cap
+    # must read what a DP at that cap alone gives, and caps of equal length
+    # share the certificate of the lowest
     bundle, _, _ = case.build()
     engine = _Engine(bundle, None, True, None)
     engine.run()
@@ -976,9 +980,13 @@ def test_bisected_cap_values_equal_direct_dp(case):
         degmax = max(generators.degrees())
         values = engine._capped_values(algebra, generators, degmax)
         assert set(values) == {min(m, degmax) for m in range(1, engine.max_m + 1)} | {degmax}
-        for cap, (length, cert) in values.items():
+        previous = (0, None)
+        for cap in sorted(values):
+            length, cert = values[cap]
             assert length == capped_cuplength(CupLengthQuery(algebra, generators, cap))[0]
             assert length == 0 or cert.verify(cap=cap)
+            assert (cert is previous[1]) == (length == previous[0]), cap
+            previous = values[cap]
 
 
 # ---------------------------------------------------------------------------
@@ -1132,10 +1140,11 @@ def assert_generator_source_matches(inv, model, label=""):
     if old.is_zero():
         assert span.is_zero(), (label, inv)
         return
-    for cap in range(1, max(old.degrees()) + 1):
-        new_length = capped_cuplength(CupLengthQuery(algebra, span, cap))[0]
-        old_length = capped_cuplength(CupLengthQuery(old_algebra, old, cap))[0]
-        assert new_length == old_length, (label, inv, cap)
+    caps = range(1, max(old.degrees()) + 1)
+    new = capped_cuplength(CupLengthQuery(algebra, span), caps)
+    old = capped_cuplength(CupLengthQuery(old_algebra, old), caps)
+    for cap in caps:
+        assert new[cap][0] == old[cap][0], (label, inv, cap)
 
 
 def _integral(rows) -> bool:
@@ -1264,20 +1273,26 @@ def assert_sources_are_the_echeloned_spans(A, label=""):
 
 
 def assert_certificates_are_the_checked_elements(A, label=""):
+    """At every cap, one-cap and read off the one multi-cap run: each
+    certificate's elements are the checked elements of their vectors, its
+    factors are spanning rows, and it verifies at its cap."""
     for inv in _source_invariants(A):
         algebra, span, _ = _lower_source(inv, SpaceModel(A))
-        for cap in range(1, max(span.degrees(), default=0) + 1):
-            length, cert = capped_cuplength(CupLengthQuery(algebra, span, cap))
-            if cert is None:
-                assert length == 0
-                continue
-            for el in (*cert.factors, cert.product):
-                (d, v), = el.comps.items()
-                checked = algebra.component_element(d, v)
-                assert el == checked and el.algebra is algebra, (label, inv, cap)
-                assert type(el.comps) is dict and type(el.comps[d]) is tuple
-            assert all(f.comps[f.degree] in span.rows[f.degree] for f in cert.factors)
-            assert len(cert) == length and cert.verify(cap), (label, inv, cap)
+        caps = range(1, max(span.degrees(), default=0) + 1)
+        values = capped_cuplength(CupLengthQuery(algebra, span), caps)
+        for cap in caps:
+            for length, cert in (capped_cuplength(CupLengthQuery(algebra, span, cap)),
+                                 values[cap]):
+                if cert is None:
+                    assert length == 0
+                    continue
+                for el in (*cert.factors, cert.product):
+                    (d, v), = el.comps.items()
+                    checked = algebra.component_element(d, v)
+                    assert el == checked and el.algebra is algebra, (label, inv, cap)
+                    assert type(el.comps) is dict and type(el.comps[d]) is tuple
+                assert all(f.comps[f.degree] in span.rows[f.degree] for f in cert.factors)
+                assert len(cert) == length and cert.verify(cap), (label, inv, cap)
 
 
 def _catalogue_algebras():
