@@ -22,7 +22,8 @@ invariant, target and ``(m, lo, hi)`` of every row of every table, plus
 exit codes, with provenance and the ``--certificates`` text left out; it
 compares two checkouts whose provenance differs.
 ``scripts/expected_digests.txt`` holds the five lines of the current
-output, which CI diffs against.
+output and ``scripts/expected_intervals.txt`` the ``--intervals`` line,
+which CI diffs against.
 Standard library only; the package is imported from this checkout's
 ``src``, and the catalogue from its ``perfbench/cases.py``.
 """

@@ -221,7 +221,7 @@ class GradedAlgebra:
         ``(d1, i1)`` maps ``(d2, i2)`` to the nonzero ``(index, c)`` pairs
         of the product of class i1 of degree d1 by class i2 of degree d2,
         integral scalars as ints (``_terms``), keys in basis order and
-        entries in ``table`` order.  :meth:`products` multiplies by them
+        entries in ``table`` order.  :meth:`product` multiplies by them
         and :meth:`validate` checks them; a row object the table shares
         between products is converted once."""
         out = {(d, i): {(0, 0): ((i, 1),)}
@@ -238,29 +238,27 @@ class GradedAlgebra:
 
     def product_keys(self, ds: int, s) -> list:
         """Per ``(index, b)`` of s, a degree-ds vector as nonzero pairs, the
-        key of its class in ``constants`` and b: the form :meth:`products`
+        key of its class in ``constants`` and b: the form :meth:`product`
         reads s in."""
         return [((ds, k), b) for k, b in s]
 
-    def products(self, dv: int, v, ds: int, group):
-        """Yield ``(i, v * s)`` for each ``(i, keys)`` of ``group``: v of
+    def product(self, dv: int, v, ds: int, keys) -> dict:
+        """v * s as the dict of its nonzero entries (mod p over F_p): v of
         degree dv as nonzero ``(index, c)`` pairs, s of degree ds as its
-        ``product_keys``, each product the dict of its nonzero entries (mod
-        p over F_p).  One constant lookup per pair of support classes, in
-        Python arithmetic on ints, and on a ``Fraction`` only where a scalar
-        is not integral."""
+        ``product_keys``.  One constant lookup per pair of support classes,
+        in Python arithmetic on ints, and on a ``Fraction`` only where a
+        scalar is not integral."""
         constants = self.constants
-        rows = [(a, constants[(dv, k)]) for k, a in v]
-        for i, keys in group:
-            acc: dict[int, int] = {}
-            for a, row in rows:
-                for key, b in keys:
-                    nz = row.get(key)
-                    if nz is not None:
-                        ab = a * b
-                        for j, c in nz:
-                            acc[j] = acc.get(j, 0) + ab * c
-            yield i, _reduced(acc, self.coeff.p)
+        acc: dict[int, int] = {}
+        for k, a in v:
+            row = constants[(dv, k)]
+            for key, b in keys:
+                nz = row.get(key)
+                if nz is not None:
+                    ab = a * b
+                    for j, c in nz:
+                        acc[j] = acc.get(j, 0) + ab * c
+        return _reduced(acc, self.coeff.p)
 
     # -- elements ----------------------------------------------------------
     def zero_element(self) -> "Element":
@@ -576,7 +574,7 @@ class TensorProduct(GradedAlgebra):
     the name index are built on first read (formatting, parsing).
     ``mul_basis`` multiplies in the factors' ``mul_basis``, so elements,
     certificates and the cup-length bounds never need the 4-index
-    ``table``.  ``generators``, ``constants`` and ``products`` come from the
+    ``table``.  ``generators``, ``constants`` and ``product`` come from the
     factors' ``generators`` and ``constants``; ``validate`` checks the
     product's ``constants``, and ``table``, built on first read and kept,
     densifies them.  Valid over a field, and over Z because all components
@@ -672,7 +670,7 @@ class TensorProduct(GradedAlgebra):
         pair of nonzero factor coefficients lands in its own slot with a
         nonzero product (Q, F_p and Z have no zero divisors).  Read by the
         validators, by :attr:`table` and where the product is itself a
-        factor, as :meth:`products` multiplies through the factors'."""
+        factor, as :meth:`product` multiplies through the factors'."""
         left, right = self.left.constants, self.right.constants
         bdims, starts = self._right_dims, self.block_start
         out = {}
@@ -697,32 +695,29 @@ class TensorProduct(GradedAlgebra):
         pairs = self.kunneth_pairs[ds]
         return [((p, i), (q, j), p, q, b) for k, b in s for p, i, q, j in (pairs[k],)]
 
-    def products(self, dv: int, v, ds: int, group):
+    def product(self, dv: int, v, ds: int, keys) -> dict:
         """Multiplies through the factors' ``constants``: ``(a (x) b)(a'
         (x) b') = (-1)^(|b| |a'|) (a a') (x) (b b')``, never reading the
         product's own table or constants."""
         left, right = self.left.constants, self.right.constants
         pv, starts, widths = self.kunneth_pairs[dv], self.block_start, self._right_dims
-        rows = []  # per class of v: its coefficient, constants and degrees
+        acc: dict[int, int] = {}
         for k, a in v:
             p1, i1, q1, j1 = pv[k]
-            rows.append((a, left[(p1, i1)], right[(q1, j1)], p1, q1))
-        for i, keys in group:
-            acc: dict[int, int] = {}
-            for a, lrow, rrow, p1, q1 in rows:
-                for lkey, rkey, p2, q2, b in keys:
-                    anz = lrow.get(lkey)
-                    bnz = rrow.get(rkey) if anz else None
-                    if bnz is None:
-                        continue
-                    ab = -a * b if q1 & p2 & 1 else a * b  # the Koszul sign
-                    q = q1 + q2
-                    base, width = starts[p1 + p2][q], widths[q]
-                    for ia, ca in anz:
-                        at, c = base + ia * width, ab * ca
-                        for jb, cb in bnz:
-                            acc[at + jb] = acc.get(at + jb, 0) + c * cb
-            yield i, _reduced(acc, self.coeff.p)
+            lrow, rrow = left[(p1, i1)], right[(q1, j1)]
+            for lkey, rkey, p2, q2, b in keys:
+                anz = lrow.get(lkey)
+                bnz = rrow.get(rkey) if anz else None
+                if bnz is None:
+                    continue
+                ab = -a * b if q1 & p2 & 1 else a * b  # the Koszul sign
+                q = q1 + q2
+                base, width = starts[p1 + p2][q], widths[q]
+                for ia, ca in anz:
+                    at, c = base + ia * width, ab * ca
+                    for jb, cb in bnz:
+                        acc[at + jb] = acc.get(at + jb, 0) + c * cb
+        return _reduced(acc, self.coeff.p)
 
     def _check_shape(self) -> None:
         """Nothing to check, and no ``table`` to build for it:

@@ -32,7 +32,7 @@ components are free, so a product of integral vectors is nonzero over Z
 exactly when it is nonzero over Q, and ranks over Q decide it.
 
 Products are taken by the algebra's own
-:meth:`~secatm.algebra.GradedAlgebra.products`, from its integer structure
+:meth:`~secatm.algebra.GradedAlgebra.product`, from its integer structure
 constants (``constants``): a plain algebra's are its table's, and a Kunneth
 product (a tensor square or a product of spaces) multiplies through its two
 factors'.  They are true products: each integral rational is taken as its
@@ -128,7 +128,7 @@ def capped_cuplength(query: CupLengthQuery, caps=None):
     degree) over F_p or Q (for Z too), as whether an insert grows the rank
     depends on the span alone.  Adding row s multiplies each monomial of
     layer t - 1 by s alone, t = 2, 3, ... while layer t - 1 is nonempty, by
-    the algebra's ``products``, and a (t, degree) is skipped once its rank
+    the algebra's ``product``, and a (t, degree) is skipped once its rank
     equals its width.  The length is the number of nonempty layers.  The
     certificate's factors are the spanning rows of the first monomial of
     the longest layer, and its product is that monomial's vector as it
@@ -151,7 +151,7 @@ def capped_cuplength(query: CupLengthQuery, caps=None):
         if s is None:
             break
         s = _terms(s)
-        group = ((i, algebra.product_keys(ds, s)),)
+        keys = algebra.product_keys(ds, s)
         if not kept:
             kept.append([])
         kept[0].append((ds, s, (i,)))
@@ -166,9 +166,9 @@ def capped_cuplength(query: CupLengthQuery, caps=None):
                     e = ech[(t, d)] = FieldEchelon(algebra.dim(d), p)
                 elif e.rank == e.width:
                     continue
-                for _, w in algebra.products(dv, v, ds, group):
-                    if w and e.insert(w):
-                        grown.append((d, tuple(w.items()), factors + (i,)))
+                w = algebra.product(dv, v, ds, keys)
+                if w and e.insert(w):
+                    grown.append((d, tuple(w.items()), factors + (i,)))
             if t < len(kept):
                 kept[t] += grown
             elif grown:

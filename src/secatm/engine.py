@@ -6,16 +6,20 @@ Every rule is a record in one table built per run, and every record states
 one inequality: a target table is at most its source tables at shared index
 pairs.  Applying it lowers the target's upper ends and, for an inequality
 between two single entries, raises the source's lower ends too; an equality
-is two records, one each way.  The m-dimensional invariants equal the
-classical ones from m = hdim on (twice hdim for tc; Schwarz), so a table
-stores rows only below that m (see :mod:`secatm.tables`), and each record's
-index pairs are resolved once against the stored rows.  Every rule only
-narrows intervals, so iteration terminates, and the intervals it ends with
-do not depend on the order of the records (chaotic iteration; Cousot 1977);
-a crossing pair of bounds raises :class:`~secatm.tables.InconsistentModel`
-with both provenance chains.  A sweep re-applies a record only when a table
-it reads has narrowed since its last application (semi-naive evaluation),
-which changes no event and no order of events.
+is two records, one each way.  Two facts are no records but kept by the
+tables themselves (see :mod:`secatm.tables`): monotonicity in m with the
+cap by the classical value, as each narrowing carries on to the rows it
+implies, and stabilization, as the m-dimensional invariants equal the
+classical ones from m = hdim on (twice hdim for tc; Schwarz) and a table
+stores rows only below that m.  Each record's index pairs are resolved
+once against the stored rows.  Every rule only narrows intervals, so
+iteration terminates, and the intervals it ends with do not depend on the
+order of the records or on when the tables apply their own facts (chaotic
+iteration; Cousot 1977); a crossing pair of bounds raises
+:class:`~secatm.tables.InconsistentModel` with both provenance chains.  A
+sweep re-applies a record only when a table it reads has narrowed since its
+last application (semi-naive evaluation), which changes no event and no
+order of events.
 Lower bounds come from capped cup-lengths over spans of ideal generators:
 for cat, the algebra generators of H^+ (the basis classes that complement
 the decomposables); for tc, a (x) 1 - 1 (x) a over those generators, which
@@ -120,8 +124,6 @@ def compute_tables(bundle, max_m=None, use_literature=True, targets=None):
 # source entry n bounded below by the target entry m.
 _PAIRS = {
     "same": lambda last, M, d: [(m, m, 0) for m in range(1, last + 1)] + [(INF, INF, 0)],
-    "down": lambda last, M, d: [(m, m + 1, 0) for m in range(1, min(last, M - 1) + 1)],
-    "from_inf": lambda last, M, d: [(m, INF, 0) for m in range(1, last + 1)],
     "recover": lambda last, M, d: [(INF, m, d // (m + 1)) for m in range(1, last + 1)],
     "skeleton": lambda last, M, d: [(INF, d - 1, 0)] if 1 <= d - 1 <= M else [],
     "stable": lambda last, M, d: [(m, INF, 0) for m in range(max(d, 1), last + 1)],
@@ -199,7 +201,7 @@ def _fixpoint(rules) -> None:
     leaves every pair of its record satisfied unless it narrowed an input,
     and narrowing its target further cannot unsatisfy a pair.  The counts
     are taken before the application, so a record that narrows its own
-    input (``monotone_m`` walks one row per sweep) runs again; they only
+    input (``dim_recovery`` reads the rows it raises) runs again; they only
     grow, so their sum tells whether any of them moved."""
     inputs = [rule.inputs for rule in rules]
     seen = [-1] * len(rules)
@@ -385,7 +387,9 @@ class _Engine:
             if key not in runs:
                 runs[key] = self._capped_values(algebra, generators, degmax)
             values = runs[key]
-            for m in table.stored:
+            # from inf down, so that each row's own bound comes before the
+            # bounds of the rows below it reach it
+            for m in reversed(table.stored):
                 eff = degmax if m == INF else min(m, degmax)
                 length, cert = values[eff]
                 if length > 0:
@@ -452,12 +456,6 @@ class _Engine:
             add(_Bound(rule, a, (b_,), pairs, detail, detail))
             add(_Bound(rule, b_, (a,), [(n, (m,), 0) for m, (n,), _ in pairs], detail, detail))
 
-        for tab in self.tables.values():
-            le("monotone_m", tab, [tab], lambda m, n: f"at most the m={n} entry", "down",
-               lo_detail=lambda m, n: f"at least the m={m} entry")
-        for tab in self.tables.values():
-            le("classical_cap", tab, [tab], "at most the classical value", "from_inf",
-               lo_detail=lambda m, n: f"dominates the m={m} entry")
         for name, f in b.fibrations.items():
             s, c = t("secat", name), t("cat", name_of(f.base))
             le("secat_le_cat_base", s, [c], f"at most cat[{c.target}]",

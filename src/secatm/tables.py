@@ -6,6 +6,15 @@ fired, a human-readable detail string and, for cup-length lower bounds, the
 witnessing certificate.  A narrowing that would cross over raises
 ``InconsistentModel`` carrying both provenance chains.
 
+Every m-dimensional invariant is non-decreasing in m and at most its
+classical value, and a table keeps its entries so: a lower bound on row m
+raises the stored rows above it (``monotone_m``, ``at least the m=<m>
+entry``; ``classical_cap``, ``dominates the m=<m> entry`` on inf), and an
+upper bound lowers the rows below it (``monotone_m``, ``at most the m=<m>
+entry``; ``classical_cap``, ``at most the classical value``, from inf).
+Each walk stops at the first row already as tight, and a crossing on the
+walk raises at the row where it crossed.
+
 A table with dimension parameter d (the m from which the m-dimensional
 invariant equals the classical one: the homotopy dimension of the space,
 fibration base or pair domain, twice it for tc) stores rows only for m < d
@@ -155,29 +164,50 @@ class BoundTable:
         return events
 
     # -- narrowing -------------------------------------------------------
+    # each walk stops at the first row that is already as tight: the entries
+    # are monotone, so the rows past it are tighter still
     def raise_lo(self, m, value, rule, detail, certificate=None) -> bool:
         m = self.row(m)
-        entry = self.rows[m]
-        if value <= entry.lo:
+        if value <= self.rows[m].lo:
             return False
-        self.log[m].append(ProvenanceEvent(rule, "lo", value, detail, certificate))
-        entry.lo = value
-        self.narrowings += 1
-        if entry.hi is not None and entry.lo > entry.hi:
-            self._crossed(m)
+        self._narrow(m, "lo", value, rule, detail, certificate)
+        if m == INF:
+            return True
+        rows = self.rows
+        for n in range(m + 1, self.stable_from):
+            if value <= rows[n].lo:
+                return True
+            self._narrow(n, "lo", value, "monotone_m", f"at least the m={m} entry")
+        if value > rows[INF].lo:
+            self._narrow(INF, "lo", value, "classical_cap", f"dominates the m={m} entry")
         return True
 
     def lower_hi(self, m, value, rule, detail) -> bool:
         m = self.row(m)
-        entry = self.rows[m]
-        if value is None or (entry.hi is not None and value >= entry.hi):
+        hi = self.rows[m].hi
+        if value is None or (hi is not None and value >= hi):
             return False
-        self.log[m].append(ProvenanceEvent(rule, "hi", value, detail))
-        entry.hi = value
-        self.narrowings += 1
-        if entry.lo > entry.hi:
-            self._crossed(m)
+        self._narrow(m, "hi", value, rule, detail)
+        if m == INF:
+            m, rule, detail = self.stable_from, "classical_cap", "at most the classical value"
+        else:
+            rule, detail = "monotone_m", f"at most the m={m} entry"
+        rows = self.rows
+        for n in range(m - 1, 0, -1):
+            hi = rows[n].hi
+            if hi is not None and value >= hi:
+                break
+            self._narrow(n, "hi", value, rule, detail)
         return True
+
+    def _narrow(self, m, side, value, rule, detail, certificate=None) -> None:
+        """Set one side of stored row m to ``value`` and log the event."""
+        entry = self.rows[m]
+        self.log[m].append(ProvenanceEvent(rule, side, value, detail, certificate))
+        setattr(entry, side, value)
+        self.narrowings += 1
+        if entry.hi is not None and entry.lo > entry.hi:
+            self._crossed(m)
 
     def _crossed(self, m):
         raise InconsistentModel(

@@ -10,12 +10,17 @@ the same spans and lengths.  ``dense_kunneth_blocks`` lays out the
 Kunneth blocks over every pair of degrees, ``dense_law_violation`` checks
 the algebra laws on every pair and triple of basis classes, and
 ``sweep_until_quiet`` is the plain rule fixpoint, which re-applies every
-record on every sweep.  Nothing in ``secatm`` uses them.
+record on every sweep.  ``compute_tables_by_records`` runs the engine with
+monotonicity in m written as rule records over tables that narrow one row
+per call (``PlainTable``), the design ``BoundTable`` replaced.  Nothing in
+``secatm`` uses them.
 
 Import them as ``from reference import ...``.
 """
 
-from secatm import linalg
+from unittest import mock
+
+from secatm import engine, linalg
 from secatm.algebra import (
     AlgebraError,
     GradedAlgebra,
@@ -27,9 +32,10 @@ from secatm.algebra import (
     tensor_square,
 )
 from secatm.cuplength import CupLengthCertificate, CupLengthQuery, _element, capped_cuplength
-from secatm.engine import _lower_source
+from secatm.engine import _Bound, _lower_source
 from secatm.linalg import FieldEchelon, vis_zero, vunit, vzero
 from secatm.spaces import FibrationModel, MapPairModel, SpaceModel
+from secatm.tables import INF, BoundTable
 
 
 class SubspaceMismatch(AlgebraError):
@@ -276,8 +282,8 @@ def brute_force_cuplength(query: CupLengthQuery, max_len: int) -> int:
 
 
 def layered_cuplength(query: CupLengthQuery):
-    """The layered DP that ``capped_cuplength`` replaced, kept verbatim as
-    an oracle: one run per cap, every kept monomial times every spanning
+    """The layered DP that ``capped_cuplength`` replaced, kept as an
+    oracle: one run per cap, every kept monomial times every spanning
     vector, so it forms both s_i * s_j and s_j * s_i.
 
     Maximum number of generator factors (degree <= cap) with nonzero product.
@@ -292,7 +298,7 @@ def layered_cuplength(query: CupLengthQuery):
     vector becomes its nonzero pairs once, for layer 1, and its
     ``product_keys`` once, for the groups.
 
-    Products are true products, taken by the algebra's ``products`` with
+    Products are true products, taken by the algebra's ``product`` with
     the nonzero ``(index, c)`` pairs of v and the keys of s, integral
     scalars as ints.  The rank of each degree is tracked by a
     ``FieldEchelon`` of the product's dict, over F_p and over Q (for Z
@@ -325,7 +331,8 @@ def layered_cuplength(query: CupLengthQuery):
                     grown[d] = []
                 if e.rank == e.width:
                     continue
-                for i, w in algebra.products(dv, v, ds, group):
+                for i, keys in group:
+                    w = algebra.product(dv, v, ds, keys)
                     if w and e.insert(w):
                         grown[d].append((d, tuple(w.items()), factors + (i,)))
                         if e.rank == e.width:
@@ -400,3 +407,58 @@ def sweep_until_quiet(rules) -> None:
     inputs did not narrow."""
     while any([rule.apply() for rule in rules]):
         pass
+
+
+# ---------------------------------------------------------------------------
+# monotonicity in m as rule records
+# ---------------------------------------------------------------------------
+
+class PlainTable(BoundTable):
+    """A ``BoundTable`` that narrows only the row it is asked to narrow."""
+
+    def raise_lo(self, m, value, rule, detail, certificate=None) -> bool:
+        m = self.row(m)
+        if value <= self.rows[m].lo:
+            return False
+        self._narrow(m, "lo", value, rule, detail, certificate)
+        return True
+
+    def lower_hi(self, m, value, rule, detail) -> bool:
+        m = self.row(m)
+        hi = self.rows[m].hi
+        if value is None or (hi is not None and value >= hi):
+            return False
+        self._narrow(m, "hi", value, rule, detail)
+        return True
+
+
+def monotone_records(tables) -> list:
+    """The two rule families that wrote monotonicity in m, in their sweep
+    order: ``monotone_m`` (row m at most row m + 1, so row m + 1 at least
+    row m) on every table, then ``classical_cap`` (row m at most inf, so inf
+    at least row m) on every table, over the stored rows; a record with no
+    pair is left out."""
+    records = []
+    for tab in tables:
+        finite = tab.stored[:-1]
+        down = [(m, (tab.row(m + 1),), 0) for m in finite if m < tab.max_m]
+        records.append(_Bound("monotone_m", tab, (tab,), down,
+                              lambda m, n: f"at most the m={n} entry",
+                              lambda m, n: f"at least the m={m} entry"))
+    for tab in tables:
+        up = [(m, (INF,), 0) for m in tab.stored[:-1]]
+        records.append(_Bound("classical_cap", tab, (tab,), up, "at most the classical value",
+                              lambda m, n: f"dominates the m={m} entry"))
+    return [record for record in records if record.pairs]
+
+
+class _RecordEngine(engine._Engine):
+    def _rules(self):
+        return monotone_records(list(self.tables.values())) + super()._rules()
+
+
+def compute_tables_by_records(bundle, max_m=None, use_literature=True, targets=None):
+    """``secatm.engine.compute_tables`` with ``PlainTable`` tables and the
+    ``monotone_records`` of them swept before every other record."""
+    with mock.patch.object(engine, "BoundTable", PlainTable):
+        return _RecordEngine(bundle, max_m, use_literature, targets).run()

@@ -507,10 +507,10 @@ def assert_columns_match_the_table(A, every_class):
     """The columns of right multiplication by the zero divisors ``g (x) 1 -
     1 (x) g`` of the square of ``A`` and by the classes of their support
     (by every class of positive degree with ``every_class``), each basis
-    class times s from the algebra's ``products``, against the same
+    class times s from the algebra's ``product``, against the same
     products read from the square's table by ``mul_vectors``: equal entry
     for entry over every domain, the true products, and an empty dict
-    exactly where a product vanishes.  A's own ``products`` are checked
+    exactly where a product vanishes.  A's own ``product`` is checked
     the same way against A's table."""
     T, left, right = tensor_square(A)
     E = plain_copy(tensor_square(A)[0])  # the same basis, multiplying by its table
@@ -530,7 +530,7 @@ def assert_columns_match_the_table(A, every_class):
             keys = X.product_keys(ds, [(i, c) for i, c in enumerate(s) if c])
             for dv in range(1, X.top_degree - ds + 1):
                 for i1 in range(X.dim(dv)):
-                    (_, got), = X.products(dv, ((i1, 1),), ds, [(0, keys)])
+                    got = X.product(dv, ((i1, 1),), ds, keys)
                     v = [0] * X.dim(dv)
                     v[i1] = 1
                     w = reference.mul_vectors(dv, tuple(v), ds, s)

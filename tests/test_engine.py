@@ -851,10 +851,16 @@ class TestRules:
     # each checking the rule's id and value in an entry's provenance
 
     def test_monotone_m(self):
-        # cat(RP^2) at m = 1 is capped by its value at m = 2
+        # without literature, tc(U(2)) over Z has no cup-length bound of its
+        # own: cat <= tc raises its m = 1 entry to 1, and the m = 2 entry is
+        # at least the m = 1 entry
+        tables = golden_tables("unitary_distance", use_literature=False)
+        assert entry(tables, "tc", "u2", 2) == (1, None)
+        assert fired(tables, "tc", "u2", 2, "monotone_m") == [("lo", 1)]
+        # with literature, cat(RP^2) at m = 1 is capped by the classical value
         tables = golden_tables("projective_cat")
         assert entry(tables, "cat", "rp2", 1) == (2, 2)
-        assert ("hi", 2) in fired(tables, "cat", "rp2", 1, "monotone_m")
+        assert ("hi", 2) in fired(tables, "cat", "rp2", 1, "classical_cap")
 
     def test_dim_recovery(self):
         # without literature, classical cat(S^2) is capped by cat at

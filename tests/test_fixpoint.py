@@ -82,27 +82,40 @@ def test_the_fixpoint_skips_records_whose_inputs_did_not_narrow(monkeypatch):
     assert runs[_fixpoint] < runs[sweep_until_quiet] * 2 // 3
 
 
-def _monotone_records(table):
-    """``monotone_m`` of one table with every row stored: row m is at most
-    row m + 1, so row m + 1 is at least row m."""
-    down = [(m, (m + 1,), 0) for m in range(1, table.max_m)]
-    return [_Bound("monotone_m", table, (table,), down, "down", "up")]
+class _Logged:
+    """A record that notes whether each of its applications narrowed."""
+
+    def __init__(self, record, log):
+        self.record, self.inputs, self.log = record, record.inputs, log
+
+    def apply(self) -> bool:
+        self.log.append(self.record.apply())
+        return self.log[-1]
 
 
 @pytest.mark.parametrize("fixpoint", [_fixpoint, sweep_until_quiet],
                          ids=["skipping", "plain"])
-def test_an_upper_bound_walks_down_one_row_per_sweep(fixpoint):
-    # the pairs run in ascending m, so a bound on row 6 reaches row 5
-    # in the first sweep, row 4 in the second, and so on: the record narrows
-    # its own input, and must run again although nothing else moved
+def test_one_narrowing_reaches_every_implied_row_in_one_call(fixpoint):
+    # an upper bound on row 6 lowers the rows below it and a lower bound on
+    # row 2 raises the rows above it, in the call that sets them
     table = BoundTable("cat", "x", 8)
-    table.lower_hi(6, 2, "test", "a bound on one finite row")
-    table.raise_lo(2, 1, "test", "a lower bound below it")
-    fixpoint(_monotone_records(table))
+    assert table.lower_hi(6, 2, "test", "a bound on one finite row")
+    assert table.raise_lo(2, 1, "test", "a lower bound below it")
     assert [table.hi(m) for m in range(1, 9)] == [2] * 6 + [None] * 2
     assert [table.lo(m) for m in range(1, 9)] == [0] + [1] * 7
-    assert table.interval(INF).as_pair() == (0, None)
+    assert table.interval(INF).as_pair() == (1, None)
     assert [len(table.events[m]) for m in range(1, 7)] == [1] + [2] * 5
+    # cat <= tc and tc <= cat at m = 6 alone carry both bounds to every
+    # implied row of tc in their first applications; no later sweep narrows
+    other, log = BoundTable("tc", "x", 8), []
+    records = [_Bound("test", table, (other,), [(6, (6,), 0)], "at most tc", "at least cat"),
+               _Bound("test", other, (table,), [(6, (6,), 0)], "at most cat")]
+    fixpoint([_Logged(record, log) for record in records])
+    assert log[:2] == [True, True] and not any(log[2:])
+    assert [other.interval(m).as_pair() for m in (1, 5, 6, 7, 8, INF)] == [
+        (0, 2), (0, 2), (1, 2), (1, None), (1, None), (1, None)]
+    assert [table.interval(m).as_pair() for m in (1, 6, 7, INF)] == [
+        (0, 2), (1, 2), (1, None), (1, None)]
 
 
 def test_a_shifted_record_narrows_both_ends():

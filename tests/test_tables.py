@@ -84,7 +84,9 @@ class TestStabilizedTable:
         assert [(e.rule, e.value) for e in t.events[INF]] == [("r", 2), ("s", 3)]
         for m in (3, 4, 5, 6, INF):
             assert t.interval(m).as_pair() == (2, 3)
-        assert t.interval(2).as_pair() == (0, None) and t.events[2] == []
+        # the rows below are at most the inf entry
+        assert t.interval(2).as_pair() == (0, 3)
+        assert [(e.rule, e.side, e.value) for e in t.events[2]] == [("classical_cap", "hi", 3)]
 
     def test_tail_rows_list_one_stabilize_event_per_narrowed_side(self):
         t = BoundTable("cat", "x", 6, dim=3)
@@ -156,7 +158,8 @@ class TestRendering:
     def test_text_marks_exact_rows(self):
         out = render_text(self.make())
         assert "m=1" in out and "= 4" in out
-        assert "[1, inf)" in out
+        # row 2 is at least row 1, above its own lower bound 1
+        assert "  m=2    [4, inf)     monotone_m\n" in out
 
     def test_text_is_deterministic(self):
         assert render_text(self.make()) == render_text(self.make())
