@@ -118,8 +118,8 @@ class GradedAlgebra:
     degree ``d1 + d2``; absent keys mean the product is zero.  Products with
     the unit follow the unit law and have no table entries.  Instances are
     immutable after construction and safe to share; what the cup-length
-    bounds read of one (``generators``, ``constants``) is built on first
-    read and lives as long as it does.
+    bounds read of one (``generators``, ``constants``, ``square_layout``)
+    is built on first read and lives as long as it does.
     """
 
     def __init__(self, coeff, names, table, validate=True):
@@ -235,6 +235,12 @@ class GradedAlgebra:
             if nz:
                 out[(d1, i1)][(d2, i2)] = nz
         return out
+
+    @functools.cached_property
+    def square_layout(self) -> tuple:
+        """The ``_kunneth_layout`` that every tensor square of this algebra
+        shares: it holds no algebra, so a square dies on its own."""
+        return _kunneth_layout(self._dims, self._dims)
 
     def product_keys(self, ds: int, s) -> list:
         """Per ``(index, b)`` of s, a degree-ds vector as nonzero pairs, the
@@ -559,6 +565,23 @@ def make_algebra(coeff, basis, products, validate=True) -> GradedAlgebra:
 # tensor constructions
 # ---------------------------------------------------------------------------
 
+def _kunneth_layout(ldims, rdims) -> tuple:
+    """``(dims, kunneth_pairs, block_start)`` of a :class:`TensorProduct` of
+    factors of dimensions ldims and rdims, from the nonzero degrees only."""
+    pairs = [[] for _ in range(len(ldims) + len(rdims) - 1)]
+    starts = []
+    rnonzero = [(q, n) for q, n in enumerate(rdims) if n]
+    for p, m in enumerate(ldims):
+        at = [None] * len(rdims)
+        for q, n in rnonzero if m else ():
+            block = pairs[p + q]
+            # blocks of one degree come in order of p
+            at[q] = len(block)
+            block.extend((p, i, q, j) for i in range(m) for j in range(n))
+        starts.append(tuple(at))
+    return tuple(map(len, pairs)), dict(enumerate(map(tuple, pairs))), tuple(starts)
+
+
 class TensorProduct(GradedAlgebra):
     """Graded tensor product ``left (x) right`` with Koszul signs, whose
     products are computed from the factors' on demand:
@@ -568,10 +591,11 @@ class TensorProduct(GradedAlgebra):
     one block of degree p + q, listed a-major: ``kunneth_pairs[p + q]`` holds
     their factor classes ``(p, i, q, j)`` from slot ``block_start[p][q]`` on
     (None for an empty block), and :meth:`slot` gives the slot of each.  The
-    constructor builds only these and the dimensions, visiting only the
-    pairs of nonzero factor degrees, so a sparse factor such as a sphere
-    costs its few blocks, not (top + 1)^2 pairs; the names ``a(x)b`` and
-    the name index are built on first read (formatting, parsing).
+    constructor reads only these and the dimensions from ``_kunneth_layout``
+    (a square from its factor's ``square_layout``, built once), which visits
+    only the pairs of nonzero factor degrees: a sphere costs its few blocks,
+    not (top + 1)^2 pairs.  The names ``a(x)b`` and the name index are built
+    on first read (formatting, parsing).
     ``mul_basis`` multiplies in the factors' ``mul_basis``, so elements,
     certificates and the cup-length bounds never need the 4-index
     ``table``.  ``generators``, ``constants`` and ``product`` come from the
@@ -588,22 +612,9 @@ class TensorProduct(GradedAlgebra):
             )
         self.left, self.right, self.coeff = left, right, left.coeff
         self.top_degree = left.top_degree + right.top_degree
-        self._right_dims = rdims = right.dims()
-        ldims = left.dims()
-        pairs: list[list[tuple[int, int, int, int]]] = [[] for _ in range(self.top_degree + 1)]
-        self.block_start: list[list[int | None]] = [[None] * len(rdims) for _ in ldims]
-        rnonzero = [(q, n) for q, n in enumerate(rdims) if n]
-        for p, m in enumerate(ldims):
-            if not m:
-                continue
-            at = self.block_start[p]
-            for q, n in rnonzero:
-                block = pairs[p + q]
-                # blocks of one degree come in order of p
-                at[q] = len(block)
-                block.extend((p, i, q, j) for i in range(m) for j in range(n))
-        self._dims = tuple(map(len, pairs))
-        self.kunneth_pairs = dict(enumerate(map(tuple, pairs)))
+        self._right_dims = right.dims()
+        self._dims, self.kunneth_pairs, self.block_start = (
+            left.square_layout if left is right else _kunneth_layout(left.dims(), right.dims()))
 
     @functools.cached_property
     def names(self) -> tuple[tuple[str, ...], ...]:
@@ -763,9 +774,9 @@ def kunneth_product(A: GradedAlgebra, B: GradedAlgebra):
 
 
 def tensor_square(A: GradedAlgebra):
-    """``kunneth_product(A, A)``: the tensor square behind the zero-divisor
-    bound, whose ``a (x) 1 - 1 (x) a`` come from
-    :meth:`TensorProduct.zero_divisor`, without the inclusions."""
+    """``kunneth_product(A, A)``: a new tensor square behind the
+    zero-divisor bound, whose ``a (x) 1 - 1 (x) a`` come from
+    :meth:`TensorProduct.zero_divisor`, with the two inclusions."""
     return kunneth_product(A, A)
 
 

@@ -166,8 +166,8 @@ def dense_kunneth_blocks(left: GradedAlgebra, right: GradedAlgebra):
             block = pairs[p + q]
             at.append(len(block) if m and n else None)
             block.extend((p, i, q, j) for i in range(m) for j in range(n))
-        starts.append(at)
-    return dict(enumerate(map(tuple, pairs))), starts
+        starts.append(tuple(at))
+    return dict(enumerate(map(tuple, pairs))), tuple(starts)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@ from fractions import Fraction
 from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from secatm.domains import GF, Q, Z
 from secatm.algebra import (
@@ -982,10 +982,56 @@ def test_cup_kernel_equals_the_eliminated_kernel(A):
     assert_cup_kernel_is_the_kernel(A)
 
 
+# A tensor square reads its layout from its factor's square_layout, built
+# once and shared by every square of the factor.  It must be the layout a
+# product of two distinct factors builds fresh, and hold no algebra (only
+# ints, None, tuples and the dict of pairs), so a square still dies alone.
+
+def layout_leaves(x):
+    """Every value inside x that is not a tuple or a dict."""
+    if isinstance(x, dict):
+        x = tuple(x.items())
+    if type(x) is tuple:
+        for y in x:
+            yield from layout_leaves(y)
+    else:
+        yield x
+
+
+def assert_square_layout_is_fresh(A):
+    T, _, _ = tensor_square(A)
+    assert T.kunneth_pairs is A.square_layout[1] and T is not tensor_square(A)[0]
+    assert all(x is None or type(x) is int for x in layout_leaves(A.square_layout))
+    other = GradedAlgebra(A.coeff, A.names, {}, validate=False)  # A's dims, not A
+    F, _, _ = kunneth_product(A, other)
+    assert (T.dims(), T.kunneth_pairs, T.block_start) == (F.dims(), F.kunneth_pairs, F.block_start)
+    assert (T.kunneth_pairs, T.block_start) == dense_kunneth_blocks(A, A)
+    for pairs in T.kunneth_pairs.values():
+        assert [T.slot(*key) for key in pairs] == [F.slot(*key) for key in pairs] == \
+            list(range(len(pairs)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(cup_algebras())
+def test_square_layout_is_the_fresh_layout(A):
+    assert_square_layout_is_fresh(A)
+
+
+def test_square_layout_is_the_fresh_layout_inside_a_product_of_spaces():
+    # product([s1] * 4) squares one circle object first: left is right there
+    P = product([sphere(1, Q)] * 4).algebra
+    inner, s1 = P.left.left, P.left.left.left
+    assert inner.right is s1 and inner.kunneth_pairs is s1.square_layout[1]
+    for A in (s1, inner, P.left, P):
+        assert_square_layout_is_fresh(A)
+
+
 def dense_generators(coeff, dims, table) -> tuple:
-    """``generators`` ranked by inserting each dense product row."""
+    """``generators`` ranked by inserting each dense product row, in the
+    order of ``GradedAlgebra.constants``: first factors in basis order, the
+    products of each in table order."""
     echelons = [FieldEchelon(n, coeff.p) for n in dims]
-    for (d1, _, d2, _), row in table.items():
+    for (d1, _, d2, _), row in sorted(table.items(), key=lambda item: item[0][:2]):
         e = echelons[d1 + d2]
         if e.rank < e.width:
             e.insert(row)
@@ -998,8 +1044,16 @@ def dense_generators(coeff, dims, table) -> tuple:
     return tuple(generators)
 
 
+# a table not grouped by first factor: x1 x2 is listed before x1 x0
+UNGROUPED = GradedAlgebra(Q, [["1"], ["x0", "x1", "x2"], ["y0", "y1"]], {
+    key: tuple(map(Fraction, row)) for key, row in [
+        ((1, 0, 1, 1), (2, -2)), ((1, 0, 1, 2), (1, -1)), ((1, 1, 1, 2), (2, -2)),
+        ((1, 2, 1, 0), (-1, 1)), ((1, 2, 1, 1), (-2, 2)), ((1, 1, 1, 0), (-2, 2))]})
+
+
 @settings(max_examples=60, deadline=None)
 @given(cup_algebras(), st.sampled_from([1, Fraction(1, 3), Fraction(-7, 2)]))
+@example(UNGROUPED, 1)
 def test_generators_insert_the_dense_rows_nonzero_entries(A, scale):
     # the same rows, as their nonzero entries, in the same order: the same
     # generators from the same number of inserts; over Q the rows are also

@@ -17,6 +17,7 @@ from secatm.algebra import (
     RingMorphism,
     Subspace,
     TensorProduct,
+    _kunneth_layout,
     kernel,
     kunneth_product,
     make_algebra,
@@ -1344,6 +1345,23 @@ def test_dp_certificates_are_the_checked_elements_on_the_catalogue():
 # ---------------------------------------------------------------------------
 # a run's objects are freed without the cycle collector
 # ---------------------------------------------------------------------------
+
+def test_runs_build_the_squares_layout_once(monkeypatch):
+    # each run builds a square of its own on the layout kept on rp4
+    built, squares = [], []
+    monkeypatch.setattr("secatm.algebra._kunneth_layout",
+                        lambda *dims: built.append(dims) or _kunneth_layout(*dims))
+    monkeypatch.setattr("secatm.engine.tensor_square",
+                        lambda A: squares.append(tensor_square(A)) or squares[-1])
+    bundle = Bundle()
+    bundle.add_space("rp4", real_projective(4))
+    for _ in range(2):
+        compute_tables(bundle)
+    A = bundle.spaces["rp4"].algebra
+    (first, _, _), (second, _, _) = squares
+    assert built == [(A.dims(), A.dims())] and first is not second
+    assert first.kunneth_pairs is second.kunneth_pairs is A.square_layout[1]
+
 
 def test_tables_are_freed_by_reference_counting():
     bundle = Bundle()
