@@ -775,8 +775,9 @@ def kunneth_product(A: GradedAlgebra, B: GradedAlgebra):
 
 def tensor_square(A: GradedAlgebra):
     """``kunneth_product(A, A)``: a new tensor square behind the
-    zero-divisor bound, whose ``a (x) 1 - 1 (x) a`` come from
-    :meth:`TensorProduct.zero_divisor`, with the two inclusions."""
+    zero-divisor bound, with the two inclusions.  ``engine._lower_source``
+    writes the zero divisors ``1 (x) g - g (x) 1`` of the generators g into
+    it itself, in canonical echelon form."""
     return kunneth_product(A, A)
 
 

@@ -6,11 +6,17 @@ Subcommands:
   validate     run all model validations without computing bounds
 
 Exit codes: 0 success, 1 validation or usage errors, 2 inconsistent model.
+
+One process builds the argument parser once, on the first ``main`` call,
+and every later call reuses it: ``parse_args`` returns a new namespace per
+call, and usage, error and help text go to the ``sys.stdout`` and
+``sys.stderr`` of that call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -28,6 +34,7 @@ from .modelfile import (
 from .tables import InconsistentModel, render_text, table_to_json, write_json
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="secatm",

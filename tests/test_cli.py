@@ -1,11 +1,14 @@
+import argparse
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+from secatm import cli
 from secatm.cli import main
 from secatm.tables import table_from_json, table_to_json
 
@@ -175,6 +178,58 @@ class TestJsonBytes:
 
     def test_paper_suite(self, monkeypatch, capsys):
         self.assert_bytes(monkeypatch, capsys, ["paper-suite", "--json"], "run_suite")
+
+
+class TestKeptParser:
+    """One process builds the parser once and reuses it: no call leaves
+    state on it that a later call sees."""
+
+    @staticmethod
+    def fresh(argv, capsys) -> tuple:
+        """Exit code, stdout and stderr of ``main(argv)`` as the first call
+        of a process, its parser built anew."""
+        cli._build_parser.cache_clear()
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            code = e.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def test_calls_in_one_process_build_one_parser(self, monkeypatch, u2_file, capsys):
+        built = []
+        monkeypatch.setattr(cli, "argparse", SimpleNamespace(
+            ArgumentParser=lambda **kw: built.append(kw) or argparse.ArgumentParser(**kw)))
+        cli._build_parser.cache_clear()
+        assert main(["bounds", u2_file, "idinv", "dm", "1..2", "--json"]) == 0
+        assert main(["validate", u2_file]) == 0
+        assert len(built) == 1 and built[0]["prog"] == "secatm"
+
+    def test_a_usage_error_leaves_the_next_call_unchanged(self, u2_file, capsys):
+        argv = ["bounds", u2_file, "idinv", "dm", "1..4", "--json"]
+        alone = self.fresh(argv, capsys)
+        code, out, err = self.fresh(["bounds", u2_file, "idinv", "nosuch"], capsys)
+        assert code == 2 and out == "" and "invalid choice: 'nosuch'" in err
+        assert main(argv) == 0
+        assert (0, capsys.readouterr().out, "") == alone
+
+    def test_a_json_call_leaves_the_next_call_in_text(self, u2_file, capsys):
+        argv = ["bounds", u2_file, "idinv", "dm", "1..4"]
+        code, text, _ = self.fresh(argv, capsys)
+        assert code == 0 and text.startswith("dm[idinv]")
+        assert main(argv + ["--json"]) == 0
+        json.loads(capsys.readouterr().out)
+        assert main(argv) == 0
+        assert capsys.readouterr().out == text
+
+    def test_help_is_the_fresh_parsers_help(self, capsys):
+        helps = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as e:
+                main(["--help"])
+            assert e.value.code == 0
+            helps.append(capsys.readouterr().out)
+        assert helps[0] == helps[1] == cli._build_parser.__wrapped__().format_help()
 
 
 class TestShippedModels:

@@ -520,16 +520,24 @@ class TestDiagnostics:
         assert spaces["top"].algebra.top_degree == MAX_ALGEBRA_SIZE
         assert spaces["wide"].algebra.total_dim == MAX_ALGEBRA_SIZE
 
+    # the smallest inputs just above the bound S: CP^n has top degree 2n,
+    # the genus-g surface 2g + 2 classes and T^k 2^k classes, so CP^(S/2+1),
+    # the genus-S/2 surface, S + 1 explicit classes and T^(bit length of S);
+    # at S = 32 that is CP^17, the genus-16 surface, 33 classes and T^6
     @pytest.mark.parametrize("spaces, path", [
-        # CP^17 and the genus-16 surface are checked once built
-        ({"c": {"construct": "complex_projective", "n": 17}}, "spaces.c"),
-        ({"g": {"construct": "orientable_surface", "genus": 16}}, "spaces.g"),
+        # CP^n and the genus-g surface are checked once built
+        ({"c": {"construct": "complex_projective", "n": MAX_ALGEBRA_SIZE // 2 + 1}},
+         "spaces.c"),
+        ({"g": {"construct": "orientable_surface", "genus": MAX_ALGEBRA_SIZE // 2}},
+         "spaces.g"),
         ({"s": {"construct": "sphere", "n": 2, "hdim": MAX_ALGEBRA_SIZE + 1}},
          "spaces.s.hdim"),
-        ({"e": {"algebra": {"basis": {"0": ["1"], "1": [f"x{k}" for k in range(32)]}}}},
+        ({"e": {"algebra": {"basis": {
+            "0": ["1"], "1": [f"x{k}" for k in range(MAX_ALGEBRA_SIZE)]}}}},
          "spaces.e.algebra.basis"),
         ({"s1": {"construct": "sphere", "n": 1},
-          "t": {"construct": "product", "factors": ["s1"] * 6}}, "spaces.t"),
+          "t": {"construct": "product", "factors": ["s1"] * MAX_ALGEBRA_SIZE.bit_length()}},
+         "spaces.t"),
         ({"pt": {"construct": "point"},
           "p": {"construct": "product", "factors": ["pt"] * (MAX_ALGEBRA_SIZE + 1)}},
          "spaces.p.factors"),
@@ -538,11 +546,15 @@ class TestDiagnostics:
         assert_rejected(base_doc(spaces=spaces), path, tmp_path, capsys)
 
     def test_product_fibration_above_the_size_bound(self, tmp_path, capsys):
-        # each factor's base is T^3 (8 classes): the product's base has 64
+        # each factor's base is T^k with 2^k classes within the bound S, and
+        # the product's base has 4^k above it: k is half the bit length of S
+        # rounded up, T^3 (8 classes, 64 in the product) at S = 32
+        k = (MAX_ALGEBRA_SIZE.bit_length() + 1) // 2
+        assert 2 ** k <= MAX_ALGEBRA_SIZE < 4 ** k
         circles = {"s1": {"construct": "sphere", "n": 1},
-                   "t3": {"construct": "product", "factors": ["s1"] * 3},
+                   "tk": {"construct": "product", "factors": ["s1"] * k},
                    "pt": {"construct": "point"}}
-        trivial = {"base": "t3", "total": "pt", "pstar": {"kind": "augmentation"}}
+        trivial = {"base": "tk", "total": "pt", "pstar": {"kind": "augmentation"}}
         doc = base_doc(spaces=circles, fibrations={
             "a": trivial, "b": trivial,
             "ab": {"construct": "product_fibration", "factors": ["a", "b"]}})
