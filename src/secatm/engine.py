@@ -11,15 +11,16 @@ tables themselves (see :mod:`secatm.tables`): monotonicity in m with the
 cap by the classical value, as each narrowing carries on to the rows it
 implies, and stabilization, as the m-dimensional invariants equal the
 classical ones from m = hdim on (twice hdim for tc; Schwarz) and a table
-stores rows only below that m.  Each record's index pairs are resolved
-once against the stored rows.  Every rule only narrows intervals, so
-iteration terminates, and the intervals it ends with do not depend on the
-order of the records or on when the tables apply their own facts (chaotic
-iteration; Cousot 1977); a crossing pair of bounds raises
-:class:`~secatm.tables.InconsistentModel` with both provenance chains.  A
-sweep re-applies a record only when a table it reads has narrowed since its
-last application (semi-naive evaluation), which changes no event and no
-order of events.
+stores rows only below that m.  Each record's index pairs are resolved once
+against the stored rows, without the pairs these facts imply (``_pairs``),
+so ``pi_vanishing_eq``, the classical entry equal to one row, is one record.
+Every rule only narrows intervals, so iteration terminates, and the
+intervals it ends with do not depend on the order of the records or on when
+the tables apply their own facts (chaotic iteration; Cousot 1977); a
+crossing pair of bounds raises :class:`~secatm.tables.InconsistentModel`
+with both provenance chains.  A sweep re-applies a record only when a table
+it reads has narrowed since its last application (semi-naive evaluation),
+which changes no event and no order of events.
 Lower bounds come from capped cup-lengths over spans of ideal generators:
 for cat, the algebra generators of H^+ (the basis classes that complement
 the decomposables); for tc, a (x) 1 - 1 (x) a over those generators, which
@@ -116,17 +117,16 @@ def compute_tables(bundle, max_m=None, use_literature=True, targets=None):
 # rule records
 # ---------------------------------------------------------------------------
 
-# Index pairs (m, n, shift) by kind: the target entry m is bounded above by
-# the source entry n, offset by shift.  Finite m run up to ``last`` only: the
-# engine passes the last m that is not the inf entry in every table of the
-# record, and every pair beyond it reads and writes inf entries only.  A
-# record that also raises lower ends reads the same pairs the other way, the
-# source entry n bounded below by the target entry m.
+# Index pairs (m, n, shift) by kind, m increasing: the target entry m is
+# bounded above by the source entry n, offset by shift.  Finite m run up to
+# ``last``, the target's ``stable_from`` or M: every later pair would bind
+# the target's inf entry to source rows no lower (see ``_pairs``).  A record
+# that also raises lower ends reads the pairs the other way, the source entry
+# n bounded below by the target entry m.  "row" is the one pair inf <= row k.
 _PAIRS = {
-    "same": lambda last, M, d: [(m, m, 0) for m in range(1, last + 1)] + [(INF, INF, 0)],
-    "recover": lambda last, M, d: [(INF, m, d // (m + 1)) for m in range(1, last + 1)],
-    "skeleton": lambda last, M, d: [(INF, d - 1, 0)] if 1 <= d - 1 <= M else [],
-    "stable": lambda last, M, d: [(m, INF, 0) for m in range(max(d, 1), last + 1)],
+    "same": lambda last, d: [(m, m, 0) for m in range(1, last + 1)] + [(INF, INF, 0)],
+    "recover": lambda last, d: [(INF, m, d // (m + 1)) for m in range(1, last + 1)],
+    "row": lambda last, k: [(INF, max(k, 1), 0)],
 }
 
 
@@ -413,48 +413,48 @@ class _Engine:
     # -- the rule table ----------------------------------------------------------
     def _pairs(self, kind, dim, target, sources):
         """The index pairs of one record resolved against the stored rows of
-        its tables: (target row, source rows, shift), without duplicates and
-        without pairs that bound an entry by itself.  Records whose tables
-        stabilize alike share one list, built on the first of them: a
-        record on one table is keyed by that table's ``stable_from`` alone,
-        a shorter key than any other record's."""
+        its tables, (target row, source rows, shift), without those the
+        tables already imply: a pair is dropped when an earlier kept pair on
+        its target row has no larger shift, or when a record on one table
+        binds a row to itself.  Such a pair narrows nothing.  Every kind
+        lists m in increasing order, so source rows never decrease along a
+        record; table rows are monotone after every narrowing; and a record
+        applies its pairs in list order, so the earlier pair has already made
+        the target row at most, and the source rows at least, what the
+        dropped one would.  Records whose tables stabilize alike share one
+        list, built on the first of them: a record on one table is keyed by
+        its ``stable_from`` alone, a shorter key than any other record's."""
         itself = sources == (target,)
         key = ((kind, dim, target.stable_from) if itself else
                (kind, dim, target.stable_from, *[s.stable_from for s in sources]))
         pairs = self._pair_cache.get(key)
         if pairs is None:
-            last = max([t.stable_from for t in (target, *sources)])
-            raw = _PAIRS[kind](min(self.max_m, last), self.max_m, dim)
+            raw = _PAIRS[kind](min(self.max_m, target.stable_from), dim)
             # an index with no stored row of its own is the inf entry
             columns = [[n if n in s.rows else INF for _, n, _ in raw] for s in sources]
-            found, rows_of = {}, target.rows
+            kept, rows_of = {}, target.rows  # target row -> least shift kept on it
+            pairs = self._pair_cache[key] = []
             for (m, _, shift), rows in zip(raw, zip(*columns)):
                 row = m if m in rows_of else INF
-                if shift or not itself or rows[0] != row:
-                    found[row, rows, shift] = None
-            pairs = self._pair_cache[key] = list(found)
+                if kept.get(row, shift + 1) > shift and not (itself and rows[0] == row):
+                    kept[row] = shift
+                    pairs.append((row, rows, shift))
         return pairs
 
     def _rules(self):
         """Every narrowing rule of the fixpoint as a record, in sweep order."""
-        b, t, name_of = self.bundle, self.t, self.name_of
-        rules = []
-
-        def add(record):
-            if record.pairs:  # a record with no pair left can never narrow
-                rules.append(record)
+        b, t, name_of, rules = self.bundle, self.t, self.name_of, []
 
         def le(rule, target, sources, detail, kind="same", dim=None, scale=1, floor=0,
                lo_detail=None):
             sources = tuple(sources)
             pairs = self._pairs(kind, dim, target, sources)
-            add(_Bound(rule, target, sources, pairs, detail, lo_detail, scale, floor))
+            if pairs:  # a record with no pair left can never narrow
+                rules.append(_Bound(rule, target, sources, pairs, detail, lo_detail, scale, floor))
 
-        def eq(rule, a, b_, detail, kind="same", dim=None):
-            # a <= b and b <= a, the second over the first's pairs reversed
-            pairs = self._pairs(kind, dim, a, (b_,))
-            add(_Bound(rule, a, (b_,), pairs, detail, detail))
-            add(_Bound(rule, b_, (a,), [(n, (m,), 0) for m, (n,), _ in pairs], detail, detail))
+        def eq(rule, a, b_, detail):
+            le(rule, a, [b_], detail, lo_detail=detail)
+            le(rule, b_, [a], detail, lo_detail=detail)
 
         for name, f in b.fibrations.items():
             s, c = t("secat", name), t("cat", name_of(f.base))
@@ -469,7 +469,7 @@ class _Engine:
                lo_detail=lambda m, n, d=dim: f"classical entry - floor({d}/{n + 1})")
         for tab, dim in dims:
             le("skeletal_cap", tab, [tab], lambda m, n: f"max of the m={n} entry and 2",
-               "skeleton", dim, floor=2)
+               "row", dim - 1, floor=2)
 
         # (table, first degree of vanishing homotopy, whose, first m = d0 - lag)
         vanishing = [(t(inv, n), s.pi_vanish_from, "", 1)
@@ -479,9 +479,9 @@ class _Engine:
         vanishing += [(t("secat", n), f.fiber_pi_vanish_from, "fiber ", 0)
                       for n, f in b.fibrations.items()]
         for tab, d0, whose, lag in vanishing:
-            if d0 is not None:
-                eq("pi_vanishing_eq", tab, tab,
-                   f"{whose}homotopy vanishes from degree {d0}", "stable", d0 - lag)
+            if d0 is not None:  # inf <= row d0 - lag, so the two are equal
+                detail = f"{whose}homotopy vanishes from degree {d0}"
+                le("pi_vanishing_eq", tab, [tab], detail, "row", d0 - lag, lo_detail=detail)
 
         products = [(inv, n, s.factors) for n, s in b.spaces.items() for inv in ("cat", "tc")]
         products += [("secat", n, f.factors) for n, f in b.fibrations.items()]

@@ -12,7 +12,9 @@ the algebra laws on every pair and triple of basis classes, and
 ``sweep_until_quiet`` is the plain rule fixpoint, which re-applies every
 record on every sweep.  ``compute_tables_by_records`` runs the engine with
 monotonicity in m written as rule records over tables that narrow one row
-per call (``PlainTable``), the design ``BoundTable`` replaced.  Nothing in
+per call (``PlainTable``), the design ``BoundTable`` replaced, and
+``UnprunedEngine`` runs it with every index pair of its records that the
+monotone tables imply kept (``unpruned_pairs``).  Nothing in
 ``secatm`` uses them.
 
 Import them as ``from reference import ...``.
@@ -462,3 +464,50 @@ def compute_tables_by_records(bundle, max_m=None, use_literature=True, targets=N
     ``monotone_records`` of them swept before every other record."""
     with mock.patch.object(engine, "BoundTable", PlainTable):
         return _RecordEngine(bundle, max_m, use_literature, targets).run()
+
+
+# ---------------------------------------------------------------------------
+# index pairs before the engine dropped the implied ones
+# ---------------------------------------------------------------------------
+
+def unpruned_pairs(run, kind, dim, target, sources) -> list:
+    """``_Engine._pairs`` without its pruning: finite m run up to the
+    largest ``stable_from`` of the record's tables, and only duplicates and
+    pairs that bind a row of a one-table record to itself are dropped."""
+    itself = sources == (target,)
+    last = max([t.stable_from for t in (target, *sources)])
+    raw = engine._PAIRS[kind](min(run.max_m, last), dim)
+    columns = [[n if n in s.rows else INF for _, n, _ in raw] for s in sources]
+    found = {}
+    for (m, _, shift), rows in zip(raw, zip(*columns)):
+        row = m if m in target.rows else INF
+        if shift or not itself or rows[0] != row:
+            found[row, rows, shift] = None
+    return list(found)
+
+
+class UnprunedEngine(engine._Engine):
+    """The engine with the rule table it had before records dropped the
+    pairs the tables imply: ``unpruned_pairs``, the second record of an
+    equality over the first one's pairs reversed, and ``pi_vanishing_eq``
+    as the equality of the inf entry with each row from its first one on,
+    two records."""
+
+    def _pairs(self, kind, dim, target, sources):
+        return unpruned_pairs(self, kind, dim, target, sources)
+
+    def _rules(self):
+        records = []
+        for record in super()._rules():
+            if record.rule == "pi_vanishing_eq":
+                (_, (k,), _), = record.pairs
+                rows = range(k, record.target.stable_from)
+                up = record._replace(pairs=[(m, (INF,), 0) for m in rows])
+                records += [up, record._replace(pairs=[(INF, (m,), 0) for m in rows])]
+                continue
+            last = records[-1] if records else None
+            if (last is not None and last.rule == record.rule
+                    and last.sources == (record.target,) and record.sources == (last.target,)):
+                record = record._replace(pairs=[(n, (m,), 0) for m, (n,), _ in last.pairs])
+            records.append(record)
+        return records

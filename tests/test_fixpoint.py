@@ -157,7 +157,10 @@ def test_an_equality_is_two_records_that_close_both_tables():
     tc, cat = run.t("tc", "s3"), run.t("cat", "s3")
     first, second = [r for r in run.rules if r.rule == "h_space_eq"]
     assert (first.target, first.sources, second.target, second.sources) == (tc, (cat,), cat, (tc,))
-    assert second.pairs == [(n, (m,), 0) for m, (n,), _ in first.pairs]
+    # each runs m up to its own target's stable row (6 for tc, 3 for cat):
+    # cat <= tc is the reverse of tc <= cat up to cat's inf row
+    assert first.pairs == [(1, (1,), 0), (2, (2,), 0), *[(m, (INF,), 0) for m in (3, 4, 5, INF)]]
+    assert second.pairs == [(n, (m,), 0) for m, (n,), _ in first.pairs][:cat.stable_from]
     # two fresh tables, each narrowed on one side of one row
     a, b = BoundTable("tc", "y", 4), BoundTable("cat", "y", 4)
     a.raise_lo(3, 1, "test", "a lower bound on a")
