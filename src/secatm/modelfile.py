@@ -224,8 +224,10 @@ class _Loader:
         # kind (a Bundle registry) -> name -> spec, in resolution order
         self.specs = {kind: _block(data, kind, dict) for kind in _BUILDERS}
         self.query_specs = _block(data, "queries", list)
-        names = [name for specs in self.specs.values() for name in specs]
-        dupes = {n for n in names if names.count(n) > 1}
+        seen, dupes = set(), set()  # names are unique within a block
+        for specs in self.specs.values():
+            dupes |= seen & specs.keys()
+            seen |= specs.keys()
         if dupes:
             raise ModelFileError("$", f"duplicate model names: {sorted(dupes)}")
         self._building: set[str] = set()

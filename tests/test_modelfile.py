@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -224,6 +225,29 @@ class TestDiagnostics:
         with pytest.raises(ModelFileError) as err:
             parse_model(doc)
         assert "duplicate" in str(err.value)
+
+    def test_duplicate_names_are_listed_sorted_across_all_three_blocks(self):
+        pair = {"domain": "s2", "codomain": "s2", "fstar": {"kind": "identity"},
+                "gstar": {"kind": "identity"}}
+        doc = base_doc(spaces={"s2": {"construct": "sphere", "n": 2},
+                               "pt": {"construct": "point"}},
+                       fibrations={"pt": {"base": "s2", "total": "s2",
+                                          "pstar": {"kind": "identity"}}},
+                       map_pairs={"s2": pair, "pt": pair, "ok": pair})
+        with pytest.raises(ModelFileError) as err:
+            parse_model(doc)
+        assert err.value.path == "$"
+        assert "duplicate model names: ['pt', 's2']" in str(err.value)
+
+    def test_a_file_of_many_names_loads_in_linear_time(self):
+        # the duplicate scan once counted every name in the list of all of
+        # them: 38 s for 50 000 points, against under 2 s for the whole load
+        names = [f"p{i}" for i in range(50_000)]
+        doc = base_doc(spaces={name: {"construct": "point"} for name in names})
+        start = time.perf_counter()
+        loaded = parse_model(doc)
+        assert time.perf_counter() - start < 15
+        assert list(loaded.bundle.spaces) == names
 
     def test_query_validation(self):
         doc = base_doc(queries=[{"target": "s2", "invariant": "secat"}])
