@@ -632,17 +632,6 @@ class TensorProduct(GradedAlgebra):
         of the right."""
         return self.block_start[p][q] + i * self._right_dims[q] + j
 
-    def zero_divisor(self, d: int, i: int) -> tuple:
-        """The coefficients of ``a (x) 1 - 1 (x) a`` over the degree-d basis,
-        for ``a`` class i of degree d > 0 of the factor of a tensor square."""
-        if self.left is not self.right:
-            raise AlgebraMismatch("a (x) 1 - 1 (x) a needs a tensor square")
-        dom = self.coeff
-        row = [dom.zero()] * self._dims[d]
-        row[self.slot(d, i, 0, 0)] = dom.one()
-        row[self.slot(0, 0, d, i)] = dom.neg(dom.one())
-        return tuple(row)
-
     def mul_basis(self, d1: int, k1: int, d2: int, k2: int) -> tuple | None:
         if d1 + d2 > self.top_degree or not (d1 and d2):
             return super().mul_basis(d1, k1, d2, k2)  # zero or the unit law

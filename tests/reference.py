@@ -14,8 +14,8 @@ record on every sweep.  ``compute_tables_by_records`` runs the engine with
 monotonicity in m written as rule records over tables that narrow one row
 per call (``PlainTable``), the design ``BoundTable`` replaced, and
 ``UnprunedEngine`` runs it with every index pair of its records that the
-monotone tables imply kept (``unpruned_pairs``).  Nothing in
-``secatm`` uses them.
+monotone tables imply kept (``unpruned_pairs``).  ``zero_divisor`` writes
+``a (x) 1 - 1 (x) a`` in a tensor square.  Nothing in ``secatm`` uses them.
 
 Import them as ``from reference import ...``.
 """
@@ -123,6 +123,17 @@ def cup_kernel(A: GradedAlgebra, tensor=None) -> Subspace:
     if tensor is None:
         tensor, _, _ = tensor_square(A)
     return Subspace(tensor, _cup_kernel_rows(A, tensor))
+
+
+def zero_divisor(T: TensorProduct, d: int, i: int) -> tuple:
+    """The coefficients of ``a (x) 1 - 1 (x) a`` over the degree-d basis of
+    the tensor square ``T``, for ``a`` class i of degree d > 0 of its
+    factor."""
+    dom = T.coeff
+    row = [dom.zero()] * T.dim(d)
+    row[T.slot(d, i, 0, 0)] = dom.one()
+    row[T.slot(0, 0, d, i)] = dom.neg(dom.one())
+    return tuple(row)
 
 
 def image_difference(f: RingMorphism, g: RingMorphism) -> Subspace:

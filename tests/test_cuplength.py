@@ -36,6 +36,7 @@ from reference import (
     cup_kernel,
     layered_cuplength,
     positive_part,
+    zero_divisor,
 )
 from test_algebra import SQUARE_FACTORS, cup_algebras, odd_rational, plain_copy
 from test_engine import _over, _perfbench_cases
@@ -618,7 +619,7 @@ def square_zero_divisors(A):
     T = tensor_square(A)[0]
     rows = {}
     for d, i in A.generators:
-        rows.setdefault(d, []).append(T.zero_divisor(d, i))
+        rows.setdefault(d, []).append(zero_divisor(T, d, i))
     return T, Subspace(T, rows)
 
 

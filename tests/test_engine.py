@@ -66,6 +66,7 @@ from reference import (
     pushforward_span,
     secat_lower,
     tc_lower,
+    zero_divisor,
 )
 from test_algebra import cup_algebras, kunneth_factors, plain_copy
 
@@ -1256,7 +1257,7 @@ def _echeloned_source(inv, A):
     rows = {}
     for d, i in A.generators:
         rows.setdefault(d, []).append(
-            vunit(A.coeff, A.dim(d), i) if inv == "cat" else X.zero_divisor(d, i))
+            vunit(A.coeff, A.dim(d), i) if inv == "cat" else zero_divisor(X, d, i))
     return X, Subspace(X, rows)
 
 
