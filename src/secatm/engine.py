@@ -322,12 +322,8 @@ class _Engine:
 
     # -- static narrowing (metadata and literature axioms) --------------------
     def _apply_static(self):
-        for (inv, name), table in self.tables.items():
-            known = _KNOWN.get(inv)
-            value = getattr(self.model(inv, name), known) if known else None
-            if self.use_literature and value is not None:
-                for narrow in (table.raise_lo, table.lower_hi):
-                    narrow(INF, value, "literature", f"recorded classical value {value}")
+        # the row facts first: a recorded classical value, applied after
+        # them, walks down only to the rows they left looser than it
         for name, s in self.bundle.spaces.items():
             cat = self.t("cat", name)
             for m in cat.rows_for(range(1, min(s.conn, self.max_m) + 1)):
@@ -341,14 +337,18 @@ class _Engine:
                                 "the two maps are declared homotopic")
             # dimension-connectivity cap, active where the codomain's higher
             # homotopy vanishes
-            d0 = p.codomain.pi_vanish_from
-            hx = p.domain.hdim
-            cy = p.codomain.conn
+            d0, hx, cy = p.codomain.pi_vanish_from, p.domain.hdim, p.codomain.conn
             if d0 is not None and hx is not None:
                 bound = -(-(hx + 1) // (cy + 1)) - 1  # strict rational bound
                 for m in dm.rows_for(range(max(d0 - 1, 1), self.max_m + 1)):
                     dm.lower_hi(m, bound, "dim_conn_cap",
                                 f"< (hdim {hx}+1)/(conn {cy}+1)")
+        for (inv, name), table in self.tables.items():
+            known = _KNOWN.get(inv)
+            value = getattr(self.model(inv, name), known) if known else None
+            if self.use_literature and value is not None:
+                for narrow in (table.raise_lo, table.lower_hi):
+                    narrow(INF, value, "literature", f"recorded classical value {value}")
 
     # -- cup-length lower bounds ----------------------------------------------
     def _lower_targets(self):
