@@ -11,16 +11,12 @@ from secatm import engine
 from secatm.engine import compute_tables
 from secatm.goldens import all_cases
 from secatm.modelfile import load_model_file
-from secatm.tables import INF, table_to_json
+from secatm.tables import INF
 
 from reference import UnprunedEngine, unpruned_pairs
-from test_fixpoint import _catalogue_bundle
+from test_fixpoint import _catalogue_bundle, _dumps
 
 ROOT = Path(__file__).resolve().parent.parent
-
-
-def _dumps(tables) -> list:
-    return [(key, table_to_json(table)) for key, table in tables.items()]
 
 
 def assert_equal_to_the_unpruned_pairs(monkeypatch, build, **kwargs):
