@@ -5,27 +5,32 @@
 The corpus is every table of a full and of a targeted ``compute_tables`` run
 of each golden case (``table_to_json``), ``secatm paper-suite --json``, and
 ``secatm bounds --json`` and ``--certificates`` on every file in
-``models/``, with each command's exit code.  Five lines are printed: one
+``models/``, with each command's exit code.  Six lines are printed: one
 digest with the certificates kept, one with every ``certificate`` field
 stripped and the ``--certificates`` text left out, one with every
 ``detail`` field stripped as well, one over the raw stdout of every
 command, and one over every table (``table_to_json``, certificates
 stripped) of the benchmark's rules-wide catalogue, all its items in one
-bundle at M = 64, with and without literature.  The first three re-parse
+bundle at M = 64, with and without literature, and one over every table
+(``table_to_json``, certificates kept) of the bundles of
+``scripts/rule_witnesses.py``, on which each rule id narrows at least once.
+The first three re-parse
 ``--json`` output, so they cannot see whitespace or escaping.  Equal
 digests at two commits mean equal intervals and rule ids (third line),
 also equal provenance text (second line), also equal witnesses (first
 line), and also the same bytes on stdout (fourth line); the fifth extends
 the provenance check to every rule that fires on the catalogue's 131
-items.  ``--intervals`` prints one digest over the intervals alone: the
-invariant, target and ``(m, lo, hi)`` of every row of every table, plus
-exit codes, with provenance and the ``--certificates`` text left out; it
-compares two checkouts whose provenance differs.
-``scripts/expected_digests.txt`` holds the five lines of the current
+items, and the sixth to every rule id.  ``--intervals`` prints one digest
+over the intervals alone: the invariant, target and ``(m, lo, hi)`` of
+every row of every table, plus exit codes, with provenance and the
+``--certificates`` text left out; it compares two checkouts whose
+provenance differs.
+``scripts/expected_digests.txt`` holds the six lines of the current
 output and ``scripts/expected_intervals.txt`` the ``--intervals`` line,
 which CI diffs against.
 Standard library only; the package is imported from this checkout's
-``src``, and the catalogue from its ``perfbench/cases.py``.
+``src``, the catalogue from its ``perfbench/cases.py`` and the witnesses
+from its ``scripts/rule_witnesses.py``.
 """
 
 from __future__ import annotations
@@ -42,11 +47,14 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "scripts"))
 
 from secatm.cli import main  # noqa: E402
 from secatm.engine import Bundle, compute_tables  # noqa: E402
 from secatm.goldens import all_cases  # noqa: E402
 from secatm.tables import table_to_json  # noqa: E402
+
+import rule_witnesses  # noqa: E402
 
 
 def _tables(tables) -> list:
@@ -82,22 +90,41 @@ def corpus() -> list[tuple[str, object, bool, str | None]]:
     return items
 
 
-def catalogue_digest() -> str:
-    """Digest of every table, certificates stripped, of one bundle holding
-    all items of ``perfbench/cases.py``'s rules-wide catalogue, at M = 64,
-    with and without literature."""
+def catalogue() -> tuple[int, object]:
+    """``(items, build)`` of ``perfbench/cases.py``'s rules-wide catalogue:
+    its number of items and a function that builds one fresh bundle holding
+    them all."""
     spec = importlib.util.spec_from_file_location("perfbench_cases",
                                                   ROOT / "perfbench" / "cases.py")
     cases = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(cases)
     makers = {item: make for category in cases.rules_wide_catalogue().values()
               for item, make in category.items()}
-    digest = hashlib.sha256()
-    for lit in (True, False):
+
+    def build() -> Bundle:
         bundle = Bundle()
         cases.add_items(bundle, makers, sorted(makers))
-        tables = compute_tables(bundle, max_m=64, use_literature=lit)
+        return bundle
+    return len(makers), build
+
+
+def catalogue_digest() -> str:
+    """Digest of every table, certificates stripped, of one bundle holding
+    all items of the rules-wide catalogue, at M = 64, with and without
+    literature."""
+    _, build = catalogue()
+    digest = hashlib.sha256()
+    for lit in (True, False):
+        tables = compute_tables(build(), max_m=64, use_literature=lit)
         digest.update(json.dumps([lit, _strip(_tables(tables))], sort_keys=True).encode())
+    return digest.hexdigest()
+
+
+def witness_digest() -> str:
+    """Digest of every table, certificates kept, of each rule witness."""
+    digest = hashlib.sha256()
+    for name, _, tables in rule_witnesses.runs():
+        digest.update(json.dumps([name, _tables(tables)], sort_keys=True).encode())
     return digest.hexdigest()
 
 
@@ -158,3 +185,4 @@ if __name__ == "__main__":
         print(f"intervals, rule ids:  {rule_ids}")
         print(f"stdout bytes:         {stdout_bytes}")
         print(f"rules-wide catalogue: {catalogue_digest()}")
+        print(f"rule witnesses:       {witness_digest()}")

@@ -22,16 +22,17 @@ this checkout's ``src``, and ``perfbench/`` is read, not edited.
 
 from __future__ import annotations
 
-import importlib.util
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from secatm.engine import Bundle, compute_tables  # noqa: E402
+from secatm.engine import compute_tables  # noqa: E402
 from secatm.modelfile import load_model_file  # noqa: E402
 from secatm.tables import INF  # noqa: E402
+
+from output_digest import catalogue  # noqa: E402
 
 MAX_M = 64
 INVARIANTS = ("cat", "tc", "secat", "dm", "hdm")
@@ -55,19 +56,8 @@ def counts(tables) -> dict:
 
 def corpora() -> list:
     """(label, function building a fresh bundle) of every corpus."""
-    spec = importlib.util.spec_from_file_location("perfbench_cases",
-                                                  ROOT / "perfbench" / "cases.py")
-    cases = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(cases)
-    makers = {item: make for category in cases.rules_wide_catalogue().values()
-              for item, make in category.items()}
-
-    def catalogue():
-        bundle = Bundle()
-        cases.add_items(bundle, makers, sorted(makers))
-        return bundle
-
-    out = [(f"rules-wide catalogue, {len(makers)} items", catalogue)]
+    items, build = catalogue()
+    out = [(f"rules-wide catalogue, {items} items", build)]
     for path in sorted((ROOT / "models").glob("*.json")):
         out.append((f"models/{path.name}",
                     lambda path=str(path): load_model_file(path).bundle))

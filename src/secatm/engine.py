@@ -2,25 +2,27 @@
 classical column, produced by exact cup-length lower bounds and a narrowing
 rule system iterated to a fixpoint.
 
-Every rule is a record in one table built per run, and every record states
-one inequality: a target table is at most its source tables at shared index
-pairs.  Applying it lowers the target's upper ends and, for an inequality
-between two single entries, raises the source's lower ends too; an equality
-is two records, one each way.  Two facts are no records but kept by the
-tables themselves (see :mod:`secatm.tables`): monotonicity in m with the
-cap by the classical value, as each narrowing carries on to the rows it
-implies, and stabilization, as the m-dimensional invariants equal the
-classical ones from m = hdim on (twice hdim for tc; Schwarz) and a table
-stores rows only below that m.  Each record's index pairs are resolved once
-against the stored rows, without the pairs these facts imply (``_pairs``),
-so ``pi_vanishing_eq``, the classical entry equal to one row, is one record.
+Every rule between tables is a record in one table built per run, and every
+record states one inequality: a target table is at most its source tables
+at shared index pairs.  Applying it lowers the target's upper ends and, for
+an inequality between two single entries, raises the source's lower ends
+too; an equality is two records, one each way, or one where the other way
+is a rule of its own.  The facts on one table are kept by the tables
+themselves (see :mod:`secatm.tables`): monotonicity in m with the cap by
+the classical value, as each narrowing carries on to the rows it implies;
+stabilization, as the m-dimensional invariants equal the classical ones
+from m = hdim on (twice hdim for tc; Schwarz) and a table stores rows only
+below that m; and dimension recovery, the skeletal cap and the
+homotopy-vanishing equality, one step per table (``BoundTable.apply``)
+swept after the fibration records.  Each record's index pairs are resolved
+once against the stored rows, without those the tables imply (``_pairs``).
 Every rule only narrows intervals, so iteration terminates, and the
-intervals it ends with do not depend on the order of the records or on when
-the tables apply their own facts (chaotic iteration; Cousot 1977); a
-crossing pair of bounds raises :class:`~secatm.tables.InconsistentModel`
-with both provenance chains.  A sweep re-applies a record only when a table
-it reads has narrowed since its last application (semi-naive evaluation),
-which changes no event and no order of events.
+intervals it ends with do not depend on the order of the rules (chaotic
+iteration; Cousot 1977); a crossing pair of bounds raises
+:class:`~secatm.tables.InconsistentModel` with both provenance chains.  A
+sweep re-applies a record or step only when a table it reads has narrowed
+since its last application (semi-naive evaluation), which changes no event
+and no order of events.
 Lower bounds come from capped cup-lengths over spans of ideal generators:
 for cat, the algebra generators of H^+ (the basis classes that complement
 the decomposables); for tc, a (x) 1 - 1 (x) a over those generators, which
@@ -117,92 +119,65 @@ def compute_tables(bundle, max_m=None, use_literature=True, targets=None):
 # rule records
 # ---------------------------------------------------------------------------
 
-# Index pairs (m, n, shift) by kind, m increasing: the target entry m is
-# bounded above by the source entry n, offset by shift.  Finite m run up to
-# ``last``, the target's ``stable_from`` or M: every later pair would bind
-# the target's inf entry to source rows no lower (see ``_pairs``).  A record
-# that also raises lower ends reads the pairs the other way, the source entry
-# n bounded below by the target entry m.  "row" is the one pair inf <= row k.
-_PAIRS = {
-    "same": lambda last, d: [(m, m, 0) for m in range(1, last + 1)] + [(INF, INF, 0)],
-    "recover": lambda last, d: [(INF, m, d // (m + 1)) for m in range(1, last + 1)],
-    "row": lambda last, k: [(INF, max(k, 1), 0)],
-}
-
-
-def _text(detail, m, n) -> str:
-    return detail if isinstance(detail, str) else detail(m, n)
-
-
 class _Bound(NamedTuple):
-    """One inequality, ``target[m] <= max(scale * sum(source[n]) + shift,
-    floor)`` at each index pair (target row, one row per source, shift),
-    over stored rows.  Applying it lowers ``target[m].hi``.  A record with a
-    ``lo_detail`` (one source, scale 1, no floor) first raises
-    ``source[n].lo`` to ``target[m].lo - shift``, over all pairs, and then
-    lowers the upper ends.  ``detail`` and ``lo_detail`` are provenance text,
-    or ``(m, n) -> text`` of the pair's target and source row."""
+    """One inequality, ``target[m] <= scale * sum(source[n])`` at each index
+    pair (target row, one row per source), over stored rows.  Applying it
+    lowers ``target[m].hi``.  A record with a ``lo_detail`` (one source,
+    scale 1) first raises ``source[n].lo`` to ``target[m].lo``, over all
+    pairs, and then lowers the upper ends.  ``detail`` and ``lo_detail`` are
+    the provenance text of the two sides."""
 
     rule: str
     target: BoundTable
     sources: tuple
     pairs: list
-    detail: object
-    lo_detail: object = None
+    detail: str
+    lo_detail: str | None = None
     scale: int = 1
-    floor: int = 0
 
     @property
     def inputs(self) -> tuple:
         """The tables the record reads, each once."""
-        if self.lo_detail is None or self.target in self.sources:
-            return self.sources
-        return (*self.sources, self.target)
+        return self.sources if self.lo_detail is None else (*self.sources, self.target)
 
     def apply(self) -> bool:
         raised = self.lo_detail is not None and self._raise()
         return self._lower() | raised
 
     def _raise(self) -> bool:
-        source = self.sources[0]
+        source, changed = self.sources[0], False
         rows, target = source.rows, self.target.rows
-        changed = False
-        for m, (n,), shift in self.pairs:
-            value = target[m].lo - shift
-            if value > rows[n].lo:
-                changed |= source.raise_lo(n, value, self.rule, _text(self.lo_detail, m, n))
+        for m, (n,) in self.pairs:
+            if target[m].lo > rows[n].lo:
+                changed |= source.raise_lo(n, target[m].lo, self.rule, self.lo_detail)
         return changed
 
     def _lower(self) -> bool:
-        target, scale, floor = self.target, self.scale, self.floor
-        rows = target.rows
+        target, scale, rows = self.target, self.scale, self.target.rows
         first, *rest = [s.rows for s in self.sources]
         changed = False
-        for m, ns, shift in self.pairs:
+        for m, ns in self.pairs:
             hi = first[ns[0]].hi
             if rest and hi is not None:  # product and triangle sums only
                 parts = [other[n].hi for other, n in zip(rest, ns[1:])]
                 hi = None if None in parts else hi + sum(parts)
             if hi is None:
                 continue
-            value = scale * hi + shift
-            if value < floor:
-                value = floor
             current = rows[m].hi
-            if current is None or value < current:
-                changed |= target.lower_hi(m, value, self.rule, _text(self.detail, m, ns[0]))
+            if current is None or scale * hi < current:
+                changed |= target.lower_hi(m, scale * hi, self.rule, self.detail)
         return changed
 
 
 def _fixpoint(rules) -> None:
-    """Sweep the records in order until a sweep narrows nothing, skipping a
-    record while no table it reads (``inputs``) has narrowed since its last
-    application (semi-naive evaluation).  Skipping is exact: an application
-    leaves every pair of its record satisfied unless it narrowed an input,
-    and narrowing its target further cannot unsatisfy a pair.  The counts
-    are taken before the application, so a record that narrows its own
-    input (``dim_recovery`` reads the rows it raises) runs again; they only
-    grow, so their sum tells whether any of them moved."""
+    """Sweep the records and table steps in order until a sweep narrows
+    nothing, skipping one while no table it reads (``inputs``) has narrowed
+    since its last application (semi-naive evaluation).  Skipping is exact:
+    an application leaves every pair of its record satisfied unless it
+    narrowed an input, and narrowing its target further cannot unsatisfy a
+    pair.  The counts are taken before the application, so a table step,
+    which reads the rows it narrows, runs again after it narrowed; they
+    only grow, so their sum tells whether any of them moved."""
     inputs = [rule.inputs for rule in rules]
     seen = [-1] * len(rules)
     changed = True
@@ -227,6 +202,18 @@ _KINDS = tuple(_INVARIANTS)
 KIND_OF = {inv: kind for kind, invs in _INVARIANTS.items() for inv in invs}
 # the model field holding each invariant's recorded classical value
 _KNOWN = {"cat": "known_cat", "tc": "known_tc", "secat": "known_secat", "dm": "known_d"}
+
+
+def _pi_row(inv, model):
+    """(k, detail) when the homotopy ``inv`` reads vanishes from degree d0,
+    so the classical entry equals entry k = max(d0 - 1, 1) (d0 for secat,
+    whose fiber's homotopy counts); None for hdm or no such d0."""
+    d0, whose, lag = ((model.pi_vanish_from, "", 1) if inv in ("cat", "tc") else
+                      (model.codomain.pi_vanish_from, "codomain ", 1) if inv == "dm" else
+                      (model.fiber_pi_vanish_from, "fiber ", 0) if inv == "secat" else
+                      (None, "", 0))
+    detail = f"{whose}homotopy vanishes from degree {d0}"
+    return None if d0 is None else (max(d0 - lag, 1), detail)
 
 
 def _dim_param(inv, model):
@@ -310,13 +297,13 @@ class _Engine:
             for name, model in getattr(self.bundle, kind).items():
                 for inv in invariants:
                     self.tables[(inv, name)] = BoundTable(
-                        inv, name, self.max_m, _dim_param(inv, model))
+                        inv, name, self.max_m, _dim_param(inv, model), _pi_row(inv, model))
 
         self.rules = self._rules()
         self._apply_static()
         self._apply_lower_bounds()
 
-        # sweep until quiet, skipping records whose inputs did not narrow
+        # sweep until quiet, skipping steps whose inputs did not narrow
         _fixpoint(self.rules)
         return self.tables
 
@@ -353,12 +340,12 @@ class _Engine:
     # -- cup-length lower bounds ----------------------------------------------
     def _lower_targets(self):
         """Tables that need cup-length lower bounds: the requested ones plus
-        every table whose lower bounds reach them.  Lower bounds flow only
-        through records with a ``lo_detail``, from the record's target to
-        its source."""
+        every table whose lower bounds reach them.  Between tables, lower
+        bounds flow only through records with a ``lo_detail``, from the
+        record's target to its source."""
         feeds: dict = {}  # table key -> keys whose lower bounds flow into it
         for rule in self.rules:
-            if rule.lo_detail is not None:
+            if isinstance(rule, _Bound) and rule.lo_detail is not None:
                 feeds.setdefault(rule.sources[0].key(), []).append(rule.target.key())
         seen = set()
         todo = list(self.tables if self.requested is None else self.requested)
@@ -411,77 +398,49 @@ class _Engine:
         return capped_cuplength(CupLengthQuery(algebra, generators), caps)
 
     # -- the rule table ----------------------------------------------------------
-    def _pairs(self, kind, dim, target, sources):
+    def _pairs(self, target, sources):
         """The index pairs of one record resolved against the stored rows of
-        its tables, (target row, source rows, shift), without those the
-        tables already imply: a pair is dropped when an earlier kept pair on
-        its target row has no larger shift, or when a record on one table
-        binds a row to itself.  Such a pair narrows nothing.  Every kind
-        lists m in increasing order, so source rows never decrease along a
-        record; table rows are monotone after every narrowing; and a record
-        applies its pairs in list order, so the earlier pair has already made
-        the target row at most, and the source rows at least, what the
-        dropped one would.  Records whose tables stabilize alike share one
-        list, built on the first of them: a record on one table is keyed by
-        its ``stable_from`` alone, a shorter key than any other record's."""
-        itself = sources == (target,)
-        key = ((kind, dim, target.stable_from) if itself else
-               (kind, dim, target.stable_from, *[s.stable_from for s in sources]))
+        its tables, (target row, source rows), without those the tables
+        already imply: the target's finite m run up to its ``stable_from``,
+        and a pair is dropped when an earlier pair binds its target row.  m
+        increases, so source rows never decrease along a record; table rows
+        are monotone; and a record applies its pairs in order, so the
+        earlier pair has already done what the dropped one would.  Records
+        whose tables stabilize alike share one list."""
+        key = (target.stable_from, *[s.stable_from for s in sources])
         pairs = self._pair_cache.get(key)
         if pairs is None:
-            raw = _PAIRS[kind](min(self.max_m, target.stable_from), dim)
-            # an index with no stored row of its own is the inf entry
-            columns = [[n if n in s.rows else INF for _, n, _ in raw] for s in sources]
-            kept, rows_of = {}, target.rows  # target row -> least shift kept on it
+            last = min(self.max_m, target.stable_from)
             pairs = self._pair_cache[key] = []
-            for (m, _, shift), rows in zip(raw, zip(*columns)):
-                row = m if m in rows_of else INF
-                if kept.get(row, shift + 1) > shift and not (itself and rows[0] == row):
-                    kept[row] = shift
-                    pairs.append((row, rows, shift))
+            kept = set()  # target rows bound so far
+            for m in [*range(1, last + 1), INF]:
+                row = m if m in target.rows else INF
+                if row not in kept:
+                    kept.add(row)
+                    # an index with no stored row of its own is the inf entry
+                    pairs.append((row, tuple([m if m in s.rows else INF for s in sources])))
         return pairs
 
     def _rules(self):
-        """Every narrowing rule of the fixpoint as a record, in sweep order."""
+        """Every narrowing rule of the fixpoint in sweep order: the records,
+        each an inequality between tables, and one step per table for the
+        facts that relate it only to itself (``BoundTable.apply``)."""
         b, t, name_of, rules = self.bundle, self.t, self.name_of, []
 
-        def le(rule, target, sources, detail, kind="same", dim=None, scale=1, floor=0,
-               lo_detail=None):
+        def le(rule, target, sources, detail, scale=1, lo_detail=None):
             sources = tuple(sources)
-            pairs = self._pairs(kind, dim, target, sources)
-            if pairs:  # a record with no pair left can never narrow
-                rules.append(_Bound(rule, target, sources, pairs, detail, lo_detail, scale, floor))
-
-        def eq(rule, a, b_, detail):
-            le(rule, a, [b_], detail, lo_detail=detail)
-            le(rule, b_, [a], detail, lo_detail=detail)
+            rules.append(_Bound(rule, target, sources, self._pairs(target, sources),
+                                detail, lo_detail, scale))
 
         for name, f in b.fibrations.items():
             s, c = t("secat", name), t("cat", name_of(f.base))
             le("secat_le_cat_base", s, [c], f"at most cat[{c.target}]",
                lo_detail=f"at least secat[{name}]")
-            if f.total_contractible:
-                eq("secat_eq_cat_contractible", s, c, "contractible total space")
-        dims = [(tab, tab.dim) for tab in self.tables.values() if tab.dim is not None]
-        for tab, dim in dims:
-            le("dim_recovery", tab, [tab],
-               lambda m, n, d=dim: f"m={n} entry + floor({d}/{n + 1})", "recover", dim,
-               lo_detail=lambda m, n, d=dim: f"classical entry - floor({d}/{n + 1})")
-        for tab, dim in dims:
-            le("skeletal_cap", tab, [tab], lambda m, n: f"max of the m={n} entry and 2",
-               "row", dim - 1, floor=2)
-
-        # (table, first degree of vanishing homotopy, whose, first m = d0 - lag)
-        vanishing = [(t(inv, n), s.pi_vanish_from, "", 1)
-                     for n, s in b.spaces.items() for inv in ("cat", "tc")]
-        vanishing += [(t("dm", n), p.codomain.pi_vanish_from, "codomain ", 1)
-                      for n, p in b.map_pairs.items()]
-        vanishing += [(t("secat", n), f.fiber_pi_vanish_from, "fiber ", 0)
-                      for n, f in b.fibrations.items()]
-        for tab, d0, whose, lag in vanishing:
-            if d0 is not None:  # inf <= row d0 - lag, so the two are equal
-                detail = f"{whose}homotopy vanishes from degree {d0}"
-                le("pi_vanishing_eq", tab, [tab], detail, "row", d0 - lag, lo_detail=detail)
+            if f.total_contractible:  # the other direction is secat_le_cat_base
+                detail = "contractible total space"
+                le("secat_eq_cat_contractible", c, [s], detail, lo_detail=detail)
+        rules += [tab for tab in self.tables.values()
+                  if tab.stable_from > 1 and (tab.dim is not None or tab.pi_row is not None)]
 
         products = [(inv, n, s.factors) for n, s in b.spaces.items() for inv in ("cat", "tc")]
         products += [("secat", n, f.factors) for n, f in b.fibrations.items()]
@@ -516,8 +475,9 @@ class _Engine:
                 csq = t("cat", name_of(s.square))
                 le("tc_le_cat_square", tc, [csq], f"at most cat[{csq.target}]")
         for name, s in b.spaces.items():
-            if s.h_space_with_division:
-                eq("h_space_eq", t("tc", name), t("cat", name), "H-space with division")
+            if s.h_space_with_division:  # the other direction is cat_le_tc
+                detail = "H-space with division"
+                le("h_space_eq", t("tc", name), [t("cat", name)], detail, lo_detail=detail)
 
         for name, p in b.map_pairs.items():
             aug_g, aug_f = p.gstar.is_augmentation(), p.fstar.is_augmentation()
@@ -526,9 +486,10 @@ class _Engine:
             other = p.fstar if aug_g else p.gstar
             dm = t("dm", name)
             cdom, ccod = t("cat", name_of(p.domain)), t("cat", name_of(p.codomain))
-            if other.is_identity():
-                eq("const_vs_identity", dm, cdom,
-                   "distance to a constant map equals cat")
+            if other.is_identity():  # dm <= cat[domain] raises no lower end
+                detail = "distance to a constant map equals cat"
+                le("const_vs_identity", dm, [cdom], detail, lo_detail=detail)
+                le("const_vs_identity", cdom, [dm], detail, lo_detail=detail)
             else:  # dm <= cat[domain] is dm_le_cat_domain
                 le("const_pair_cap", dm, [ccod], f"at most cat[{ccod.target}]")
         return rules

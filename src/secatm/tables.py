@@ -30,7 +30,8 @@ tail row m:
 
 ``events``, ``lo``, ``hi`` and ``interval`` answer for every m in
 ``index``, and ``render_text`` and ``table_to_json`` list every row asked
-for.  Tables without a dimension parameter store every row.
+for.  Tables without a dimension parameter store every row.  ``apply``
+narrows by three more facts on the table alone, as one fixpoint step.
 """
 
 from __future__ import annotations
@@ -113,14 +114,17 @@ class BoundTable:
     events of the stored rows ``stored``; ``interval`` and ``events`` look
     them up at any m of ``index``.  ``narrowings`` counts the narrowings
     that took effect, so a reader can tell whether the table moved since it
-    last looked.
+    last looked.  ``pi_row`` is ``(k, detail)`` when the inf entry equals
+    entry k >= 1 (see ``apply``).
     """
 
-    def __init__(self, invariant: str, target: str, max_m: int, dim: int | None = None):
+    def __init__(self, invariant: str, target: str, max_m: int, dim: int | None = None,
+                 pi_row: tuple | None = None):
         self.invariant = invariant
         self.target = target
         self.max_m = max_m
         self.dim = dim
+        self.pi_row = pi_row
         # first m whose entry is the inf entry; max_m + 1 when none is
         self.stable_from = max_m + 1 if dim is None else min(max(dim, 1), max_m + 1)
         self.stored: list = [*range(1, self.stable_from), INF]
@@ -199,6 +203,40 @@ class BoundTable:
                 break
             self._narrow(n, "hi", value, rule, detail)
         return True
+
+    # -- the facts on this table alone, one fixpoint step -----------------
+    @property
+    def inputs(self) -> tuple:  # the tables ``apply`` reads
+        return (self,)
+
+    def apply(self) -> bool:
+        """Narrow by the facts on this table alone, over the stored finite
+        rows n; whether anything narrowed.  ``dim_recovery``: inf <= row n +
+        floor(d/(n + 1)), raising each row n to inf less that shift first;
+        ``skeletal_cap``: inf <= max(row d - 1, 2); ``pi_vanishing_eq``: inf
+        = row k of ``pi_row``, raising row k first.  Text is made only for
+        the rows that narrow."""
+        rows, d, changed = self.rows, self.dim, False
+        inf = rows[INF]
+        finite = range(1, self.stable_from)
+        if d is not None:
+            for n in finite:
+                if inf.lo - d // (n + 1) > rows[n].lo:
+                    changed |= self.raise_lo(n, inf.lo - d // (n + 1), "dim_recovery",
+                                             f"classical entry - floor({d}/{n + 1})")
+            for n in finite:
+                hi = rows[n].hi
+                if hi is not None and (inf.hi is None or hi + d // (n + 1) < inf.hi):
+                    changed |= self.lower_hi(INF, hi + d // (n + 1), "dim_recovery",
+                                             f"m={n} entry + floor({d}/{n + 1})")
+            if d - 1 in finite and rows[d - 1].hi is not None:
+                changed |= self.lower_hi(INF, max(rows[d - 1].hi, 2), "skeletal_cap",
+                                         f"max of the m={d - 1} entry and 2")
+        if self.pi_row is not None and self.pi_row[0] in finite:
+            k, detail = self.pi_row
+            changed |= self.raise_lo(k, inf.lo, "pi_vanishing_eq", detail)
+            changed |= self.lower_hi(INF, rows[k].hi, "pi_vanishing_eq", detail)
+        return changed
 
     def _narrow(self, m, side, value, rule, detail, certificate=None) -> None:
         """Set one side of stored row m to ``value`` and log the event."""

@@ -10,16 +10,22 @@ the same spans and lengths.  ``dense_kunneth_blocks`` lays out the
 Kunneth blocks over every pair of degrees, ``dense_law_violation`` checks
 the algebra laws on every pair and triple of basis classes, and
 ``sweep_until_quiet`` is the plain rule fixpoint, which re-applies every
-record on every sweep.  ``compute_tables_by_records`` runs the engine with
+record on every sweep.  ``SelfRecord`` is a rule record on one table, with
+a shift per index pair, a floor and provenance text per pair, which the
+designs below need.  ``compute_tables_by_records`` runs the engine with
 monotonicity in m written as rule records over tables that narrow one row
-per call (``PlainTable``), the design ``BoundTable`` replaced, and
-``UnprunedEngine`` runs it with every index pair of its records that the
-monotone tables imply kept (``unpruned_pairs``).  ``zero_divisor`` writes
-``a (x) 1 - 1 (x) a`` in a tensor square.  Nothing in ``secatm`` uses them.
+per call (``PlainTable``), the design ``BoundTable`` replaced;
+``SelfRecordEngine`` runs it with the facts on one table written as rule
+records (``self_records``) and each equality as two records, the design
+``BoundTable.apply`` replaced; and ``UnprunedEngine`` runs that with every
+index pair of its records that the monotone tables imply kept
+(``unpruned_pairs``).  ``zero_divisor`` writes ``a (x) 1 - 1 (x) a`` in a
+tensor square.  Nothing in ``secatm`` uses them.
 
 Import them as ``from reference import ...``.
 """
 
+from typing import NamedTuple
 from unittest import mock
 
 from secatm import engine, linalg
@@ -34,7 +40,7 @@ from secatm.algebra import (
     tensor_square,
 )
 from secatm.cuplength import CupLengthCertificate, CupLengthQuery, _element, capped_cuplength
-from secatm.engine import _Bound, _lower_source
+from secatm.engine import _lower_source
 from secatm.linalg import FieldEchelon, vis_zero, vunit, vzero
 from secatm.spaces import FibrationModel, MapPairModel, SpaceModel
 from secatm.tables import INF, BoundTable
@@ -423,6 +429,48 @@ def sweep_until_quiet(rules) -> None:
 
 
 # ---------------------------------------------------------------------------
+# rule records on one table
+# ---------------------------------------------------------------------------
+
+def _text(detail, m, n) -> str:
+    return detail if isinstance(detail, str) else detail(m, n)
+
+
+class SelfRecord(NamedTuple):
+    """One inequality on one table, ``table[m] <= max(table[n] + shift,
+    floor)`` at each index pair ``(m, n, shift)`` of stored rows.  Applying
+    it lowers ``table[m].hi``; a record with a ``lo_detail`` first raises
+    ``table[n].lo`` to ``table[m].lo - shift``, over all pairs.  ``detail``
+    and ``lo_detail`` are provenance text, or ``(m, n) -> text``."""
+
+    rule: str
+    table: BoundTable
+    pairs: list
+    detail: object
+    lo_detail: object = None
+    floor: int = 0
+
+    @property
+    def inputs(self) -> tuple:
+        return (self.table,)
+
+    def apply(self) -> bool:
+        table, rows, changed = self.table, self.table.rows, False
+        if self.lo_detail is not None:
+            for m, n, shift in self.pairs:
+                if rows[m].lo - shift > rows[n].lo:
+                    changed |= table.raise_lo(n, rows[m].lo - shift, self.rule,
+                                              _text(self.lo_detail, m, n))
+        for m, n, shift in self.pairs:
+            if rows[n].hi is None:
+                continue
+            value = max(rows[n].hi + shift, self.floor)
+            if rows[m].hi is None or value < rows[m].hi:
+                changed |= table.lower_hi(m, value, self.rule, _text(self.detail, m, n))
+        return changed
+
+
+# ---------------------------------------------------------------------------
 # monotonicity in m as rule records
 # ---------------------------------------------------------------------------
 
@@ -454,14 +502,14 @@ def monotone_records(tables) -> list:
     records = []
     for tab in tables:
         finite = tab.stored[:-1]
-        down = [(m, (tab.row(m + 1),), 0) for m in finite if m < tab.max_m]
-        records.append(_Bound("monotone_m", tab, (tab,), down,
-                              lambda m, n: f"at most the m={n} entry",
-                              lambda m, n: f"at least the m={m} entry"))
+        down = [(m, tab.row(m + 1), 0) for m in finite if m < tab.max_m]
+        records.append(SelfRecord("monotone_m", tab, down,
+                                  lambda m, n: f"at most the m={n} entry",
+                                  lambda m, n: f"at least the m={m} entry"))
     for tab in tables:
-        up = [(m, (INF,), 0) for m in tab.stored[:-1]]
-        records.append(_Bound("classical_cap", tab, (tab,), up, "at most the classical value",
-                              lambda m, n: f"dominates the m={m} entry"))
+        up = [(m, INF, 0) for m in tab.stored[:-1]]
+        records.append(SelfRecord("classical_cap", tab, up, "at most the classical value",
+                                  lambda m, n: f"dominates the m={m} entry"))
     return [record for record in records if record.pairs]
 
 
@@ -478,47 +526,93 @@ def compute_tables_by_records(bundle, max_m=None, use_literature=True, targets=N
 
 
 # ---------------------------------------------------------------------------
+# the facts on one table as rule records
+# ---------------------------------------------------------------------------
+
+def self_records(run) -> list:
+    """The three rule families that wrote the facts on one table, in their
+    sweep order, each over the stored finite rows n of its table: first
+    ``dim_recovery`` on every table with a dimension parameter d (inf at
+    most row n + floor(d/(n + 1)), so row n at least inf less that shift),
+    then ``skeletal_cap`` on each (inf at most max(row d - 1, 2)), then
+    ``pi_vanishing_eq`` on every table whose model's homotopy vanishes from
+    degree d0 (inf at most row d0 - 1, d0 for secat, and that row at least
+    inf).  The last reads the models, not ``BoundTable.pi_row``.  A record
+    with no pair is left out."""
+    b, t = run.bundle, run.t
+    dims = [tab for tab in run.tables.values() if tab.dim is not None]
+    records = []
+    for tab in dims:
+        d = tab.dim
+        records.append(SelfRecord(
+            "dim_recovery", tab, [(INF, n, d // (n + 1)) for n in tab.stored[:-1]],
+            lambda m, n, d=d: f"m={n} entry + floor({d}/{n + 1})",
+            lambda m, n, d=d: f"classical entry - floor({d}/{n + 1})"))
+    for tab in dims:
+        k = max(tab.dim - 1, 1)
+        records.append(SelfRecord(
+            "skeletal_cap", tab, [(INF, k, 0)] if k in tab.stored[:-1] else [],
+            lambda m, n: f"max of the m={n} entry and 2", floor=2))
+    vanishing = [(t(inv, n), s.pi_vanish_from, "", 1)
+                 for n, s in b.spaces.items() for inv in ("cat", "tc")]
+    vanishing += [(t("dm", n), p.codomain.pi_vanish_from, "codomain ", 1)
+                  for n, p in b.map_pairs.items()]
+    vanishing += [(t("secat", n), f.fiber_pi_vanish_from, "fiber ", 0)
+                  for n, f in b.fibrations.items()]
+    for tab, d0, whose, lag in vanishing:
+        if d0 is not None:
+            k, detail = max(d0 - lag, 1), f"{whose}homotopy vanishes from degree {d0}"
+            records.append(SelfRecord(
+                "pi_vanishing_eq", tab, [(INF, k, 0)] if k in tab.stored[:-1] else [],
+                detail, detail))
+    return [record for record in records if record.pairs]
+
+
+# the equalities the engine writes one way, the other way being a record of
+# its own: 1 when the way it dropped came after the way it kept, 0 before
+_ONE_WAY_EQUALITIES = {"secat_eq_cat_contractible": 0, "h_space_eq": 1}
+
+
+class SelfRecordEngine(engine._Engine):
+    """The engine with the rule table it had before the facts on one table
+    became ``BoundTable.apply``: the ``self_records`` swept where the table
+    steps are, and each equality as two records, one each way."""
+
+    def _rules(self):
+        records, placed = [], False
+        for rule in super()._rules():
+            if isinstance(rule, BoundTable):
+                if not placed:  # the steps sit together, where the records were
+                    records += self_records(self)
+                    placed = True
+            elif rule.rule in _ONE_WAY_EQUALITIES:
+                back = rule._replace(target=rule.sources[0], sources=(rule.target,),
+                                     pairs=self._pairs(rule.sources[0], (rule.target,)))
+                records += [rule, back] if _ONE_WAY_EQUALITIES[rule.rule] else [back, rule]
+            else:
+                records.append(rule)
+        return records
+
+
+# ---------------------------------------------------------------------------
 # index pairs before the engine dropped the implied ones
 # ---------------------------------------------------------------------------
 
-def unpruned_pairs(run, kind, dim, target, sources) -> list:
+def unpruned_pairs(run, target, sources) -> list:
     """``_Engine._pairs`` without its pruning: finite m run up to the
-    largest ``stable_from`` of the record's tables, and only duplicates and
-    pairs that bind a row of a one-table record to itself are dropped."""
-    itself = sources == (target,)
+    largest ``stable_from`` of the record's tables, and only duplicates are
+    dropped."""
     last = max([t.stable_from for t in (target, *sources)])
-    raw = engine._PAIRS[kind](min(run.max_m, last), dim)
-    columns = [[n if n in s.rows else INF for _, n, _ in raw] for s in sources]
     found = {}
-    for (m, _, shift), rows in zip(raw, zip(*columns)):
-        row = m if m in target.rows else INF
-        if shift or not itself or rows[0] != row:
-            found[row, rows, shift] = None
+    for m in [*range(1, min(run.max_m, last) + 1), INF]:
+        found[m if m in target.rows else INF,
+              tuple([m if m in s.rows else INF for s in sources])] = None
     return list(found)
 
 
-class UnprunedEngine(engine._Engine):
-    """The engine with the rule table it had before records dropped the
-    pairs the tables imply: ``unpruned_pairs``, the second record of an
-    equality over the first one's pairs reversed, and ``pi_vanishing_eq``
-    as the equality of the inf entry with each row from its first one on,
-    two records."""
+class UnprunedEngine(SelfRecordEngine):
+    """``SelfRecordEngine`` with the index pairs its records had before
+    they dropped the pairs the tables imply: ``unpruned_pairs``."""
 
-    def _pairs(self, kind, dim, target, sources):
-        return unpruned_pairs(self, kind, dim, target, sources)
-
-    def _rules(self):
-        records = []
-        for record in super()._rules():
-            if record.rule == "pi_vanishing_eq":
-                (_, (k,), _), = record.pairs
-                rows = range(k, record.target.stable_from)
-                up = record._replace(pairs=[(m, (INF,), 0) for m in rows])
-                records += [up, record._replace(pairs=[(INF, (m,), 0) for m in rows])]
-                continue
-            last = records[-1] if records else None
-            if (last is not None and last.rule == record.rule
-                    and last.sources == (record.target,) and record.sources == (last.target,)):
-                record = record._replace(pairs=[(n, (m,), 0) for m, (n,), _ in last.pairs])
-            records.append(record)
-        return records
+    def _pairs(self, target, sources):
+        return unpruned_pairs(self, target, sources)

@@ -40,6 +40,7 @@ from reference import (
 )
 from test_algebra import SQUARE_FACTORS, cup_algebras, odd_rational, plain_copy
 from test_engine import _over, _perfbench_cases
+from test_fixpoint import _catalogue_bundle
 
 
 def positive_query(algebra, cap):
@@ -715,12 +716,8 @@ def _run_sources(bundle):
 
 
 def test_dp_matches_the_layered_dp_on_the_catalogue_and_the_ladder():
-    cases = _perfbench_cases()
-    makers = {item: make for category in cases.rules_wide_catalogue().values()
-              for item, make in category.items()}
-    bundles = [Bundle()]
-    cases.add_items(bundles[0], makers, sorted(makers))
-    for cid, _, build in cases._tc_ladder_specs():
+    bundles = [_catalogue_bundle()]
+    for cid, _, build in _perfbench_cases()._tc_ladder_specs():
         bundles.append(Bundle())
         bundles[-1].add_space(cid, build())
     seen = Counter()

@@ -1,3 +1,4 @@
+import ast
 import functools
 import gc
 import importlib.util
@@ -52,9 +53,10 @@ from secatm.spaces import (
     real_projective,
     sphere,
 )
-from secatm.tables import INF, InconsistentModel, table_to_json
+from secatm.tables import INF, BoundTable, InconsistentModel, table_to_json
 
 from reference import (
+    SelfRecordEngine,
     UnsupportedCoefficients,
     cat_lower,
     cup_kernel,
@@ -629,6 +631,23 @@ class TestRules:
         rules = {e.rule for e in tables[("dm", "fc")].events[INF]}
         assert "skeletal_cap" in rules
 
+    def test_skeletal_cap_is_the_only_rule_that_closes_its_witness(self):
+        # two equal maps from the genus-3 surface to S^1 x S^1 x S^2, at the
+        # default range with literature: dimension recovery leaves dm[inf]
+        # at most 3 and the skeletal cap makes it 2, so deleting the cap
+        # would widen an interval
+        make = _rule_witnesses().skeletal_cap
+        tables = compute_tables(make())
+        assert entry(tables, "dm", "fg", INF) == (0, 2)
+        assert fired(tables, "dm", "fg", INF, "skeletal_cap") == [("hi", 2)]
+        assert fired(tables, "dm", "fg", INF, "dim_recovery") == [("hi", 3)]
+
+        class WithoutTheCap(SelfRecordEngine):
+            def _rules(self):
+                return [r for r in super()._rules() if r.rule != "skeletal_cap"]
+        tables = WithoutTheCap(make(), None, True, None).run()
+        assert entry(tables, "dm", "fg", INF) == (0, 3)
+
     def test_stabilization_rule(self):
         bundle = Bundle()
         bundle.add_space("s3", sphere(3, Q))
@@ -1011,6 +1030,30 @@ def _perfbench_cases():
     return module
 
 
+def _rule_witnesses():
+    path = PERFBENCH.parent / "scripts" / "rule_witnesses.py"
+    spec = importlib.util.spec_from_file_location("rule_witnesses", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_rule_id_narrows_on_the_rule_witnesses():
+    witnesses = _rule_witnesses()
+    # the benchmark counts the narrowings of each rule id; its list is the
+    # same set
+    tree = ast.parse((PERFBENCH / "run.py").read_text(encoding="utf-8"))
+    benchmark_ids, = [ast.literal_eval(node.value) for node in tree.body if
+                      isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "RULE_IDS"]
+    assert sorted(witnesses.RULE_IDS) == sorted(benchmark_ids)
+    seen = set()
+    for name, ids, tables in witnesses.runs():
+        where = witnesses.fired(tables)
+        assert all(where.get(rule) for rule in ids), (name, sorted(where))
+        seen.update(where)
+    assert seen == set(witnesses.RULE_IDS)
+
+
 def _decode_runs(runs) -> list:
     """The reference's run-length rows [[m_from, m_to, lo, hi], ...] as
     [[m, lo, hi], ...]."""
@@ -1069,16 +1112,19 @@ def test_rule_records_visit_stored_rows_only():
     bundle.add_fibration("cover3", fib)
     engine = _Engine(bundle, 200, True, None)
     engine.run()
-    assert engine.rules and "stabilize" not in {r.rule for r in engine.rules}
-    for rule in engine.rules:
-        target, sources = (rule.a, (rule.b,)) if hasattr(rule, "a") else (
-            rule.target, rule.sources)
+    records = [r for r in engine.rules if not isinstance(r, BoundTable)]
+    steps = [r for r in engine.rules if isinstance(r, BoundTable)]
+    assert records and "stabilize" not in {r.rule for r in records}
+    # the facts on one table are its step, never a record
+    assert steps and all(step.inputs == (step,) for step in steps)
+    for rule in records:
+        target, sources = rule.target, rule.sources
+        assert target not in sources
         assert len(set(rule.pairs)) == len(rule.pairs) <= 2 * max(
             len(t.stored) for t in (target, *sources))
-        for m, ns, shift in rule.pairs:
+        for m, ns in rule.pairs:
             assert m in target.rows
             assert all(n in s.rows for n, s in zip(ns, sources))
-            assert shift or sources != (target,) or ns != (m,)
 
 
 # ---------------------------------------------------------------------------
@@ -1306,12 +1352,9 @@ def assert_certificates_are_the_checked_elements(A, label=""):
 def _catalogue_algebras():
     """(label, algebra) of every space of the rules-wide catalogue, derived
     spaces included, each algebra once."""
-    cases = _perfbench_cases()
-    makers = {item: make for category in cases.rules_wide_catalogue().values()
-              for item, make in category.items()}
-    bundle = Bundle()
-    cases.add_items(bundle, makers, sorted(makers))
-    engine = _Engine(bundle, None, True, None)
+    from test_fixpoint import _catalogue_bundle  # test_fixpoint imports this module
+
+    engine = _Engine(_catalogue_bundle(), None, True, None)
     engine._register()
     seen = {}
     for name, space in engine.bundle.spaces.items():

@@ -1,7 +1,7 @@
-"""The rule fixpoint, which skips a record while its inputs have not
-narrowed, against the plain loop that re-applies every record on every
-sweep (``reference.sweep_until_quiet``): the same events in the same order,
-certificates included."""
+"""The rule fixpoint, which skips a record or table step while its inputs
+have not narrowed, against the plain loop that re-applies every one on
+every sweep (``reference.sweep_until_quiet``): the same events in the same
+order, certificates included."""
 
 from dataclasses import replace
 from pathlib import Path
@@ -69,10 +69,13 @@ def test_rules_wide_catalogue_equals_the_plain_loop(monkeypatch, lit):
 def test_the_fixpoint_skips_records_whose_inputs_did_not_narrow(monkeypatch):
     applied = []
 
-    def counted(self, apply=_Bound.apply):
-        applied.append(self)
-        return apply(self)
-    monkeypatch.setattr(_Bound, "apply", counted)
+    def counted(apply):
+        def apply_counted(self):
+            applied.append(self)
+            return apply(self)
+        return apply_counted
+    for kind in (_Bound, BoundTable):
+        monkeypatch.setattr(kind, "apply", counted(kind.apply))
     runs = {}
     for fixpoint in (_fixpoint, sweep_until_quiet):
         monkeypatch.setattr(engine, "_fixpoint", fixpoint)
@@ -108,8 +111,8 @@ def test_one_narrowing_reaches_every_implied_row_in_one_call(fixpoint):
     # cat <= tc and tc <= cat at m = 6 alone carry both bounds to every
     # implied row of tc in their first applications; no later sweep narrows
     other, log = BoundTable("tc", "x", 8), []
-    records = [_Bound("test", table, (other,), [(6, (6,), 0)], "at most tc", "at least cat"),
-               _Bound("test", other, (table,), [(6, (6,), 0)], "at most cat")]
+    records = [_Bound("test", table, (other,), [(6, (6,))], "at most tc", "at least cat"),
+               _Bound("test", other, (table,), [(6, (6,))], "at most cat")]
     fixpoint([_Logged(record, log) for record in records])
     assert log[:2] == [True, True] and not any(log[2:])
     assert [other.interval(m).as_pair() for m in (1, 5, 6, 7, 8, INF)] == [
@@ -119,25 +122,25 @@ def test_one_narrowing_reaches_every_implied_row_in_one_call(fixpoint):
 
 
 def test_a_shifted_record_narrows_both_ends():
-    # dim_recovery of a table of dimension 6: x[inf] <= x[m] + floor(6/(m+1)),
-    # so x[m] >= x[inf] - floor(6/(m+1))
+    # dim_recovery, in the step of a table of dimension 6: x[inf] <= x[m] +
+    # floor(6/(m+1)), so x[m] >= x[inf] - floor(6/(m+1))
     table = BoundTable("cat", "x", 8, dim=6)
-    pairs = [(INF, (m,), 6 // (m + 1)) for m in range(1, 6)]
-    record = _Bound("dim_recovery", table, (table,), pairs, "hi", "lo")
     table.raise_lo(INF, 4, "test", "a classical lower bound")
     table.lower_hi(2, 2, "test", "an upper bound on one finite row")
-    assert record.inputs == (table,)
-    assert record.apply()
+    assert table.inputs == (table,)
+    assert table.apply()
     assert [table.lo(m) for m in range(1, 6)] == [1, 2, 3, 3, 3]
     assert table.interval(INF).as_pair() == (4, 4)
-    assert not record.apply()
+    assert [(e.rule, e.side, e.value) for e in table.log[INF][1:]] == [
+        ("dim_recovery", "hi", 5), ("dim_recovery", "hi", 4)]
+    assert not table.apply()
 
 
 def test_a_record_without_lo_detail_never_raises_a_lower_end():
     cat, tc = BoundTable("cat", "x", 3), BoundTable("tc", "x", 3)
     cat.raise_lo(2, 2, "test", "a lower bound on cat")
     tc.lower_hi(2, 3, "test", "an upper bound on tc")
-    pairs = [(m, (m,), 0) for m in (1, 2, 3, INF)]
+    pairs = [(m, (m,)) for m in (1, 2, 3, INF)]
     one_sided = _Bound("cat_le_tc", cat, (tc,), pairs, "at most tc")
     assert one_sided.inputs == (tc,)
     assert one_sided.apply()
@@ -150,22 +153,26 @@ def test_a_record_without_lo_detail_never_raises_a_lower_end():
 
 
 def test_an_equality_is_two_records_that_close_both_tables():
+    # tc = cat on an H-space is h_space_eq one way and cat_le_tc the other
     bundle = Bundle()
     bundle.add_space("s3", replace(sphere(3), h_space_with_division=True))
     run = engine._Engine(bundle, 8, True, None)
     run.run()
     tc, cat = run.t("tc", "s3"), run.t("cat", "s3")
-    first, second = [r for r in run.rules if r.rule == "h_space_eq"]
+    records = [r for r in run.rules if isinstance(r, _Bound)]
+    (first,) = [r for r in records if r.rule == "h_space_eq"]
+    (second,) = [r for r in records if r.rule == "cat_le_tc"]
     assert (first.target, first.sources, second.target, second.sources) == (tc, (cat,), cat, (tc,))
+    assert first.lo_detail is not None and second.lo_detail is not None
     # each runs m up to its own target's stable row (6 for tc, 3 for cat):
     # cat <= tc is the reverse of tc <= cat up to cat's inf row
-    assert first.pairs == [(1, (1,), 0), (2, (2,), 0), *[(m, (INF,), 0) for m in (3, 4, 5, INF)]]
-    assert second.pairs == [(n, (m,), 0) for m, (n,), _ in first.pairs][:cat.stable_from]
+    assert first.pairs == [(1, (1,)), (2, (2,)), *[(m, (INF,)) for m in (3, 4, 5, INF)]]
+    assert second.pairs == [(n, (m,)) for m, (n,) in first.pairs][:cat.stable_from]
     # two fresh tables, each narrowed on one side of one row
     a, b = BoundTable("tc", "y", 4), BoundTable("cat", "y", 4)
     a.raise_lo(3, 1, "test", "a lower bound on a")
     b.lower_hi(3, 1, "test", "an upper bound on b")
-    pairs = [(m, (m,), 0) for m in (1, 2, 3, 4, INF)]
+    pairs = [(m, (m,)) for m in (1, 2, 3, 4, INF)]
     _fixpoint([_Bound("eq", a, (b,), pairs, "d", "d"), _Bound("eq", b, (a,), pairs, "d", "d")])
     assert a.interval(3).as_pair() == b.interval(3).as_pair() == (1, 1)
     assert [(e.side, e.value) for e in a.events[3] if e.rule == "eq"] == [("hi", 1)]
