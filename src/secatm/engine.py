@@ -14,8 +14,13 @@ stabilization, as the m-dimensional invariants equal the classical ones
 from m = hdim on (twice hdim for tc; Schwarz) and a table stores rows only
 below that m; and dimension recovery, the skeletal cap and the
 homotopy-vanishing equality, one step per table (``BoundTable.apply``)
-swept after the fibration records.  Each record's index pairs are resolved
-once against the stored rows, without those the tables imply (``_pairs``).
+swept after the fibration records.  The facts a model fixes on its own
+(connectivity, a declared homotopy, the dimension-connectivity cap and a
+recorded classical value) narrow each table as it is made, in the one walk
+of the models that makes the tables (``_Engine._table``).  Each record's
+index pairs are resolved once against the stored rows, without those the
+tables imply: one pair per stored finite row of its target, and one for
+the target's inf row (``_pairs``).
 Every rule only narrows intervals, so iteration terminates, and the
 intervals it ends with do not depend on the order of the rules (chaotic
 iteration; Cousot 1977); a crossing pair of bounds raises
@@ -204,18 +209,6 @@ KIND_OF = {inv: kind for kind, invs in _INVARIANTS.items() for inv in invs}
 _KNOWN = {"cat": "known_cat", "tc": "known_tc", "secat": "known_secat", "dm": "known_d"}
 
 
-def _pi_row(inv, model):
-    """(k, detail) when the homotopy ``inv`` reads vanishes from degree d0,
-    so the classical entry equals entry k = max(d0 - 1, 1) (d0 for secat,
-    whose fiber's homotopy counts); None for hdm or no such d0."""
-    d0, whose, lag = ((model.pi_vanish_from, "", 1) if inv in ("cat", "tc") else
-                      (model.codomain.pi_vanish_from, "codomain ", 1) if inv == "dm" else
-                      (model.fiber_pi_vanish_from, "fiber ", 0) if inv == "secat" else
-                      (None, "", 0))
-    detail = f"{whose}homotopy vanishes from degree {d0}"
-    return None if d0 is None else (max(d0 - lag, 1), detail)
-
-
 def _dim_param(inv, model):
     """The m from which ``inv`` of ``model`` stabilizes: hdim of the space,
     fibration base or pair domain, twice it for tc; None for hdm or an
@@ -296,46 +289,52 @@ class _Engine:
         for kind, invariants in _INVARIANTS.items():
             for name, model in getattr(self.bundle, kind).items():
                 for inv in invariants:
-                    self.tables[(inv, name)] = BoundTable(
-                        inv, name, self.max_m, _dim_param(inv, model), _pi_row(inv, model))
+                    self.tables[(inv, name)] = self._table(inv, name, model)
 
         self.rules = self._rules()
-        self._apply_static()
         self._apply_lower_bounds()
 
         # sweep until quiet, skipping steps whose inputs did not narrow
         _fixpoint(self.rules)
         return self.tables
 
-    # -- static narrowing (metadata and literature axioms) --------------------
-    def _apply_static(self):
-        # the row facts first: a recorded classical value, applied after
-        # them, walks down only to the rows they left looser than it
-        for name, s in self.bundle.spaces.items():
-            cat = self.t("cat", name)
-            for m in cat.rows_for(range(1, min(s.conn, self.max_m) + 1)):
-                cat.lower_hi(
-                    m, 0, "conn_vanishing", f"{s.conn}-connected forces 0 at m <= {s.conn}")
-        for name, p in self.bundle.map_pairs.items():
-            dm = self.t("dm", name)
-            if p.homotopic:
-                for m in dm.stored:
-                    dm.lower_hi(m, 0, "homotopic_zero",
-                                "the two maps are declared homotopic")
-            # dimension-connectivity cap, active where the codomain's higher
-            # homotopy vanishes
-            d0, hx, cy = p.codomain.pi_vanish_from, p.domain.hdim, p.codomain.conn
+    # -- the facts a model fixes -----------------------------------------------
+    def _table(self, inv, name, model) -> BoundTable:
+        """The table of ``inv`` on ``model``, narrowed by the facts the model
+        alone fixes.  It stabilizes at ``_dim_param``, and where the homotopy
+        ``inv`` reads vanishes from degree d0, its classical entry equals
+        entry max(d0 - 1, 1) (d0 for secat, whose fiber's homotopy counts;
+        never for hdm).  Then come connectivity vanishing (cat), the
+        declared homotopy and the dimension-connectivity cap (dm), and last
+        the recorded classical value, which walks down only to the rows
+        the others left looser than it.  Each narrows this table alone."""
+        d0, whose, lag = ((model.pi_vanish_from, "", 1) if inv in ("cat", "tc") else
+                          (model.codomain.pi_vanish_from, "codomain ", 1) if inv == "dm" else
+                          (model.fiber_pi_vanish_from, "fiber ", 0) if inv == "secat" else
+                          (None, "", 0))
+        pi_row = None if d0 is None else (
+            max(d0 - lag, 1), f"{whose}homotopy vanishes from degree {d0}")
+        table = BoundTable(inv, name, self.max_m, _dim_param(inv, model), pi_row)
+        if inv == "cat":
+            conn = model.conn
+            for m in table.rows_for(range(1, min(conn, self.max_m) + 1)):
+                table.lower_hi(m, 0, "conn_vanishing", f"{conn}-connected forces 0 at m <= {conn}")
+        elif inv == "dm":
+            if model.homotopic:
+                for m in table.stored:
+                    table.lower_hi(m, 0, "homotopic_zero", "the two maps are declared homotopic")
+            # dimension-connectivity cap, from the row the codomain's
+            # homotopy vanishing equates with the classical entry on
+            hx, cy = model.domain.hdim, model.codomain.conn
             if d0 is not None and hx is not None:
                 bound = -(-(hx + 1) // (cy + 1)) - 1  # strict rational bound
-                for m in dm.rows_for(range(max(d0 - 1, 1), self.max_m + 1)):
-                    dm.lower_hi(m, bound, "dim_conn_cap",
-                                f"< (hdim {hx}+1)/(conn {cy}+1)")
-        for (inv, name), table in self.tables.items():
-            known = _KNOWN.get(inv)
-            value = getattr(self.model(inv, name), known) if known else None
-            if self.use_literature and value is not None:
-                for narrow in (table.raise_lo, table.lower_hi):
-                    narrow(INF, value, "literature", f"recorded classical value {value}")
+                for m in table.rows_for(range(pi_row[0], self.max_m + 1)):
+                    table.lower_hi(m, bound, "dim_conn_cap", f"< (hdim {hx}+1)/(conn {cy}+1)")
+        value = getattr(model, _KNOWN[inv]) if inv in _KNOWN else None
+        if self.use_literature and value is not None:
+            for narrow in (table.raise_lo, table.lower_hi):
+                narrow(INF, value, "literature", f"recorded classical value {value}")
+        return table
 
     # -- cup-length lower bounds ----------------------------------------------
     def _lower_targets(self):
@@ -401,24 +400,21 @@ class _Engine:
     def _pairs(self, target, sources):
         """The index pairs of one record resolved against the stored rows of
         its tables, (target row, source rows), without those the tables
-        already imply: the target's finite m run up to its ``stable_from``,
-        and a pair is dropped when an earlier pair binds its target row.  m
-        increases, so source rows never decrease along a record; table rows
-        are monotone; and a record applies its pairs in order, so the
-        earlier pair has already done what the dropped one would.  Records
-        whose tables stabilize alike share one list."""
+        already imply: a pair (m, the source rows holding entry m) for each
+        stored finite row m of the target, and then the target's inf row
+        paired with the source rows of the target's first stable m, or of
+        inf when no finite m is stable.  A later m would bind the same inf
+        row through source rows no lower, and table rows are monotone, so
+        its pair could narrow nothing.  Records whose tables stabilize alike
+        share one list."""
         key = (target.stable_from, *[s.stable_from for s in sources])
         pairs = self._pair_cache.get(key)
         if pairs is None:
-            last = min(self.max_m, target.stable_from)
-            pairs = self._pair_cache[key] = []
-            kept = set()  # target rows bound so far
-            for m in [*range(1, last + 1), INF]:
-                row = m if m in target.rows else INF
-                if row not in kept:
-                    kept.add(row)
-                    # an index with no stored row of its own is the inf entry
-                    pairs.append((row, tuple([m if m in s.rows else INF for s in sources])))
+            stop = target.stable_from  # max_m + 1 when no finite m is stable
+            tail = INF if stop > self.max_m else stop
+            pairs = self._pair_cache[key] = [
+                (m, tuple([s.row(m) for s in sources])) for m in range(1, stop)]
+            pairs.append((INF, tuple([s.row(tail) for s in sources])))
         return pairs
 
     def _rules(self):

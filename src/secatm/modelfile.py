@@ -25,7 +25,9 @@ before and its algebra after.
 
 A model is built on its first reference, once, by one resolver that also
 catches circular references and turns every error into a
-:class:`ModelFileError` naming the JSON path of the offending value.
+:class:`ModelFileError` naming the JSON path of the offending value; a
+chain of references too deep for the interpreter's recursion limit names
+the model it was resolved from.
 """
 
 from __future__ import annotations
@@ -235,7 +237,10 @@ class _Loader:
     def load(self) -> LoadedModel:
         for kind, specs in self.specs.items():
             for name in specs:
-                self.model(kind, name, kind)
+                try:
+                    self.model(kind, name, kind)
+                except RecursionError:  # a chain of references listed in reverse
+                    raise ModelFileError(f"{kind}.{name}", "references nest too deeply") from None
         queries = self._parse_queries()
         return LoadedModel(self.bundle, queries, self.coeff)
 

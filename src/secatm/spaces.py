@@ -177,8 +177,21 @@ class MapPairModel:
 # They skip ``GradedAlgebra.validate``: their products obey the
 # sign law and associativity by construction (tested at small sizes).
 
+def _truncated(coeff: CoefficientDomain, var: str, degree: int, height: int) -> GradedAlgebra:
+    """k[var]/(var^(height + 1)) with ``var`` in ``degree``: the class
+    var^k is named ``var`` for k = 1 and ``var^k`` above, and a product
+    var^k1 * var^k2 is listed for k1 <= k2 with k1 + k2 <= height."""
+    def name(k):
+        return var if k == 1 else f"{var}^{k}"
+
+    names = {0: ["1"], **{degree * k: [name(k)] for k in range(1, height + 1)}}
+    prods = [(name(k1), name(k2), {name(k1 + k2): 1})
+             for k1 in range(1, height + 1) for k2 in range(k1, height + 1 - k1)]
+    return make_algebra(coeff, names, prods, validate=False)
+
+
 def point(coeff: CoefficientDomain = DOMAIN_Q) -> SpaceModel:
-    alg = make_algebra(coeff, {0: ["1"]}, [], validate=False)
+    alg = _truncated(coeff, "x", 1, 0)
     return SpaceModel(
         alg, conn=0, hdim=0, pi_vanish_from=1, known_cat=0, known_tc=0
     )
@@ -188,7 +201,7 @@ def sphere(n: int, coeff: CoefficientDomain = DOMAIN_Q) -> SpaceModel:
     """S^n: one class ``a`` in degree n with square zero."""
     if n < 1:
         raise ValueError("sphere dimension must be >= 1")
-    alg = make_algebra(coeff, {0: ["1"], n: ["a"]}, [], validate=False)
+    alg = _truncated(coeff, "a", n, 1)
     return SpaceModel(
         alg,
         conn=n - 1,
@@ -207,18 +220,7 @@ def real_projective(n: int) -> SpaceModel:
     """
     if n < 2:
         raise ValueError("real projective space needs n >= 2")
-    coeff = GF(2)
-    names = {0: ["1"], 1: ["x"]}
-    for d in range(2, n + 1):
-        names[d] = [f"x^{d}"]
-    prods = []
-    for d1 in range(1, n + 1):
-        for d2 in range(d1, n + 1 - d1):
-            left = "x" if d1 == 1 else f"x^{d1}"
-            right = "x" if d2 == 1 else f"x^{d2}"
-            dname = f"x^{d1 + d2}" if d1 + d2 > 1 else "x"
-            prods.append((left, right, {dname: 1}))
-    alg = make_algebra(coeff, names, prods, validate=False)
+    alg = _truncated(GF(2), "x", 1, n)
     known_tc = None
     if n in (1, 3, 7):
         known_tc = n
@@ -231,16 +233,7 @@ def complex_projective(n: int) -> SpaceModel:
     """CP^n with rational cohomology Q[u]/(u^{n+1}), |u| = 2."""
     if n < 1:
         raise ValueError("complex projective space needs n >= 1")
-    names = {0: ["1"], 2: ["u"]}
-    for k in range(2, n + 1):
-        names[2 * k] = [f"u^{k}"]
-    prods = []
-    for k1 in range(1, n + 1):
-        for k2 in range(k1, n + 1 - k1):
-            left = "u" if k1 == 1 else f"u^{k1}"
-            right = "u" if k2 == 1 else f"u^{k2}"
-            prods.append((left, right, {f"u^{k1 + k2}": 1}))
-    alg = make_algebra(DOMAIN_Q, names, prods, validate=False)
+    alg = _truncated(DOMAIN_Q, "u", 2, n)
     return SpaceModel(alg, conn=1, hdim=2 * n, known_cat=n, known_tc=2 * n)
 
 

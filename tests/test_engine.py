@@ -781,6 +781,22 @@ class TestRules:
             assert entry(tables, "dm", "h", m) == (0, 0)
             assert ("hi", 0) in fired(tables, "dm", "h", m, "homotopic_zero")
 
+    def test_a_model_fact_crossing_the_literature_value_is_raised(self):
+        # homotopic maps at a recorded distance 2: the declared homotopy
+        # and the literature value cross on the classical entry
+        s2 = sphere(2, Q)
+        ident = RingMorphism.identity(s2.algebra)
+        bundle = Bundle()
+        bundle.add_space("s2", s2)
+        bundle.add_map_pair("p", MapPairModel(domain=s2, codomain=s2, fstar=ident,
+                                              gstar=ident, homotopic=True, known_d=2))
+        with pytest.raises(InconsistentModel) as err:
+            compute_tables(bundle)
+        e = err.value
+        assert (e.invariant, e.target, e.m) == ("dm", "p", INF)
+        assert [ev.rule for ev in e.lo_events] == ["literature"]
+        assert [ev.rule for ev in e.hi_events] == ["homotopic_zero"]
+
     def test_dm_le_tc_codomain(self):
         # the projections T^3 -> S^1 onto two factors: dm <= tc(S^1) = 1,
         # below cat(T^3) = 3 (Macias-Virgos and Mosquera-Lois 2022)

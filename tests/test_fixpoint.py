@@ -136,6 +136,17 @@ def test_a_shifted_record_narrows_both_ends():
     assert not table.apply()
 
 
+def test_the_skeletal_cap_never_goes_below_2():
+    # row d - 1 of a table of dimension 4 is at most 1: dimension recovery
+    # leaves inf at most 2, and the cap max(row 3, 2) does not go below it
+    table = BoundTable("cat", "x", 10, dim=4)
+    table.lower_hi(3, 1, "test", "an upper bound on row d - 1")
+    assert table.apply()
+    assert table.interval(INF).as_pair() == (0, 2)
+    assert [(e.rule, e.value) for e in table.log[INF]] == [
+        ("dim_recovery", 3), ("dim_recovery", 2)]
+
+
 def test_a_record_without_lo_detail_never_raises_a_lower_end():
     cat, tc = BoundTable("cat", "x", 3), BoundTable("tc", "x", 3)
     cat.raise_lo(2, 2, "test", "a lower bound on cat")

@@ -49,6 +49,24 @@ def run_validate(doc, tmp_path, timeout):
     )
 
 
+def reference_chain(kind, length):
+    """A file whose models ``link0`` .. ``link<length - 1>`` each name the
+    one before as their ``square``, their one factor or both triangle legs,
+    listed in that order."""
+    ident = {"kind": "identity"}
+    first = ({"domain": "s2", "codomain": "s2", "fstar": ident, "gstar": ident}
+             if kind == "triangle" else {"construct": "sphere", "n": 2})
+    links = {"link0": first}
+    for i in range(1, length):
+        prev = f"link{i - 1}"
+        links[f"link{i}"] = {
+            "square": {**first, "square": prev},
+            "factors": {"construct": "product", "factors": [prev]},
+            "triangle": {**first, "triangle": {"left": prev, "right": prev}},
+        }[kind]
+    return base_doc(map_pairs=links) if kind == "triangle" else base_doc(spaces=links)
+
+
 def assert_rejected(doc, path, tmp_path, capsys):
     with pytest.raises(ModelFileError) as err:
         parse_model(doc)
@@ -212,6 +230,19 @@ class TestDiagnostics:
         with pytest.raises(ModelFileError) as err:
             parse_model(doc)
         assert "circular" in str(err.value)
+
+    @pytest.mark.parametrize("kind", ["square", "factors", "triangle"])
+    def test_a_deep_reference_chain_is_an_error_line(self, kind, tmp_path):
+        # each link names the one before it; listed last link first, the
+        # resolver recurses once per link, past the recursion limit
+        doc = reference_chain(kind, 1000)
+        block = "map_pairs" if kind == "triangle" else "spaces"
+        assert len(getattr(parse_model(doc).bundle, block)) == 1000  # in file order
+        doc[block] = dict(reversed(doc[block].items()))
+        done = run_validate(doc, tmp_path, timeout=60)
+        assert done.returncode == 1 and "Traceback" not in done.stderr
+        assert done.stderr.splitlines() == [
+            f"error: {block}.link999: references nest too deeply"]
 
     def test_duplicate_names_across_kinds(self):
         doc = base_doc()
